@@ -243,10 +243,6 @@ def element_bK(ctx: BoxContext, k: Subgroup) -> BoxElement:
     return BoxElement(ctx, coeffs)
 
 
-def b_subgroup(ctx: BoxContext, k: Subgroup) -> BoxElement:
-    return element_bK(ctx, k)
-
-
 def e1(ctx: BoxContext) -> BoxElement:
     """The smallest biprojection b_G."""
     return element_bK(ctx, ctx.group.full_subgroup())

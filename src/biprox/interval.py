@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotNested, QuotientOrderCapExceeded
+from .errors import NotNested, QuotientOrderCapExceeded, TheoremViolation
 from .lattice import FiniteLattice, from_subgroups, is_distributive
 from .permgroup import (
     FiniteGroup,
@@ -24,7 +24,7 @@ from .permgroup import (
     core,
     derived_subgroup,
     generating_indices,
-    is_normal_intermediate,
+    is_dedekind_interval,
     minimal_overgroups,
     quotient_group,
     subgroup_generated,
@@ -86,21 +86,18 @@ def ore_verify(inc: Inclusion) -> OreReport:
     property; a distributive interval failing the latter is a hard error."""
     distributive = is_distributive(inc.lattice)[0]
     witness = is_H_cyclic(inc)
-    h_cyclic = witness is not None
-    assert not (distributive and not h_cyclic), (
-        "distributive interval without a single-generator witness: "
-        f"{inc!r}"
-    )
-    return OreReport(distributive, h_cyclic, witness)
+    if distributive and witness is None:
+        raise TheoremViolation(
+            f"distributive interval without a single-generator witness: {inc!r}"
+        )
+    return OreReport(distributive, witness is not None, witness)
 
 
 def dual_ore_conditions(inc: Inclusion) -> DualOreReport:
     """Normality of H-K multiplication for all intermediate K, and the
     index-sum bound over minimal overgroups of H (exact rational)."""
     group, sub = inc.group, inc.sub
-    cond_normal = all(
-        is_normal_intermediate(sub, k, group) for k in inc.lattice.payload
-    )
+    cond_normal = is_dedekind_interval(sub, group.full_subgroup(), inc.lattice.payload)
     total = Fraction(0)
     for k in minimal_overgroups(sub, group):
         total += Fraction(sub.order, k.order)  # 1 / [K : H]
@@ -264,9 +261,9 @@ def is_linearly_primitive_inclusion(inc: Inclusion, seed: int = 0) -> Optional[i
 
 def _fixed_space_stabilizer(ctx, block) -> np.ndarray:
     """Mask of elements g whose left translation fixes b_H * p elementwise."""
-    from .boxalgebra import b_subgroup, mul
+    from .boxalgebra import element_bK, mul
 
-    v = mul(b_subgroup(ctx, ctx.sub), block).coeffs
+    v = mul(element_bK(ctx, ctx.sub), block).coeffs
     group = ctx.group
     # g is in the stabilizer iff v[g^-1 x] = v[x] for all x.
     translated = v[group.cayley[group.inverse, :]]  # row g: x -> v[g^-1 x]

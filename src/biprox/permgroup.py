@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -521,19 +520,32 @@ def require_nested(inner: Subgroup, outer: Subgroup) -> None:
 
 
 def is_normal_intermediate(h: Subgroup, k: Subgroup, group: FiniteGroup) -> bool:
-    """Whether HgK = KgH for every g (one representative per double coset)."""
-    if h.parent is not group or k.parent is not group:
-        raise NotNested("H and K must be subgroups of G")
-    require_nested(h, k)
-    seen = np.zeros(group.order, dtype=bool)
-    for g in range(group.order):
-        if seen[g]:
-            continue
-        hgk = double_coset(group, h, g, k)
-        seen[hgk] = True
-        kgh = double_coset(group, k, g, h)
-        if hgk.shape != kgh.shape or not np.array_equal(hgk, kgh):
-            return False
+    """Whether HgK = KgH for every g in G."""
+    return is_dedekind_interval(h, group.full_subgroup(), [k])
+
+
+def is_dedekind_interval(
+    inner: Subgroup, outer: Subgroup, members: Iterable[Subgroup]
+) -> bool:
+    """Whether inner.g.K = K.g.inner for every K in members and every g in
+    outer (one representative g per double coset inner.g.K).
+
+    With members the whole interval [inner, outer] this says that every
+    biprojection of the 2-box algebra of inner <= outer is normal.
+    """
+    require_nested(inner, outer)
+    group = outer.parent
+    for k in members:
+        require_nested(inner, k)
+        require_nested(k, outer)
+        seen = np.zeros(group.order, dtype=bool)
+        for g in outer.indices:
+            if seen[g]:
+                continue
+            hgk = double_coset(group, inner, g, k)
+            seen[hgk] = True
+            if not np.array_equal(hgk, double_coset(group, k, g, inner)):
+                return False
     return True
 
 
@@ -590,11 +602,6 @@ def quotient_group(
     return quotient, projection
 
 
-def subgroup_index(h: Subgroup, group: FiniteGroup) -> Fraction:
-    """[G : H] as an exact rational (always an integer by Lagrange)."""
-    return Fraction(group.order, h.order)
-
-
 def regular_representation(table: np.ndarray, name: Optional[str] = None) -> FiniteGroup:
     """Build a FiniteGroup from an abstract multiplication table.
 
@@ -606,7 +613,3 @@ def regular_representation(table: np.ndarray, name: Optional[str] = None) -> Fin
     n = table.shape[0]
     perms = [Permutation(tuple(int(x) for x in table[i])) for i in range(n)]
     return FiniteGroup(perms, name=name)
-
-
-def iter_elements(group: FiniteGroup) -> Iterator[tuple[int, Permutation]]:
-    return enumerate(group.elements)

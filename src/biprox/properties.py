@@ -5,9 +5,9 @@ algebra of an inclusion H <= G: distributivity and normality of the
 biprojection lattice (cyclic = both at once), w-cyclicity on the primal
 and dual sides, w+-cyclicity, the centrality properties (Z), (ZZ), (Z~)
 and (F2), the exact rational bound sum(1/[id:b]) over maximal
-biprojections, shortest-chain lengths whose per-step predicates run on
-compressed interval contexts, and a table of verified implications
-between all of these.
+biprojections, shortest-chain lengths whose per-step predicates are
+decided on intervals of the parent biprojection lattice, and a table of
+verified implications between all of these.
 
 Conventions used throughout (see boxalgebra): the biprojection lattice
 reverses subgroup inclusion, so b_K <= b_L iff L <= K, the bottom is
@@ -45,7 +45,6 @@ from .boxalgebra import (
     id_element,
     is_central,
     is_dual_coproduct_central,
-    is_normal_biprojection,
     minimal_central_projections,
     minimal_projections_under,
     mul_dual,
@@ -55,7 +54,7 @@ from .errors import BiprojectionCheckFailed, TheoremViolation
 from .lattice import FiniteLattice, boolean_rank, is_distributive
 from .permgroup import (
     Subgroup,
-    maximal_subgroups_over,
+    is_dedekind_interval,
     minimal_overgroups,
     require_nested,
     subgroup_generated,
@@ -66,7 +65,6 @@ __all__ = [
     "Determination",
     "ClassificationReport",
     "ImplicationResult",
-    "bottom_context",
     "classify",
     "dual_coproduct_center_basis",
     "find_zz_violation_dual",
@@ -163,16 +161,26 @@ def maximal_biprojections(ctx: BoxContext) -> List[Tuple[Subgroup, BoxElement]]:
     return [lat.payload[i] for i in lat.coatoms()]
 
 
+def _lattice_dedekind(lat: FiniteLattice) -> bool:
+    """Dedekind on a biprojection lattice or one of its intervals: its top
+    is b_inner, its bottom b_outer, and every member b_K must be normal."""
+    subs = [k for k, _elem in lat.payload]
+    return is_dedekind_interval(subs[lat.top], subs[lat.bottom], subs)
+
+
+def _lattice_cyclic(lat: FiniteLattice) -> bool:
+    return is_distributive(lat)[0] and _lattice_dedekind(lat)
+
+
 def is_dedekind(ctx: BoxContext) -> bool:
-    """True when every biprojection is normal (b x b ~ x b x for all x)."""
-    lat = biprojection_lattice(ctx)
-    return all(is_normal_biprojection(elem) for _k, elem in lat.payload)
+    """True when every biprojection is normal (b x b ~ x b x for all x),
+    decided group-theoretically: HgK = KgH for every intermediate K."""
+    return _lattice_dedekind(biprojection_lattice(ctx))
 
 
 def is_cyclic(ctx: BoxContext) -> bool:
     """Dedekind with distributive biprojection lattice."""
-    ok, _witness = is_distributive(biprojection_lattice(ctx))
-    return ok and is_dedekind(ctx)
+    return _lattice_cyclic(biprojection_lattice(ctx))
 
 
 def w_plus_cyclic(ctx: BoxContext) -> bool:
@@ -223,17 +231,6 @@ def top_context(ctx: BoxContext) -> BoxContext:
     mask = np.logical_or.reduce([k.mask for k in overs])
     m = subgroup_generated(ctx.group, np.flatnonzero(mask))
     return compress_lower(ctx, m).small
-
-
-def bottom_context(ctx: BoxContext) -> BoxContext:
-    """The bottom interval [e1, join of atoms]: the inclusion in G of the
-    intersection of the maximal intermediate subgroups."""
-    maxes = maximal_subgroups_over(ctx.sub, ctx.group)
-    if not maxes:
-        return ctx
-    mask = np.logical_and.reduce([k.mask for k in maxes])
-    inter = ctx.group.subgroup_from_mask(mask)
-    return compress_upper(ctx, inter).small
 
 
 def lw_rw_cyclic(ctx: BoxContext, k: Subgroup, seed: int = 0) -> Dict[str, bool]:
@@ -377,48 +374,38 @@ def property_Z_tilde(ctx: BoxContext, seed: int = 0) -> bool:
 # -- chain lengths ------------------------------------------------------------
 
 
-def _length_step_predicate(name: str) -> Callable[[BoxContext], bool]:
+def _length_step_predicate(name: str) -> Callable[[FiniteLattice], bool]:
+    """The predicate a step interval of the biprojection lattice must meet.
+    A "t" name looks at the step's top interval [meet of maximal
+    biprojections, top], a "b" name at its bottom interval [bottom, join
+    of atoms]; "c" asks for cyclic, "b<k>" for Boolean of rank <= k."""
     if name == "cl":
-        return is_cyclic
+        return _lattice_cyclic
     if name == "dl":
-        return lambda c: is_distributive(biprojection_lattice(c))[0]
-    if name == "tcl":
-        return lambda c: is_cyclic(top_context(c))
-    if name == "bcl":
-        return lambda c: is_cyclic(bottom_context(c))
-    m = re.fullmatch(r"([tb])b(\d*)l", name)
-    if m is not None:
-        side, digits = m.groups()
-        pick = top_context if side == "t" else bottom_context
-        cap = int(digits) if digits else None
+        return lambda lat: is_distributive(lat)[0]
+    m = re.fullmatch(r"([tb])(c|b([1-9]\d*)?)l", name)
+    if m is None:
+        raise ValueError(f"unknown chain-length name: {name!r}")
+    side, kind, digits = m.groups()
+    part = FiniteLattice.top_interval if side == "t" else FiniteLattice.bottom_interval
+    if kind == "c":
+        return lambda lat: _lattice_cyclic(part(lat)[0])
+    cap = int(digits) if digits else None
 
-        def pred(c: BoxContext) -> bool:
-            rank = boolean_rank(biprojection_lattice(pick(c)))
-            if rank is None:
-                return False
-            return cap is None or rank <= cap
+    def pred(lat: FiniteLattice) -> bool:
+        rank = boolean_rank(part(lat)[0])
+        return rank is not None and (cap is None or rank <= cap)
 
-        return pred
-    raise ValueError(f"unknown chain-length name: {name!r}")
+    return pred
 
 
-def _shortest_chain(ctx: BoxContext, pred: Callable[[BoxContext], bool]) -> int:
+def _shortest_chain(ctx: BoxContext, pred: Callable[[FiniteLattice], bool]) -> int:
     """Length of a shortest chain e1 = b_0 < ... < b_l = id whose every
-    step interval satisfies pred, by breadth-first search with memoized
-    step evaluation.  Cover steps are 2-element intervals and satisfy all
-    the step predicates used here, so the top is always reachable."""
+    step interval [b_i, b_i+1] of the biprojection lattice satisfies pred,
+    by breadth-first search; each step is tested at most once.  Cover
+    steps are 2-element intervals and satisfy all the step predicates used
+    here, so the top is always reachable."""
     lat = biprojection_lattice(ctx)
-    subs = [k for k, _elem in lat.payload]
-    memo: Dict[Tuple[int, int], bool] = {}
-
-    def edge_ok(a: int, b: int) -> bool:
-        key = (a, b)
-        if key not in memo:
-            # leq[a, b]: b_{K_a} <= b_{K_b}, so K_b <= K_a and the step
-            # interval is the context of K_b inside K_a.
-            memo[key] = pred(step_context(ctx, subs[a], subs[b]))
-        return memo[key]
-
     dist = {lat.bottom: 0}
     queue = deque([lat.bottom])
     while queue:
@@ -426,7 +413,7 @@ def _shortest_chain(ctx: BoxContext, pred: Callable[[BoxContext], bool]) -> int:
         if a == lat.top:
             return dist[a]
         for b in range(lat.n):
-            if b != a and lat.leq[a, b] and b not in dist and edge_ok(a, b):
+            if b != a and lat.leq[a, b] and b not in dist and pred(lat.interval(a, b)[0]):
                 dist[b] = dist[a] + 1
                 queue.append(b)
     raise BiprojectionCheckFailed("no admissible chain reaches the top")

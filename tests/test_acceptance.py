@@ -14,10 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from biprox.boxalgebra import BoxContext
+from biprox.boxalgebra import BoxContext, biprojection_lattice, is_normal_biprojection
 from biprox.catalog import catalog_group, catalog_names, parse_subgroup_spec
 from biprox.cli import corpus_pairs, survey, survey_csv
-from biprox.errors import NumericRankAmbiguous
+from biprox.errors import BiprojectionCheckFailed, NumericRankAmbiguous
 from biprox.fusionring import find_subrings, fp_dimensions, is_simple, kac210_ring, verify_axioms
 from biprox.interval import (
     Inclusion,
@@ -28,6 +28,7 @@ from biprox.interval import (
     ore_verify,
 )
 from biprox.lattice import boolean_rank
+from biprox.permgroup import is_normal_intermediate
 from biprox.properties import (
     is_cyclic,
     is_dedekind,
@@ -64,6 +65,19 @@ def _line(num: int, name: str, ok: bool, detail: str) -> None:
 def _ctx(name: str, sub: str = "trivial") -> BoxContext:
     group = catalog_group(name)
     return BoxContext(group, parse_subgroup_spec(group, sub))
+
+
+def _normal_routes_agree(ctx: BoxContext) -> bool:
+    """Whether, for every intermediate K, the spectral normality check of b_K
+    (run by is_normal_biprojection when H = {1}) agrees with HgK = KgH."""
+    for k, elem in biprojection_lattice(ctx).payload:
+        try:
+            numeric = is_normal_biprojection(elem)
+        except BiprojectionCheckFailed:
+            return False
+        if numeric != is_normal_intermediate(ctx.sub, k, ctx.group):
+            return False
+    return True
 
 
 def _w_cyclic_with_retries(ctx: BoxContext, attempts: int = 6) -> bool:
@@ -188,6 +202,7 @@ def corpus():
             is_w_cyclic_dual(ctx) is not None,
         )
     cls = {}
+    normal_agree = {}
     for name, inc in pairs:
         ctx = BoxContext(inc.group, inc.sub)
         key = (name, inc.sub.key())
@@ -198,7 +213,16 @@ def corpus():
             boolean_rank(inc.lattice),
             sum_bound(ctx),
         )
-    return {"pairs": pairs, "ore": ore, "numeric": numeric, "cls": cls, "t_ore": t_ore}
+        if inc.sub.order == 1:
+            normal_agree[key] = _normal_routes_agree(ctx)
+    return {
+        "pairs": pairs,
+        "ore": ore,
+        "numeric": numeric,
+        "cls": cls,
+        "normal_agree": normal_agree,
+        "t_ore": t_ore,
+    }
 
 
 def test_criterion_04_ore_and_dual_ore(corpus) -> None:
@@ -247,18 +271,21 @@ def test_criterion_05_w_cyclicity_theorems(corpus) -> None:
 
 
 def test_criterion_06_numeric_vs_group_theoretic(corpus) -> None:
-    ore, numeric = corpus["ore"], corpus["numeric"]
+    ore, numeric, normal_agree = corpus["ore"], corpus["numeric"], corpus["normal_agree"]
     bad_primal = [k for k in numeric if numeric[k][0] != (ore[k][2] is not None)]
     bad_dual = [k for k in numeric if numeric[k][1] != (ore[k][3] is not None)]
-    ok = not bad_primal and not bad_dual
+    bad_normal = [k for k, agree in normal_agree.items() if not agree]
+    ok = not bad_primal and not bad_dual and not bad_normal
     _line(
         6,
         "numeric-vs-group-theoretic",
         ok,
-        f"{len(numeric)} pairs, {len(bad_primal)} primal / {len(bad_dual)} dual mismatches",
+        f"{len(numeric)} pairs, {len(bad_primal)} primal / {len(bad_dual)} dual mismatches, "
+        f"{len(bad_normal)} of {len(normal_agree)} H=1 pairs with normality mismatches",
     )
     assert not bad_primal, f"w-cyclic vs linear primitivity: {bad_primal[:5]}"
     assert not bad_dual, f"dual w-cyclic vs single-generator extension: {bad_dual[:5]}"
+    assert not bad_normal, f"spectral vs group-theoretic normality of b_K: {bad_normal[:5]}"
 
 
 # ---------------------------------------------------------------- criterion 7

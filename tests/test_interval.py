@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from biprox.catalog import catalog_group
-from biprox.errors import NotNested, QuotientOrderCapExceeded
+import biprox.interval
+from biprox.errors import NotNested, QuotientOrderCapExceeded, TheoremViolation
 from biprox.interval import (
     DualOreReport,
     Inclusion,
@@ -121,6 +122,14 @@ def test_ore_verify_examples() -> None:
 
     r = ore_verify(make("E4"))
     assert not r.distributive and not r.h_cyclic and r.witness is None
+
+
+def test_ore_verify_raises_on_distributive_without_witness(monkeypatch) -> None:
+    # Z6/{1} is distributive; a missing single-generator witness there is
+    # a broken theorem, reported as a typed error that survives python -O.
+    monkeypatch.setattr(biprox.interval, "is_H_cyclic", lambda inc: None)
+    with pytest.raises(TheoremViolation):
+        ore_verify(make("Z6"))
 
 
 def test_dual_ore_z6() -> None:

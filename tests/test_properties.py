@@ -3,17 +3,21 @@ compressed-interval reductions, implication tables, and chain lengths."""
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import json
+import numpy as np
 import pytest
 
 from biprox.boxalgebra import (
     BoxContext,
-    b_subgroup,
+    biprojection_lattice,
     compress_lower,
+    compress_upper,
     is_dual_coproduct_central,
     is_minimal,
+    is_normal_biprojection,
     is_projection,
     minimal_central_projections,
     mul_dual,
@@ -21,9 +25,11 @@ from biprox.boxalgebra import (
 from biprox.catalog import catalog_group
 from biprox.errors import NotNested
 from biprox.interval import Inclusion, inclusions_equivalent, is_linearly_primitive_inclusion
+from biprox.lattice import boolean_rank, is_distributive
 from biprox.permgroup import (
     Subgroup,
     group_closure,
+    maximal_subgroups_over,
     parse_cycles,
     parse_generators,
     subgroup_generated,
@@ -45,6 +51,7 @@ from biprox.properties import (
     property_ZZ,
     step_context,
     sum_bound,
+    top_context,
     verify_theorems,
     w_plus_cyclic,
     wcl_generators,
@@ -329,8 +336,81 @@ def test_wcl_exact_on_rank_two():
 
 
 def test_unknown_length_name_rejected():
-    with pytest.raises(ValueError):
-        lengths(trivial_ctx("S3"), which=("ql",))
+    # a cap of 0 admits no step at all, and a leading zero is not a new name
+    for name in ("ql", "tb0l", "bb0l", "tb01l"):
+        with pytest.raises(ValueError):
+            lengths(trivial_ctx("S3"), which=(name,))
+
+
+# The step-context route: every step interval [b_outer, b_inner] is rebuilt
+# as a 2-box context of its own (a fresh group, lattice and algebra), and
+# Dedekind-ness is read off is_normal_biprojection, which for trivial H also
+# checks normality spectrally.  An independent oracle for lengths().
+
+
+def _oracle_cyclic(ctx: BoxContext) -> bool:
+    lat = biprojection_lattice(ctx)
+    return is_distributive(lat)[0] and all(
+        is_normal_biprojection(elem) for _k, elem in lat.payload
+    )
+
+
+def _oracle_bottom_context(ctx: BoxContext) -> BoxContext:
+    maxes = maximal_subgroups_over(ctx.sub, ctx.group)
+    if not maxes:
+        return ctx
+    inter = ctx.group.subgroup_from_mask(np.logical_and.reduce([k.mask for k in maxes]))
+    return compress_upper(ctx, inter).small
+
+
+def _oracle_step_predicate(name: str):
+    if name == "cl":
+        return _oracle_cyclic
+    if name == "dl":
+        return lambda c: is_distributive(biprojection_lattice(c))[0]
+    pick = top_context if name[0] == "t" else _oracle_bottom_context
+    if name[1] == "c":
+        return lambda c: _oracle_cyclic(pick(c))
+    cap = int(name[2:-1]) if name[2:-1] else None
+
+    def pred(c: BoxContext) -> bool:
+        rank = boolean_rank(biprojection_lattice(pick(c)))
+        return rank is not None and (cap is None or rank <= cap)
+
+    return pred
+
+
+def _oracle_length(ctx: BoxContext, name: str) -> int:
+    pred = _oracle_step_predicate(name)
+    lat = biprojection_lattice(ctx)
+    subs = [k for k, _elem in lat.payload]
+    dist = {lat.bottom: 0}
+    queue = deque([lat.bottom])
+    while lat.top not in dist:
+        a = queue.popleft()
+        for b in range(lat.n):
+            if b != a and lat.leq[a, b] and b not in dist:
+                if pred(step_context(ctx, subs[a], subs[b])):
+                    dist[b] = dist[a] + 1
+                    queue.append(b)
+    return dist[lat.top]
+
+
+STEP_NAMES = ("cl", "dl", "tcl", "bcl", "tbl", "bbl", "tb2l", "bb2l")
+
+
+@pytest.mark.parametrize(
+    "ctx_factory",
+    [
+        *(pytest.param(lambda n=n: trivial_ctx(n), id=f"{n}/1")
+          for n in ("S3", "Q8", "D8", "A4", "E8", "Z12", "D6")),
+        pytest.param(lambda: s4_over("(1,2)"), id="S4/(1,2)"),
+    ],
+)
+def test_lengths_match_step_context_oracle(ctx_factory):
+    ctx = ctx_factory()
+    got = lengths(ctx, which=STEP_NAMES)
+    assert got == {name: _oracle_length(ctx, name) for name in STEP_NAMES}
 
 
 # -- witnesses and report shape ----------------------------------------------
