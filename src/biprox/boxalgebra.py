@@ -10,9 +10,9 @@ convolution-style coproduct; for trivial H the Fourier transform
 identifies the two sides.
 
 Biprojections correspond to intermediate subgroups H <= K <= G via
-b_K = (1/|K|) . indicator(K); the generated-biprojection iteration
-accumulates coproduct powers and takes range projections until the
-result verifies as some b_K.
+b_K = (1/|K|) . indicator(K). Left convolution by b_K is the orthogonal
+projection onto the left-K-invariant functions, so the biprojection
+generated by a positive x is b_K for K its left-translation stabilizer.
 """
 
 from __future__ import annotations
@@ -276,9 +276,20 @@ def random_element(
 def mul(x: BoxElement, y: BoxElement) -> BoxElement:
     """Group-algebra convolution (x.y)_g = sum_{ab=g} x_a y_b."""
     _same_context(x, y)
-    group = x.context.group
-    translate = y.coeffs[group.cayley[group.inverse]]  # row a: g -> y[a^-1 g]
-    return BoxElement(x.context, x.coeffs @ translate)
+    return BoxElement(x.context, x.coeffs @ _left_translates(x.context.group, y.coeffs))
+
+
+def _left_translates(group: FiniteGroup, f: np.ndarray) -> np.ndarray:
+    """Row a: the function g -> f[a^-1 g], so that r.f = r @ (this)."""
+    return f[group.cayley[group.inverse]]
+
+
+def _commutators(group: FiniteGroup, rows: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Row i: the convolution commutator rows[i].f - f.rows[i], all at once.
+
+    f.r = r @ R with R[b, g] = f[g b^-1], the right translates of f."""
+    right = f[group.cayley[:, group.inverse].T]
+    return rows @ (_left_translates(group, f) - right)
 
 
 def star(x: BoxElement) -> BoxElement:
@@ -399,16 +410,13 @@ def dual_unit(ctx: BoxContext) -> DualElement:
 
 
 def is_dual_coproduct_central(d: DualElement) -> bool:
-    """Whether d commutes with every basis coset under the dual coproduct."""
+    """Whether d commutes with every basis coset under the dual coproduct,
+    a convolution: all commutators with the indicators E_c in one product."""
     ctx = d.context
     scale = max(1.0, float(np.abs(d.coeffs).max()))
-    for c in range(ctx.dim):
-        e_c = dual_basis_element(ctx, c)
-        left = dual_coproduct(d, e_c)
-        right = dual_coproduct(e_c, d)
-        if np.abs(left.coeffs - right.coeffs).max() > ctx.tol.zero * scale:
-            return False
-    return True
+    indicators = (ctx.coset_of == np.arange(ctx.dim)[:, None]).astype(np.complex128)
+    comm = _commutators(ctx.group, indicators, expand_dual(d))[:, ctx.coset_reps]
+    return bool(np.all(np.abs(comm) / ctx.kappa <= ctx.tol.zero * scale))
 
 
 def fourier(x: BoxElement) -> DualElement:
@@ -434,17 +442,17 @@ def fourier_dual(d: DualElement) -> BoxElement:
 # ----------------------------------------------------------- range structure
 
 
-def _hermitian_eigens(ctx: BoxContext, coeffs: np.ndarray):
+def _self_adjoint_regular_matrix(ctx: BoxContext, coeffs: np.ndarray) -> np.ndarray:
     lmat = left_regular_matrix(BoxElement(ctx, coeffs))
     herm = np.abs(lmat - lmat.conj().T).max()
     if herm > ctx.tol.zero * max(1.0, np.abs(coeffs).max()):
         raise NotPositive("element is not self-adjoint")
-    return np.linalg.eigh(lmat)
+    return lmat
 
 
 def _range_projection_vec(ctx: BoxContext, coeffs: np.ndarray) -> tuple[np.ndarray, int]:
     """Range projection coefficients and rank for a PSD coefficient vector."""
-    w, v = _hermitian_eigens(ctx, coeffs)
+    w, v = np.linalg.eigh(_self_adjoint_regular_matrix(ctx, coeffs))
     scale = float(np.abs(w).max())
     if scale == 0.0:
         return np.zeros_like(coeffs), 0
@@ -544,52 +552,45 @@ def biprojection_lattice(ctx: BoxContext) -> FiniteLattice:
     return ctx._cache["biplattice"]
 
 
-def generate_biprojection(x: BoxElement, max_steps: Optional[int] = None) -> Biprojection:
-    """<x>: close the range of a positive x under the coproduct by support
-    doubling until the rank stabilizes at a verified b_K.
+def left_stabilizer(x: BoxElement) -> np.ndarray:
+    """Mask of the k with x(k^-1 g) = x(g) for every g, entrywise at the
+    ``isclose`` tolerance: one gather of all left translates of x."""
+    atol = x.context.tol.zero * max(1.0, x.norm_max())
+    translated = _left_translates(x.context.group, x.coeffs)
+    return np.all(np.abs(translated - x.coeffs) <= atol, axis=1)
 
-    Each round replaces the accumulated positive element by its range
-    projection p and continues from p * p + p + x.  Re-projecting to 0/1
-    eigenvalues every round keeps all weights O(1): raw coproduct powers
-    x^{*k} carry geometrically small tails (binomial tails for sums) that
-    would sink into the rank ambiguity band.
 
-    Correctness of the stop rule: the accumulated range is always <= <x>
-    (induction: p <= <x> gives p * p <= <x> up to scale), and at a
-    stabilization verified as b_K with R(x) <= b_K, minimality forces
-    <x> <= b_K = accumulated range <= <x>.
+def generate_biprojection(x: BoxElement) -> Biprojection:
+    """<x>, the smallest biprojection b_K with R(x) <= b_K, for positive x.
+
+    Left convolution by b_K is the orthogonal projection onto the
+    left-K-invariant functions on G, so R(x) <= b_K holds exactly when
+    b_K.x = x, that is when x(k^-1 g) = x(g) for all k in K and g in G.
+    Those K are the subgroups of Stab(x), the left-translation stabilizer,
+    and b_K shrinks as K grows; hence <x> = b_{Stab(x)}.
+
+    The only spectral step is the positivity check on x. The stabilizer is
+    taken on x scaled to operator norm 1, where every coefficient is at
+    most 1, so the comparison runs at the plain ``tol.zero`` scale.
     """
     ctx = x.context
-    # positivity check on the original element
-    w, _ = _hermitian_eigens(ctx, x.coeffs)
+    w = np.linalg.eigvalsh(_self_adjoint_regular_matrix(ctx, x.coeffs))
     scale = float(np.abs(w).max())
     if scale == 0.0:
         raise NotPositive("cannot generate from the zero element")
     if w.min() < -ctx.tol.zero * 10 * scale:
         raise NotPositive("element is not positive semidefinite")
-    def op_normalized(coeffs: np.ndarray) -> np.ndarray:
-        ew, _ = _hermitian_eigens(ctx, coeffs)
-        mx = float(np.abs(ew).max())
-        if mx == 0.0:
-            raise BiprojectionCheckFailed("coproduct power collapsed to zero")
-        return coeffs / mx
-
-    v = op_normalized(x.coeffs)
-    acc = v.copy()
-    last_rank = -1
-    steps = max_steps or (ctx.group.order + 4)
-    for _ in range(steps):
-        p_vec, rank = _range_projection_vec(ctx, acc)
-        if rank == last_rank:
-            p = BoxElement(ctx, p_vec)
-            k = is_biprojection(p, strict=False)
-            if k is not None and mul(p, x).isclose(x, scale=max(1.0, x.norm_max())):
-                return Biprojection(element_bK(ctx, k), k)
-        last_rank = rank
-        acc = op_normalized(p_vec * p_vec) + p_vec + v  # scalars dropped
-    raise BiprojectionCheckFailed(
-        f"no stable biprojection after {steps} steps in {ctx!r}"
-    )
+    mask = left_stabilizer(x * (1.0 / scale))
+    members = np.flatnonzero(mask)
+    if not mask[ctx.group.cayley[np.ix_(members, members)]].all():
+        raise BiprojectionCheckFailed("translation stabilizer is not a subgroup")
+    k = ctx.group.subgroup_from_mask(mask)
+    if not ctx.sub <= k:
+        raise BiprojectionCheckFailed("translation stabilizer does not contain H")
+    bk = element_bK(ctx, k)
+    if not mul(bk, x).isclose(x, scale=max(1.0, x.norm_max())):
+        raise BiprojectionCheckFailed(f"b_K.x != x for the stabilizer K in {ctx!r}")
+    return Biprojection(bk, k)
 
 
 def generate_from_set(xs: Sequence[BoxElement]) -> Biprojection:
@@ -681,14 +682,11 @@ def center_basis_elements(ctx: BoxContext) -> list[BoxElement]:
 
 
 def is_central(x: BoxElement) -> bool:
-    """Whether x commutes with the whole compressed algebra."""
+    """Whether x commutes with the whole compressed algebra: d_j.x - x.d_j
+    for every basis element d_j in one product, at the ``isclose`` tolerance."""
     ctx = x.context
-    scale = max(1.0, x.norm_max())
-    for j in range(ctx.dim):
-        dj = BoxElement(ctx, ctx.basis_matrix[j])
-        if not mul(x, dj).isclose(mul(dj, x), scale=scale):
-            return False
-    return True
+    comm = _commutators(ctx.group, ctx.basis_matrix, x.coeffs)
+    return bool(np.all(np.abs(comm) <= ctx.tol.zero * max(1.0, x.norm_max())))
 
 
 def is_minimal(p: BoxElement) -> bool:
@@ -725,7 +723,7 @@ def _spectral_split(
 ) -> Optional[list[np.ndarray]]:
     """Split a self-adjoint element into spectral projections by eigenvalue
     clustering; None if the nonzero cluster count mismatches ``expected``."""
-    w, v = _hermitian_eigens(ctx, coeffs)
+    w, v = np.linalg.eigh(_self_adjoint_regular_matrix(ctx, coeffs))
     scale = max(float(np.abs(w).max()), 1.0)
     order = np.argsort(w)
     w_sorted = w[order]

@@ -248,26 +248,17 @@ def inclusions_equivalent(
 def is_linearly_primitive_inclusion(inc: Inclusion, seed: int = 0) -> Optional[int]:
     """Index of the first central block whose H-fixed vectors have pointwise
     stabilizer exactly H, or None. Computed on the box algebra."""
-    from .boxalgebra import BoxContext, minimal_central_projections
+    from .boxalgebra import BoxContext, id_element, left_stabilizer, mul
+    from .boxalgebra import minimal_central_projections
 
     ctx = BoxContext(inc.group, inc.sub)
     blocks = minimal_central_projections(ctx, seed=seed)
     for i, p in enumerate(blocks):
-        stab = _fixed_space_stabilizer(ctx, p)
+        # elements whose left translation fixes b_H * p elementwise
+        stab = left_stabilizer(mul(id_element(ctx), p))
         if np.array_equal(stab, inc.sub.mask):
             return i
     return None
-
-
-def _fixed_space_stabilizer(ctx, block) -> np.ndarray:
-    """Mask of elements g whose left translation fixes b_H * p elementwise."""
-    from .boxalgebra import element_bK, mul
-
-    v = mul(element_bK(ctx, ctx.sub), block).coeffs
-    group = ctx.group
-    # g is in the stabilizer iff v[g^-1 x] = v[x] for all x.
-    translated = v[group.cayley[group.inverse, :]]  # row g: x -> v[g^-1 x]
-    return np.all(np.abs(translated - v[None, :]) <= ctx.tol.zero, axis=1)
 
 
 def is_linearly_primitive_group(group: FiniteGroup, seed: int = 0) -> bool:

@@ -24,7 +24,12 @@ from biprox.boxalgebra import (
 )
 from biprox.catalog import catalog_group
 from biprox.errors import NotNested
-from biprox.interval import Inclusion, inclusions_equivalent, is_linearly_primitive_inclusion
+from biprox.interval import (
+    Inclusion,
+    inclusions_equivalent,
+    is_linearly_primitive_group,
+    is_linearly_primitive_inclusion,
+)
 from biprox.lattice import boolean_rank, is_distributive
 from biprox.permgroup import (
     Subgroup,
@@ -96,6 +101,19 @@ def test_cyclic_group_contexts_are_cyclic():
         r = classify(trivial_ctx(name))
         assert r.cyclic and r.distributive and r.dedekind, name
         assert r.w_cyclic and r.w_cyclic_dual, name
+
+
+@pytest.mark.parametrize("name", ["Z34", "D22", "Dic9", "Dic11"])
+def test_classify_completes_on_regular_inclusions(name):
+    # The spectral generation loop raised NotPositive (Z34) and
+    # NumericRankAmbiguous (D22, Dic9, Dic11) on these; (Ore) then says the
+    # lattice of G over {1} is distributive exactly when G is cyclic.
+    # Over {1}, w-cyclic means linearly primitive (a faithful irreducible).
+    ctx = trivial_ctx(name)
+    r = classify(ctx, lengths_which=())
+    assert (r.group_order, r.sub_order) == (ctx.group.order, 1)
+    assert r.distributive == (name == "Z34")
+    assert r.w_cyclic == is_linearly_primitive_group(ctx.group)
 
 
 def test_z30_sum_above_one_yet_w_cyclic():
