@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boxalgebra import BoxContext, BoxElement, coproduct_table
+from .boxalgebra import BoxContext, BoxElement, biprojection_lattice, coproduct_table
 from .catalog import catalog_group, catalog_names, parse_group_spec, parse_subgroup_spec
 from .errors import (
     AxiomViolation,
@@ -102,7 +102,7 @@ def _context_from_args(args) -> Tuple[FiniteGroup, Subgroup, BoxContext]:
 
 def cmd_analyze(args) -> int:
     group, sub, ctx = _context_from_args(args)
-    lat = from_subgroups(group, sub)
+    lat = biprojection_lattice(ctx)  # [H, G] reversed; each figure below is reversal-invariant
     distributive, _ = is_distributive(lat)
     modular, _ = is_modular(lat)
     report = _classify_with_retries(ctx, args.seed)
@@ -367,16 +367,17 @@ def _survey_row(name: str, sub_spec: str, seed: int) -> dict:
     generator string (re-derivable in a worker process)."""
     group = catalog_group(name)
     sub = parse_subgroup_spec(group, sub_spec)
+    ctx = BoxContext(group, sub)
     row = {
         "group": name,
         "subgroup": sub_spec,
         "group_order": group.order,
         "subgroup_order": sub.order,
         "index": group.order // sub.order,
-        "interval_size": from_subgroups(group, sub).n,
+        "interval_size": biprojection_lattice(ctx).n,
     }
     try:
-        report = _classify_with_retries(BoxContext(group, sub), seed)
+        report = _classify_with_retries(ctx, seed)
     except _CAP_ERRORS as exc:
         return {**row, "status": "cap", "error": str(exc), "report": None}
     except _NUMERIC_ERRORS as exc:

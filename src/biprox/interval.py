@@ -25,7 +25,6 @@ from .permgroup import (
     derived_subgroup,
     generating_indices,
     is_dedekind_interval,
-    minimal_overgroups,
     quotient_group,
     subgroup_generated,
 )
@@ -96,11 +95,11 @@ def ore_verify(inc: Inclusion) -> OreReport:
 def dual_ore_conditions(inc: Inclusion) -> DualOreReport:
     """Normality of H-K multiplication for all intermediate K, and the
     index-sum bound over minimal overgroups of H (exact rational)."""
-    group, sub = inc.group, inc.sub
-    cond_normal = is_dedekind_interval(sub, group.full_subgroup(), inc.lattice.payload)
+    group, sub, lat = inc.group, inc.sub, inc.lattice
+    cond_normal = is_dedekind_interval(sub, group.full_subgroup(), lat.payload)
     total = Fraction(0)
-    for k in minimal_overgroups(sub, group):
-        total += Fraction(sub.order, k.order)  # 1 / [K : H]
+    for a in lat.atoms():  # the minimal overgroups of H
+        total += Fraction(sub.order, lat.payload[a].order)  # 1 / [K : H]
     return DualOreReport(cond_normal, total <= 2, total)
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotBoolean
-from .permgroup import FiniteGroup, Subgroup, interval_subgroups, subgroup_generated
+from .permgroup import FiniteGroup, Subgroup, interval_subgroups
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,8 @@ class FiniteLattice:
         leq = np.asarray(leq, dtype=bool)
         n = leq.shape[0]
         _check_partial_order(leq)
-        meet = np.empty((n, n), dtype=np.int32)
-        join = np.empty((n, n), dtype=np.int32)
-        down_sizes = leq.sum(axis=0)
-        up_sizes = leq.sum(axis=1)
-        for i in range(n):
-            for j in range(i, n):
-                lower = leq[:, i] & leq[:, j]
-                candidates = np.flatnonzero(lower)
-                m = candidates[np.argmax(down_sizes[candidates])]
-                if not np.all(lower <= leq[:, m]):
-                    raise ValueError(f"elements {i},{j} have no meet")
-                meet[i, j] = meet[j, i] = m
-                upper = leq[i, :] & leq[j, :]
-                candidates = np.flatnonzero(upper)
-                u = candidates[np.argmax(up_sizes[candidates])]
-                if not np.all(upper <= leq[u, :]):
-                    raise ValueError(f"elements {i},{j} have no join")
-                join[i, j] = join[j, i] = u
+        meet = _infima(leq, "meet")
+        join = _infima(leq.T, "join")  # joins are the infima of the reversed order
         bottom = int(np.flatnonzero(leq.sum(axis=1) == n)[0])
         top = int(np.flatnonzero(leq.sum(axis=0) == n)[0])
         if labels is None:
@@ -84,25 +68,14 @@ class FiniteLattice:
         return FiniteLattice(n, leq, meet, join, int(bottom), int(top), labels, payload)
 
     def validate(self) -> None:
-        """Exhaustively check the lattice axioms (meet/join are inf/sup)."""
-        leq = self.leq
-        n = self.n
-        _check_partial_order(leq)
-        assert np.all(leq[self.bottom, :]) and np.all(leq[:, self.top])
-        lower = leq[:, :, None] & leq[:, None, :]          # (x, i, j)
-        sup_of_meet = leq[:, self.meet]                    # (x, i, j)
-        assert np.all(lower <= sup_of_meet), "meet is not an upper bound of lower sets"
-        mdiag = self.meet[np.arange(n), np.arange(n)]
-        assert np.all(mdiag == np.arange(n))
-        i_idx = np.arange(n)
-        assert np.all(leq[self.meet, i_idx[:, None]]) and np.all(leq[self.meet, i_idx[None, :]])
+        """Exhaustively check the lattice axioms (meet/join are inf/sup);
+        raises ValueError on the first violation."""
+        _check_partial_order(self.leq)
+        if not (np.all(self.leq[self.bottom, :]) and np.all(self.leq[:, self.top])):
+            raise ValueError("bottom or top is not the least or greatest element")
         # Joins are the meets of the reversed lattice.
-        rev = self.reverse()
-        lower = rev.leq[:, :, None] & rev.leq[:, None, :]
-        assert np.all(lower <= rev.leq[:, rev.meet]), "join is not a lower bound of upper sets"
-        assert np.all(rev.leq[rev.meet, i_idx[:, None]]) and np.all(
-            rev.leq[rev.meet, i_idx[None, :]]
-        )
+        for lat, name in ((self, "meet"), (self.reverse(), "join")):
+            _check_infima(lat.leq, lat.meet, name)
 
     # -- structure -------------------------------------------------------
 
@@ -193,6 +166,35 @@ class FiniteLattice:
         return "\n".join(lines) + "\n"
 
 
+def _infima(leq: np.ndarray, name: str) -> np.ndarray:
+    """Greatest-lower-bound table of ``leq``: of the common lower bounds of
+    i and j, the one with the largest down-set, which must lie above all of
+    them (else ValueError)."""
+    n = leq.shape[0]
+    down_sizes = leq.sum(axis=0)
+    table = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        lower = leq[:, i, None] & leq                      # (x, j)
+        cand = np.argmax(np.where(lower, down_sizes[:, None], -1), axis=0)
+        missing = np.flatnonzero(np.any(lower & ~leq[:, cand], axis=0))
+        if missing.size:
+            raise ValueError(f"elements {i},{missing[0]} have no {name}")
+        table[i] = cand
+    return table
+
+
+def _check_infima(leq: np.ndarray, table: np.ndarray, name: str) -> None:
+    """Raise ValueError unless table[i, j] is the infimum of i and j."""
+    idx = np.arange(leq.shape[0])
+    if not np.all(table[idx, idx] == idx):
+        raise ValueError(f"{name} of an element with itself is not that element")
+    if not (np.all(leq[table, idx[:, None]]) and np.all(leq[table, idx[None, :]])):
+        raise ValueError(f"{name} is not a lower bound of its arguments")
+    lower = leq[:, :, None] & leq[:, None, :]          # (x, i, j)
+    if not np.all(lower <= leq[:, table]):
+        raise ValueError(f"{name} is not above every common lower bound")
+
+
 def _check_partial_order(leq: np.ndarray) -> None:
     n = leq.shape[0]
     if leq.shape != (n, n):
@@ -214,33 +216,18 @@ def _check_partial_order(leq: np.ndarray) -> None:
 
 
 def from_subgroups(group: FiniteGroup, h: Subgroup) -> FiniteLattice:
-    """The interval lattice [H, G], nodes sorted by (order, bitset)."""
+    """The interval lattice [H, G], nodes sorted by (order, bitset). K <= L
+    iff |K & L| = |K|; meets (intersections) and joins (generated
+    subgroups) are the infima and suprema of that order."""
     nodes = interval_subgroups(h, group)
-    n = len(nodes)
-    key_to_idx = {k.key(): i for i, k in enumerate(nodes)}
-    leq = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            leq[i, j] = a <= b
-    meet = np.empty((n, n), dtype=np.int32)
-    join = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if j < i:
-                continue
-            inter = group.subgroup_from_mask(a.mask & b.mask)
-            meet[i, j] = meet[j, i] = key_to_idx[inter.key()]
-            joined = subgroup_generated(
-                group, np.concatenate([a.indices, b.indices])
-            )
-            join[i, j] = join[j, i] = key_to_idx[joined.key()]
+    masks = np.array([k.mask for k in nodes], dtype=np.int32)
+    orders = np.array([k.order for k in nodes])
+    leq = masks @ masks.T == orders[:, None]
     labels = []
     for k in nodes:
         gens = k.generator_string()
         labels.append(gens if len(gens) <= 28 else f"order {k.order}")
-    return FiniteLattice._finish(
-        n, leq, meet, join, 0, n - 1, tuple(labels), tuple(nodes)
-    )
+    return FiniteLattice.from_order(leq, labels, tuple(nodes))
 
 
 # -- distributivity and modularity ------------------------------------------
@@ -385,7 +372,8 @@ def complement(lat: FiniteLattice, b: int) -> int:
         for c in range(lat.n)
         if lat.meet[b, c] == lat.bottom and lat.join[b, c] == lat.top
     ]
-    assert len(hits) == 1, "Boolean lattice must have unique complements"
+    if len(hits) != 1:
+        raise ValueError(f"element {b} has {len(hits)} complements, not one")
     return hits[0]
 
 

@@ -424,8 +424,9 @@ def all_subgroups(
 ) -> list[Subgroup]:
     """Every subgroup of ``group``, sorted by (order, bitset key).
 
-    Enumeration: all cyclic subgroups, then closure under pairwise join
-    with a worklist. Exact for any finite group; capped for desk scale.
+    Enumeration: all cyclic subgroups, then closure under joining with one
+    more cyclic subgroup, with a worklist. Exact for any finite group, since
+    every subgroup is the join of its cyclic subgroups; capped for desk scale.
     """
     if group.order > order_cap:
         raise OrderCapExceeded(
@@ -445,19 +446,22 @@ def all_subgroups(
         return True
 
     add(group.trivial_subgroup())
+    # Each worklist entry carries the generators it was built from, so a
+    # join closes over a few generators rather than over all its members.
+    worklist = []
     for i in range(group.order):
-        add(subgroup_generated(group, [i]))
-    worklist = list(found.values())
+        cyc = subgroup_generated(group, [i])
+        if add(cyc):
+            worklist.append(([i], cyc))
+    cyclic = [gens[0] for gens, _ in worklist]
     while worklist:
-        current = worklist.pop()
-        for other in list(found.values()):
-            if current <= other or other <= current:
+        gens, current = worklist.pop()
+        for i in cyclic:
+            if current.mask[i]:
                 continue
-            joined = subgroup_generated(
-                group, np.concatenate([current.indices, other.indices])
-            )
+            joined = subgroup_generated(group, [*gens, i])
             if add(joined):
-                worklist.append(joined)
+                worklist.append(([*gens, i], joined))
     result = sorted(found.values(), key=lambda s: (s.order, s.key()))
     group._subgroups = result
     return list(result)

@@ -55,7 +55,6 @@ from .lattice import FiniteLattice, boolean_rank, is_distributive
 from .permgroup import (
     Subgroup,
     is_dedekind_interval,
-    minimal_overgroups,
     require_nested,
     subgroup_generated,
 )
@@ -225,7 +224,8 @@ def step_context(ctx: BoxContext, outer: Subgroup, inner: Subgroup) -> BoxContex
 def top_context(ctx: BoxContext) -> BoxContext:
     """The top interval [meet of maximal biprojections, id]: the inclusion
     of H in the subgroup generated by the minimal overgroups of H."""
-    overs = minimal_overgroups(ctx.sub, ctx.group)
+    lat = biprojection_lattice(ctx)
+    overs = [lat.payload[c][0] for c in lat.coatoms()]  # the minimal overgroups
     if not overs:
         return ctx
     mask = np.logical_or.reduce([k.mask for k in overs])

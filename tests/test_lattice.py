@@ -12,6 +12,8 @@ Oracle values in this file were derived independently:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,28 @@ def test_divisor_lattice_is_gcd_lcm() -> None:
         for j, b in enumerate(divs):
             assert divs[lat.meet[i, j]] == np.gcd(a, b)
             assert divs[lat.join[i, j]] == np.lcm(a, b)
+
+
+def test_from_order_names_a_missing_meet() -> None:
+    # 0 < a, b < c, d < 1: c and d have two maximal lower bounds (a and b),
+    # so there is a bottom and a top but no meet of c and d.
+    leq = np.eye(6, dtype=bool)
+    leq[0, :] = leq[:, 5] = True
+    leq[1:3, 3:5] = True
+    with pytest.raises(ValueError, match="elements 3,4 have no meet"):
+        FiniteLattice.from_order(leq)
+
+
+def test_validate_raises_value_error_on_corrupt_meet() -> None:
+    lat = diamond_m3()
+    meet = lat.meet.copy()
+    meet[1, 2] = meet[2, 1] = 1  # claims a ∧ b = a, but a is not below b
+    with pytest.raises(ValueError, match="meet"):
+        dataclasses.replace(lat, meet=meet).validate()
+    join = lat.join.copy()
+    join[1, 2] = join[2, 1] = 0  # claims a ∨ b = 0, which is below neither
+    with pytest.raises(ValueError, match="join"):
+        dataclasses.replace(lat, join=join).validate()
 
 
 def test_from_order_rejects_non_lattices() -> None:
@@ -386,3 +410,40 @@ def test_to_dot() -> None:
 def test_validate_interval_lattices() -> None:
     for name in ["S3", "Z6", "Q8", "A4"]:
         interval(name).validate()
+
+
+def _pairwise_closure_tables(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Meet and join tables of an interval lattice taken node pair by node
+    pair: the meet is the node whose mask is the intersection, the join the
+    subgroup generated by both members (the former ``from_subgroups`` route,
+    kept as the group-theoretic oracle)."""
+    nodes = lat.payload
+    group = nodes[0].parent
+    key_to_idx = {k.key(): i for i, k in enumerate(nodes)}
+    meet = np.empty((lat.n, lat.n), dtype=np.int32)
+    join = np.empty((lat.n, lat.n), dtype=np.int32)
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            meet[i, j] = key_to_idx[group.subgroup_from_mask(a.mask & b.mask).key()]
+            joined = subgroup_generated(group, np.concatenate([a.indices, b.indices]))
+            join[i, j] = key_to_idx[joined.key()]
+    return meet, join
+
+
+@pytest.mark.parametrize(
+    "name,sub",
+    [("S4", ()), ("S4", ("(1,2)",)), ("A5", ()), ("D4", ()), ("D8", ()),
+     ("Q8", ()), ("E8", ())],
+    ids=["S4", "S4/(1,2)", "A5", "D4", "D8", "Q8", "E8"],
+)
+def test_interval_tables_match_group_meet_and_join(name: str, sub: tuple) -> None:
+    # The tables come from the order alone; in [H, G] they must be the
+    # intersection and the generated subgroup.  (Catalog D4 has order 8,
+    # D8 order 16.)
+    lat = interval(name, *sub)
+    meet, join = _pairwise_closure_tables(lat)
+    assert np.array_equal(lat.meet, meet)
+    assert np.array_equal(lat.join, join)
+    assert lat.bottom == 0 and lat.top == lat.n - 1
+    orders = [k.order for k in lat.payload]
+    assert orders == sorted(orders)

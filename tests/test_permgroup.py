@@ -162,6 +162,29 @@ def test_all_subgroups_deterministic_under_element_order():
     assert subs1 == subs2
 
 
+def _pairwise_join_closure(group: FiniteGroup) -> list[bytes]:
+    """Subgroup keys from the cyclic subgroups closed under joining any two
+    subgroups found so far (the former enumeration, kept as an oracle)."""
+    found = {s.key(): s for s in (subgroup_generated(group, [i]) for i in range(group.order))}
+    worklist = list(found.values())
+    while worklist:
+        current = worklist.pop()
+        for other in list(found.values()):
+            joined = subgroup_generated(group, np.concatenate([current.indices, other.indices]))
+            if joined.key() not in found:
+                found[joined.key()] = joined
+                worklist.append(joined)
+    return [s.key() for s in sorted(found.values(), key=lambda s: (s.order, s.key()))]
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "D6", "Q8", "E8", "SL23", "Z30"])
+def test_all_subgroups_matches_pairwise_join_closure(name):
+    # Joining only with cyclic subgroups reaches every subgroup, because each
+    # subgroup is the join of its cyclic subgroups.
+    group = catalog_group(name)
+    assert [s.key() for s in all_subgroups(group)] == _pairwise_join_closure(group)
+
+
 def test_core_examples():
     s3 = catalog_group("S3")
     flip = s3.index_of(parse_cycles("(1,2)", degree=3))
