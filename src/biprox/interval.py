@@ -106,9 +106,17 @@ def dual_ore_conditions(inc: Inclusion) -> DualOreReport:
 # ------------------------------------------------------- equivalence classing
 
 
-def core_quotient(inc: Inclusion) -> tuple[FiniteGroup, Subgroup]:
-    """(G/core_G(H), image of H), the invariant pair behind equivalence."""
+def core_quotient(
+    inc: Inclusion, quotient_cap: int = 200
+) -> tuple[FiniteGroup, Subgroup]:
+    """(G/core_G(H), image of H), the invariant pair behind equivalence;
+    QuotientOrderCapExceeded is raised before building one past the cap."""
     c = core(inc.group, inc.sub)
+    order = inc.group.order // c.order
+    if order > quotient_cap:
+        raise QuotientOrderCapExceeded(
+            f"core quotient of order {order} exceeds cap {quotient_cap}"
+        )
     quotient, projection = quotient_group(inc.group, c)
     image = quotient.subgroup_from_indices(np.unique(projection[inc.sub.indices]))
     return quotient, image
@@ -134,11 +142,7 @@ def _pair_invariants(g: FiniteGroup, h: Subgroup) -> tuple:
 
 def equivalence_key(inc: Inclusion, quotient_cap: int = 200) -> tuple:
     """Hashable invariant of the equivalence class (prefilter/bucketing)."""
-    quotient, image = core_quotient(inc)
-    if quotient.order > quotient_cap:
-        raise QuotientOrderCapExceeded(
-            f"core quotient of order {quotient.order} exceeds cap {quotient_cap}"
-        )
+    quotient, image = core_quotient(inc, quotient_cap)
     return _pair_invariants(quotient, image)
 
 
@@ -229,13 +233,8 @@ def inclusions_equivalent(
     a: Inclusion, b: Inclusion, quotient_cap: int = 200
 ) -> bool:
     """Whether the core quotients are isomorphic as pairs (group, subgroup)."""
-    q1, img1 = core_quotient(a)
-    q2, img2 = core_quotient(b)
-    for q in (q1, q2):
-        if q.order > quotient_cap:
-            raise QuotientOrderCapExceeded(
-                f"core quotient of order {q.order} exceeds cap {quotient_cap}"
-            )
+    q1, img1 = core_quotient(a, quotient_cap)
+    q2, img2 = core_quotient(b, quotient_cap)
     if _pair_invariants(q1, img1) != _pair_invariants(q2, img2):
         return False
     return _isomorphism_carrying(q1, img1, q2, img2)

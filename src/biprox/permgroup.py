@@ -394,8 +394,9 @@ def subgroup_generated(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     frontier = gens[~mask[gens]]
     mask[frontier] = True
     while frontier.size:
-        products = np.unique(group.cayley[np.ix_(frontier, gens)])
-        frontier = products[~mask[products]]
+        reached = np.zeros(group.order, dtype=bool)
+        reached[group.cayley[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(reached & ~mask)
         mask[frontier] = True
     return Subgroup(group, mask)
 

@@ -39,9 +39,9 @@ from .boxalgebra import (
     compress_lower,
     compress_upper,
     coproduct,
+    element_bK,
     generate_biprojection,
     generate_biprojection_dual,
-    generate_from_set,
     id_element,
     is_central,
     is_dual_coproduct_central,
@@ -99,41 +99,44 @@ NOT_DETERMINED = Determination.NOT_DETERMINED
 # -- w-cyclicity ------------------------------------------------------------
 
 
-def _w_cyclic_witness(
-    ctx: BoxContext, seed: int = 0
-) -> Optional[Tuple[int, BoxElement]]:
-    """(block index, witness projection) with <witness> = id, or None.
+def _block_subgroups(ctx: BoxContext, seed: int = 0) -> List[Subgroup]:
+    """K_i with <z_i> = b_{K_i} for each minimal central projection z_i,
+    generated once per context and seed.  For positive x and y,
+    R(x + y) = R(x) v R(y), so a set of blocks generates b_K with K the
+    intersection of their K_i: the block predicates are mask operations."""
+    key = ("block_subgroups", seed)
+    if key not in ctx._cache:
+        ctx._cache[key] = [
+            generate_biprojection(z).subgroup
+            for z in minimal_central_projections(ctx, seed=seed)
+        ]
+    return ctx._cache[key]
 
-    The decision runs over minimal central projections: some minimal
-    projection under a block z generates the same biprojection as z, so
-    testing <z> = id over blocks decides existence of a minimal witness.
-    A drawn minimal projection under the successful block is returned
-    when it verifies (random draws do, away from a null set); otherwise
-    the block itself stands in as the witness.  When no block generates
-    id, one random minimal projection per block is still tried, which
-    can only help: <v> <= <z> always, so a hit would expose a numerical
-    error in the block sweep.
-    """
-    projs = minimal_central_projections(ctx, seed=seed)
-    for i, z in enumerate(projs):
-        if generate_biprojection(z).subgroup == ctx.sub:
-            for v in minimal_projections_under(z, seed=seed):
-                if generate_biprojection(v).subgroup == ctx.sub:
-                    return i, v
-            return i, z
-    for i, z in enumerate(projs):
-        for v in minimal_projections_under(z, seed=seed):
-            if generate_biprojection(v).subgroup == ctx.sub:
-                # <v> <= <z> always, so reaching here means the block sweep
-                # mis-ranked a generated range; the witness itself verified.
-                return i, v
+
+def _w_cyclic_block(ctx: BoxContext, seed: int = 0) -> Optional[int]:
+    """Index of the first block z with <z> = id, or None.  Some minimal
+    projection under z generates <z>, so this decides w-cyclicity."""
+    for i, k in enumerate(_block_subgroups(ctx, seed=seed)):
+        if k == ctx.sub:
+            return i
     return None
 
 
 def is_w_cyclic(ctx: BoxContext, seed: int = 0) -> Optional[BoxElement]:
-    """A minimal (or minimal central) projection u with <u> = id, or None."""
-    found = _w_cyclic_witness(ctx, seed=seed)
-    return None if found is None else found[1]
+    """A minimal (or minimal central) projection u with <u> = id, or None.
+
+    A drawn minimal projection under the first block generating id is
+    returned when it verifies (random draws do, away from a null set);
+    otherwise the block itself stands in as the witness.
+    """
+    i = _w_cyclic_block(ctx, seed=seed)
+    if i is None:
+        return None
+    z = minimal_central_projections(ctx, seed=seed)[i]
+    for v in minimal_projections_under(z, seed=seed):
+        if generate_biprojection(v).subgroup == ctx.sub:
+            return v
+    return z
 
 
 def is_w_cyclic_dual(ctx: BoxContext) -> Optional[int]:
@@ -246,8 +249,8 @@ def lw_rw_cyclic(ctx: BoxContext, k: Subgroup, seed: int = 0) -> Dict[str, bool]
     lower = compress_lower(ctx, k).small
     upper = compress_upper(ctx, k).small
     return {
-        "lw": is_w_cyclic(lower, seed=seed) is not None,
-        "rw": is_w_cyclic(upper, seed=seed) is not None,
+        "lw": _w_cyclic_block(lower, seed=seed) is not None,
+        "rw": _w_cyclic_block(upper, seed=seed) is not None,
     }
 
 
@@ -257,8 +260,8 @@ def lw_rw_cyclic(ctx: BoxContext, k: Subgroup, seed: int = 0) -> Dict[str, bool]
 def _z_violation(ctx: BoxContext, seed: int = 0) -> Optional[int]:
     """Index of a minimal central projection generating a non-central
     biprojection, or None."""
-    for i, z in enumerate(minimal_central_projections(ctx, seed=seed)):
-        if not is_central(generate_biprojection(z).element):
+    for i, k in enumerate(_block_subgroups(ctx, seed=seed)):
+        if not is_central(element_bK(ctx, k)):
             return i
     return None
 
@@ -326,28 +329,19 @@ def _f2_violation(ctx: BoxContext, seed: int = 0) -> Optional[Tuple[int, int]]:
     """Ordered pair (i, j) of block indices with no block r such that
     <z_i, z_r> and <z_r, z_j> both dominate <z_i, z_j>, or None.
 
-    Domination of biprojections reverses subgroup inclusion, so
-    <a, c> >= <a, b> means K_{a,c} <= K_{a,b}.
+    Domination of biprojections reverses subgroup inclusion and
+    <z_a, z_b> = b_{K_a & K_b}, so r serves (i, j) when K_i & K_r and
+    K_r & K_j both lie in K_i & K_j, which is read off intersection orders.
     """
-    projs = minimal_central_projections(ctx, seed=seed)
-    n = len(projs)
-    pair_sub: Dict[Tuple[int, int], Subgroup] = {}
-
-    def gen(i: int, j: int) -> Subgroup:
-        key = (min(i, j), max(i, j))
-        if key not in pair_sub:
-            pair_sub[key] = generate_from_set([projs[key[0]], projs[key[1]]]).subgroup
-        return pair_sub[key]
-
-    for i in range(n):
-        for j in range(n):
-            target = gen(i, j)
-            if not any(
-                target.mask[gen(i, r).indices].all()
-                and target.mask[gen(r, j).indices].all()
-                for r in range(n)
-            ):
-                return i, j
+    m = np.array([k.mask for k in _block_subgroups(ctx, seed=seed)], dtype=float)
+    pair = m @ m.T  # |K_a & K_b|, exact in floating point
+    for i in range(len(m)):
+        triple = (m * m[i]) @ m.T  # [r, j]: |K_i & K_r & K_j|
+        # K_i & K_r (resp. K_r & K_j) lies in K_i & K_j iff its order is triple
+        served = (triple == pair[i][:, None]) & (triple == pair)
+        unserved = ~served.any(axis=0)
+        if unserved.any():
+            return i, int(np.argmax(unserved))
     return None
 
 
@@ -430,13 +424,12 @@ def wcl_generators(
     miss."""
     if ctx.dim == 1:
         return 0  # id = e1 is the biprojection generated by the empty set
-    projs = minimal_central_projections(ctx, seed=seed)
-    limit = min(cap, len(projs))
-    for size in range(1, limit + 1):
-        for combo in itertools.combinations(range(len(projs)), size):
-            if generate_from_set([projs[i] for i in combo]).subgroup == ctx.sub:
+    masks = [k.mask for k in _block_subgroups(ctx, seed=seed)]
+    for size in range(1, min(cap, len(masks)) + 1):
+        for combo in itertools.combinations(masks, size):
+            if np.array_equal(np.logical_and.reduce(combo), ctx.sub.mask):
                 return size
-    if len(projs) <= cap:
+    if len(masks) <= cap:
         raise BiprojectionCheckFailed(
             "the full set of minimal central projections failed to generate id"
         )
@@ -528,15 +521,15 @@ def classify(
     distributive = is_distributive(lat)[0]
     dedekind = is_dedekind(ctx)
     cyclic = distributive and dedekind
-    w_found = _w_cyclic_witness(ctx, seed=seed)
-    if cyclic and w_found is None:
+    w_block = _w_cyclic_block(ctx, seed=seed)
+    if cyclic and w_block is None:
         raise TheoremViolation("a cyclic context came out not w-cyclic")
     dual_witness = is_w_cyclic_dual(ctx)
     z_bad = _z_violation(ctx, seed=seed)
     zz_bad = _zz_violation(ctx)
     f2_bad = _f2_violation(ctx, seed=seed)
     witnesses: Dict[str, object] = {
-        "w_cyclic_block": None if w_found is None else w_found[0],
+        "w_cyclic_block": w_block,
         "dual_coset": None if dual_witness is None else _coset_label(ctx, dual_witness),
         "z_violation_block": z_bad,
         "zz_violation_pair": None if zz_bad is None else list(zz_bad),
@@ -552,7 +545,7 @@ def classify(
         distributive=distributive,
         dedekind=dedekind,
         cyclic=cyclic,
-        w_cyclic=w_found is not None,
+        w_cyclic=w_block is not None,
         w_plus_cyclic=w_plus_cyclic(ctx),
         Z=z_bad is None,
         ZZ=zz_bad is None,
@@ -592,13 +585,13 @@ def verify_theorems(ctx: BoxContext, seed: int = 0) -> List[ImplicationResult]:
     distributive = is_distributive(lat)[0]
     dedekind = is_dedekind(ctx)
     cyclic = distributive and dedekind
-    w = is_w_cyclic(ctx, seed=seed) is not None
+    w = _w_cyclic_block(ctx, seed=seed) is not None
     w_plus = w_plus_cyclic(ctx)
     bound = sum_bound(ctx)
     rank = boolean_rank(lat)
     n_maximal = len(lat.coatoms())
     all_central = all(is_central(elem) for _k, elem in lat.payload)
-    top_w = is_w_cyclic(top_context(ctx), seed=seed) is not None
+    top_w = _w_cyclic_block(top_context(ctx), seed=seed) is not None
     rows = [
         ImplicationResult("cyclic-implies-w-cyclic", cyclic, w),
         ImplicationResult(

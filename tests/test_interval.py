@@ -275,3 +275,14 @@ def test_linearly_primitive_inclusions() -> None:
     assert is_linearly_primitive_inclusion(Inclusion(e4, h)) is not None
     # (E4, {1}) has no faithful block
     assert is_linearly_primitive_inclusion(make("E4")) is None
+
+
+def test_quotient_cap_checked_before_building_the_quotient(monkeypatch) -> None:
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("quotient_group ran for a quotient past the cap")
+
+    monkeypatch.setattr(biprox.interval, "quotient_group", refuse)
+    with pytest.raises(QuotientOrderCapExceeded):
+        equivalence_key(make("S5"), quotient_cap=100)
+    with pytest.raises(QuotientOrderCapExceeded):
+        inclusions_equivalent(make("S5"), make("S5"), quotient_cap=100)

@@ -6,20 +6,27 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
+import itertools
 import json
+import random
 import numpy as np
 import pytest
 
+from biprox import properties
 from biprox.boxalgebra import (
     BoxContext,
     biprojection_lattice,
     compress_lower,
     compress_upper,
+    generate_biprojection,
+    generate_from_set,
+    is_central,
     is_dual_coproduct_central,
     is_minimal,
     is_normal_biprojection,
     is_projection,
     minimal_central_projections,
+    minimal_projections_under,
     mul_dual,
 )
 from biprox.catalog import catalog_group
@@ -33,6 +40,7 @@ from biprox.interval import (
 from biprox.lattice import boolean_rank, is_distributive
 from biprox.permgroup import (
     Subgroup,
+    all_subgroups,
     group_closure,
     maximal_subgroups_over,
     parse_cycles,
@@ -41,6 +49,10 @@ from biprox.permgroup import (
 )
 from biprox.properties import (
     NOT_DETERMINED,
+    _block_subgroups,
+    _f2_violation,
+    _w_cyclic_block,
+    _z_violation,
     classify,
     find_zz_violation_dual,
     is_cyclic,
@@ -165,6 +177,136 @@ def test_abelian_contexts_satisfy_zz_and_f2():
 
 def test_f2_on_s3():
     assert property_F2(trivial_ctx("S3"))
+
+
+# -- block predicates against per-set generation -------------------------------
+#
+# The former routines, kept verbatim as the oracle: each generates the
+# biprojection of a block, a pair or a subset from its sum.
+
+
+def _oracle_w_cyclic_witness(ctx, seed=0):
+    projs = minimal_central_projections(ctx, seed=seed)
+    for i, z in enumerate(projs):
+        if generate_biprojection(z).subgroup == ctx.sub:
+            for v in minimal_projections_under(z, seed=seed):
+                if generate_biprojection(v).subgroup == ctx.sub:
+                    return i, v
+            return i, z
+    for i, z in enumerate(projs):
+        for v in minimal_projections_under(z, seed=seed):
+            if generate_biprojection(v).subgroup == ctx.sub:
+                return i, v
+    return None
+
+
+def _oracle_z_violation(ctx, seed=0):
+    for i, z in enumerate(minimal_central_projections(ctx, seed=seed)):
+        if not is_central(generate_biprojection(z).element):
+            return i
+    return None
+
+
+def _oracle_f2_violation(ctx, seed=0):
+    projs = minimal_central_projections(ctx, seed=seed)
+    n = len(projs)
+    pair_sub = {}
+
+    def gen(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in pair_sub:
+            pair_sub[key] = generate_from_set([projs[key[0]], projs[key[1]]]).subgroup
+        return pair_sub[key]
+
+    for i in range(n):
+        for j in range(n):
+            target = gen(i, j)
+            if not any(
+                target.mask[gen(i, r).indices].all()
+                and target.mask[gen(r, j).indices].all()
+                for r in range(n)
+            ):
+                return i, j
+    return None
+
+
+def _oracle_wcl(ctx, seed=0, cap=4):
+    if ctx.dim == 1:
+        return 0
+    projs = minimal_central_projections(ctx, seed=seed)
+    limit = min(cap, len(projs))
+    for size in range(1, limit + 1):
+        for combo in itertools.combinations(range(len(projs)), size):
+            if generate_from_set([projs[i] for i in combo]).subgroup == ctx.sub:
+                return size
+    if len(projs) <= cap:
+        raise AssertionError("the full set of blocks failed to generate id")
+    return NOT_DETERMINED
+
+
+@pytest.mark.parametrize(
+    "ctx_factory",
+    [
+        lambda: trivial_ctx("S3"),
+        lambda: trivial_ctx("Q8"),
+        lambda: trivial_ctx("D8"),
+        lambda: trivial_ctx("A4"),
+        lambda: s4_over("(1,2)"),
+        lambda: s4_over("(1,4)(2,3)"),  # (Z) fails here
+        lambda: trivial_ctx("S4"),
+    ],
+)
+def test_block_predicates_match_per_set_generation(ctx_factory):
+    ctx = ctx_factory()
+    projs = minimal_central_projections(ctx)
+    subs = _block_subgroups(ctx)
+    assert len(subs) == len(projs)
+    for size in (1, 2, 3):
+        for combo in itertools.combinations(range(len(projs)), size):
+            meet = np.logical_and.reduce([subs[i].mask for i in combo])
+            generated = generate_from_set([projs[i] for i in combo]).subgroup
+            assert np.array_equal(meet, generated.mask), combo
+
+    found = _oracle_w_cyclic_witness(ctx)
+    assert _w_cyclic_block(ctx) == (None if found is None else found[0])
+    witness = is_w_cyclic(ctx)
+    assert (witness is None) == (found is None)
+    if found is not None:
+        assert np.array_equal(witness.coeffs, found[1].coeffs)
+    assert _z_violation(ctx) == _oracle_z_violation(ctx)
+    assert _f2_violation(ctx) == _oracle_f2_violation(ctx)
+    for cap in (1, 2, 4):
+        assert wcl_generators(ctx, cap=cap) == _oracle_wcl(ctx, cap=cap)
+
+
+def _stated_f2_violation(ks):
+    """(F2) as stated, on subgroup masks: the first (i, j) with no r such
+    that K_i & K_r and K_r & K_j both lie in K_i & K_j."""
+    for i, j in itertools.product(range(len(ks)), repeat=2):
+        outside = ~(ks[i].mask & ks[j].mask)
+        if not any(
+            not (ks[i].mask & ks[r].mask & outside).any()
+            and not (ks[r].mask & ks[j].mask & outside).any()
+            for r in range(len(ks))
+        ):
+            return i, j
+    return None
+
+
+def test_f2_rule_on_given_block_subgroups(monkeypatch):
+    # No corpus inclusion violates (F2), so the comparison above cannot tell
+    # a wrong rule; feed random lists of subgroups of S4 in as the blocks.
+    ctx = trivial_ctx("S4")
+    subs = all_subgroups(ctx.group)
+    rng = random.Random(0)
+    outcomes = set()
+    for _ in range(300):
+        ks = rng.sample(subs, rng.randint(1, 5))
+        monkeypatch.setattr(properties, "_block_subgroups", lambda _ctx, seed=0: ks)
+        expected = _stated_f2_violation(ks)
+        assert _f2_violation(ctx) == expected, [k.order for k in ks]
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_z_tilde():
