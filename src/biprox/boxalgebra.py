@@ -35,6 +35,8 @@ from .errors import (
 )
 from .lattice import FiniteLattice, from_subgroups
 from .permgroup import (
+    AMBIGUOUS_BAND,
+    ZERO_TOL,
     FiniteGroup,
     Subgroup,
     double_cosets,
@@ -45,13 +47,13 @@ from .permgroup import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric policy: absolute zero tolerance on unit-normalized data,
-    relative rank cutoff, and the ambiguity band that triggers retries."""
+    """Numeric policy: absolute zero tolerance on unit-normalized data, relative
+    rank cutoff, ambiguity band, cluster gap, minimal_projections_under draws."""
 
-    zero: float = 1e-9
+    zero: float = ZERO_TOL
     rank_rel: float = 1e-8
-    ambiguous_low: float = 1e-10
-    ambiguous_high: float = 1e-6
+    ambiguous_low: float = AMBIGUOUS_BAND[0]
+    ambiguous_high: float = AMBIGUOUS_BAND[1]
     gap: float = 1e-6
     retries: int = 8
 
@@ -718,11 +720,9 @@ def central_support(p: BoxElement) -> BoxElement:
     return range_projection(BoxElement(ctx, total))
 
 
-def _spectral_split(
-    ctx: BoxContext, coeffs: np.ndarray, expected: Optional[int]
-) -> Optional[list[np.ndarray]]:
+def _spectral_split(ctx: BoxContext, coeffs: np.ndarray) -> list[np.ndarray]:
     """Split a self-adjoint element into spectral projections by eigenvalue
-    clustering; None if the nonzero cluster count mismatches ``expected``."""
+    clustering, dropping the structural kernel."""
     w, v = np.linalg.eigh(_self_adjoint_regular_matrix(ctx, coeffs))
     scale = max(float(np.abs(w).max()), 1.0)
     order = np.argsort(w)
@@ -741,8 +741,6 @@ def _spectral_split(
         block = v_sorted[:, a:b]
         proj = block @ block.conj().T
         clusters.append(proj[:, ctx.group.identity_index].copy())
-    if expected is not None and len(clusters) != expected:
-        return None
     return clusters
 
 
@@ -757,46 +755,29 @@ def _canonical_projection_sort(projs: list[BoxElement]) -> list[BoxElement]:
     return sorted(projs, key=key)
 
 
-def minimal_central_projections(ctx: BoxContext, seed: int = 0) -> list[BoxElement]:
+def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
     """The block decomposition of the compressed algebra, canonically sorted.
 
-    A random self-adjoint central element (plus a generic multiple of the
-    identity b_H, which lifts the blocks off the structural kernel of the
-    regular matrix) is split spectrally; retried on eigenvalue collisions.
+    The blocks are z_chi = b_H.e_chi for the irreducible characters chi of
+    G with <chi|_H, 1> > 0, e_chi = (chi(1)/|G|) sum_g conj(chi(g)) g being
+    the central idempotent of chi; b_H.e_chi = 0 when <chi|_H, 1> = 0.
     """
-    cache_key = ("mcp", seed)
-    if cache_key in ctx._cache:
-        return ctx._cache[cache_key]
-    center = _center_basis(ctx)
-    z_dim = center.shape[0]
-    id_vec = id_element(ctx).coeffs
-    for attempt in range(ctx.tol.retries):
-        rng = np.random.default_rng([seed, attempt, ctx.group.order, ctx.sub.order])
-        combo = rng.standard_normal(z_dim) + 1j * rng.standard_normal(z_dim)
-        c = combo @ center
-        c = (c + np.conj(c[ctx.group.inverse])) / 2  # self-adjoint
-        shift = (1.5 + rng.uniform()) * (np.abs(c).sum() + 1.0)
-        c = c + shift * id_vec
-        try:
-            clusters = _spectral_split(ctx, c, expected=z_dim)
-        except NumericRankAmbiguous:
-            clusters = None
-        if clusters is None:
-            continue
-        projs = [BoxElement(ctx, vec) for vec in clusters]
-        ok = all(is_projection(p) and is_central(p) for p in projs)
-        total = projs[0]
-        for p in projs[1:]:
-            total = total + p
-        ok = ok and total.isclose(id_element(ctx))
-        if not ok:
-            continue
-        result = _canonical_projection_sort(projs)
-        ctx._cache[cache_key] = result
-        return result
-    raise NumericRankAmbiguous(
-        f"could not split the center after {ctx.tol.retries} attempts"
-    )
+    if "mcp" not in ctx._cache:
+        group, sub = ctx.group, ctx.sub
+        table = group.character_table()
+        fixed = table[:, sub.indices].sum(axis=1) / sub.order  # <chi|_H, 1>
+        if np.abs(fixed - np.rint(fixed.real)).max() > ctx.tol.zero:
+            raise BiprojectionCheckFailed("a fixed-point dimension is not an integer")
+        # (b_H.e_chi)(g) = chi(1)/|G| . mean over h in H of conj(chi(h^-1 g))
+        left, e = group.cayley[group.inverse[sub.indices]], group.identity_index
+        projs = [
+            BoxElement(ctx, chi[left].conj().mean(axis=0) * chi[e].real / group.order)
+            for chi in table[np.rint(fixed.real) > 0]
+        ]
+        if not sum(projs[1:], projs[0]).isclose(id_element(ctx)):
+            raise BiprojectionCheckFailed("the blocks do not sum to id")
+        ctx._cache["mcp"] = _canonical_projection_sort(projs)
+    return ctx._cache["mcp"]
 
 
 def minimal_projections_under(
@@ -813,10 +794,8 @@ def minimal_projections_under(
             ctx, compressed.coeffs + 2.0 * np.abs(compressed.coeffs).sum() * p.coeffs
         )
         try:
-            clusters = _spectral_split(ctx, compressed.coeffs, expected=None)
+            clusters = _spectral_split(ctx, compressed.coeffs)
         except (NumericRankAmbiguous, NotPositive):
-            continue
-        if clusters is None:
             continue
         projs = [BoxElement(ctx, vec) for vec in clusters]
         try:

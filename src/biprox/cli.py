@@ -12,7 +12,7 @@ Commands and exit codes:
 * ``fusion-check`` verify a fusion tensor file and report dimensions.
 
 Exit codes: 0 ok, 1 parse error, 2 cap exceeded, 3 numeric ambiguity.
-All output is deterministic for fixed flags and seed; survey rows are
+All output is deterministic for fixed flags; survey rows are
 reduced by inclusion equivalence with canonically chosen representatives,
 so a permuted catalog order yields byte-identical output.
 
@@ -50,7 +50,7 @@ from .fusionring import fusion_report, load_fusion_file
 from .interval import Inclusion, equivalence_key, inclusions_equivalent
 from .lattice import boolean_rank, from_subgroups, is_distributive, is_modular
 from .permgroup import FiniteGroup, Subgroup, all_subgroups
-from .properties import ClassificationReport, classify
+from .properties import classify
 from .reference_tables import dual_coset_basis, run_reference_checks, s2_s4_context, s3_context
 
 SCHEMA = "biprox/1"
@@ -80,17 +80,6 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, indent=2))
 
 
-def _classify_with_retries(ctx: BoxContext, seed: int) -> ClassificationReport:
-    """Classify, advancing the seed past transient rank ambiguities."""
-    for attempt in range(max(1, ctx.tol.retries)):
-        try:
-            return classify(ctx, seed=seed + attempt)
-        except NumericRankAmbiguous:
-            if attempt == max(1, ctx.tol.retries) - 1:
-                raise
-    raise AssertionError("unreachable")
-
-
 def _context_from_args(args) -> Tuple[FiniteGroup, Subgroup, BoxContext]:
     group = parse_group_spec(args.group, max_order=args.max_order)
     sub = parse_subgroup_spec(group, args.subgroup)
@@ -105,7 +94,7 @@ def cmd_analyze(args) -> int:
     lat = biprojection_lattice(ctx)  # [H, G] reversed; each figure below is reversal-invariant
     distributive, _ = is_distributive(lat)
     modular, _ = is_modular(lat)
-    report = _classify_with_retries(ctx, args.seed)
+    report = classify(ctx)
     out = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -362,7 +351,7 @@ def equivalence_classes(
     return classes
 
 
-def _survey_row(name: str, sub_spec: str, seed: int) -> dict:
+def _survey_row(name: str, sub_spec: str) -> dict:
     """Classify one class representative, given by catalog name and subgroup
     generator string (re-derivable in a worker process)."""
     group = catalog_group(name)
@@ -377,7 +366,7 @@ def _survey_row(name: str, sub_spec: str, seed: int) -> dict:
         "interval_size": biprojection_lattice(ctx).n,
     }
     try:
-        report = _classify_with_retries(ctx, seed)
+        report = classify(ctx)
     except _CAP_ERRORS as exc:
         return {**row, "status": "cap", "error": str(exc), "report": None}
     except _NUMERIC_ERRORS as exc:
@@ -389,12 +378,11 @@ def survey(
     max_index: int = 12,
     names: Optional[Sequence[str]] = None,
     max_order: Optional[int] = None,
-    seed: int = 0,
     jobs: int = 1,
 ) -> Tuple[List[dict], dict]:
     """Classify one representative per equivalence class; returns (rows,
-    summary).  Deterministic: canonical class order, canonical
-    representatives, fixed seed."""
+    summary).  Deterministic: canonical class order and canonical
+    representatives."""
     if max_index > SURVEY_INDEX_LIMIT:
         raise OrderCapExceeded(
             f"max index {max_index} exceeds the survey limit {SURVEY_INDEX_LIMIT}"
@@ -402,14 +390,12 @@ def survey(
     classes = equivalence_classes(
         enumerate_pairs(names=names, max_index=max_index, max_order=max_order)
     )
-    tasks = [
-        (cls[0][0], cls[0][1].sub.generator_string(), seed) for cls in classes
-    ]
+    tasks = [(cls[0][0], cls[0][1].sub.generator_string()) for cls in classes]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_survey_task, tasks))
+            results = list(pool.map(_survey_row, *zip(*tasks)))
     else:
-        results = [_survey_task(t) for t in tasks]
+        results = [_survey_row(*t) for t in tasks]
     rows = []
     counts = {
         "total": len(classes),
@@ -440,14 +426,10 @@ def survey(
         "command": "survey",
         "max_index": max_index,
         "max_order": max_order,
-        "seed": seed,
+        "seed": 0,  # schema field; no report depends on a seed
         "counts": counts,
     }
     return rows, summary
-
-
-def _survey_task(task: Tuple[str, str, int]) -> dict:
-    return _survey_row(*task)
 
 
 def survey_csv(rows: Sequence[dict]) -> str:
@@ -493,7 +475,6 @@ def cmd_survey(args) -> int:
     rows, summary = survey(
         max_index=args.max_index,
         max_order=args.max_order_filter,
-        seed=args.seed,
         jobs=args.jobs,
     )
     if args.format == "csv":
@@ -549,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="'trivial', 'full', or cycle-notation generators",
         )
         p.add_argument("--max-order", type=int, default=400, dest="max_order")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze", help="full classification report")
     add_context_flags(p)
@@ -573,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the catalog to groups of at most this order",
     )
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_survey)
 

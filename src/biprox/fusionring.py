@@ -250,7 +250,7 @@ def fusion_report(ring: FusionRing) -> dict:
 # -- extraction from a 2-box context ------------------------------------------
 
 
-def fusion_from_context(ctx: BoxContext, seed: int = 0) -> FusionRing:
+def fusion_from_context(ctx: BoxContext) -> FusionRing:
     """Fusion ring of the blocks of a trivial-subgroup context.
 
     Two independent routes must agree: (a) the support pattern of the
@@ -263,7 +263,7 @@ def fusion_from_context(ctx: BoxContext, seed: int = 0) -> FusionRing:
     """
     if ctx.sub.order != 1:
         raise NotTrivialH("fusion extraction requires a trivial subgroup")
-    projs = minimal_central_projections(ctx, seed=seed)
+    projs = minimal_central_projections(ctx)
     r = len(projs)
     order = ctx.group.order
     inv = ctx.group.inverse
@@ -277,15 +277,10 @@ def fusion_from_context(ctx: BoxContext, seed: int = 0) -> FusionRing:
     perm = unit_candidates + [i for i in range(r) if i != unit_candidates[0]]
     coeff = coeff[perm]
 
-    chars = np.zeros((r, order), dtype=np.complex128)
-    for i in range(r):
-        pe = float(coeff[i, ctx.group.identity_index].real)
-        degree = math.sqrt(max(order * pe, 0.0))
-        if abs(degree - round(degree)) > 1e-6 or round(degree) < 1:
-            raise NumericRankAmbiguous(
-                f"block {i} has non-integer degree estimate {degree}"
-            )
-        chars[i] = (order / round(degree)) * coeff[i][inv]
+    degrees = np.sqrt(np.maximum(order * coeff[:, ctx.group.identity_index].real, 0.0))
+    if np.abs(degrees - np.rint(degrees)).max() > 1e-6 or np.rint(degrees).min() < 1:
+        raise NumericRankAmbiguous(f"non-integer block degree estimates {degrees}")
+    chars = (order / np.rint(degrees))[:, None] * coeff[:, inv]
 
     raw = np.einsum("ig,jg,kg->ijk", chars, chars, np.conj(chars)) / order
     if np.abs(raw.imag).max() > 1e-9:

@@ -19,13 +19,12 @@ from .errors import NotNested, QuotientOrderCapExceeded, TheoremViolation
 from .lattice import FiniteLattice, from_subgroups, is_distributive
 from .permgroup import (
     FiniteGroup,
+    Permutation,
     Subgroup,
     center_subgroup,
-    core,
     derived_subgroup,
     generating_indices,
     is_dedekind_interval,
-    quotient_group,
     subgroup_generated,
 )
 
@@ -109,17 +108,21 @@ def dual_ore_conditions(inc: Inclusion) -> DualOreReport:
 def core_quotient(
     inc: Inclusion, quotient_cap: int = 200
 ) -> tuple[FiniteGroup, Subgroup]:
-    """(G/core_G(H), image of H), the invariant pair behind equivalence;
+    """(G/core_G(H), image of H), the invariant pair behind equivalence: G on
+    the left cosets of H (kernel core_G(H)) and the stabilizer of the coset H.
     QuotientOrderCapExceeded is raised before building one past the cap."""
-    c = core(inc.group, inc.sub)
-    order = inc.group.order // c.order
-    if order > quotient_cap:
+    group = inc.group
+    first = group.cayley[:, inc.sub.indices].min(axis=1)  # the least element of gH
+    reps, coset_of = np.unique(first, return_inverse=True)
+    images = np.unique(coset_of[group.cayley[:, reps]], axis=0)
+    if len(images) > quotient_cap:
         raise QuotientOrderCapExceeded(
-            f"core quotient of order {order} exceeds cap {quotient_cap}"
+            f"core quotient of order {len(images)} exceeds cap {quotient_cap}"
         )
-    quotient, projection = quotient_group(inc.group, c)
-    image = quotient.subgroup_from_indices(np.unique(projection[inc.sub.indices]))
-    return quotient, image
+    quotient = FiniteGroup([Permutation(tuple(row)) for row in images.tolist()])
+    home = int(coset_of[group.identity_index])
+    fixes_home = np.array([p.images[home] == home for p in quotient.elements])
+    return quotient, quotient.subgroup_from_mask(fixes_home)
 
 
 def _group_invariants(g: FiniteGroup) -> tuple:
@@ -243,14 +246,14 @@ def inclusions_equivalent(
 # ---------------------------------------------------------- linear primitivity
 
 
-def is_linearly_primitive_inclusion(inc: Inclusion, seed: int = 0) -> Optional[int]:
+def is_linearly_primitive_inclusion(inc: Inclusion) -> Optional[int]:
     """Index of the first central block whose H-fixed vectors have pointwise
     stabilizer exactly H, or None. Computed on the box algebra."""
     from .boxalgebra import BoxContext, id_element, left_stabilizer, mul
     from .boxalgebra import minimal_central_projections
 
     ctx = BoxContext(inc.group, inc.sub)
-    blocks = minimal_central_projections(ctx, seed=seed)
+    blocks = minimal_central_projections(ctx)
     for i, p in enumerate(blocks):
         # elements whose left translation fixes b_H * p elementwise
         stab = left_stabilizer(mul(id_element(ctx), p))
@@ -259,7 +262,7 @@ def is_linearly_primitive_inclusion(inc: Inclusion, seed: int = 0) -> Optional[i
     return None
 
 
-def is_linearly_primitive_group(group: FiniteGroup, seed: int = 0) -> bool:
+def is_linearly_primitive_group(group: FiniteGroup) -> bool:
     """Whether some irreducible block is faithful (trivial stabilizer)."""
     inc = Inclusion(group, group.trivial_subgroup())
-    return is_linearly_primitive_inclusion(inc, seed=seed) is not None
+    return is_linearly_primitive_inclusion(inc) is not None

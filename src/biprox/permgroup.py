@@ -1,4 +1,4 @@
-"""Finite permutation groups: closure, subgroups, cosets, conjugation.
+"""Finite permutation groups: closure, subgroups, cosets, conjugation, characters.
 
 Conventions
 -----------
@@ -18,14 +18,21 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BiprojectionCheckFailed,
     DegreeMismatch,
     NotNested,
+    NumericRankAmbiguous,
     OrderCapExceeded,
     SubgroupCapExceeded,
 )
 
 DEFAULT_ORDER_CAP = 400
 DEFAULT_SUBGROUP_CAP = 20_000
+
+# Absolute zero tolerance on unit-normalized data, and the band of relative
+# gaps that can be neither trusted nor ignored (boxalgebra.Tolerances defaults).
+ZERO_TOL = 1e-9
+AMBIGUOUS_BAND = (1e-10, 1e-6)
 
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)")
 
@@ -190,6 +197,7 @@ class FiniteGroup:
         self.inverse = inverse
         self._subgroups: Optional[list[Subgroup]] = None
         self._conjugacy_classes: Optional[list[np.ndarray]] = None
+        self._character_table: Optional[np.ndarray] = None
 
     # -- basics ---------------------------------------------------------
 
@@ -262,6 +270,77 @@ class FiniteGroup:
                 classes.append(orbit)
             self._conjugacy_classes = classes
         return self._conjugacy_classes
+
+    def character_table(self) -> np.ndarray:
+        """The irreducible characters as functions on G (row chi holds chi(g)
+        per element index; rows by degree), by Burnside's algorithm with no
+        random draw: the class sums, normal in the basis K_i/sqrt|C_i|, split
+        their common eigenspaces by Hermitian and anti-Hermitian parts.  A
+        failed verification raises BiprojectionCheckFailed; a gap inside the
+        ambiguity band raises NumericRankAmbiguous."""
+        if self._character_table is not None:
+            return self._character_table
+        classes = self.conjugacy_classes()
+        k = len(classes)
+        index = np.empty(self.order, dtype=np.int64)  # element -> its class
+        for i, cls in enumerate(classes):
+            index[cls] = i
+        reps = np.array([cls[0] for cls in classes])
+        sizes = np.array([len(cls) for cls in classes], dtype=float)
+        root = np.sqrt(sizes)
+        spaces = [np.eye(k, dtype=np.complex128)]
+        for cls in classes:
+            if len(spaces) == k:
+                break
+            normal = root[:, None] * _class_matrix(self, cls, index, reps) / root[None, :]
+            for part in ((normal + normal.T) / 2, (normal - normal.T) / 2j):
+                spaces = [s for space in spaces for s in _split_space(space, part, len(cls))]
+        if len(spaces) != k:
+            raise BiprojectionCheckFailed("the class sums did not separate the characters")
+        # Column c of u is the unit vector of e_chi in the basis K_l / sqrt|C_l|,
+        # proportional to sqrt|C_l| conj(chi(g_l)); chi(1) > 0 fixes the phase.
+        u = np.hstack(spaces)
+        e = index[self.identity_index]
+        table = np.sqrt(self.order) * (np.exp(1j * np.angle(u[e])) * u.conj() / root[:, None]).T
+        degrees = np.rint(table[:, e].real)
+        tol = ZERO_TOL * self.order
+        if not (
+            np.abs(table[:, e] - degrees).max() <= ZERO_TOL
+            and degrees.min() >= 1
+            and not np.any(self.order % degrees)
+            and (degrees**2).sum() == self.order
+            and np.abs((table * sizes) @ table.conj().T - self.order * np.eye(k)).max() <= tol
+            and np.abs(table.conj().T @ table - np.diag(self.order / sizes)).max() <= tol
+        ):
+            raise BiprojectionCheckFailed(f"character table of {self!r} failed verification")
+        table = table[np.argsort(degrees, kind="stable")][:, index]
+        table.setflags(write=False)
+        self._character_table = table
+        return table
+
+
+def _class_matrix(
+    group: FiniteGroup, cls: np.ndarray, index: np.ndarray, reps: np.ndarray
+) -> np.ndarray:
+    """Left multiplication by the class sum of ``cls`` on the class sums:
+    entry [l, i] counts the x in ``cls`` with x^-1 reps[l] in class i."""
+    k = len(reps)
+    hits = index[group.cayley[group.inverse[cls]][:, reps]]
+    return np.bincount((np.arange(k) * k + hits).ravel(), minlength=k * k).reshape(k, k)
+
+
+def _split_space(space: np.ndarray, part: np.ndarray, scale: float) -> list[np.ndarray]:
+    """Split the orthonormal columns of ``space`` along the eigenspaces of the
+    Hermitian ``part`` restricted to it, cutting at relative gaps >= the band."""
+    if space.shape[1] == 1:
+        return [space]
+    w, v = np.linalg.eigh(space.conj().T @ part @ space)
+    gaps = np.diff(w) / scale
+    low, high = AMBIGUOUS_BAND
+    if np.any((gaps > low) & (gaps < high)):
+        raise NumericRankAmbiguous("class-sum eigenvalue gap inside the ambiguity band")
+    cuts = np.flatnonzero(gaps >= high) + 1
+    return [space @ block for block in np.split(v, cuts, axis=1)]
 
 
 class Subgroup:
@@ -471,10 +550,6 @@ def all_subgroups(
 # -- cosets and normality --------------------------------------------------
 
 
-def left_coset(group: FiniteGroup, g: int, sub: Subgroup) -> np.ndarray:
-    return np.unique(group.cayley[g, sub.indices])
-
-
 def double_coset(group: FiniteGroup, a: Subgroup, g: int, b: Subgroup) -> np.ndarray:
     """Sorted element indices of the double coset AgB."""
     ag = group.cayley[a.indices, g]
@@ -573,38 +648,7 @@ def maximal_subgroups_over(h: Subgroup, group: FiniteGroup) -> list[Subgroup]:
     return [s for s in interval if not any(s < t for t in interval)]
 
 
-# -- quotients --------------------------------------------------------------
-
-
-def quotient_group(
-    group: FiniteGroup, normal: Subgroup, name: Optional[str] = None
-) -> tuple[FiniteGroup, np.ndarray]:
-    """The quotient G/N as a permutation group on the left cosets of N.
-
-    Returns the quotient and the projection array mapping each element
-    index of G to its image's index in the quotient.
-    """
-    if not normal.is_normal():
-        raise ValueError("quotient requires a normal subgroup")
-    coset_id = np.full(group.order, -1, dtype=np.int64)
-    reps = []
-    for g in range(group.order):
-        if coset_id[g] >= 0:
-            continue
-        coset = left_coset(group, g, normal)
-        coset_id[coset] = len(reps)
-        reps.append(g)
-    n_cosets = len(reps)
-    images = {}
-    for g in range(group.order):
-        image = tuple(int(coset_id[group.cayley[g, r]]) for r in reps)
-        images.setdefault(image, g)
-    quotient = FiniteGroup([Permutation(img) for img in images], name=name)
-    projection = np.empty(group.order, dtype=np.int64)
-    for g in range(group.order):
-        image = tuple(int(coset_id[group.cayley[g, r]]) for r in reps)
-        projection[g] = quotient.index_of(Permutation(image))
-    return quotient, projection
+# -- abstract groups ---------------------------------------------------------
 
 
 def regular_representation(table: np.ndarray, name: Optional[str] = None) -> FiniteGroup:

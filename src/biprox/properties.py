@@ -39,7 +39,6 @@ from .boxalgebra import (
     compress_lower,
     compress_upper,
     coproduct,
-    element_bK,
     generate_biprojection,
     generate_biprojection_dual,
     id_element,
@@ -55,6 +54,7 @@ from .lattice import FiniteLattice, boolean_rank, is_distributive
 from .permgroup import (
     Subgroup,
     is_dedekind_interval,
+    is_normal_intermediate,
     require_nested,
     subgroup_generated,
 )
@@ -99,24 +99,22 @@ NOT_DETERMINED = Determination.NOT_DETERMINED
 # -- w-cyclicity ------------------------------------------------------------
 
 
-def _block_subgroups(ctx: BoxContext, seed: int = 0) -> List[Subgroup]:
+def _block_subgroups(ctx: BoxContext) -> List[Subgroup]:
     """K_i with <z_i> = b_{K_i} for each minimal central projection z_i,
-    generated once per context and seed.  For positive x and y,
+    generated once per context.  For positive x and y,
     R(x + y) = R(x) v R(y), so a set of blocks generates b_K with K the
     intersection of their K_i: the block predicates are mask operations."""
-    key = ("block_subgroups", seed)
-    if key not in ctx._cache:
-        ctx._cache[key] = [
-            generate_biprojection(z).subgroup
-            for z in minimal_central_projections(ctx, seed=seed)
+    if "block_subgroups" not in ctx._cache:
+        ctx._cache["block_subgroups"] = [
+            generate_biprojection(z).subgroup for z in minimal_central_projections(ctx)
         ]
-    return ctx._cache[key]
+    return ctx._cache["block_subgroups"]
 
 
-def _w_cyclic_block(ctx: BoxContext, seed: int = 0) -> Optional[int]:
+def _w_cyclic_block(ctx: BoxContext) -> Optional[int]:
     """Index of the first block z with <z> = id, or None.  Some minimal
     projection under z generates <z>, so this decides w-cyclicity."""
-    for i, k in enumerate(_block_subgroups(ctx, seed=seed)):
+    for i, k in enumerate(_block_subgroups(ctx)):
         if k == ctx.sub:
             return i
     return None
@@ -129,10 +127,10 @@ def is_w_cyclic(ctx: BoxContext, seed: int = 0) -> Optional[BoxElement]:
     returned when it verifies (random draws do, away from a null set);
     otherwise the block itself stands in as the witness.
     """
-    i = _w_cyclic_block(ctx, seed=seed)
+    i = _w_cyclic_block(ctx)
     if i is None:
         return None
-    z = minimal_central_projections(ctx, seed=seed)[i]
+    z = minimal_central_projections(ctx)[i]
     for v in minimal_projections_under(z, seed=seed):
         if generate_biprojection(v).subgroup == ctx.sub:
             return v
@@ -236,7 +234,7 @@ def top_context(ctx: BoxContext) -> BoxContext:
     return compress_lower(ctx, m).small
 
 
-def lw_rw_cyclic(ctx: BoxContext, k: Subgroup, seed: int = 0) -> Dict[str, bool]:
+def lw_rw_cyclic(ctx: BoxContext, k: Subgroup) -> Dict[str, bool]:
     """Side-cyclicity of an intermediate subgroup K.
 
     lw asks for a minimal projection u with <u, b_K> = id and reduces to
@@ -249,40 +247,45 @@ def lw_rw_cyclic(ctx: BoxContext, k: Subgroup, seed: int = 0) -> Dict[str, bool]
     lower = compress_lower(ctx, k).small
     upper = compress_upper(ctx, k).small
     return {
-        "lw": _w_cyclic_block(lower, seed=seed) is not None,
-        "rw": _w_cyclic_block(upper, seed=seed) is not None,
+        "lw": _w_cyclic_block(lower) is not None,
+        "rw": _w_cyclic_block(upper) is not None,
     }
 
 
 # -- centrality properties ----------------------------------------------------
 
 
-def _z_violation(ctx: BoxContext, seed: int = 0) -> Optional[int]:
+def _z_violation(ctx: BoxContext) -> Optional[int]:
     """Index of a minimal central projection generating a non-central
-    biprojection, or None."""
-    for i, k in enumerate(_block_subgroups(ctx, seed=seed)):
-        if not is_central(element_bK(ctx, k)):
+    biprojection, or None.  b_K.pi(g).b_H is the uniform measure on KgH,
+    so b_K is central exactly when KgH = HgK for every g."""
+    for i, k in enumerate(_block_subgroups(ctx)):
+        if not is_normal_intermediate(ctx.sub, k, ctx.group):
             return i
     return None
 
 
-def property_Z(ctx: BoxContext, seed: int = 0) -> bool:
+def property_Z(ctx: BoxContext) -> bool:
     """Every minimal central projection generates a central biprojection."""
-    return _z_violation(ctx, seed=seed) is None
+    return _z_violation(ctx) is None
 
 
 def _zz_violation(ctx: BoxContext) -> Optional[Tuple[int, int]]:
     """Pair of center-basis indices whose coproduct is not central, or None.
 
-    The coproduct is bilinear, so centrality of all basis coproducts is
-    equivalent to centrality of x * y for all central x, y.
+    The coproduct is bilinear and commutative and the blocks span the
+    center, so the z_i * z_j with i <= j decide (ZZ).  Only a violation
+    computes the orthonormal center basis, whose indices the pair reports.
     """
+    blocks = minimal_central_projections(ctx)
+    if all(is_central(coproduct(a, b)) for i, a in enumerate(blocks) for b in blocks[i:]):
+        return None
     basis = center_basis_elements(ctx)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             if not is_central(coproduct(a, b)):
                 return i, j
-    return None
+    raise BiprojectionCheckFailed("(ZZ) fails on the blocks but holds on the center basis")
 
 
 def property_ZZ(ctx: BoxContext) -> bool:
@@ -325,7 +328,7 @@ def find_zz_violation_dual(
     return None
 
 
-def _f2_violation(ctx: BoxContext, seed: int = 0) -> Optional[Tuple[int, int]]:
+def _f2_violation(ctx: BoxContext) -> Optional[Tuple[int, int]]:
     """Ordered pair (i, j) of block indices with no block r such that
     <z_i, z_r> and <z_r, z_j> both dominate <z_i, z_j>, or None.
 
@@ -333,7 +336,7 @@ def _f2_violation(ctx: BoxContext, seed: int = 0) -> Optional[Tuple[int, int]]:
     <z_a, z_b> = b_{K_a & K_b}, so r serves (i, j) when K_i & K_r and
     K_r & K_j both lie in K_i & K_j, which is read off intersection orders.
     """
-    m = np.array([k.mask for k in _block_subgroups(ctx, seed=seed)], dtype=float)
+    m = np.array([k.mask for k in _block_subgroups(ctx)], dtype=float)
     pair = m @ m.T  # |K_a & K_b|, exact in floating point
     for i in range(len(m)):
         triple = (m * m[i]) @ m.T  # [r, j]: |K_i & K_r & K_j|
@@ -345,13 +348,13 @@ def _f2_violation(ctx: BoxContext, seed: int = 0) -> Optional[Tuple[int, int]]:
     return None
 
 
-def property_F2(ctx: BoxContext, seed: int = 0) -> bool:
+def property_F2(ctx: BoxContext) -> bool:
     """For all minimal central projections p, q there is a minimal central
     r with <p, r> and <r, q> both dominating <p, q>."""
-    return _f2_violation(ctx, seed=seed) is None
+    return _f2_violation(ctx) is None
 
 
-def property_Z_tilde(ctx: BoxContext, seed: int = 0) -> bool:
+def property_Z_tilde(ctx: BoxContext) -> bool:
     """(Z) holds on every intermediate interval context [K, L], the full
     context included."""
     lat = biprojection_lattice(ctx)
@@ -360,7 +363,7 @@ def property_Z_tilde(ctx: BoxContext, seed: int = 0) -> bool:
         for b in range(lat.n):
             if a != b and lat.leq[a, b]:
                 # leq[a, b] means b_{K_a} <= b_{K_b}, i.e. K_b <= K_a
-                if not property_Z(step_context(ctx, subs[a], subs[b]), seed=seed):
+                if not property_Z(step_context(ctx, subs[a], subs[b])):
                     return False
     return True
 
@@ -413,9 +416,7 @@ def _shortest_chain(ctx: BoxContext, pred: Callable[[FiniteLattice], bool]) -> i
     raise BiprojectionCheckFailed("no admissible chain reaches the top")
 
 
-def wcl_generators(
-    ctx: BoxContext, seed: int = 0, cap: int = 4
-) -> Union[int, Determination]:
+def wcl_generators(ctx: BoxContext, *, cap: int = 4) -> Union[int, Determination]:
     """Minimal number of minimal central projections generating id.
 
     Subsets are searched smallest-first; the answer past the cap is
@@ -424,7 +425,7 @@ def wcl_generators(
     miss."""
     if ctx.dim == 1:
         return 0  # id = e1 is the biprojection generated by the empty set
-    masks = [k.mask for k in _block_subgroups(ctx, seed=seed)]
+    masks = [k.mask for k in _block_subgroups(ctx)]
     for size in range(1, min(cap, len(masks)) + 1):
         for combo in itertools.combinations(masks, size):
             if np.array_equal(np.logical_and.reduce(combo), ctx.sub.mask):
@@ -437,9 +438,7 @@ def wcl_generators(
 
 
 def lengths(
-    ctx: BoxContext,
-    which: Tuple[str, ...] = ("cl", "wcl", "dl"),
-    seed: int = 0,
+    ctx: BoxContext, which: Tuple[str, ...] = ("cl", "wcl", "dl")
 ) -> Dict[str, Union[int, Determination]]:
     """Chain lengths by name: "wcl" via generator subsets, every other name
     via shortest admissible chains ("cl", "dl", "tcl", "bcl", "tbl",
@@ -447,7 +446,7 @@ def lengths(
     out: Dict[str, Union[int, Determination]] = {}
     for name in which:
         if name == "wcl":
-            out[name] = wcl_generators(ctx, seed=seed)
+            out[name] = wcl_generators(ctx)
         else:
             out[name] = _shortest_chain(ctx, _length_step_predicate(name))
     return out
@@ -507,9 +506,7 @@ def _coset_label(ctx: BoxContext, coset: int) -> str:
 
 
 def classify(
-    ctx: BoxContext,
-    seed: int = 0,
-    lengths_which: Tuple[str, ...] = ("cl", "wcl", "dl"),
+    ctx: BoxContext, lengths_which: Tuple[str, ...] = ("cl", "wcl", "dl")
 ) -> ClassificationReport:
     """Evaluate every classification predicate on one context.
 
@@ -521,13 +518,13 @@ def classify(
     distributive = is_distributive(lat)[0]
     dedekind = is_dedekind(ctx)
     cyclic = distributive and dedekind
-    w_block = _w_cyclic_block(ctx, seed=seed)
+    w_block = _w_cyclic_block(ctx)
     if cyclic and w_block is None:
         raise TheoremViolation("a cyclic context came out not w-cyclic")
     dual_witness = is_w_cyclic_dual(ctx)
-    z_bad = _z_violation(ctx, seed=seed)
+    z_bad = _z_violation(ctx)
     zz_bad = _zz_violation(ctx)
-    f2_bad = _f2_violation(ctx, seed=seed)
+    f2_bad = _f2_violation(ctx)
     witnesses: Dict[str, object] = {
         "w_cyclic_block": w_block,
         "dual_coset": None if dual_witness is None else _coset_label(ctx, dual_witness),
@@ -553,7 +550,7 @@ def classify(
         w_cyclic_dual=dual_witness is not None,
         sum_bound=sum_bound(ctx),
         witnesses=witnesses,
-        lengths=lengths(ctx, which=lengths_which, seed=seed),
+        lengths=lengths(ctx, which=lengths_which),
     )
 
 
@@ -574,7 +571,7 @@ class ImplicationResult:
         return (not self.hypothesis) or bool(self.conclusion)
 
 
-def verify_theorems(ctx: BoxContext, seed: int = 0) -> List[ImplicationResult]:
+def verify_theorems(ctx: BoxContext) -> List[ImplicationResult]:
     """Evaluate the implication battery on one context and return the table.
 
     Every row is a proved implication, so rows with hypothesis true and
@@ -585,13 +582,13 @@ def verify_theorems(ctx: BoxContext, seed: int = 0) -> List[ImplicationResult]:
     distributive = is_distributive(lat)[0]
     dedekind = is_dedekind(ctx)
     cyclic = distributive and dedekind
-    w = _w_cyclic_block(ctx, seed=seed) is not None
+    w = _w_cyclic_block(ctx) is not None
     w_plus = w_plus_cyclic(ctx)
     bound = sum_bound(ctx)
     rank = boolean_rank(lat)
     n_maximal = len(lat.coatoms())
     all_central = all(is_central(elem) for _k, elem in lat.payload)
-    top_w = _w_cyclic_block(top_context(ctx), seed=seed) is not None
+    top_w = _w_cyclic_block(top_context(ctx)) is not None
     rows = [
         ImplicationResult("cyclic-implies-w-cyclic", cyclic, w),
         ImplicationResult(
@@ -619,7 +616,7 @@ def verify_theorems(ctx: BoxContext, seed: int = 0) -> List[ImplicationResult]:
         ImplicationResult(
             "dedekind-implies-z-on-all-intervals",
             dedekind,
-            property_Z_tilde(ctx, seed=seed) if dedekind else None,
+            property_Z_tilde(ctx) if dedekind else None,
         ),
     ]
     return rows

@@ -2,10 +2,12 @@
 oracles.
 
 ``generate_biprojection_spectral`` is the coproduct/range-projection
-closure that computed <x> before the left-translation stabilizer did. It
-can raise ``NumericRankAmbiguous`` when an eigenvalue of an accumulated
-element falls inside the ambiguity band; callers treat that as "no
-answer", never as a disagreement.
+closure that computed <x> before the left-translation stabilizer did.
+``minimal_central_projections_spectral`` is the seeded split of a random
+central element that found the blocks before the character table did.
+Both can raise ``NumericRankAmbiguous`` when an eigenvalue falls inside the
+ambiguity band; callers treat that as "no answer", never as a
+disagreement.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from biprox import boxalgebra as bx
-from biprox.errors import BiprojectionCheckFailed, NotPositive
+from biprox.errors import BiprojectionCheckFailed, NotPositive, NumericRankAmbiguous
 
 
 def generate_biprojection_spectral(x: bx.BoxElement) -> bx.Biprojection:
@@ -60,3 +62,42 @@ def generate_biprojection_spectral(x: bx.BoxElement) -> bx.Biprojection:
         last_rank = rank
         acc = op_normalized(p_vec * p_vec) + p_vec + v  # scalars dropped
     raise BiprojectionCheckFailed(f"no stable biprojection after {steps} steps in {ctx!r}")
+
+
+def minimal_central_projections_spectral(
+    ctx: bx.BoxContext, seed: int = 0
+) -> list[bx.BoxElement]:
+    """The block decomposition of the compressed algebra, canonically sorted.
+
+    A random self-adjoint central element (plus a generic multiple of the
+    identity b_H, which lifts the blocks off the structural kernel of the
+    regular matrix) is split spectrally; retried on eigenvalue collisions.
+    """
+    center = bx._center_basis(ctx)
+    z_dim = center.shape[0]
+    id_vec = bx.id_element(ctx).coeffs
+    for attempt in range(ctx.tol.retries):
+        rng = np.random.default_rng([seed, attempt, ctx.group.order, ctx.sub.order])
+        combo = rng.standard_normal(z_dim) + 1j * rng.standard_normal(z_dim)
+        c = combo @ center
+        c = (c + np.conj(c[ctx.group.inverse])) / 2  # self-adjoint
+        shift = (1.5 + rng.uniform()) * (np.abs(c).sum() + 1.0)
+        c = c + shift * id_vec
+        try:
+            clusters = bx._spectral_split(ctx, c)
+        except NumericRankAmbiguous:
+            clusters = None
+        if clusters is None or len(clusters) != z_dim:
+            continue
+        projs = [bx.BoxElement(ctx, vec) for vec in clusters]
+        ok = all(bx.is_projection(p) and bx.is_central(p) for p in projs)
+        total = projs[0]
+        for p in projs[1:]:
+            total = total + p
+        ok = ok and total.isclose(bx.id_element(ctx))
+        if not ok:
+            continue
+        return bx._canonical_projection_sort(projs)
+    raise NumericRankAmbiguous(
+        f"could not split the center after {ctx.tol.retries} attempts"
+    )

@@ -196,8 +196,8 @@ def test_extraction_requires_trivial_subgroup() -> None:
 
 
 def test_extraction_deterministic_under_seed() -> None:
-    a = fusion_from_context(trivial_ctx("D4"), seed=0)
-    b = fusion_from_context(trivial_ctx("D4"), seed=0)
+    a = fusion_from_context(trivial_ctx("D4"))
+    b = fusion_from_context(trivial_ctx("D4"))
     assert np.array_equal(a.tensor, b.tensor)
 
 

@@ -179,7 +179,12 @@ def test_core_quotient_shapes() -> None:
     assert q.order == 6 and img.order == 2
     # A normal subgroup is its own core: quotient collapses it.
     q, img = core_quotient(make("S4", "(1,2)(3,4)", "(1,3)(2,4)"))
-    assert q.order == 6 and img.order == 1
+    assert q.order == 6 and img.order == 1 and not q.is_abelian()
+    q, img = core_quotient(make("S4", "(1,2,3)", "(1,2)(3,4)"))  # A4
+    assert q.order == 2 and img.order == 1
+    # A core-free subgroup maps onto the stabilizer of its own coset.
+    q, img = core_quotient(make("S4", "(1,2)"))
+    assert q.order == 24 and img.order == 2 and q.degree == 12
 
 
 def test_equivalent_to_itself() -> None:
@@ -279,9 +284,9 @@ def test_linearly_primitive_inclusions() -> None:
 
 def test_quotient_cap_checked_before_building_the_quotient(monkeypatch) -> None:
     def refuse(*_args, **_kwargs):
-        raise AssertionError("quotient_group ran for a quotient past the cap")
+        raise AssertionError("a quotient group was built past the cap")
 
-    monkeypatch.setattr(biprox.interval, "quotient_group", refuse)
+    monkeypatch.setattr(biprox.interval, "FiniteGroup", refuse)
     with pytest.raises(QuotientOrderCapExceeded):
         equivalence_key(make("S5"), quotient_cap=100)
     with pytest.raises(QuotientOrderCapExceeded):

@@ -1,4 +1,4 @@
-"""Permutation group machinery: closure, subgroups, cosets, quotients."""
+"""Permutation group machinery: closure, subgroups, cosets."""
 
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from biprox.permgroup import (
     minimal_overgroups,
     parse_cycles,
     parse_generators,
-    quotient_group,
     subgroup_generated,
 )
 
@@ -275,29 +274,6 @@ def test_double_coset_constant_on_representatives():
     for coset in double_cosets(s4, h, h):
         for rep in coset[:2]:
             assert np.array_equal(double_coset(s4, h, int(rep), h), coset)
-
-
-def test_quotient_s4_mod_v4_is_s3():
-    s4 = catalog_group("S4")
-    v4_members = {s4.identity_index}
-    for text in ["(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"]:
-        v4_members.add(s4.index_of(parse_cycles(text, degree=4)))
-    v4 = s4.subgroup_from_indices(v4_members)
-    quotient, projection = quotient_group(s4, v4)
-    assert quotient.order == 6
-    assert not quotient.is_abelian()
-    # The projection is a homomorphism.
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        i, j = rng.integers(0, 24, size=2)
-        assert projection[s4.cayley[i, j]] == quotient.cayley[projection[i], projection[j]]
-
-
-def test_quotient_by_alternating_is_z2():
-    s4 = catalog_group("S4")
-    a4 = next(s for s in all_subgroups(s4) if s.order == 12)
-    quotient, _ = quotient_group(s4, a4)
-    assert quotient.order == 2
 
 
 def test_generating_indices_generate():

@@ -42,6 +42,7 @@ from biprox.permgroup import (
     Subgroup,
     all_subgroups,
     group_closure,
+    is_normal_intermediate,
     maximal_subgroups_over,
     parse_cycles,
     parse_generators,
@@ -186,7 +187,7 @@ def test_f2_on_s3():
 
 
 def _oracle_w_cyclic_witness(ctx, seed=0):
-    projs = minimal_central_projections(ctx, seed=seed)
+    projs = minimal_central_projections(ctx)
     for i, z in enumerate(projs):
         if generate_biprojection(z).subgroup == ctx.sub:
             for v in minimal_projections_under(z, seed=seed):
@@ -200,15 +201,15 @@ def _oracle_w_cyclic_witness(ctx, seed=0):
     return None
 
 
-def _oracle_z_violation(ctx, seed=0):
-    for i, z in enumerate(minimal_central_projections(ctx, seed=seed)):
+def _oracle_z_violation(ctx):
+    for i, z in enumerate(minimal_central_projections(ctx)):
         if not is_central(generate_biprojection(z).element):
             return i
     return None
 
 
-def _oracle_f2_violation(ctx, seed=0):
-    projs = minimal_central_projections(ctx, seed=seed)
+def _oracle_f2_violation(ctx):
+    projs = minimal_central_projections(ctx)
     n = len(projs)
     pair_sub = {}
 
@@ -230,10 +231,10 @@ def _oracle_f2_violation(ctx, seed=0):
     return None
 
 
-def _oracle_wcl(ctx, seed=0, cap=4):
+def _oracle_wcl(ctx, cap=4):
     if ctx.dim == 1:
         return 0
-    projs = minimal_central_projections(ctx, seed=seed)
+    projs = minimal_central_projections(ctx)
     limit = min(cap, len(projs))
     for size in range(1, limit + 1):
         for combo in itertools.combinations(range(len(projs)), size):
@@ -244,18 +245,18 @@ def _oracle_wcl(ctx, seed=0, cap=4):
     return NOT_DETERMINED
 
 
-@pytest.mark.parametrize(
-    "ctx_factory",
-    [
-        lambda: trivial_ctx("S3"),
-        lambda: trivial_ctx("Q8"),
-        lambda: trivial_ctx("D8"),
-        lambda: trivial_ctx("A4"),
-        lambda: s4_over("(1,2)"),
-        lambda: s4_over("(1,4)(2,3)"),  # (Z) fails here
-        lambda: trivial_ctx("S4"),
-    ],
-)
+_BLOCK_CONTEXTS = [
+    lambda: trivial_ctx("S3"),
+    lambda: trivial_ctx("Q8"),
+    lambda: trivial_ctx("D8"),
+    lambda: trivial_ctx("A4"),
+    lambda: s4_over("(1,2)"),
+    lambda: s4_over("(1,4)(2,3)"),  # (Z) fails here
+    lambda: trivial_ctx("S4"),
+]
+
+
+@pytest.mark.parametrize("ctx_factory", _BLOCK_CONTEXTS)
 def test_block_predicates_match_per_set_generation(ctx_factory):
     ctx = ctx_factory()
     projs = minimal_central_projections(ctx)
@@ -302,11 +303,34 @@ def test_f2_rule_on_given_block_subgroups(monkeypatch):
     outcomes = set()
     for _ in range(300):
         ks = rng.sample(subs, rng.randint(1, 5))
-        monkeypatch.setattr(properties, "_block_subgroups", lambda _ctx, seed=0: ks)
+        monkeypatch.setattr(properties, "_block_subgroups", lambda _ctx: ks)
         expected = _stated_f2_violation(ks)
         assert _f2_violation(ctx) == expected, [k.order for k in ks]
         outcomes.add(expected is None)
     assert outcomes == {True, False}
+
+
+def test_z_by_double_cosets_matches_centrality():
+    # b_K.pi(g).b_H is the uniform measure on KgH, so b_K is central exactly
+    # when KgH = HgK for every g; the two routes agree on every biprojection.
+    answers = []
+    for factory in _BLOCK_CONTEXTS:
+        ctx = factory()
+        for k, elem in biprojection_lattice(ctx).payload:
+            central = is_central(elem)
+            assert central == is_normal_intermediate(ctx.sub, k, ctx.group), (ctx, k)
+            answers.append(central)
+    assert set(answers) == {True, False}
+
+
+def test_classify_makes_no_random_draw(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("classify drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    # S4/<(1,4)> fails (ZZ), so its legacy center-basis witness runs too
+    for ctx in (s4_over("(1,4)"), s4_over("(1,2)"), trivial_ctx("A4")):
+        classify(ctx)
 
 
 def test_z_tilde():
