@@ -605,46 +605,6 @@ def generate_from_set(xs: Sequence[BoxElement]) -> Biprojection:
     return generate_biprojection(total)
 
 
-def _dual_generated_coset_support(ctx: BoxContext, coset: int) -> np.ndarray:
-    """Coset support of the dual biprojection generated by E_coset.
-
-    Starts from {E_coset, unit coset} and closes the 0/1 support under the
-    dual coproduct.  All coefficients are nonnegative integer counts over
-    kappa, so a threshold at half the minimal count separates the support
-    exactly; no cancellation can hide a coset.
-    """
-    supp = np.zeros(ctx.dim, dtype=bool)
-    supp[coset] = True
-    supp[int(ctx.coset_of[ctx.group.identity_index])] = True
-    cutoff = 0.5 / ctx.kappa
-    for _ in range(ctx.dim + 1):
-        d = DualElement(ctx, supp.astype(np.complex128))
-        sq = dual_coproduct(d, d)
-        new = supp | (sq.coeffs.real > cutoff)
-        if (new == supp).all():
-            return supp
-        supp = new
-    raise BiprojectionCheckFailed("dual support closure did not stabilize")
-
-
-def generate_biprojection_dual(
-    ctx: BoxContext, coset: int
-) -> tuple[DualElement, Subgroup]:
-    """<E_coset> in the dual algebra, with its supporting subgroup.
-
-    The dual algebra is abelian with the single-coset indicators as its
-    minimal projections; the biprojection generated by one is the 0/1
-    indicator of the cosets of an intermediate subgroup.
-    """
-    if not 0 <= coset < ctx.dim:
-        raise ContextMismatch(f"no double coset with index {coset}")
-    supp = _dual_generated_coset_support(ctx, coset)
-    k = ctx.group.subgroup_from_mask(supp[ctx.coset_of])
-    if not k.is_closed():
-        raise BiprojectionCheckFailed("dual support closure is not a subgroup")
-    return DualElement(ctx, supp.astype(np.complex128)), k
-
-
 # ------------------------------------------------------ center and minimality
 
 
@@ -744,15 +704,14 @@ def _spectral_split(ctx: BoxContext, coeffs: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
-def _canonical_projection_sort(projs: list[BoxElement]) -> list[BoxElement]:
-    def key(p: BoxElement):
-        tr = trace(p).real
-        pattern = tuple(
-            (round(float(c.real), 8), round(float(c.imag), 8)) for c in p.coeffs
-        )
-        return (round(tr, 10), pattern)
+def _canonical_key(p: BoxElement) -> tuple:
+    tr = trace(p).real
+    pattern = tuple((round(float(c.real), 8), round(float(c.imag), 8)) for c in p.coeffs)
+    return (round(tr, 10), pattern)
 
-    return sorted(projs, key=key)
+
+def _canonical_projection_sort(projs: list[BoxElement]) -> list[BoxElement]:
+    return sorted(projs, key=_canonical_key)
 
 
 def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
@@ -761,6 +720,7 @@ def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
     The blocks are z_chi = b_H.e_chi for the irreducible characters chi of
     G with <chi|_H, 1> > 0, e_chi = (chi(1)/|G|) sum_g conj(chi(g)) g being
     the central idempotent of chi; b_H.e_chi = 0 when <chi|_H, 1> = 0.
+    The character row of each block stays in ``ctx._cache["block_characters"]``.
     """
     if "mcp" not in ctx._cache:
         group, sub = ctx.group, ctx.sub
@@ -770,13 +730,16 @@ def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
             raise BiprojectionCheckFailed("a fixed-point dimension is not an integer")
         # (b_H.e_chi)(g) = chi(1)/|G| . mean over h in H of conj(chi(h^-1 g))
         left, e = group.cayley[group.inverse[sub.indices]], group.identity_index
+        rows = np.flatnonzero(np.rint(fixed.real) > 0)
         projs = [
             BoxElement(ctx, chi[left].conj().mean(axis=0) * chi[e].real / group.order)
-            for chi in table[np.rint(fixed.real) > 0]
+            for chi in table[rows]
         ]
         if not sum(projs[1:], projs[0]).isclose(id_element(ctx)):
             raise BiprojectionCheckFailed("the blocks do not sum to id")
-        ctx._cache["mcp"] = _canonical_projection_sort(projs)
+        order = sorted(range(len(projs)), key=lambda i: _canonical_key(projs[i]))
+        ctx._cache["mcp"] = [projs[i] for i in order]
+        ctx._cache["block_characters"] = rows[order].tolist()
     return ctx._cache["mcp"]
 
 
@@ -932,69 +895,3 @@ def coproduct_table(
             entries[i, j] = sol * ctx.delta
     entries.setflags(write=False)
     return CoproductTable(tuple(labels), ctx.delta, entries)
-
-
-# --------------------------------------------------------------- compressions
-
-
-@dataclass(frozen=True)
-class Compression:
-    """A context move along an intermediate subgroup, with the coefficient
-    reinterpretation maps in both directions."""
-
-    small: BoxContext
-    into: Callable[[BoxElement], BoxElement]
-    back: Callable[[BoxElement], BoxElement]
-
-
-def compress_upper(ctx: BoxContext, k: Subgroup) -> Compression:
-    """The 2-box context of [K, G]: same group, K-bi-invariant vectors.
-
-    Coefficient vectors transfer unchanged; products agree exactly and
-    coproducts agree up to the positive scalar sqrt(|K|/|H|)."""
-    require_nested(ctx.sub, k)
-    small = BoxContext(ctx.group, k, ctx.tol)
-
-    def into(x: BoxElement) -> BoxElement:
-        if x.context != small:
-            raise ContextMismatch("element does not live in the upper context")
-        return BoxElement(ctx, x.coeffs)
-
-    def back(x: BoxElement) -> BoxElement:
-        if x.context != ctx:
-            raise ContextMismatch("element does not live in the ambient context")
-        bk = element_bK(ctx, k)
-        if not mul(mul(bk, x), bk).isclose(x, scale=max(1.0, x.norm_max())):
-            raise ContextMismatch("element is not K-bi-invariant")
-        return BoxElement(small, x.coeffs)
-
-    return Compression(small, into, back)
-
-
-def compress_lower(ctx: BoxContext, k: Subgroup) -> Compression:
-    """The 2-box context of [H, K]: K as its own group, H inside it.
-
-    Vectors supported on K embed by coordinate injection; products agree
-    exactly and coproducts agree up to the positive scalar sqrt(|K|/|G|),
-    so biprojection generation commutes with the embedding."""
-    require_nested(ctx.sub, k)
-    k_group = k.as_group()
-    h_mask = ctx.sub.mask[k.indices]
-    small = BoxContext(k_group, Subgroup(k_group, h_mask), ctx.tol)
-
-    def into(x: BoxElement) -> BoxElement:
-        if x.context != small:
-            raise ContextMismatch("element does not live in the lower context")
-        big = np.zeros(ctx.group.order, dtype=np.complex128)
-        big[k.indices] = x.coeffs
-        return BoxElement(ctx, big)
-
-    def back(x: BoxElement) -> BoxElement:
-        if x.context != ctx:
-            raise ContextMismatch("element does not live in the ambient context")
-        off = np.abs(x.coeffs[~k.mask]).max() if (~k.mask).any() else 0.0
-        if off > ctx.tol.zero * max(1.0, x.norm_max()):
-            raise ContextMismatch("element is not supported on K")
-        return BoxElement(small, x.coeffs[k.indices])
-
-    return Compression(small, into, back)

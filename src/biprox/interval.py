@@ -23,6 +23,7 @@ from .permgroup import (
     Subgroup,
     center_subgroup,
     derived_subgroup,
+    double_coset,
     generating_indices,
     is_dedekind_interval,
     subgroup_generated,
@@ -65,17 +66,19 @@ class DualOreReport:
 
 
 def is_H_cyclic(inc: Inclusion) -> Optional[int]:
-    """First element g (in canonical element order) with <H, g> = G."""
+    """First element g (in canonical element order) with <H, g> = G.
+    <H, g> depends only on HgH, so one test per double coset decides it,
+    at the coset's least element."""
     group, sub = inc.group, inc.sub
     if sub.order == group.order:
         return group.identity_index
-    base = sub.indices
+    seen = sub.mask.copy()
     for g in range(group.order):
-        if sub.mask[g]:
+        if seen[g]:
             continue
-        gen = subgroup_generated(group, np.append(base, g))
-        if gen.order == group.order:
+        if subgroup_generated(group, np.append(sub.indices, g)).order == group.order:
             return g
+        seen[double_coset(group, sub, g, sub)] = True
     return None
 
 

@@ -197,7 +197,7 @@ class FiniteGroup:
         self.inverse = inverse
         self._subgroups: Optional[list[Subgroup]] = None
         self._conjugacy_classes: Optional[list[np.ndarray]] = None
-        self._character_table: Optional[np.ndarray] = None
+        self._character_tables: dict[bytes, np.ndarray] = {}  # by subgroup key
 
     # -- basics ---------------------------------------------------------
 
@@ -259,64 +259,27 @@ class FiniteGroup:
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Element indices grouped by conjugacy, each class sorted."""
         if self._conjugacy_classes is None:
-            seen = np.zeros(self.order, dtype=bool)
-            classes = []
-            all_g = np.arange(self.order)
-            for x in range(self.order):
-                if seen[x]:
-                    continue
-                orbit = np.unique(self.cayley[self.cayley[all_g, x], self.inverse[all_g]])
-                seen[orbit] = True
-                classes.append(orbit)
-            self._conjugacy_classes = classes
+            self._conjugacy_classes = _conjugacy_classes(self, np.arange(self.order))
         return self._conjugacy_classes
 
     def character_table(self) -> np.ndarray:
-        """The irreducible characters as functions on G (row chi holds chi(g)
-        per element index; rows by degree), by Burnside's algorithm with no
-        random draw: the class sums, normal in the basis K_i/sqrt|C_i|, split
-        their common eigenspaces by Hermitian and anti-Hermitian parts.  A
-        failed verification raises BiprojectionCheckFailed; a gap inside the
-        ambiguity band raises NumericRankAmbiguous."""
-        if self._character_table is not None:
-            return self._character_table
-        classes = self.conjugacy_classes()
-        k = len(classes)
-        index = np.empty(self.order, dtype=np.int64)  # element -> its class
-        for i, cls in enumerate(classes):
-            index[cls] = i
-        reps = np.array([cls[0] for cls in classes])
-        sizes = np.array([len(cls) for cls in classes], dtype=float)
-        root = np.sqrt(sizes)
-        spaces = [np.eye(k, dtype=np.complex128)]
-        for cls in classes:
-            if len(spaces) == k:
-                break
-            normal = root[:, None] * _class_matrix(self, cls, index, reps) / root[None, :]
-            for part in ((normal + normal.T) / 2, (normal - normal.T) / 2j):
-                spaces = [s for space in spaces for s in _split_space(space, part, len(cls))]
-        if len(spaces) != k:
-            raise BiprojectionCheckFailed("the class sums did not separate the characters")
-        # Column c of u is the unit vector of e_chi in the basis K_l / sqrt|C_l|,
-        # proportional to sqrt|C_l| conj(chi(g_l)); chi(1) > 0 fixes the phase.
-        u = np.hstack(spaces)
-        e = index[self.identity_index]
-        table = np.sqrt(self.order) * (np.exp(1j * np.angle(u[e])) * u.conj() / root[:, None]).T
-        degrees = np.rint(table[:, e].real)
-        tol = ZERO_TOL * self.order
-        if not (
-            np.abs(table[:, e] - degrees).max() <= ZERO_TOL
-            and degrees.min() >= 1
-            and not np.any(self.order % degrees)
-            and (degrees**2).sum() == self.order
-            and np.abs((table * sizes) @ table.conj().T - self.order * np.eye(k)).max() <= tol
-            and np.abs(table.conj().T @ table - np.diag(self.order / sizes)).max() <= tol
-        ):
-            raise BiprojectionCheckFailed(f"character table of {self!r} failed verification")
-        table = table[np.argsort(degrees, kind="stable")][:, index]
-        table.setflags(write=False)
-        self._character_table = table
-        return table
+        """The irreducible characters of G: ``Subgroup.character_table`` of
+        the full subgroup (row chi holds chi(g) per element index)."""
+        return self.full_subgroup().character_table()
+
+
+def _conjugacy_classes(group: FiniteGroup, members: np.ndarray) -> list[np.ndarray]:
+    """The classes of the subgroup on ``members`` under its own conjugation,
+    each sorted, in the order of their least elements."""
+    seen = np.zeros(group.order, dtype=bool)
+    classes = []
+    for x in members:
+        if seen[x]:
+            continue
+        orbit = np.unique(group.cayley[group.cayley[members, x], group.inverse[members]])
+        seen[orbit] = True
+        classes.append(orbit)
+    return classes
 
 
 def _class_matrix(
@@ -409,9 +372,57 @@ class Subgroup:
     def perms(self) -> list[Permutation]:
         return [self.parent.elements[i] for i in self.indices]
 
-    def as_group(self, name: Optional[str] = None) -> FiniteGroup:
-        """Materialize this subgroup as a standalone FiniteGroup."""
-        return FiniteGroup(self.perms(), name=name)
+    def character_table(self) -> np.ndarray:
+        """The irreducible characters of this subgroup L as functions on the
+        parent (row psi holds psi(g) per parent element index, 0 outside L;
+        rows by degree), cached on the parent by member set.  Burnside's
+        algorithm with no random draw, on L's own classes read off the parent
+        Cayley table: the class sums, normal in the basis K_i/sqrt|C_i|, split
+        their common eigenspaces by Hermitian and anti-Hermitian parts.  A
+        failed verification raises BiprojectionCheckFailed; a gap inside the
+        ambiguity band raises NumericRankAmbiguous."""
+        group = self.parent
+        key = self.key()
+        if key in group._character_tables:
+            return group._character_tables[key]
+        classes = _conjugacy_classes(group, self.indices)
+        k = len(classes)
+        index = np.zeros(group.order, dtype=np.int64)  # member -> its class
+        for i, cls in enumerate(classes):
+            index[cls] = i
+        reps = np.array([cls[0] for cls in classes])
+        sizes = np.array([len(cls) for cls in classes], dtype=float)
+        root = np.sqrt(sizes)
+        spaces = [np.eye(k, dtype=np.complex128)]
+        for cls in classes:
+            if len(spaces) == k:
+                break
+            normal = root[:, None] * _class_matrix(group, cls, index, reps) / root[None, :]
+            for part in ((normal + normal.T) / 2, (normal - normal.T) / 2j):
+                spaces = [s for space in spaces for s in _split_space(space, part, len(cls))]
+        if len(spaces) != k:
+            raise BiprojectionCheckFailed("the class sums did not separate the characters")
+        # Column c of u is the unit vector of e_chi in the basis K_l / sqrt|C_l|,
+        # proportional to sqrt|C_l| conj(chi(g_l)); chi(1) > 0 fixes the phase.
+        u = np.hstack(spaces)
+        e = index[group.identity_index]
+        table = np.sqrt(self.order) * (np.exp(1j * np.angle(u[e])) * u.conj() / root[:, None]).T
+        degrees = np.rint(table[:, e].real)
+        tol = ZERO_TOL * self.order
+        if not (
+            np.abs(table[:, e] - degrees).max() <= ZERO_TOL
+            and degrees.min() >= 1
+            and not np.any(self.order % degrees)
+            and (degrees**2).sum() == self.order
+            and np.abs((table * sizes) @ table.conj().T - self.order * np.eye(k)).max() <= tol
+            and np.abs(table.conj().T @ table - np.diag(self.order / sizes)).max() <= tol
+        ):
+            raise BiprojectionCheckFailed(f"character table of {self!r} failed verification")
+        out = np.zeros((k, group.order), dtype=np.complex128)
+        out[:, self.indices] = table[np.argsort(degrees, kind="stable")][:, index[self.indices]]
+        out.setflags(write=False)
+        group._character_tables[key] = out
+        return out
 
     def generator_string(self) -> str:
         """Cycle notation for a small generating set (1-based, semicolons)."""

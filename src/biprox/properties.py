@@ -36,27 +36,25 @@ from .boxalgebra import (
     biprojection_lattice,
     center_basis_elements,
     collapse_dual,
-    compress_lower,
-    compress_upper,
     coproduct,
-    generate_biprojection,
-    generate_biprojection_dual,
     id_element,
     is_central,
     is_dual_coproduct_central,
+    left_stabilizer,
     minimal_central_projections,
     minimal_projections_under,
     mul_dual,
     range_projection,
 )
 from .errors import BiprojectionCheckFailed, TheoremViolation
+from .interval import Inclusion, is_H_cyclic
 from .lattice import FiniteLattice, boolean_rank, is_distributive
 from .permgroup import (
+    ZERO_TOL,
     Subgroup,
     is_dedekind_interval,
     is_normal_intermediate,
     require_nested,
-    subgroup_generated,
 )
 
 __all__ = [
@@ -78,9 +76,7 @@ __all__ = [
     "property_Z",
     "property_Z_tilde",
     "property_ZZ",
-    "step_context",
     "sum_bound",
-    "top_context",
     "verify_theorems",
     "w_plus_cyclic",
     "wcl_generators",
@@ -99,14 +95,60 @@ NOT_DETERMINED = Determination.NOT_DETERMINED
 # -- w-cyclicity ------------------------------------------------------------
 
 
+def _interval_blocks(lat: FiniteLattice) -> Tuple[np.ndarray, np.ndarray]:
+    """The blocks of an interval [b_outer, b_inner] of the biprojection
+    lattice: the characters psi of outer with <psi|_inner, 1> > 0 (rows of
+    its character table) and the node M of the biprojection b_M that each
+    block generates.
+
+    b_M.z_psi = z_psi exactly when the M-fixed and the inner-fixed vectors
+    of the psi-isotypic part agree, i.e. when <psi|_M, 1> = <psi|_inner, 1>.
+    Those M are closed under joins, so the block generates the largest."""
+    subs = [k for k, _elem in lat.payload]
+    masks = np.array([k.mask for k in subs], dtype=float)
+    orders = masks.sum(axis=1)
+    fixed = subs[lat.bottom].character_table() @ masks.T / orders  # <psi|_M, 1>
+    dims = np.rint(fixed.real)
+    if np.abs(fixed - dims).max() > ZERO_TOL:
+        raise BiprojectionCheckFailed("a fixed-point dimension is not an integer")
+    rows = np.flatnonzero(dims[:, lat.top] > 0)
+    nodes = []
+    for psi in rows:
+        same = dims[psi] == dims[psi, lat.top]
+        m = int(np.argmax(np.where(same, orders, 0)))
+        if (masks[same] > masks[m]).any():
+            raise BiprojectionCheckFailed("no largest node keeps the fixed dimension")
+        nodes.append(m)
+    return rows, np.array(nodes, dtype=np.int64)
+
+
+def _interval_w_cyclic(lat: FiniteLattice) -> bool:
+    """w-cyclicity of a biprojection-lattice interval: some block
+    generates its top b_inner."""
+    return bool(np.any(_interval_blocks(lat)[1] == lat.top))
+
+
+def _interval_z(lat: FiniteLattice) -> bool:
+    """(Z) on a biprojection-lattice interval: every block generates a
+    central b_M, i.e. inner.g.M = M.g.inner for every g in outer."""
+    subs = [k for k, _elem in lat.payload]
+    members = [subs[m] for m in np.unique(_interval_blocks(lat)[1])]
+    return is_dedekind_interval(subs[lat.top], subs[lat.bottom], members)
+
+
 def _block_subgroups(ctx: BoxContext) -> List[Subgroup]:
-    """K_i with <z_i> = b_{K_i} for each minimal central projection z_i,
-    generated once per context.  For positive x and y,
-    R(x + y) = R(x) v R(y), so a set of blocks generates b_K with K the
-    intersection of their K_i: the block predicates are mask operations."""
+    """K_i with <z_i> = b_{K_i} for each minimal central projection z_i, in
+    block order, read off the character table on the whole lattice.  For
+    positive x and y, R(x + y) = R(x) v R(y), so a set of blocks generates
+    b_K with K the intersection of their K_i: the block predicates are mask
+    operations."""
     if "block_subgroups" not in ctx._cache:
+        minimal_central_projections(ctx)  # caches the character of each block
+        lat = biprojection_lattice(ctx)
+        rows, nodes = _interval_blocks(lat)
+        node_of = dict(zip(rows.tolist(), nodes.tolist()))
         ctx._cache["block_subgroups"] = [
-            generate_biprojection(z).subgroup for z in minimal_central_projections(ctx)
+            lat.payload[node_of[chi]][0] for chi in ctx._cache["block_characters"]
         ]
     return ctx._cache["block_subgroups"]
 
@@ -132,7 +174,7 @@ def is_w_cyclic(ctx: BoxContext, seed: int = 0) -> Optional[BoxElement]:
         return None
     z = minimal_central_projections(ctx)[i]
     for v in minimal_projections_under(z, seed=seed):
-        if generate_biprojection(v).subgroup == ctx.sub:
+        if np.array_equal(left_stabilizer(v), ctx.sub.mask):  # <v> = b_H
             return v
     return z
 
@@ -142,14 +184,11 @@ def is_w_cyclic_dual(ctx: BoxContext) -> Optional[int]:
 
     The dual algebra is abelian, so its minimal projections are exactly
     the single-coset indicators E_C; E_C generates the indicator of the
-    cosets inside <H, C>, and dual w-cyclicity means some C reaches the
-    whole group.
+    cosets inside <H, C>, so dual w-cyclicity is Ore's H-cyclicity, and
+    the first such C holds the first g with <H, g> = G.
     """
-    for c in range(ctx.dim):
-        _, k = generate_biprojection_dual(ctx, c)
-        if k.order == ctx.group.order:
-            return c
-    return None
+    g = is_H_cyclic(Inclusion(ctx.group, ctx.sub))
+    return None if g is None else int(ctx.coset_of[g])
 
 
 # -- lattice-level predicates -------------------------------------------------
@@ -207,48 +246,21 @@ def sum_bound(ctx: BoxContext) -> Fraction:
     return total
 
 
-# -- interval contexts --------------------------------------------------------
-
-
-def step_context(ctx: BoxContext, outer: Subgroup, inner: Subgroup) -> BoxContext:
-    """The 2-box context of the biprojection interval [b_outer, b_inner]:
-    the inclusion inner <= outer as a context of its own (outer plays the
-    group, inner the distinguished subgroup)."""
-    require_nested(inner, outer)
-    require_nested(ctx.sub, inner)
-    lower = compress_lower(ctx, outer)
-    small = lower.small
-    inner_small = Subgroup(small.group, inner.mask[outer.indices])
-    return compress_upper(small, inner_small).small
-
-
-def top_context(ctx: BoxContext) -> BoxContext:
-    """The top interval [meet of maximal biprojections, id]: the inclusion
-    of H in the subgroup generated by the minimal overgroups of H."""
-    lat = biprojection_lattice(ctx)
-    overs = [lat.payload[c][0] for c in lat.coatoms()]  # the minimal overgroups
-    if not overs:
-        return ctx
-    mask = np.logical_or.reduce([k.mask for k in overs])
-    m = subgroup_generated(ctx.group, np.flatnonzero(mask))
-    return compress_lower(ctx, m).small
-
-
 def lw_rw_cyclic(ctx: BoxContext, k: Subgroup) -> Dict[str, bool]:
     """Side-cyclicity of an intermediate subgroup K.
 
     lw asks for a minimal projection u with <u, b_K> = id and reduces to
-    w-cyclicity of the lower interval [H, K] as its own context; rw asks
-    for a minimal u with <u> = b_K and reduces to w-cyclicity of the
-    upper interval [K, G].  Both hold for instance at K = H (u = e1
-    settles lw) and at K = G (rw is w-cyclicity of the trivial context).
+    w-cyclicity of the lower interval [H, K] of the biprojection lattice;
+    rw asks for a minimal u with <u> = b_K and reduces to w-cyclicity of
+    the upper interval [K, G].  Both hold for instance at K = H (u = e1
+    settles lw) and at K = G (rw is w-cyclicity of the one-node interval).
     """
     require_nested(ctx.sub, k)
-    lower = compress_lower(ctx, k).small
-    upper = compress_upper(ctx, k).small
+    lat = biprojection_lattice(ctx)
+    node = next(i for i, (s, _elem) in enumerate(lat.payload) if s == k)
     return {
-        "lw": _w_cyclic_block(lower) is not None,
-        "rw": _w_cyclic_block(upper) is not None,
+        "lw": _interval_w_cyclic(lat.interval(node, lat.top)[0]),
+        "rw": _interval_w_cyclic(lat.interval(lat.bottom, node)[0]),
     }
 
 
@@ -274,11 +286,22 @@ def _zz_violation(ctx: BoxContext) -> Optional[Tuple[int, int]]:
     """Pair of center-basis indices whose coproduct is not central, or None.
 
     The coproduct is bilinear and commutative and the blocks span the
-    center, so the z_i * z_j with i <= j decide (ZZ).  Only a violation
-    computes the orthonormal center basis, whose indices the pair reports.
+    center, so the z_i * z_j with i <= j decide (ZZ).  The blocks are
+    orthogonal, so z_i * z_j is central exactly when it equals its
+    projection onto their span; one row i is tested at a time.  Only a
+    violation computes the orthonormal center basis, whose indices the
+    pair reports.
     """
-    blocks = minimal_central_projections(ctx)
-    if all(is_central(coproduct(a, b)) for i, a in enumerate(blocks) for b in blocks[i:]):
+    z = np.array([b.coeffs for b in minimal_central_projections(ctx)])
+    norms = (np.abs(z) ** 2).sum(axis=1)
+
+    def row_central(i: int) -> bool:  # z_i * z_j for every j >= i
+        w = ctx.kappa * z[i:] * z[i]
+        resid = w - (w @ z.conj().T / norms) @ z
+        scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None]
+        return bool(np.all(np.abs(resid) <= ctx.tol.zero * scale))
+
+    if all(row_central(i) for i in range(len(z))):
         return None
     basis = center_basis_elements(ctx)
     for i, a in enumerate(basis):
@@ -355,17 +378,15 @@ def property_F2(ctx: BoxContext) -> bool:
 
 
 def property_Z_tilde(ctx: BoxContext) -> bool:
-    """(Z) holds on every intermediate interval context [K, L], the full
-    context included."""
+    """(Z) holds on every interval [K, L] of the biprojection lattice with
+    K < L, the full one included."""
     lat = biprojection_lattice(ctx)
-    subs = [k for k, _elem in lat.payload]
-    for a in range(lat.n):
-        for b in range(lat.n):
-            if a != b and lat.leq[a, b]:
-                # leq[a, b] means b_{K_a} <= b_{K_b}, i.e. K_b <= K_a
-                if not property_Z(step_context(ctx, subs[a], subs[b])):
-                    return False
-    return True
+    return all(
+        _interval_z(lat.interval(a, b)[0])
+        for a in range(lat.n)
+        for b in range(lat.n)
+        if a != b and lat.leq[a, b]
+    )
 
 
 # -- chain lengths ------------------------------------------------------------
@@ -588,7 +609,7 @@ def verify_theorems(ctx: BoxContext) -> List[ImplicationResult]:
     rank = boolean_rank(lat)
     n_maximal = len(lat.coatoms())
     all_central = all(is_central(elem) for _k, elem in lat.payload)
-    top_w = _w_cyclic_block(top_context(ctx)) is not None
+    top_w = _interval_w_cyclic(lat.top_interval()[0])
     rows = [
         ImplicationResult("cyclic-implies-w-cyclic", cyclic, w),
         ImplicationResult(

