@@ -47,7 +47,8 @@ from .errors import (
     TheoremViolation,
 )
 from .fusionring import fusion_report, load_fusion_file
-from .interval import Inclusion, equivalence_key, inclusions_equivalent
+from .interval import Inclusion, core_quotient, inclusions_equivalent
+from .interval import isomorphism_carrying, pair_invariants
 from .lattice import boolean_rank, from_subgroups, is_distributive, is_modular
 from .permgroup import FiniteGroup, Subgroup, all_subgroups
 from .properties import classify
@@ -276,13 +277,11 @@ def cmd_fusion_check(args) -> int:
 
 def subgroup_class_representatives(group: FiniteGroup) -> List[Subgroup]:
     """One subgroup per conjugacy class: the member with minimal mask key."""
-    canonical: Dict[bytes, Subgroup] = {}
-    for sub in all_subgroups(group):
-        key = sub.key()
-        canon = min(sub.conjugated_by(g).key() for g in range(group.order))
-        if key == canon:
-            canonical[canon] = sub
-    return sorted(canonical.values(), key=lambda s: (s.order, s.key()))
+    return [
+        sub
+        for sub in all_subgroups(group)
+        if sub.key() == min(row.tobytes() for row in np.packbits(sub.conjugates(), axis=1))
+    ]
 
 
 def enumerate_pairs(
@@ -322,31 +321,25 @@ def equivalence_classes(
     pairs: Sequence[Tuple[str, Inclusion]]
 ) -> List[List[Tuple[str, Inclusion]]]:
     """Partition by inclusion equivalence; classes and members are sorted
-    canonically so the result is independent of input order."""
-    buckets: Dict[tuple, List[Tuple[str, Inclusion]]] = {}
+    canonically so the result is independent of input order.  Each pair's
+    core quotient is built once and compared, within its invariant bucket,
+    with the quotient held for each class's first member; a pair past the
+    quotient cap is a class of its own."""
+    buckets: Dict[tuple, list] = {}  # key -> [(quotient or None, members)]
     for name, inc in sorted(pairs, key=_pair_sort_key):
         try:
-            key = equivalence_key(inc)
+            quotient = core_quotient(inc)
+            key = pair_invariants(*quotient)
         except _CAP_ERRORS:
-            key = ("cap", inc.group.order, inc.sub.order)
-        buckets.setdefault(key, []).append((name, inc))
-    classes: List[List[Tuple[str, Inclusion]]] = []
-    for members in buckets.values():
-        groups: List[List[Tuple[str, Inclusion]]] = []
-        for item in members:
-            placed = False
-            for cls in groups:
-                try:
-                    same = inclusions_equivalent(item[1], cls[0][1])
-                except _CAP_ERRORS:
-                    same = False
-                if same:
-                    cls.append(item)
-                    placed = True
-                    break
-            if not placed:
-                groups.append([item])
-        classes.extend(groups)
+            quotient, key = None, ("cap", inc.group.order, inc.sub.order)
+        held = buckets.setdefault(key, [])
+        for rep, members in held:
+            if quotient is not None and isomorphism_carrying(*quotient, *rep):
+                members.append((name, inc))
+                break
+        else:
+            held.append((quotient, [(name, inc)]))
+    classes = [members for held in buckets.values() for _, members in held]
     classes.sort(key=lambda cls: _pair_sort_key(cls[0]))
     return classes
 

@@ -19,7 +19,6 @@ from .errors import NotNested, QuotientOrderCapExceeded, TheoremViolation
 from .lattice import FiniteLattice, from_subgroups, is_distributive
 from .permgroup import (
     FiniteGroup,
-    Permutation,
     Subgroup,
     center_subgroup,
     derived_subgroup,
@@ -122,10 +121,9 @@ def core_quotient(
         raise QuotientOrderCapExceeded(
             f"core quotient of order {len(images)} exceeds cap {quotient_cap}"
         )
-    quotient = FiniteGroup([Permutation(tuple(row)) for row in images.tolist()])
-    home = int(coset_of[group.identity_index])
-    fixes_home = np.array([p.images[home] == home for p in quotient.elements])
-    return quotient, quotient.subgroup_from_mask(fixes_home)
+    quotient = FiniteGroup(images)
+    home = coset_of[group.identity_index]
+    return quotient, quotient.subgroup_from_mask(quotient.images[:, home] == home)
 
 
 def _group_invariants(g: FiniteGroup) -> tuple:
@@ -141,18 +139,18 @@ def _group_invariants(g: FiniteGroup) -> tuple:
     )
 
 
-def _pair_invariants(g: FiniteGroup, h: Subgroup) -> tuple:
+def pair_invariants(g: FiniteGroup, h: Subgroup) -> tuple:
+    """Isomorphism invariants of the pair (g, h), the bucket of equivalence."""
     h_orders = tuple(int(x) for x in np.sort(g.element_orders()[h.indices]))
     return _group_invariants(g) + (h.order, h.is_normal(), h_orders)
 
 
 def equivalence_key(inc: Inclusion, quotient_cap: int = 200) -> tuple:
     """Hashable invariant of the equivalence class (prefilter/bucketing)."""
-    quotient, image = core_quotient(inc, quotient_cap)
-    return _pair_invariants(quotient, image)
+    return pair_invariants(*core_quotient(inc, quotient_cap))
 
 
-def _isomorphism_carrying(
+def isomorphism_carrying(
     q1: FiniteGroup, img1: Subgroup, q2: FiniteGroup, img2: Subgroup
 ) -> bool:
     """Exact search for an isomorphism q1 -> q2 mapping img1 onto img2.
@@ -241,9 +239,9 @@ def inclusions_equivalent(
     """Whether the core quotients are isomorphic as pairs (group, subgroup)."""
     q1, img1 = core_quotient(a, quotient_cap)
     q2, img2 = core_quotient(b, quotient_cap)
-    if _pair_invariants(q1, img1) != _pair_invariants(q2, img2):
+    if pair_invariants(q1, img1) != pair_invariants(q2, img2):
         return False
-    return _isomorphism_carrying(q1, img1, q2, img2)
+    return isomorphism_carrying(q1, img1, q2, img2)
 
 
 # ---------------------------------------------------------- linear primitivity

@@ -4,15 +4,18 @@ Conventions
 -----------
 * Permutations act on points ``0..degree-1``; ``(p * q)(i) = p(q(i))``.
 * Cycle-notation I/O is 1-based ("(1,2)(3,4)"), internals are 0-based.
-* ``FiniteGroup.elements`` is sorted by lexicographic image tuple, which
-  makes Cayley tables, subgroup bitsets, and everything built on top of
-  them reproducible across runs and platforms.
+* A ``FiniteGroup`` is its array of image rows, ``images``, sorted
+  lexicographically, which makes Cayley tables, subgroup bitsets, and
+  everything built on top of them reproducible across runs and platforms.
+  The Cayley table composes rows and looks each product up by its byte key;
+  ``elements``, the rows as ``Permutation`` objects, is built on demand.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -72,20 +75,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(i == image for i, image in enumerate(self.images))
-
-    def order(self) -> int:
-        power = self
-        n = 1
-        while not power.is_identity():
-            power = power * self
-            n += 1
-        return n
-
-    def extended(self, degree: int) -> "Permutation":
-        """The same permutation acting on a larger point set."""
-        if degree < self.degree:
-            raise DegreeMismatch(f"cannot shrink degree {self.degree} to {degree}")
-        return Permutation(self.images + tuple(range(self.degree, degree)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles on 0-based points, each starting at its minimum."""
@@ -157,75 +146,79 @@ def parse_generators(text: str, degree: Optional[int] = None) -> list[Permutatio
 
 
 class FiniteGroup:
-    """A finite permutation group with a full Cayley table.
+    """A finite permutation group: the array of its image rows and its Cayley
+    table.
 
-    Elements are indexed 0..order-1 in lexicographic image order; all
-    subgroup and coset machinery works on these indices. Instances are
-    immutable after construction and cache derived data (subgroup lists,
-    conjugacy classes) on first use.
+    ``elements`` is a sequence of permutations of one degree or an integer
+    array of their image rows. Elements are indexed 0..order-1 in
+    lexicographic image order; all subgroup and coset machinery works on
+    these indices. ``elements`` as ``Permutation`` objects is built on first
+    use. Instances are immutable after construction and cache derived data
+    (subgroup lists, element orders, conjugacy classes) on first use.
     """
 
-    def __init__(self, elements: Sequence[Permutation], name: Optional[str] = None):
-        if not elements:
+    def __init__(self, elements: Sequence[Permutation] | np.ndarray, name: Optional[str] = None):
+        if len(elements) == 0:
             raise ValueError("a group needs at least the identity")
-        degree = elements[0].degree
-        if any(e.degree != degree for e in elements):
-            raise DegreeMismatch("elements of mixed degree")
-        ordered = sorted(set(elements), key=lambda e: e.images)
-        self.elements: tuple[Permutation, ...] = tuple(ordered)
-        self.degree = degree
-        self.order = len(ordered)
+        if not isinstance(elements, np.ndarray):
+            if len({e.degree for e in elements}) > 1:
+                raise DegreeMismatch("elements of mixed degree")
+            elements = [e.images for e in elements]
+        images = np.unique(np.asarray(elements, dtype=np.int32), axis=0)
+        self.order, self.degree = images.shape
+        if np.any(np.sort(images, axis=1) != np.arange(self.degree)):
+            raise ValueError("image rows are not permutations")
+        images.setflags(write=False)
+        self.images = images
         self.name = name
-        self._index = {e.images: i for i, e in enumerate(ordered)}
+        # Big-endian bytes sort like the rows, so a row's index is a searchsorted.
+        big = images.astype(">i4")
+        self._keys = big.view(f"V{4 * self.degree}").ravel()
         cayley = np.empty((self.order, self.order), dtype=np.int32)
-        for i, a in enumerate(ordered):
-            for j, b in enumerate(ordered):
-                product = tuple(a.images[b.images[k]] for k in range(degree))
-                try:
-                    cayley[i, j] = self._index[product]
-                except KeyError:
-                    raise ValueError("element list is not closed under products") from None
+        for i, row in enumerate(big):
+            cayley[i], closed = self._find(row[images])
+            if not closed.all():
+                raise ValueError("element list is not closed under products")
         cayley.setflags(write=False)
         self.cayley = cayley
-        identity = Permutation.identity(degree)
-        self.identity_index = self._index[identity.images]
-        inverse = np.empty(self.order, dtype=np.int32)
-        for i in range(self.order):
-            matches = np.flatnonzero(cayley[i] == self.identity_index)
-            inverse[i] = matches[0]
-        inverse.setflags(write=False)
-        self.inverse = inverse
+        self.identity_index = 0  # closed, so it holds the least row (0, 1, ..., degree - 1)
+        self.inverse = np.argmax(cayley == 0, axis=1).astype(np.int32)
+        self.inverse.setflags(write=False)
         self._subgroups: Optional[list[Subgroup]] = None
+        self._element_orders: Optional[np.ndarray] = None
         self._conjugacy_classes: Optional[list[np.ndarray]] = None
         self._character_tables: dict[bytes, np.ndarray] = {}  # by subgroup key
 
     # -- basics ---------------------------------------------------------
 
+    def _find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The index of each image row, and whether the row is an element."""
+        keys = np.ascontiguousarray(rows, dtype=">i4").view(self._keys.dtype).ravel()
+        found = np.minimum(self._keys.searchsorted(keys), self.order - 1)
+        return found, self._keys[found] == keys
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(row)) for row in self.images.tolist())
+
     def index_of(self, perm: Permutation) -> int:
-        try:
-            return self._index[perm.images]
-        except KeyError:
-            raise KeyError(f"{perm!r} is not an element of this group") from None
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self.cayley[i, j])
-
-    def inv(self, i: int) -> int:
-        return int(self.inverse[i])
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^{-1} by index."""
-        return int(self.cayley[self.cayley[g, x], self.inverse[g]])
+        if perm.degree == self.degree:
+            found, hit = self._find(np.array([perm.images]))
+            if hit[0]:
+                return int(found[0])
+        raise KeyError(f"{perm!r} is not an element of this group")
 
     def element_orders(self) -> np.ndarray:
-        orders = np.empty(self.order, dtype=np.int64)
-        for i in range(self.order):
-            n, j = 1, i
-            while j != self.identity_index:
-                j = int(self.cayley[j, i])
-                n += 1
-            orders[i] = n
-        return orders
+        """The order of each element, by index."""
+        if self._element_orders is None:
+            orders = np.zeros(self.order, dtype=np.int64)
+            power, n = np.arange(self.order), 1
+            while not orders.all():
+                orders[(power == self.identity_index) & (orders == 0)] = n
+                power, n = self.cayley[power, np.arange(self.order)], n + 1
+            orders.setflags(write=False)
+            self._element_orders = orders
+        return self._element_orders
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.cayley, self.cayley.T))
@@ -343,31 +336,20 @@ class Subgroup:
     def __lt__(self, other: "Subgroup") -> bool:
         return self.order < other.order and self <= other
 
-    def contains(self, index: int) -> bool:
-        return bool(self.mask[index])
-
     def is_closed(self) -> bool:
         products = self.parent.cayley[np.ix_(self.indices, self.indices)]
         return bool(np.all(self.mask[products]))
 
+    def conjugates(self) -> np.ndarray:
+        """The member masks of the conjugates: row g is g K g^-1."""
+        group = self.parent
+        g = np.arange(group.order)[:, None]
+        out = np.zeros((group.order, group.order), dtype=bool)
+        out[g, group.cayley[group.cayley[g, self.indices], group.inverse[g]]] = True
+        return out
+
     def is_normal(self) -> bool:
-        g = np.arange(self.parent.order)
-        for h in self.indices:
-            conj = self.parent.cayley[self.parent.cayley[g, h], self.parent.inverse[g]]
-            if not np.all(self.mask[conj]):
-                return False
-        return True
-
-    def conjugated_by(self, g: int) -> "Subgroup":
-        conj = self.parent.cayley[
-            self.parent.cayley[g, self.indices], self.parent.inverse[g]
-        ]
-        mask = np.zeros(self.parent.order, dtype=bool)
-        mask[conj] = True
-        return Subgroup(self.parent, mask)
-
-    def index_in_parent(self) -> int:
-        return self.parent.order // self.order
+        return bool(np.all(self.conjugates() == self.mask))
 
     def perms(self) -> list[Permutation]:
         return [self.parent.elements[i] for i in self.indices]
@@ -582,15 +564,7 @@ def double_cosets(group: FiniteGroup, a: Subgroup, b: Subgroup) -> list[np.ndarr
 
 def core(group: FiniteGroup, sub: Subgroup) -> Subgroup:
     """Largest normal subgroup of ``group`` contained in ``sub``."""
-    mask = sub.mask.copy()
-    for g in range(group.order):
-        conj = group.cayley[group.cayley[g, sub.indices], group.inverse[g]]
-        conj_mask = np.zeros(group.order, dtype=bool)
-        conj_mask[conj] = True
-        mask &= conj_mask
-        if mask.sum() == 1:
-            break
-    return Subgroup(group, mask)
+    return Subgroup(group, sub.conjugates().all(axis=0))
 
 
 def center_subgroup(group: FiniteGroup) -> Subgroup:

@@ -256,6 +256,31 @@ def test_survey_classes_independent_of_input_order() -> None:
     assert merged, "expected S3 and D3 inclusions to share classes"
 
 
+def test_equivalence_classes_build_each_core_quotient_once(monkeypatch) -> None:
+    import biprox.cli
+    import biprox.interval
+
+    built = []
+    original = biprox.interval.core_quotient
+
+    def counted(inc, *args, **kwargs):
+        built.append(inc)
+        return original(inc, *args, **kwargs)
+
+    # Both bindings: equivalence_key and inclusions_equivalent build through
+    # the interval module's name.
+    monkeypatch.setattr(biprox.interval, "core_quotient", counted)
+    monkeypatch.setattr(biprox.cli, "core_quotient", counted, raising=False)
+    pairs = enumerate_pairs(names=["Z4", "Z6", "S3", "D3", "Z12", "E4"], max_index=6)
+    classes = equivalence_classes(pairs)
+    assert len(classes) < len(pairs)  # some pairs were compared and merged
+    assert sorted(map(id, built)) == sorted(id(inc) for _, inc in pairs)
+
+
+def test_survey_rows_independent_of_jobs() -> None:
+    assert survey(max_index=4, max_order=12, jobs=2) == survey(max_index=4, max_order=12)
+
+
 def test_subgroup_class_representatives_s4() -> None:
     reps = subgroup_class_representatives(catalog_group("S4"))
     # 11 conjugacy classes of subgroups of the symmetric group of degree 4

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biprox.catalog import catalog_group
+from biprox.catalog import catalog_group, catalog_names
 from biprox.errors import DegreeMismatch, NotNested, OrderCapExceeded, SubgroupCapExceeded
 from biprox.permgroup import (
     FiniteGroup,
@@ -121,6 +121,84 @@ def test_cayley_table_is_a_group():
     for _ in range(200):
         i, j, k = rng.integers(0, n, size=3)
         assert cayley[cayley[i, j], k] == cayley[i, cayley[j, k]]
+
+
+# Generators of A6 (order 360) and of Z20 x Z20 (order 400) near the order cap.
+LARGE = {
+    "A6": "(1,2,3); (2,3,4,5,6)",
+    "Z20xZ20": "(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20); "
+    "(21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39,40)",
+}
+
+
+def _array_layer_groups():
+    for name in catalog_names():
+        yield name, catalog_group(name)
+    for name, gens in LARGE.items():
+        yield name, group_closure(parse_generators(gens), name=name)
+
+
+def test_cayley_table_is_the_permutation_product():
+    # Every entry, against Permutation multiplication: the group axioms alone
+    # would also pass for the table of another group of the same order.
+    rng = np.random.default_rng(1)
+    for name, group in _array_layer_groups():
+        n, elements = group.order, group.elements
+        if n <= 120:
+            pairs = [(i, j) for i in range(n) for j in range(n)]
+        else:
+            pairs = rng.integers(0, n, size=(3000, 2)).tolist()
+        for i, j in pairs:
+            assert group.cayley[i, j] == group.index_of(elements[i] * elements[j]), name
+        assert [list(e.images) for e in elements] == group.images.tolist()
+
+
+def test_inverse_and_element_orders_match_a_power_loop():
+    for name, group in _array_layer_groups():
+        orders = group.element_orders()
+        assert orders is group.element_orders()  # computed once
+        for i, x in enumerate(group.elements):
+            power, n = x, 1
+            while not power.is_identity():
+                power, n = power * x, n + 1
+            assert orders[i] == n, name
+            assert group.index_of(x.inverse()) == group.inverse[i], name
+
+
+def test_non_closed_element_list_raises():
+    with pytest.raises(ValueError, match="not closed"):
+        FiniteGroup([Permutation.identity(3), parse_cycles("(1,2)", 3), parse_cycles("(2,3)", 3)])
+    with pytest.raises(ValueError, match="not closed"):
+        FiniteGroup(np.array([[0, 1, 2], [1, 2, 0]]))
+    with pytest.raises(ValueError, match="not permutations"):
+        FiniteGroup(np.array([[0, 1, 2], [0, 0, 0]]))
+
+
+def test_index_of_rejects_non_members_and_other_degrees():
+    a4 = catalog_group("A4")
+    with pytest.raises(KeyError):
+        a4.index_of(parse_cycles("(1,2)", degree=4))
+    with pytest.raises(KeyError):
+        a4.index_of(parse_cycles("(1,2,3)", degree=5))
+    with pytest.raises(KeyError):
+        a4.index_of(parse_cycles("(1,2,3)", degree=3))
+    assert a4.index_of(parse_cycles("(1,2,3)", degree=4)) >= 0
+
+
+def test_conjugates_core_and_normality_match_elementwise_conjugation():
+    s4 = catalog_group("S4")
+    for sub in all_subgroups(s4):
+        rows = sub.conjugates()
+        for g, x in enumerate(s4.elements):
+            members = {s4.index_of(x * s4.elements[k] * x.inverse()) for k in sub.indices}
+            assert set(np.flatnonzero(rows[g])) == members
+        conjugates = [
+            {s4.index_of(x.inverse() * s4.elements[k] * x) for x in s4.elements}
+            for k in sub.indices
+        ]
+        inside = [k for k, cls in zip(sub.indices, conjugates) if cls <= set(sub.indices)]
+        assert core(s4, sub).indices.tolist() == inside
+        assert sub.is_normal() == (len(inside) == sub.order)
 
 
 def test_subgroup_generated_examples():
