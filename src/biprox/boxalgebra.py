@@ -39,7 +39,7 @@ from .permgroup import (
     ZERO_TOL,
     FiniteGroup,
     Subgroup,
-    double_cosets,
+    double_coset_labels,
     is_normal_intermediate,
     require_nested,
 )
@@ -88,27 +88,21 @@ class BoxContext:
 
     # -- cached structure --------------------------------------------------
 
-    @property
-    def cosets(self) -> list[np.ndarray]:
-        """(H,H)-double cosets, ordered by minimal element."""
+    def _double_cosets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The least element of each (H,H)-double coset, increasing, and the
+        coset index of every element."""
         if "cosets" not in self._cache:
-            self._cache["cosets"] = double_cosets(self.group, self.sub, self.sub)
+            labels = double_coset_labels(self.sub, self.sub)
+            self._cache["cosets"] = np.unique(labels, return_inverse=True)
         return self._cache["cosets"]
 
     @property
     def coset_reps(self) -> np.ndarray:
-        if "reps" not in self._cache:
-            self._cache["reps"] = np.array([int(c[0]) for c in self.cosets])
-        return self._cache["reps"]
+        return self._double_cosets()[0]
 
     @property
     def coset_of(self) -> np.ndarray:
-        if "coset_of" not in self._cache:
-            out = np.empty(self.group.order, dtype=np.int64)
-            for i, c in enumerate(self.cosets):
-                out[c] = i
-            self._cache["coset_of"] = out
-        return self._cache["coset_of"]
+        return self._double_cosets()[1]
 
     @property
     def inverse_coset(self) -> np.ndarray:
@@ -122,7 +116,7 @@ class BoxContext:
     @property
     def dim(self) -> int:
         """Linear dimension of the compressed algebra."""
-        return len(self.cosets)
+        return len(self.coset_reps)
 
     @property
     def basis_matrix(self) -> np.ndarray:
@@ -133,8 +127,7 @@ class BoxContext:
         """
         if "basis" not in self._cache:
             d = np.zeros((self.dim, self.group.order), dtype=np.complex128)
-            for i, c in enumerate(self.cosets):
-                d[i, c] = 1.0 / self.sub.order**2
+            d[self.coset_of, np.arange(self.group.order)] = 1.0 / self.sub.order**2
             d.setflags(write=False)
             self._cache["basis"] = d
         return self._cache["basis"]

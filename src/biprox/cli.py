@@ -29,6 +29,7 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -511,6 +512,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="biprox", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

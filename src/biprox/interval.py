@@ -22,10 +22,9 @@ from .permgroup import (
     Subgroup,
     center_subgroup,
     derived_subgroup,
-    double_coset,
     generating_indices,
+    interval_subgroups,
     is_dedekind_interval,
-    subgroup_generated,
 )
 
 
@@ -65,20 +64,13 @@ class DualOreReport:
 
 
 def is_H_cyclic(inc: Inclusion) -> Optional[int]:
-    """First element g (in canonical element order) with <H, g> = G.
-    <H, g> depends only on HgH, so one test per double coset decides it,
-    at the coset's least element."""
-    group, sub = inc.group, inc.sub
-    if sub.order == group.order:
-        return group.identity_index
-    seen = sub.mask.copy()
-    for g in range(group.order):
-        if seen[g]:
-            continue
-        if subgroup_generated(group, np.append(sub.indices, g)).order == group.order:
-            return g
-        seen[double_coset(group, sub, g, sub)] = True
-    return None
+    """First element g (in canonical element order) with <H, g> = G: the
+    least element in no proper subgroup containing H (the identity if H = G)."""
+    covered = np.zeros(inc.group.order, dtype=bool)
+    for k in interval_subgroups(inc.sub, inc.group)[:-1]:  # all but G itself
+        covered |= k.mask
+    outside = np.flatnonzero(~covered)
+    return int(outside[0]) if outside.size else None
 
 
 def ore_verify(inc: Inclusion) -> OreReport:

@@ -9,6 +9,11 @@ Conventions
   everything built on top of them reproducible across runs and platforms.
   The Cayley table composes rows and looks each product up by its byte key;
   ``elements``, the rows as ``Permutation`` objects, is built on demand.
+* Closure runs in batches: ``_close`` closes every row of a mask matrix at
+  once, so all cyclic subgroups are one batch, and the joins of a subgroup
+  with every cyclic subgroup outside it are another.
+* The A\\G/B double cosets are one label array: the least element of AgB
+  for every g.
 """
 
 from __future__ import annotations
@@ -451,6 +456,21 @@ def group_closure(
     return FiniteGroup(list(seen.values()), name=name)
 
 
+def _close(group: FiniteGroup, masks: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Close each row of the boolean ``masks`` (in place, and returned) under
+    right multiplication by that row's generators, row r of the index array
+    ``gens``.  Each round gathers the products of the whole frontier of every
+    row at once."""
+    rows, frontier = np.nonzero(masks)
+    while rows.size:
+        reached = np.zeros_like(masks)
+        reached[rows[:, None], group.cayley[frontier[:, None], gens[rows]]] = True
+        reached &= ~masks
+        masks |= reached
+        rows, frontier = np.nonzero(reached)
+    return masks
+
+
 def subgroup_generated(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of ``group`` containing the seed element indices.
 
@@ -458,19 +478,10 @@ def subgroup_generated(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     elements is reached, and in a finite group the word closure is already
     a subgroup (inverses are positive powers).
     """
-    mask = np.zeros(group.order, dtype=bool)
-    mask[group.identity_index] = True
     gens = np.array(sorted({int(i) for i in seed}), dtype=np.int64)
-    if gens.size == 0:
-        return Subgroup(group, mask)
-    frontier = gens[~mask[gens]]
-    mask[frontier] = True
-    while frontier.size:
-        reached = np.zeros(group.order, dtype=bool)
-        reached[group.cayley[frontier[:, None], gens]] = True
-        frontier = np.flatnonzero(reached & ~mask)
-        mask[frontier] = True
-    return Subgroup(group, mask)
+    mask = np.zeros((1, group.order), dtype=bool)
+    mask[0, [group.identity_index, *gens]] = True
+    return Subgroup(group, _close(group, mask, gens[None, :])[0])
 
 
 def generating_indices(sub: Subgroup) -> list[int]:
@@ -508,33 +519,33 @@ def all_subgroups(
     if group._subgroups is not None and count_cap >= len(group._subgroups):
         return list(group._subgroups)
     found: dict[bytes, Subgroup] = {}
-
-    def add(sub: Subgroup) -> bool:
-        key = sub.key()
-        if key in found:
-            return False
-        if len(found) >= count_cap:
-            raise SubgroupCapExceeded(f"more than {count_cap} subgroups")
-        found[key] = sub
-        return True
-
-    add(group.trivial_subgroup())
     # Each worklist entry carries the generators it was built from, so a
     # join closes over a few generators rather than over all its members.
-    worklist = []
-    for i in range(group.order):
-        cyc = subgroup_generated(group, [i])
-        if add(cyc):
-            worklist.append(([i], cyc))
-    cyclic = [gens[0] for gens, _ in worklist]
+    worklist: list[tuple[np.ndarray, Subgroup]] = []
+
+    def add_closures(masks: np.ndarray, gens: np.ndarray) -> None:
+        masks = _close(group, masks, gens)
+        for row, key in enumerate(np.packbits(masks, axis=1)):
+            key = key.tobytes()
+            if key in found:
+                continue
+            if len(found) >= count_cap:
+                raise SubgroupCapExceeded(f"more than {count_cap} subgroups")
+            found[key] = Subgroup(group, masks[row])
+            worklist.append((gens[row], found[key]))
+
+    # Row i of the first batch closes to <i>, row 0 (the identity) to {1}.
+    masks = np.eye(group.order, dtype=bool)
+    masks[:, group.identity_index] = True
+    add_closures(masks, np.arange(group.order)[:, None])
+    del worklist[0]  # the trivial group's joins are the cyclic subgroups
+    cyclic = np.array([gens[0] for gens, _ in worklist])
     while worklist:
         gens, current = worklist.pop()
-        for i in cyclic:
-            if current.mask[i]:
-                continue
-            joined = subgroup_generated(group, [*gens, i])
-            if add(joined):
-                worklist.append(([*gens, i], joined))
+        outside = cyclic[~current.mask[cyclic]]
+        masks = np.tile(current.mask, (len(outside), 1))
+        masks[np.arange(len(outside)), outside] = True
+        add_closures(masks, np.column_stack([np.tile(gens, (len(outside), 1)), outside]))
     result = sorted(found.values(), key=lambda s: (s.order, s.key()))
     group._subgroups = result
     return list(result)
@@ -543,23 +554,19 @@ def all_subgroups(
 # -- cosets and normality --------------------------------------------------
 
 
-def double_coset(group: FiniteGroup, a: Subgroup, g: int, b: Subgroup) -> np.ndarray:
-    """Sorted element indices of the double coset AgB."""
-    ag = group.cayley[a.indices, g]
-    return np.unique(group.cayley[np.ix_(ag, b.indices)])
+def double_coset_labels(a: Subgroup, b: Subgroup) -> np.ndarray:
+    """For every element index g, the least element index of AgB."""
+    cayley = a.parent.cayley
+    least_gb = cayley[:, b.indices].min(axis=1)
+    return least_gb[cayley[a.indices]].min(axis=0)
 
 
 def double_cosets(group: FiniteGroup, a: Subgroup, b: Subgroup) -> list[np.ndarray]:
-    """All A\\G/B double cosets, ordered by minimal element index."""
-    seen = np.zeros(group.order, dtype=bool)
-    out = []
-    for g in range(group.order):
-        if seen[g]:
-            continue
-        coset = double_coset(group, a, g, b)
-        seen[coset] = True
-        out.append(coset)
-    return out
+    """All A\\G/B double cosets, each sorted, ordered by minimal element index."""
+    labels = double_coset_labels(a, b)
+    members = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[members])) + 1
+    return np.split(members, starts)
 
 
 def core(group: FiniteGroup, sub: Subgroup) -> Subgroup:
@@ -593,24 +600,19 @@ def is_dedekind_interval(
     inner: Subgroup, outer: Subgroup, members: Iterable[Subgroup]
 ) -> bool:
     """Whether inner.g.K = K.g.inner for every K in members and every g in
-    outer (one representative g per double coset inner.g.K).
+    outer: the two partitions of outer into double cosets agree, so every g
+    has the same least element in both.
 
     With members the whole interval [inner, outer] this says that every
     biprojection of the 2-box algebra of inner <= outer is normal.
     """
     require_nested(inner, outer)
-    group = outer.parent
     for k in members:
         require_nested(inner, k)
         require_nested(k, outer)
-        seen = np.zeros(group.order, dtype=bool)
-        for g in outer.indices:
-            if seen[g]:
-                continue
-            hgk = double_coset(group, inner, g, k)
-            seen[hgk] = True
-            if not np.array_equal(hgk, double_coset(group, k, g, inner)):
-                return False
+        left = double_coset_labels(inner, k)[outer.indices]
+        if not np.array_equal(left, double_coset_labels(k, inner)[outer.indices]):
+            return False
     return True
 
 

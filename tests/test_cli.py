@@ -156,6 +156,18 @@ def test_lattice_z6_json(capsys) -> None:
     assert len(doc["cover_edges"]) == 4
 
 
+def test_repeated_calls_share_one_parser(capsys) -> None:
+    # One process, one parser: a call leaves nothing behind for the next.
+    argv = ("lattice", "--group", "S4", "--subgroup", "(1,2)")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert "digraph" in first[1]  # lattice's own --format dot
+    assert run(capsys, "lattice", "--bogus")[0] == 1
+    code, out, _ = run(capsys, "analyze", "--group", "S3")
+    assert code == 0
+    assert json.loads(out)["schema"] == "biprox/1"  # analyze's own --format json
+
+
 # -- fusion-check ------------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from biprox.catalog import catalog_group
 import biprox.interval
+from biprox.cli import enumerate_pairs
 from biprox.errors import NotNested, QuotientOrderCapExceeded, TheoremViolation
 from biprox.interval import (
     DualOreReport,
@@ -108,6 +109,30 @@ def test_h_cyclic_maximal_subgroup() -> None:
 def test_h_cyclic_full_inclusion() -> None:
     inc = full("S3")
     assert is_H_cyclic(inc) == inc.group.identity_index
+
+
+def _h_cyclic_by_closure(inc: Inclusion):
+    """The first g with <H, g> = G, by one closure per double coset HgH at
+    its least element (the former is_H_cyclic, kept as an oracle)."""
+    group, sub = inc.group, inc.sub
+    if sub.order == group.order:
+        return group.identity_index
+    seen = sub.mask.copy()
+    for g in range(group.order):
+        if seen[g]:
+            continue
+        if subgroup_generated(group, np.append(sub.indices, g)).order == group.order:
+            return g
+        seen[group.cayley[np.ix_(group.cayley[sub.indices, g], sub.indices)]] = True
+    return None
+
+
+def test_h_cyclic_matches_closure_search() -> None:
+    pairs = [inc for _, inc in enumerate_pairs(max_order=24)]
+    groups = {id(inc.group): inc.group for inc in pairs}.values()
+    pairs += [Inclusion(g, g.full_subgroup()) for g in groups]
+    for inc in pairs:
+        assert is_H_cyclic(inc) == _h_cyclic_by_closure(inc), inc
 
 
 # ------------------------------------------------------------------ reports

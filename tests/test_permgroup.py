@@ -7,18 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biprox.permgroup
 from biprox.catalog import catalog_group, catalog_names
+from biprox.cli import subgroup_class_representatives
 from biprox.errors import DegreeMismatch, NotNested, OrderCapExceeded, SubgroupCapExceeded
 from biprox.permgroup import (
     FiniteGroup,
     Permutation,
     all_subgroups,
     core,
-    double_coset,
+    double_coset_labels,
     double_cosets,
     generating_indices,
     group_closure,
     interval_subgroups,
+    is_dedekind_interval,
     is_normal_intermediate,
     maximal_subgroups_over,
     minimal_overgroups,
@@ -254,12 +257,26 @@ def _pairwise_join_closure(group: FiniteGroup) -> list[bytes]:
     return [s.key() for s in sorted(found.values(), key=lambda s: (s.order, s.key()))]
 
 
-@pytest.mark.parametrize("name", ["S4", "A4", "D6", "Q8", "E8", "SL23", "Z30"])
+@pytest.mark.parametrize(
+    "name", ["S4", "A4", "A5", "D6", "Q8", "E8", "E16", "SL23", "Z30"]
+)
 def test_all_subgroups_matches_pairwise_join_closure(name):
     # Joining only with cyclic subgroups reaches every subgroup, because each
-    # subgroup is the join of its cyclic subgroups.
+    # subgroup is the join of its cyclic subgroups.  A5 is not solvable, and
+    # E16 needs four generators, so its joins close over four at once.
     group = catalog_group(name)
     assert [s.key() for s in all_subgroups(group)] == _pairwise_join_closure(group)
+
+
+def test_all_subgroups_closes_in_batches(monkeypatch):
+    calls = []
+    real = biprox.permgroup.subgroup_generated
+    monkeypatch.setattr(
+        biprox.permgroup, "subgroup_generated", lambda *a: calls.append(a) or real(*a)
+    )
+    group = group_closure(parse_generators("(1,2); (1,2,3,4)"))  # nothing cached yet
+    assert len(all_subgroups(group)) == SUBGROUP_COUNTS["S4"]
+    assert calls == []
 
 
 def test_core_examples():
@@ -349,9 +366,55 @@ def test_double_cosets_partition():
 def test_double_coset_constant_on_representatives():
     s4 = catalog_group("S4")
     h = subgroup_generated(s4, {s4.index_of(parse_cycles("(1,2)", degree=4))})
+    cayley, members = s4.cayley.tolist(), h.indices.tolist()
     for coset in double_cosets(s4, h, h):
         for rep in coset[:2]:
-            assert np.array_equal(double_coset(s4, h, int(rep), h), coset)
+            agb = {cayley[cayley[a][rep]][b] for a in members for b in members}
+            assert sorted(agb) == coset.tolist()
+
+
+def test_double_coset_labels_are_least_elements():
+    s4 = catalog_group("S4")
+    cayley = s4.cayley.tolist()
+    reps = subgroup_class_representatives(s4)
+    for a in reps:
+        for b in reps:
+            xs, ys = a.indices.tolist(), b.indices.tolist()
+            least = [min(cayley[cayley[x][g]][y] for x in xs for y in ys) for g in range(s4.order)]
+            assert double_coset_labels(a, b).tolist() == least
+
+
+def _dedekind_by_double_cosets(inner, outer, members) -> bool:
+    """One comparison HgK = KgH per double coset HgK inside outer (the former
+    is_dedekind_interval, kept as an oracle)."""
+    cayley = outer.parent.cayley
+
+    def double_coset(a, g, b):
+        return np.unique(cayley[np.ix_(cayley[a.indices, g], b.indices)])
+
+    for k in members:
+        seen = np.zeros(outer.parent.order, dtype=bool)
+        for g in outer.indices:
+            if seen[g]:
+                continue
+            hgk = double_coset(inner, g, k)
+            seen[hgk] = True
+            if not np.array_equal(hgk, double_coset(k, g, inner)):
+                return False
+    return True
+
+
+def test_is_dedekind_interval_matches_double_coset_loop():
+    s4 = catalog_group("S4")
+    subs = all_subgroups(s4)
+    for h in subs:
+        for k in subs:
+            if not h <= k:
+                continue
+            for outer in (l for l in subs if k <= l):
+                assert is_dedekind_interval(h, outer, [k]) == _dedekind_by_double_cosets(
+                    h, outer, [k]
+                )
 
 
 def test_generating_indices_generate():
@@ -376,6 +439,12 @@ def test_element_orders_and_conjugacy_classes():
 def test_random_subgroups_satisfy_lagrange(seed):
     s4 = catalog_group("S4")
     sub = subgroup_generated(s4, seed)
+    cayley = s4.cayley.tolist()
+    closure, frontier = {s4.identity_index}, {s4.identity_index}
+    while frontier:
+        frontier = {cayley[x][g] for x in frontier for g in seed} - closure
+        closure |= frontier
+    assert sub.indices.tolist() == sorted(closure)
     assert 24 % sub.order == 0
     assert sub.is_closed()
     products = s4.cayley[np.ix_(sub.indices, sub.indices)]
