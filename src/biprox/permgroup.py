@@ -14,6 +14,9 @@ Conventions
   with every cyclic subgroup outside it are another.
 * The A\\G/B double cosets are one label array: the least element of AgB
   for every g.
+* Per-subgroup results are cached on the parent by member set
+  (``Subgroup.key()``): character tables and ``generator_string`` labels, so
+  a fresh ``Subgroup`` on the same members reuses them.
 """
 
 from __future__ import annotations
@@ -193,6 +196,7 @@ class FiniteGroup:
         self._element_orders: Optional[np.ndarray] = None
         self._conjugacy_classes: Optional[list[np.ndarray]] = None
         self._character_tables: dict[bytes, np.ndarray] = {}  # by subgroup key
+        self._generator_strings: dict[bytes, str] = {}  # by subgroup key
 
     # -- basics ---------------------------------------------------------
 
@@ -412,11 +416,14 @@ class Subgroup:
         return out
 
     def generator_string(self) -> str:
-        """Cycle notation for a small generating set (1-based, semicolons)."""
-        gens = generating_indices(self)
-        if not gens:
-            return "()"
-        return "; ".join(self.parent.elements[i].cycle_string() for i in gens)
+        """Cycle notation for a small generating set (1-based, semicolons),
+        cached on the parent by member set."""
+        labels = self.parent._generator_strings
+        key = self.key()
+        if key not in labels:
+            gens = generating_indices(self)
+            labels[key] = "; ".join(self.parent.elements[i].cycle_string() for i in gens) or "()"
+        return labels[key]
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.label()})"

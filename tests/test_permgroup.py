@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biprox.permgroup
-from biprox.catalog import catalog_group, catalog_names
+from biprox.catalog import catalog_group, catalog_names, parse_subgroup_spec
 from biprox.cli import subgroup_class_representatives
 from biprox.errors import DegreeMismatch, NotNested, OrderCapExceeded, SubgroupCapExceeded
 from biprox.permgroup import (
@@ -423,6 +423,38 @@ def test_generating_indices_generate():
         gens = generating_indices(sub)
         assert subgroup_generated(s5, gens) == sub
         assert len(gens) <= 3
+
+
+def test_generator_string_labels_each_member_set_once(monkeypatch):
+    calls = []
+    real = biprox.permgroup.generating_indices
+    monkeypatch.setattr(
+        biprox.permgroup, "generating_indices", lambda sub: calls.append(sub.key()) or real(sub)
+    )
+    group = group_closure(parse_generators("(1,2); (1,2,3,4)"))  # nothing cached yet
+    subgroups = all_subgroups(group)
+    labels = [sub.generator_string() for sub in subgroups]
+    assert [sub.generator_string() for sub in subgroups] == labels
+    # A fresh Subgroup on the same member set reads the parent's label.
+    copies = [parse_subgroup_spec(group, label) for label in labels]
+    assert [copy.generator_string() for copy in copies] == labels
+    assert sorted(calls) == sorted(sub.key() for sub in subgroups)
+
+
+def test_generator_strings_round_trip_on_the_catalog():
+    # The census passes each label back to `lattice`, so the label must name
+    # its member set; the oracle composes it from generating_indices directly.
+    count = 0
+    for name in catalog_names():
+        group = catalog_group(name)
+        for sub in all_subgroups(group):
+            gens = generating_indices(sub)
+            oracle = "; ".join(group.elements[i].cycle_string() for i in gens) if gens else "()"
+            label = sub.generator_string()
+            assert label == oracle, (name, oracle)
+            assert parse_subgroup_spec(group, label).key() == sub.key(), (name, label)
+            count += 1
+    assert count == 1333
 
 
 def test_element_orders_and_conjugacy_classes():
