@@ -28,7 +28,7 @@ from .permgroup import (
     subgroup_generated,
 )
 from .catalog import catalog_group, catalog_names, parse_group_spec, parse_subgroup_spec
-from .boxalgebra import BoxContext, BoxElement, Tolerances, biprojection_lattice
+from .boxalgebra import BoxContext, BoxElement, biprojection_lattice
 from .interval import Inclusion, dual_ore_conditions, is_H_cyclic, ore_verify
 from .lattice import FiniteLattice, boolean_rank, is_distributive, is_modular
 from .properties import ClassificationReport, classify, verify_theorems
@@ -53,7 +53,6 @@ __all__ = [
     "parse_subgroup_spec",
     "BoxContext",
     "BoxElement",
-    "Tolerances",
     "biprojection_lattice",
     "Inclusion",
     "dual_ore_conditions",

@@ -36,6 +36,9 @@ from .errors import (
 from .lattice import FiniteLattice, from_subgroups
 from .permgroup import (
     AMBIGUOUS_BAND,
+    CLUSTER_GAP,
+    RANK_REL_TOL,
+    SPLIT_RETRIES,
     ZERO_TOL,
     FiniteGroup,
     Subgroup,
@@ -45,28 +48,14 @@ from .permgroup import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric policy: absolute zero tolerance on unit-normalized data, relative
-    rank cutoff, ambiguity band, cluster gap, minimal_projections_under draws."""
-
-    zero: float = ZERO_TOL
-    rank_rel: float = 1e-8
-    ambiguous_low: float = AMBIGUOUS_BAND[0]
-    ambiguous_high: float = AMBIGUOUS_BAND[1]
-    gap: float = 1e-6
-    retries: int = 8
-
-
 class BoxContext:
     """Immutable context for the 2-box space of H <= G."""
 
-    def __init__(self, group: FiniteGroup, sub: Subgroup, tol: Optional[Tolerances] = None):
+    def __init__(self, group: FiniteGroup, sub: Subgroup):
         if sub.parent is not group:
             raise NotNested("subgroup does not live inside the given group")
         self.group = group
         self.sub = sub
-        self.tol = tol or Tolerances()
         self.delta = math.sqrt(group.order / sub.order)
         self.kappa = math.sqrt(group.order * sub.order)
         self._cache: dict = {}
@@ -172,7 +161,7 @@ class BoxElement:
 
     def isclose(self, other: "BoxElement", scale: float = 1.0) -> bool:
         _same_context(self, other)
-        atol = self.context.tol.zero * max(1.0, scale)
+        atol = ZERO_TOL * max(1.0, scale)
         return bool(np.all(np.abs(self.coeffs - other.coeffs) <= atol))
 
 
@@ -349,7 +338,7 @@ def collapse_dual(ctx: BoxContext, vec: np.ndarray) -> DualElement:
     vec = np.asarray(vec, dtype=np.complex128)
     coeffs = vec[ctx.coset_reps]
     back = coeffs[ctx.coset_of]
-    if np.abs(back - vec).max() > ctx.tol.zero * max(1.0, np.abs(vec).max()):
+    if np.abs(back - vec).max() > ZERO_TOL * max(1.0, np.abs(vec).max()):
         raise ContextMismatch("vector is not constant on double cosets")
     return DualElement(ctx, coeffs)
 
@@ -411,7 +400,7 @@ def is_dual_coproduct_central(d: DualElement) -> bool:
     scale = max(1.0, float(np.abs(d.coeffs).max()))
     indicators = (ctx.coset_of == np.arange(ctx.dim)[:, None]).astype(np.complex128)
     comm = _commutators(ctx.group, indicators, expand_dual(d))[:, ctx.coset_reps]
-    return bool(np.all(np.abs(comm) / ctx.kappa <= ctx.tol.zero * scale))
+    return bool(np.all(np.abs(comm) / ctx.kappa <= ZERO_TOL * scale))
 
 
 def fourier(x: BoxElement) -> DualElement:
@@ -440,7 +429,7 @@ def fourier_dual(d: DualElement) -> BoxElement:
 def _self_adjoint_regular_matrix(ctx: BoxContext, coeffs: np.ndarray) -> np.ndarray:
     lmat = left_regular_matrix(BoxElement(ctx, coeffs))
     herm = np.abs(lmat - lmat.conj().T).max()
-    if herm > ctx.tol.zero * max(1.0, np.abs(coeffs).max()):
+    if herm > ZERO_TOL * max(1.0, np.abs(coeffs).max()):
         raise NotPositive("element is not self-adjoint")
     return lmat
 
@@ -452,14 +441,14 @@ def _range_projection_vec(ctx: BoxContext, coeffs: np.ndarray) -> tuple[np.ndarr
     if scale == 0.0:
         return np.zeros_like(coeffs), 0
     rel = w / scale
-    if rel.min() < -ctx.tol.zero * 10:
+    if rel.min() < -ZERO_TOL * 10:
         raise NotPositive(f"negative eigenvalue {w.min():.3e} (scale {scale:.3e})")
-    band = (np.abs(rel) > ctx.tol.ambiguous_low) & (np.abs(rel) < ctx.tol.ambiguous_high)
+    band = (np.abs(rel) > AMBIGUOUS_BAND[0]) & (np.abs(rel) < AMBIGUOUS_BAND[1])
     if np.any(band):
         raise NumericRankAmbiguous(
             "eigenvalue inside the ambiguity band; rank cannot be trusted"
         )
-    keep = rel > ctx.tol.rank_rel
+    keep = rel > RANK_REL_TOL
     vp = v[:, keep]
     proj = vp @ vp.conj().T
     return proj[:, ctx.group.identity_index].copy(), int(keep.sum())
@@ -500,7 +489,7 @@ def is_biprojection(p: BoxElement, strict: bool = True) -> Optional[Subgroup]:
             raise NotABiprojection("input is not a projection")
         return None
     scale = max(p.norm_max(), 1.0 / ctx.group.order)
-    support = np.abs(p.coeffs) > ctx.tol.zero * max(1.0, scale) * 10
+    support = np.abs(p.coeffs) > ZERO_TOL * max(1.0, scale) * 10
     if not support.any():
         return None
     k = ctx.group.subgroup_from_mask(support)
@@ -508,7 +497,7 @@ def is_biprojection(p: BoxElement, strict: bool = True) -> Optional[Subgroup]:
         return None
     expected = np.zeros(ctx.group.order, dtype=np.complex128)
     expected[k.indices] = 1.0 / k.order
-    if np.abs(p.coeffs - expected).max() > ctx.tol.zero * 10:
+    if np.abs(p.coeffs - expected).max() > ZERO_TOL * 10:
         return None
     if not contragredient(p).isclose(p):
         return None
@@ -550,7 +539,7 @@ def biprojection_lattice(ctx: BoxContext) -> FiniteLattice:
 def left_stabilizer(x: BoxElement) -> np.ndarray:
     """Mask of the k with x(k^-1 g) = x(g) for every g, entrywise at the
     ``isclose`` tolerance: one gather of all left translates of x."""
-    atol = x.context.tol.zero * max(1.0, x.norm_max())
+    atol = ZERO_TOL * max(1.0, x.norm_max())
     translated = _left_translates(x.context.group, x.coeffs)
     return np.all(np.abs(translated - x.coeffs) <= atol, axis=1)
 
@@ -566,14 +555,14 @@ def generate_biprojection(x: BoxElement) -> Biprojection:
 
     The only spectral step is the positivity check on x. The stabilizer is
     taken on x scaled to operator norm 1, where every coefficient is at
-    most 1, so the comparison runs at the plain ``tol.zero`` scale.
+    most 1, so the comparison runs at the plain ``ZERO_TOL`` scale.
     """
     ctx = x.context
     w = np.linalg.eigvalsh(_self_adjoint_regular_matrix(ctx, x.coeffs))
     scale = float(np.abs(w).max())
     if scale == 0.0:
         raise NotPositive("cannot generate from the zero element")
-    if w.min() < -ctx.tol.zero * 10 * scale:
+    if w.min() < -ZERO_TOL * 10 * scale:
         raise NotPositive("element is not positive semidefinite")
     mask = left_stabilizer(x * (1.0 / scale))
     members = np.flatnonzero(mask)
@@ -621,7 +610,7 @@ def _center_basis(ctx: BoxContext) -> np.ndarray:
     # reduced SVD: the full left factor would be (m n) x (m n)
     _, s, vh = np.linalg.svd(system, full_matrices=False)
     smax = s.max() if s.size else 1.0
-    null = s <= ctx.tol.zero * max(1.0, smax) * 10
+    null = s <= ZERO_TOL * max(1.0, smax) * 10
     center = vh[null] @ d
     ctx._cache["center"] = center
     return center
@@ -641,13 +630,13 @@ def is_central(x: BoxElement) -> bool:
     for every basis element d_j in one product, at the ``isclose`` tolerance."""
     ctx = x.context
     comm = _commutators(ctx.group, ctx.basis_matrix, x.coeffs)
-    return bool(np.all(np.abs(comm) <= ctx.tol.zero * max(1.0, x.norm_max())))
+    return bool(np.all(np.abs(comm) <= ZERO_TOL * max(1.0, x.norm_max())))
 
 
 def is_minimal(p: BoxElement) -> bool:
     """Minimality of a projection: dim(p.A.p) = 1."""
     ctx = p.context
-    if not is_projection(p) or p.norm_max() <= ctx.tol.zero:
+    if not is_projection(p) or p.norm_max() <= ZERO_TOL:
         return False
     rows = []
     for j in range(ctx.dim):
@@ -657,10 +646,10 @@ def is_minimal(p: BoxElement) -> bool:
     s = np.linalg.svd(mat, compute_uv=False)
     smax = s.max()
     rel = s / smax
-    band = (rel > ctx.tol.ambiguous_low) & (rel < ctx.tol.ambiguous_high)
+    band = (rel > AMBIGUOUS_BAND[0]) & (rel < AMBIGUOUS_BAND[1])
     if np.any(band):
         raise NumericRankAmbiguous("singular value in the ambiguity band")
-    return int((rel > ctx.tol.ambiguous_high).sum()) == 1
+    return int((rel > AMBIGUOUS_BAND[1]).sum()) == 1
 
 
 def central_support(p: BoxElement) -> BoxElement:
@@ -683,13 +672,13 @@ def _spectral_split(ctx: BoxContext, coeffs: np.ndarray) -> list[np.ndarray]:
     v_sorted = v[:, order]
     boundaries = [0]
     for i in range(1, len(w_sorted)):
-        if w_sorted[i] - w_sorted[i - 1] > ctx.tol.gap * scale:
+        if w_sorted[i] - w_sorted[i - 1] > CLUSTER_GAP * scale:
             boundaries.append(i)
     boundaries.append(len(w_sorted))
     clusters = []
     for a, b in zip(boundaries[:-1], boundaries[1:]):
         mean = float(np.mean(w_sorted[a:b]))
-        if abs(mean) <= ctx.tol.gap * scale:
+        if abs(mean) <= CLUSTER_GAP * scale:
             continue  # structural kernel
         block = v_sorted[:, a:b]
         proj = block @ block.conj().T
@@ -713,13 +702,13 @@ def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
     The blocks are z_chi = b_H.e_chi for the irreducible characters chi of
     G with <chi|_H, 1> > 0, e_chi = (chi(1)/|G|) sum_g conj(chi(g)) g being
     the central idempotent of chi; b_H.e_chi = 0 when <chi|_H, 1> = 0.
-    The character row of each block stays in ``ctx._cache["block_characters"]``.
+    block_characters(ctx) reads back the character row of each block.
     """
     if "mcp" not in ctx._cache:
         group, sub = ctx.group, ctx.sub
         table = group.character_table()
         fixed = table[:, sub.indices].sum(axis=1) / sub.order  # <chi|_H, 1>
-        if np.abs(fixed - np.rint(fixed.real)).max() > ctx.tol.zero:
+        if np.abs(fixed - np.rint(fixed.real)).max() > ZERO_TOL:
             raise BiprojectionCheckFailed("a fixed-point dimension is not an integer")
         # (b_H.e_chi)(g) = chi(1)/|G| . mean over h in H of conj(chi(h^-1 g))
         left, e = group.cayley[group.inverse[sub.indices]], group.identity_index
@@ -736,13 +725,20 @@ def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
     return ctx._cache["mcp"]
 
 
+def block_characters(ctx: BoxContext) -> list[int]:
+    """The row of ``group.character_table()`` behind each block, in the
+    block order of minimal_central_projections."""
+    minimal_central_projections(ctx)
+    return ctx._cache["block_characters"]
+
+
 def minimal_projections_under(
     p: BoxElement, seed: int = 0
 ) -> list[BoxElement]:
     """A maximal family of orthogonal minimal projections below a minimal
     central projection p (spectral split of a random element of p.A.p)."""
     ctx = p.context
-    for attempt in range(ctx.tol.retries):
+    for attempt in range(SPLIT_RETRIES):
         rng = np.random.default_rng([seed, attempt, 7, ctx.group.order])
         y = random_element(ctx, rng, self_adjoint=True)
         compressed = mul(mul(p, y), p)
@@ -883,7 +879,7 @@ def coproduct_table(
             w = product(basis[i], basis[j]).coeffs
             sol = pinv @ w
             resid = np.abs(vectors.T @ sol - w).max()
-            if resid > ctx.tol.zero * max(1.0, np.abs(w).max()) * 100:
+            if resid > ZERO_TOL * max(1.0, np.abs(w).max()) * 100:
                 raise BasisNotSpanning("a product does not lie in the basis span")
             entries[i, j] = sol * ctx.delta
     entries.setflags(write=False)

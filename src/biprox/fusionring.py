@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .boxalgebra import BoxContext, coproduct, minimal_central_projections
+from .boxalgebra import BoxContext, block_characters, coproduct, minimal_central_projections
 from .errors import (
     AxiomViolation,
     BiprojectionCheckFailed,
@@ -255,32 +255,21 @@ def fusion_from_context(ctx: BoxContext) -> FusionRing:
 
     Two independent routes must agree: (a) the support pattern of the
     coproduct p_i * p_j against the blocks decides which multiplicities
-    are nonzero; (b) exact integer multiplicities come from the block
-    functions chi_i(g) = (|G|/n_i) p_i[g^{-1}] via
+    are nonzero; (b) exact integer multiplicities come from the character
+    chi_i of each block (its row of the character table) via
     n_ij^k = (1/|G|) sum_g chi_i(g) chi_j(g) conj(chi_k(g)).
-    The unit block is moved to index 0; the other blocks keep their
-    deterministic block order.
+    The unit block, that of the trivial character, is moved to index 0;
+    the other blocks keep their deterministic block order.
     """
     if ctx.sub.order != 1:
         raise NotTrivialH("fusion extraction requires a trivial subgroup")
     projs = minimal_central_projections(ctx)
     r = len(projs)
     order = ctx.group.order
-    inv = ctx.group.inverse
-
-    coeff = np.stack([p.coeffs for p in projs])
-    unit_candidates = [
-        i for i in range(r) if np.abs(coeff[i] * order - 1.0).max() < 1e-6
-    ]
-    if len(unit_candidates) != 1:
-        raise BiprojectionCheckFailed("could not identify the unit block")
-    perm = unit_candidates + [i for i in range(r) if i != unit_candidates[0]]
-    coeff = coeff[perm]
-
-    degrees = np.sqrt(np.maximum(order * coeff[:, ctx.group.identity_index].real, 0.0))
-    if np.abs(degrees - np.rint(degrees)).max() > 1e-6 or np.rint(degrees).min() < 1:
-        raise NumericRankAmbiguous(f"non-integer block degree estimates {degrees}")
-    chars = (order / np.rint(degrees))[:, None] * coeff[:, inv]
+    chars = ctx.group.character_table()[block_characters(ctx)]
+    unit = int(np.argmax(chars.sum(axis=1).real))  # |G| for the trivial character, else 0
+    perm = [unit] + [i for i in range(r) if i != unit]
+    chars, elements = chars[perm], [projs[p] for p in perm]
 
     raw = np.einsum("ig,jg,kg->ijk", chars, chars, np.conj(chars)) / order
     if np.abs(raw.imag).max() > 1e-9:
@@ -295,8 +284,7 @@ def fusion_from_context(ctx: BoxContext) -> FusionRing:
         raise BiprojectionCheckFailed("negative multiplicity from block data")
 
     # route (a): coproduct support pattern must match the nonzero pattern
-    elements = [projs[p] for p in perm]
-    conj_coeff = np.conj(coeff)
+    conj_coeff = np.conj(np.stack([e.coeffs for e in elements]))
     for i in range(r):
         for j in range(r):
             y = coproduct(elements[i], elements[j])

@@ -115,14 +115,14 @@ class FiniteLattice:
         return self._restrict(members), members
 
     def _restrict(self, members: np.ndarray) -> "FiniteLattice":
-        pos = {int(m): k for k, m in enumerate(members)}
-        sub_meet = self.meet[np.ix_(members, members)]
-        sub_join = self.join[np.ix_(members, members)]
-        if not all(int(x) in pos for x in np.unique(sub_meet)):
-            raise ValueError("subset is not closed under meet")
-        if not all(int(x) in pos for x in np.unique(sub_join)):
-            raise ValueError("subset is not closed under join")
-        remap = np.vectorize(pos.__getitem__, otypes=[np.int32])
+        """The sublattice on the increasing node indices ``members``."""
+        tables = []
+        for table, name in ((self.meet, "meet"), (self.join, "join")):
+            sub = table[np.ix_(members, members)]
+            pos = np.searchsorted(members, sub)
+            if not np.array_equal(members[np.minimum(pos, len(members) - 1)], sub):
+                raise ValueError(f"subset is not closed under {name}")
+            tables.append(pos)
         leq = self.leq[np.ix_(members, members)]
         bottom = int(np.flatnonzero(leq.sum(axis=1) == len(members))[0])
         top = int(np.flatnonzero(leq.sum(axis=0) == len(members))[0])
@@ -130,7 +130,7 @@ class FiniteLattice:
         if self.payload is not None:
             payload = tuple(self.payload[int(m)] for m in members)
         return FiniteLattice._finish(
-            len(members), leq, remap(sub_meet), remap(sub_join), bottom, top,
+            len(members), leq, tables[0], tables[1], bottom, top,
             tuple(self.labels[int(m)] for m in members), payload,
         )
 

@@ -40,10 +40,15 @@ from .errors import (
 DEFAULT_ORDER_CAP = 400
 DEFAULT_SUBGROUP_CAP = 20_000
 
-# Absolute zero tolerance on unit-normalized data, and the band of relative
-# gaps that can be neither trusted nor ignored (boxalgebra.Tolerances defaults).
+# Numeric policy: the absolute zero tolerance on unit-normalized data, the
+# band of relative gaps that can be neither trusted nor ignored, the relative
+# rank cutoff of range projections, the eigenvalue cluster gap of spectral
+# splits and the number of draws minimal_projections_under makes.
 ZERO_TOL = 1e-9
 AMBIGUOUS_BAND = (1e-10, 1e-6)
+RANK_REL_TOL = 1e-8
+CLUSTER_GAP = 1e-6
+SPLIT_RETRIES = 8
 
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)")
 

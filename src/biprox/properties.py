@@ -20,12 +20,11 @@ powers, and <x> = id is equivalent to the generated subgroup being H.
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .boxalgebra import (
     BoxElement,
     DualElement,
     biprojection_lattice,
+    block_characters,
     center_basis_elements,
     collapse_dual,
     coproduct,
@@ -136,21 +136,24 @@ def _interval_z(lat: FiniteLattice) -> bool:
     return is_dedekind_interval(subs[lat.top], subs[lat.bottom], members)
 
 
+def _block_nodes(ctx: BoxContext) -> List[int]:
+    """The node b_{K_i} = <z_i> of the biprojection lattice for each minimal
+    central projection z_i, in block order, read off the character table on
+    the whole lattice."""
+    if "block_nodes" not in ctx._cache:
+        rows, nodes = _interval_blocks(biprojection_lattice(ctx))
+        node_of = dict(zip(rows.tolist(), nodes.tolist()))
+        ctx._cache["block_nodes"] = [node_of[chi] for chi in block_characters(ctx)]
+    return ctx._cache["block_nodes"]
+
+
 def _block_subgroups(ctx: BoxContext) -> List[Subgroup]:
     """K_i with <z_i> = b_{K_i} for each minimal central projection z_i, in
-    block order, read off the character table on the whole lattice.  For
-    positive x and y, R(x + y) = R(x) v R(y), so a set of blocks generates
-    b_K with K the intersection of their K_i: the block predicates are mask
-    operations."""
-    if "block_subgroups" not in ctx._cache:
-        minimal_central_projections(ctx)  # caches the character of each block
-        lat = biprojection_lattice(ctx)
-        rows, nodes = _interval_blocks(lat)
-        node_of = dict(zip(rows.tolist(), nodes.tolist()))
-        ctx._cache["block_subgroups"] = [
-            lat.payload[node_of[chi]][0] for chi in ctx._cache["block_characters"]
-        ]
-    return ctx._cache["block_subgroups"]
+    block order.  For positive x and y, R(x + y) = R(x) v R(y), so a set of
+    blocks generates b_K with K the intersection of their K_i: the block
+    predicates are mask operations."""
+    lat = biprojection_lattice(ctx)
+    return [lat.payload[i][0] for i in _block_nodes(ctx)]
 
 
 def _w_cyclic_block(ctx: BoxContext) -> Optional[int]:
@@ -299,7 +302,7 @@ def _zz_violation(ctx: BoxContext) -> Optional[Tuple[int, int]]:
         w = ctx.kappa * z[i:] * z[i]
         resid = w - (w @ z.conj().T / norms) @ z
         scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None]
-        return bool(np.all(np.abs(resid) <= ctx.tol.zero * scale))
+        return bool(np.all(np.abs(resid) <= ZERO_TOL * scale))
 
     if all(row_central(i) for i in range(len(z))):
         return None
@@ -417,59 +420,62 @@ def _length_step_predicate(name: str) -> Callable[[FiniteLattice], bool]:
     return pred
 
 
-def _shortest_chain(ctx: BoxContext, pred: Callable[[FiniteLattice], bool]) -> int:
-    """Length of a shortest chain e1 = b_0 < ... < b_l = id whose every
-    step interval [b_i, b_i+1] of the biprojection lattice satisfies pred,
-    by breadth-first search; each step is tested at most once.  Cover
-    steps are 2-element intervals and satisfy all the step predicates used
-    here, so the top is always reachable."""
-    lat = biprojection_lattice(ctx)
-    dist = {lat.bottom: 0}
+def _shortest_chain(
+    lat: FiniteLattice, step: Callable[[int, np.ndarray], Iterable[int]]
+) -> int:
+    """Length of a shortest chain bottom = b_0 < ... < b_l = top of lat, by
+    breadth-first search.  step(a, fresh) returns the nodes of fresh (the
+    unvisited b > a, increasing) that one step from a reaches, so each pair
+    (a, b) is offered to it at most once.  Every step rule used here admits
+    a step up from any a below the top (cover steps are 2-element intervals,
+    and the blocks join to id), so the raise marks an internal error."""
+    dist = np.full(lat.n, -1)
+    dist[lat.bottom] = 0
     queue = deque([lat.bottom])
-    while queue:
+    while dist[lat.top] < 0:
+        if not queue:
+            raise BiprojectionCheckFailed("no admissible chain reaches the top")
         a = queue.popleft()
-        if a == lat.top:
-            return dist[a]
-        for b in range(lat.n):
-            if b != a and lat.leq[a, b] and b not in dist and pred(lat.interval(a, b)[0]):
-                dist[b] = dist[a] + 1
-                queue.append(b)
-    raise BiprojectionCheckFailed("no admissible chain reaches the top")
+        for b in step(a, np.flatnonzero(lat.leq[a] & (dist < 0))):
+            dist[b] = dist[a] + 1
+            queue.append(b)
+    return int(dist[lat.top])
 
 
-def wcl_generators(ctx: BoxContext, *, cap: int = 4) -> Union[int, Determination]:
+def wcl_generators(
+    ctx: BoxContext, *, cap: Optional[int] = None
+) -> Union[int, Determination]:
     """Minimal number of minimal central projections generating id.
 
-    Subsets are searched smallest-first; the answer past the cap is
-    NOT_DETERMINED.  The full set of blocks sums to id and therefore
-    always generates it, so with at most `cap` blocks the search cannot
-    miss."""
-    if ctx.dim == 1:
-        return 0  # id = e1 is the biprojection generated by the empty set
-    masks = [k.mask for k in _block_subgroups(ctx)]
-    for size in range(1, min(cap, len(masks)) + 1):
-        for combo in itertools.combinations(masks, size):
-            if np.array_equal(np.logical_and.reduce(combo), ctx.sub.mask):
-                return size
-    if len(masks) <= cap:
-        raise BiprojectionCheckFailed(
-            "the full set of minimal central projections failed to generate id"
-        )
-    return NOT_DETERMINED
+    A set of blocks generates the join of their biprojections b_{K_i}, and
+    a join of biprojections is an intersection of subgroups.  So the answer
+    is the distance from e1 to id when one step joins the current node with
+    one block node; the empty set generates e1, so H = G gives 0.  With a
+    cap, an answer past it is NOT_DETERMINED."""
+    lat = biprojection_lattice(ctx)
+    nodes = np.unique(_block_nodes(ctx))
+    wcl = _shortest_chain(lat, lambda a, fresh: np.intersect1d(fresh, lat.join[a, nodes]))
+    return NOT_DETERMINED if cap is not None and wcl > cap else wcl
 
 
 def lengths(
     ctx: BoxContext, which: Tuple[str, ...] = ("cl", "wcl", "dl")
 ) -> Dict[str, Union[int, Determination]]:
-    """Chain lengths by name: "wcl" via generator subsets, every other name
-    via shortest admissible chains ("cl", "dl", "tcl", "bcl", "tbl",
-    "bbl", and capped boolean forms like "tb4l" / "bb4l")."""
+    """Chain lengths by name, each a shortest chain e1 < ... < id of the
+    biprojection lattice: "wcl" steps by joining one block (see
+    wcl_generators), every other name ("cl", "dl", "tcl", "bcl", "tbl",
+    "bbl", and capped boolean forms like "tb4l" / "bb4l") to the b whose
+    step interval [a, b] satisfies its predicate.  No cap applies."""
+    lat = biprojection_lattice(ctx)
     out: Dict[str, Union[int, Determination]] = {}
     for name in which:
         if name == "wcl":
             out[name] = wcl_generators(ctx)
         else:
-            out[name] = _shortest_chain(ctx, _length_step_predicate(name))
+            pred = _length_step_predicate(name)
+            out[name] = _shortest_chain(
+                lat, lambda a, fresh: [b for b in fresh if pred(lat.interval(a, b)[0])]
+            )
     return out
 
 

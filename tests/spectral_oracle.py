@@ -41,7 +41,14 @@ from biprox.errors import (
     NotPositive,
     NumericRankAmbiguous,
 )
-from biprox.permgroup import FiniteGroup, Subgroup, require_nested, subgroup_generated
+from biprox.permgroup import (
+    SPLIT_RETRIES,
+    ZERO_TOL,
+    FiniteGroup,
+    Subgroup,
+    require_nested,
+    subgroup_generated,
+)
 
 
 def generate_biprojection_spectral(x: bx.BoxElement) -> bx.Biprojection:
@@ -64,7 +71,7 @@ def generate_biprojection_spectral(x: bx.BoxElement) -> bx.Biprojection:
     scale = float(np.abs(w).max())
     if scale == 0.0:
         raise NotPositive("cannot generate from the zero element")
-    if w.min() < -ctx.tol.zero * 10 * scale:
+    if w.min() < -ZERO_TOL * 10 * scale:
         raise NotPositive("element is not positive semidefinite")
 
     def op_normalized(coeffs: np.ndarray) -> np.ndarray:
@@ -102,7 +109,7 @@ def minimal_central_projections_spectral(
     center = bx._center_basis(ctx)
     z_dim = center.shape[0]
     id_vec = bx.id_element(ctx).coeffs
-    for attempt in range(ctx.tol.retries):
+    for attempt in range(SPLIT_RETRIES):
         rng = np.random.default_rng([seed, attempt, ctx.group.order, ctx.sub.order])
         combo = rng.standard_normal(z_dim) + 1j * rng.standard_normal(z_dim)
         c = combo @ center
@@ -125,7 +132,7 @@ def minimal_central_projections_spectral(
             continue
         return bx._canonical_projection_sort(projs)
     raise NumericRankAmbiguous(
-        f"could not split the center after {ctx.tol.retries} attempts"
+        f"could not split the center after {SPLIT_RETRIES} attempts"
     )
 
 
@@ -188,7 +195,7 @@ def compress_upper(ctx: BoxContext, k: Subgroup) -> Compression:
     Coefficient vectors transfer unchanged; products agree exactly and
     coproducts agree up to the positive scalar sqrt(|K|/|H|)."""
     require_nested(ctx.sub, k)
-    small = BoxContext(ctx.group, k, ctx.tol)
+    small = BoxContext(ctx.group, k)
 
     def into(x: BoxElement) -> BoxElement:
         if x.context != small:
@@ -215,7 +222,7 @@ def compress_lower(ctx: BoxContext, k: Subgroup) -> Compression:
     require_nested(ctx.sub, k)
     k_group = FiniteGroup(k.perms())
     h_mask = ctx.sub.mask[k.indices]
-    small = BoxContext(k_group, Subgroup(k_group, h_mask), ctx.tol)
+    small = BoxContext(k_group, Subgroup(k_group, h_mask))
 
     def into(x: BoxElement) -> BoxElement:
         if x.context != small:
@@ -228,7 +235,7 @@ def compress_lower(ctx: BoxContext, k: Subgroup) -> Compression:
         if x.context != ctx:
             raise ContextMismatch("element does not live in the ambient context")
         off = np.abs(x.coeffs[~k.mask]).max() if (~k.mask).any() else 0.0
-        if off > ctx.tol.zero * max(1.0, x.norm_max()):
+        if off > ZERO_TOL * max(1.0, x.norm_max()):
             raise ContextMismatch("element is not supported on K")
         return BoxElement(small, x.coeffs[k.indices])
 

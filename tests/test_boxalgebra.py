@@ -39,7 +39,7 @@ from biprox.errors import (
     NotTrivialH,
     NumericRankAmbiguous,
 )
-from biprox.permgroup import FiniteGroup, Subgroup, parse_cycles, subgroup_generated
+from biprox.permgroup import ZERO_TOL, FiniteGroup, Subgroup, parse_cycles, subgroup_generated
 from biprox.properties import dual_coproduct_center_basis
 from biprox import reference_tables as ref
 from spectral_oracle import (
@@ -633,7 +633,7 @@ def _is_dual_coproduct_central_per_basis(d: bx.DualElement) -> bool:
         e_c = bx.dual_basis_element(ctx, c)
         left = bx.dual_coproduct(d, e_c)
         right = bx.dual_coproduct(e_c, d)
-        if np.abs(left.coeffs - right.coeffs).max() > ctx.tol.zero * scale:
+        if np.abs(left.coeffs - right.coeffs).max() > ZERO_TOL * scale:
             return False
     return True
 

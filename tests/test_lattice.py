@@ -350,6 +350,8 @@ def test_induced_sublattice_requires_closure() -> None:
     lat = boolean_lattice(2)
     with pytest.raises(ValueError):
         lat.induced_sublattice([1, 2])  # missing meet and join
+    with pytest.raises(ValueError, match="join"):
+        lat.induced_sublattice([0, 1, 2])  # closed under meet, not under join
 
 
 # ------------------------------------------------------- product and stacking

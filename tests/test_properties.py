@@ -28,7 +28,7 @@ from biprox.boxalgebra import (
     minimal_projections_under,
     mul_dual,
 )
-from biprox.catalog import catalog_group
+from biprox.catalog import catalog_group, catalog_names
 from biprox.errors import BiprojectionCheckFailed, NotNested
 from biprox.interval import (
     Inclusion,
@@ -604,10 +604,32 @@ def test_lengths_elementary_abelian_rank_three():
 
 
 def test_chain_inequalities():
-    for name in ("S3", "Q8", "D8", "A4"):
+    for name in catalog_names():
         got = lengths(trivial_ctx(name), which=("cl", "wcl", "tcl", "tb4l"))
         assert got["wcl"] <= got["tcl"] <= got["cl"], name
         assert got["wcl"] <= got["tb4l"], name
+
+
+def _oracle_kernel_cover(group) -> int:
+    """The fewest irreducible characters whose kernels meet in {1}: read
+    each kernel off the character table (chi(g) = chi(1)), then intersect
+    level by level; level l holds every meet of l kernels, repeats allowed."""
+    table = group.character_table()
+    kernels = np.abs(table - table[:, [group.identity_index]]) < 1e-6
+    level, size = {np.ones(group.order, dtype=bool).tobytes()}, 0
+    while group.trivial_subgroup().mask.tobytes() not in level:
+        level = {(np.frombuffer(m, dtype=bool) & k).tobytes() for m in level for k in kernels}
+        size += 1
+    return size
+
+
+def test_wcl_is_the_fewest_kernels_meeting_in_the_identity():
+    # For H = {1} the block subgroup of chi is ker chi, so wcl(G, {1}) is the
+    # paper's representation count: the fewest irreducible representations
+    # whose kernels meet in {1}.
+    for name in catalog_names():
+        ctx = trivial_ctx(name)
+        assert wcl_generators(ctx) == _oracle_kernel_cover(ctx.group), name
 
 
 def test_trivial_context_lengths_and_report():
@@ -624,6 +646,7 @@ def test_wcl_not_determined_past_cap():
     g = group_closure(gens, name="elementary 32")
     ctx = BoxContext(g, g.trivial_subgroup())
     assert wcl_generators(ctx, cap=2) is NOT_DETERMINED
+    assert wcl_generators(ctx) == 5  # no cap by default
 
 
 def test_wcl_exact_on_rank_two():
