@@ -51,7 +51,7 @@ from .fusionring import fusion_report, load_fusion_file
 from .interval import Inclusion, core_quotient, inclusions_equivalent
 from .interval import isomorphism_carrying, pair_invariants
 from .lattice import boolean_rank, from_subgroups, is_distributive, is_modular
-from .permgroup import FiniteGroup, Subgroup, all_subgroups
+from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings
 from .properties import classify
 from .reference_tables import dual_coset_basis, run_reference_checks, s2_s4_context, s3_context
 
@@ -222,13 +222,7 @@ def cmd_lattice(args) -> int:
     rank = boolean_rank(lat)
     title = f"[{sub.generator_string()}, {group.label()}]"
     if args.format == "json":
-        covers = lat.covers()
-        edges = [
-            [int(a), int(b)]
-            for a in range(lat.n)
-            for b in range(lat.n)
-            if covers[a, b]
-        ]
+        edges = np.argwhere(lat.covers()).tolist()  # (a, b) pairs in row-major order
         _emit_json(
             {
                 "schema": SCHEMA,
@@ -326,6 +320,11 @@ def equivalence_classes(
     core quotient is built once and compared, within its invariant bucket,
     with the quotient held for each class's first member; a pair past the
     quotient cap is a class of its own."""
+    subs_by_group: Dict[int, List[Subgroup]] = {}
+    for _, inc in pairs:
+        subs_by_group.setdefault(id(inc.group), []).append(inc.sub)
+    for subs in subs_by_group.values():
+        generator_strings(subs)  # label each group's subgroups in one batch for the sort
     buckets: Dict[tuple, list] = {}  # key -> [(quotient or None, members)]
     for name, inc in sorted(pairs, key=_pair_sort_key):
         try:

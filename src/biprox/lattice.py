@@ -10,13 +10,14 @@ and verified to be an induced sublattice before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NotBoolean
-from .permgroup import FiniteGroup, Subgroup, interval_subgroups
+from .permgroup import FiniteGroup, Subgroup, generator_strings, interval_subgroups
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,16 @@ class FiniteLattice:
     # -- structure -------------------------------------------------------
 
     def covers(self) -> np.ndarray:
-        """Boolean matrix: covers()[i, j] iff j covers i."""
+        """Boolean matrix: covers()[i, j] iff j covers i.  Computed once per
+        lattice and read-only."""
+        return self._covers
+
+    @cached_property
+    def _covers(self) -> np.ndarray:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
-        through = (strict.astype(np.int32) @ strict.astype(np.int32)) > 0
-        return strict & ~through
+        cover = strict & ~_bool_product(strict, strict)
+        cover.setflags(write=False)
+        return cover
 
     def atoms(self) -> list[int]:
         return np.flatnonzero(self.covers()[self.bottom]).tolist()
@@ -195,6 +202,13 @@ def _check_infima(leq: np.ndarray, table: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not above every common lower bound")
 
 
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The boolean matrix product: [i, j] is whether a[i, k] and b[k, j]
+    for some k.  A float32 product runs in BLAS and is exact, since every
+    count is at most n < 2^24."""
+    return a.astype(np.float32) @ b.astype(np.float32) > 0
+
+
 def _check_partial_order(leq: np.ndarray) -> None:
     n = leq.shape[0]
     if leq.shape != (n, n):
@@ -203,8 +217,7 @@ def _check_partial_order(leq: np.ndarray) -> None:
         raise ValueError("order is not reflexive")
     if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
         raise ValueError("order is not antisymmetric")
-    reach = leq.astype(np.int32) @ leq.astype(np.int32) > 0
-    if np.any(reach & ~leq):
+    if np.any(_bool_product(leq, leq) & ~leq):
         raise ValueError("order is not transitive")
     if not np.any(leq.sum(axis=1) == n):
         raise ValueError("no bottom element")
@@ -223,10 +236,10 @@ def from_subgroups(group: FiniteGroup, h: Subgroup) -> FiniteLattice:
     masks = np.array([k.mask for k in nodes], dtype=np.int32)
     orders = np.array([k.order for k in nodes])
     leq = masks @ masks.T == orders[:, None]
-    labels = []
-    for k in nodes:
-        gens = k.generator_string()
-        labels.append(gens if len(gens) <= 28 else f"order {k.order}")
+    labels = [
+        gens if len(gens) <= 28 else f"order {k.order}"
+        for k, gens in zip(nodes, generator_strings(nodes))
+    ]
     return FiniteLattice.from_order(leq, labels, tuple(nodes))
 
 

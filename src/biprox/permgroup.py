@@ -10,8 +10,9 @@ Conventions
   The Cayley table composes rows and looks each product up by its byte key;
   ``elements``, the rows as ``Permutation`` objects, is built on demand.
 * Closure runs in batches: ``_close`` closes every row of a mask matrix at
-  once, so all cyclic subgroups are one batch, and the joins of a subgroup
-  with every cyclic subgroup outside it are another.
+  once.  ``all_subgroups`` closes one generation of joins per batch, in row
+  blocks of a fixed cell budget, and ``generating_sets`` takes one greedy
+  step for many subgroups per batch.
 * The A\\G/B double cosets are one label array: the least element of AgB
   for every g.
 * Per-subgroup results are cached on the parent by member set
@@ -423,12 +424,7 @@ class Subgroup:
     def generator_string(self) -> str:
         """Cycle notation for a small generating set (1-based, semicolons),
         cached on the parent by member set."""
-        labels = self.parent._generator_strings
-        key = self.key()
-        if key not in labels:
-            gens = generating_indices(self)
-            labels[key] = "; ".join(self.parent.elements[i].cycle_string() for i in gens) or "()"
-        return labels[key]
+        return generator_strings([self])[0]
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.label()})"
@@ -496,21 +492,63 @@ def subgroup_generated(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     return Subgroup(group, _close(group, mask, gens[None, :])[0])
 
 
+def generating_sets(group: FiniteGroup, subs: Sequence[Subgroup]) -> list[list[int]]:
+    """A small greedy generating list of element indices for each subgroup
+    of ``group`` in ``subs``, all computed together.
+
+    Each list is built greedily: step t gives every row not yet spanned its
+    first member outside its current span, by largest element order (which
+    keeps the list short for cyclic-ish groups) and then by index, and one
+    ``_close`` call then closes every row over its t + 1 generators."""
+    rank = np.lexsort((np.arange(group.order), -group.element_orders()))
+    targets = np.zeros((len(subs), group.order), dtype=bool)
+    for row, sub in enumerate(subs):
+        targets[row] = sub.mask
+    spans = np.zeros_like(targets)
+    spans[:, group.identity_index] = True
+    rows = np.arange(len(subs))
+    gens = np.zeros((len(subs), 0), dtype=np.int64)
+    out: list[list[int]] = [[] for _ in subs]
+    while True:
+        done = (spans == targets).all(axis=1)
+        for row, chosen in zip(rows[done].tolist(), gens[done].tolist()):
+            out[row] = chosen
+        rows, gens, targets, spans = rows[~done], gens[~done], targets[~done], spans[~done]
+        if not rows.size:
+            return out
+        pick = rank[(targets & ~spans)[:, rank].argmax(axis=1)]
+        spans[np.arange(rows.size), pick] = True
+        gens = np.column_stack([gens, pick])
+        _close(group, spans, gens)
+
+
 def generating_indices(sub: Subgroup) -> list[int]:
-    """A small (greedy) generating list of element indices for ``sub``."""
-    group = sub.parent
-    gens: list[int] = []
-    have = group.trivial_subgroup()
-    # Largest element order first keeps the list short for cyclic-ish groups.
-    orders = group.element_orders()
-    candidates = sorted(sub.indices.tolist(), key=lambda i: (-orders[i], i))
-    for i in candidates:
-        if have.order == sub.order:
-            break
-        if not have.mask[i]:
-            have = subgroup_generated(group, [*gens, i])
-            gens.append(i)
-    return gens
+    """A small (greedy) generating list of element indices for ``sub``: the
+    one-row case of ``generating_sets``."""
+    return generating_sets(sub.parent, [sub])[0]
+
+
+def generator_strings(subs: Sequence[Subgroup]) -> list[str]:
+    """``Subgroup.generator_string()`` of each subgroup in ``subs``, which
+    share one parent; the member sets not yet labelled on the parent are
+    labelled in one ``generating_sets`` batch."""
+    if not subs:
+        return []
+    group = subs[0].parent
+    if any(sub.parent is not group for sub in subs):
+        raise ValueError("generator_strings needs subgroups of one parent group")
+    labels = group._generator_strings
+    keys = [sub.key() for sub in subs]
+    todo = {key: sub for key, sub in zip(keys, subs) if key not in labels}
+    for key, gens in zip(todo, generating_sets(group, list(todo.values()))):
+        labels[key] = "; ".join(group.elements[i].cycle_string() for i in gens) or "()"
+    return [labels[key] for key in keys]
+
+
+# Mask cells (rows x |G|) that all_subgroups hands to one _close call: a
+# generation's seeds go through in row blocks of this size, so memory stays
+# flat however many seeds a generation has.
+_CLOSE_CELLS = 1 << 16
 
 
 def all_subgroups(
@@ -520,9 +558,16 @@ def all_subgroups(
 ) -> list[Subgroup]:
     """Every subgroup of ``group``, sorted by (order, bitset key).
 
-    Enumeration: all cyclic subgroups, then closure under joining with one
-    more cyclic subgroup, with a worklist. Exact for any finite group, since
-    every subgroup is the join of its cyclic subgroups; capped for desk scale.
+    Enumeration by generation, breadth first: generation k holds the
+    subgroups first reached as a join of k cyclic subgroups, and generation
+    k + 1 is read off the joins of each member of generation k with every
+    cyclic subgroup outside it.  A subgroup first reached at k + 1 is such
+    a join of a member of generation k, so this is exact for any finite
+    group, since every subgroup is the join of its cyclic subgroups; capped
+    for desk scale.  Each subgroup carries the generators it was reached
+    from, so a join closes over k + 1 generators rather than all its members,
+    and a generation's seeds are closed in row blocks of ``_CLOSE_CELLS``
+    mask cells.
     """
     if group.order > order_cap:
         raise OrderCapExceeded(
@@ -530,34 +575,39 @@ def all_subgroups(
         )
     if group._subgroups is not None and count_cap >= len(group._subgroups):
         return list(group._subgroups)
-    found: dict[bytes, Subgroup] = {}
-    # Each worklist entry carries the generators it was built from, so a
-    # join closes over a few generators rather than over all its members.
-    worklist: list[tuple[np.ndarray, Subgroup]] = []
-
-    def add_closures(masks: np.ndarray, gens: np.ndarray) -> None:
-        masks = _close(group, masks, gens)
-        for row, key in enumerate(np.packbits(masks, axis=1)):
-            key = key.tobytes()
-            if key in found:
-                continue
-            if len(found) >= count_cap:
-                raise SubgroupCapExceeded(f"more than {count_cap} subgroups")
-            found[key] = Subgroup(group, masks[row])
-            worklist.append((gens[row], found[key]))
-
-    # Row i of the first batch closes to <i>, row 0 (the identity) to {1}.
-    masks = np.eye(group.order, dtype=bool)
-    masks[:, group.identity_index] = True
-    add_closures(masks, np.arange(group.order)[:, None])
-    del worklist[0]  # the trivial group's joins are the cyclic subgroups
-    cyclic = np.array([gens[0] for gens, _ in worklist])
-    while worklist:
-        gens, current = worklist.pop()
-        outside = cyclic[~current.mask[cyclic]]
-        masks = np.tile(current.mask, (len(outside), 1))
-        masks[np.arange(len(outside)), outside] = True
-        add_closures(masks, np.column_stack([np.tile(gens, (len(outside), 1)), outside]))
+    block = max(1, _CLOSE_CELLS // group.order)
+    masks = np.zeros((1, group.order), dtype=bool)
+    masks[0, group.identity_index] = True
+    found = {np.packbits(masks[0]).tobytes(): Subgroup(group, masks[0])}
+    gens = np.zeros((1, 0), dtype=np.int64)
+    joins = np.arange(group.order)  # generation 1 joins {1} with every <g>
+    while len(masks):
+        # Seed (row, j) joins generation member `row` with <joins[j]> outside it.
+        seed_rows, seed_joins = np.nonzero(~masks[:, joins])
+        level_masks, level_gens = [], []
+        for start in range(0, seed_rows.size, block):
+            rows = seed_rows[start : start + block]
+            added = joins[seed_joins[start : start + block]]
+            block_masks = masks[rows]
+            block_masks[np.arange(rows.size), added] = True
+            block_gens = np.column_stack([gens[rows], added])
+            _close(group, block_masks, block_gens)
+            new = []
+            for row, key in enumerate(np.packbits(block_masks, axis=1)):
+                key = key.tobytes()
+                if key in found:
+                    continue
+                if len(found) >= count_cap:
+                    raise SubgroupCapExceeded(f"more than {count_cap} subgroups")
+                found[key] = Subgroup(group, block_masks[row])
+                new.append(row)
+            level_masks.append(block_masks[new])
+            level_gens.append(block_gens[new])
+        if not level_masks:  # only G itself, which has no join outside it
+            break
+        masks, gens = np.concatenate(level_masks), np.concatenate(level_gens)
+        if gens.shape[1] == 1:
+            joins = gens[:, 0]  # one generator per cyclic subgroup
     result = sorted(found.values(), key=lambda s: (s.order, s.key()))
     group._subgroups = result
     return list(result)

@@ -20,6 +20,7 @@ powers, and <x> = id is equivalent to the generated subgroup being H.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -395,26 +396,31 @@ def property_Z_tilde(ctx: BoxContext) -> bool:
 # -- chain lengths ------------------------------------------------------------
 
 
-def _length_step_predicate(name: str) -> Callable[[FiniteLattice], bool]:
-    """The predicate a step interval of the biprojection lattice must meet.
-    A "t" name looks at the step's top interval [meet of maximal
-    biprojections, top], a "b" name at its bottom interval [bottom, join
-    of atoms]; "c" asks for cyclic, "b<k>" for Boolean of rank <= k."""
+def _length_step_predicate(
+    name: str,
+    interval: Callable[[int, int], FiniteLattice],
+    distributive: Callable[[int, int], bool],
+) -> Callable[[int, int], bool]:
+    """The predicate a step interval [a, b] of the biprojection lattice must
+    meet, given the step interval and its distributivity by (a, b).  A "t"
+    name looks at the step's top interval [meet of maximal biprojections,
+    top], a "b" name at its bottom interval [bottom, join of atoms]; "c"
+    asks for cyclic, "b<k>" for Boolean of rank <= k."""
     if name == "cl":
-        return _lattice_cyclic
+        return lambda a, b: distributive(a, b) and _lattice_dedekind(interval(a, b))
     if name == "dl":
-        return lambda lat: is_distributive(lat)[0]
+        return distributive
     m = re.fullmatch(r"([tb])(c|b([1-9]\d*)?)l", name)
     if m is None:
         raise ValueError(f"unknown chain-length name: {name!r}")
     side, kind, digits = m.groups()
     part = FiniteLattice.top_interval if side == "t" else FiniteLattice.bottom_interval
     if kind == "c":
-        return lambda lat: _lattice_cyclic(part(lat)[0])
+        return lambda a, b: _lattice_cyclic(part(interval(a, b))[0])
     cap = int(digits) if digits else None
 
-    def pred(lat: FiniteLattice) -> bool:
-        rank = boolean_rank(part(lat)[0])
+    def pred(a: int, b: int) -> bool:
+        rank = boolean_rank(part(interval(a, b))[0])
         return rank is not None and (cap is None or rank <= cap)
 
     return pred
@@ -467,14 +473,18 @@ def lengths(
     "bbl", and capped boolean forms like "tb4l" / "bb4l") to the b whose
     step interval [a, b] satisfies its predicate.  No cap applies."""
     lat = biprojection_lattice(ctx)
+    # "cl" and "dl" test the same step intervals: build each one, and decide
+    # its distributivity, once per call.
+    interval = functools.cache(lambda a, b: lat.interval(a, b)[0])
+    distributive = functools.cache(lambda a, b: is_distributive(interval(a, b))[0])
     out: Dict[str, Union[int, Determination]] = {}
     for name in which:
         if name == "wcl":
             out[name] = wcl_generators(ctx)
         else:
-            pred = _length_step_predicate(name)
+            pred = _length_step_predicate(name, interval, distributive)
             out[name] = _shortest_chain(
-                lat, lambda a, fresh: [b for b in fresh if pred(lat.interval(a, b)[0])]
+                lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)]
             )
     return out
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biprox.permgroup
-from biprox.catalog import catalog_group, catalog_names, parse_subgroup_spec
+from biprox.catalog import catalog_group, catalog_names, parse_group_spec, parse_subgroup_spec
 from biprox.cli import subgroup_class_representatives
 from biprox.errors import DegreeMismatch, NotNested, OrderCapExceeded, SubgroupCapExceeded
 from biprox.permgroup import (
@@ -19,6 +19,8 @@ from biprox.permgroup import (
     double_coset_labels,
     double_cosets,
     generating_indices,
+    generating_sets,
+    generator_strings,
     group_closure,
     interval_subgroups,
     is_dedekind_interval,
@@ -228,6 +230,54 @@ def test_all_subgroups_counts(name, count):
         assert sub.mask[group.identity_index]
 
 
+def _subspace_count(p: int, n: int) -> int:
+    """Subspaces of F_p^n: the sum over k of the Gaussian binomials [n, k]_p."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (n - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+@pytest.mark.parametrize(
+    "spec,p,n",
+    [
+        ("perm:(1,2);(3,4);(5,6);(7,8);(9,10)", 2, 5),
+        ("perm:(1,2,3);(4,5,6);(7,8,9)", 3, 3),
+    ],
+)
+def test_elementary_abelian_subgroup_counts(spec, p, n):
+    # The subgroups of (Z/p)^n are the subspaces of F_p^n: E32 has 374, Z3^3 has 28.
+    assert len(all_subgroups(parse_group_spec(spec))) == _subspace_count(p, n)
+
+
+def test_all_subgroups_closes_one_block_per_generation(monkeypatch):
+    calls = []
+    real = biprox.permgroup._close
+
+    def recording_close(group, masks, gens):
+        calls.append((masks.shape, gens.shape[1]))
+        return real(group, masks, gens)
+
+    monkeypatch.setattr(biprox.permgroup, "_close", recording_close)
+    group = group_closure(parse_generators("(1,2); (1,2,3,4)"))  # nothing cached yet
+    keys = [s.key() for s in all_subgroups(group)]
+    assert len(keys) == SUBGROUP_COUNTS["S4"]
+    # Generation k closes its seeds over k generators in one call.
+    assert [k for _shape, k in calls] == list(range(1, len(calls) + 1))
+    assert all(rows * order <= biprox.permgroup._CLOSE_CELLS for (rows, order), _k in calls)
+    # A budget of 8 rows splits the generations into blocks, with the same result.
+    calls.clear()
+    monkeypatch.setattr(biprox.permgroup, "_CLOSE_CELLS", 8 * group.order)
+    group = group_closure(parse_generators("(1,2); (1,2,3,4)"))
+    assert [s.key() for s in all_subgroups(group)] == keys
+    assert len(calls) > calls[-1][1]  # more blocks than generations
+    assert all(rows <= 8 for (rows, _order), _k in calls)
+
+
 def test_all_subgroups_cap():
     with pytest.raises(SubgroupCapExceeded):
         all_subgroups(catalog_group("S4"), count_cap=10)
@@ -426,19 +476,52 @@ def test_generating_indices_generate():
 
 
 def test_generator_string_labels_each_member_set_once(monkeypatch):
-    calls = []
-    real = biprox.permgroup.generating_indices
+    labelled = []
+    real = biprox.permgroup.generating_sets
     monkeypatch.setattr(
-        biprox.permgroup, "generating_indices", lambda sub: calls.append(sub.key()) or real(sub)
+        biprox.permgroup,
+        "generating_sets",
+        lambda group, subs: labelled.extend(sub.key() for sub in subs) or real(group, subs),
     )
     group = group_closure(parse_generators("(1,2); (1,2,3,4)"))  # nothing cached yet
     subgroups = all_subgroups(group)
     labels = [sub.generator_string() for sub in subgroups]
     assert [sub.generator_string() for sub in subgroups] == labels
+    assert generator_strings(subgroups) == labels
     # A fresh Subgroup on the same member set reads the parent's label.
     copies = [parse_subgroup_spec(group, label) for label in labels]
     assert [copy.generator_string() for copy in copies] == labels
-    assert sorted(calls) == sorted(sub.key() for sub in subgroups)
+    assert sorted(labelled) == sorted(sub.key() for sub in subgroups)
+    with pytest.raises(ValueError, match="one parent"):
+        generator_strings([group.trivial_subgroup(), catalog_group("S3").trivial_subgroup()])
+
+
+def _sequential_generating_indices(sub) -> list[int]:
+    """The greedy generating list, one closure per step (the former
+    generating_indices, kept as an oracle)."""
+    group = sub.parent
+    gens: list[int] = []
+    have = group.trivial_subgroup()
+    orders = group.element_orders()
+    for i in sorted(sub.indices.tolist(), key=lambda i: (-orders[i], i)):
+        if have.order == sub.order:
+            break
+        if not have.mask[i]:
+            have = subgroup_generated(group, [*gens, i])
+            gens.append(i)
+    return gens
+
+
+def test_generating_sets_match_the_sequential_greedy_loop():
+    count = 0
+    for name in catalog_names():
+        group = catalog_group(name)
+        subs = all_subgroups(group)
+        assert generating_sets(group, subs) == [
+            _sequential_generating_indices(sub) for sub in subs
+        ], name
+        count += len(subs)
+    assert count == 1333
 
 
 def test_generator_strings_round_trip_on_the_catalog():
