@@ -154,32 +154,34 @@ def verify_axioms(ring: FusionRing) -> Dict[str, bool]:
 
 # -- Frobenius-Perron data ---------------------------------------------------
 
+# Relative convergence tolerance and step limit of the power iteration.
+_PERRON_TOL = 1e-12
+_PERRON_MAX_ITER = 200_000
 
-def _perron_value(m: np.ndarray, tol: float, max_iter: int) -> float:
+
+def _perron_value(m: np.ndarray) -> float:
     """Largest eigenvalue of a nonnegative integer matrix by power iteration
     on m + I (the shift breaks periodicity without moving the eigenvector)."""
     shifted = m.astype(np.float64) + np.eye(m.shape[0])
     v = np.ones(m.shape[0]) / math.sqrt(m.shape[0])
     prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(_PERRON_MAX_ITER):
         w = shifted @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v = w / norm
         val = float(v @ shifted @ v)
-        if abs(val - prev) <= tol * max(1.0, abs(val)):
+        if abs(val - prev) <= _PERRON_TOL * max(1.0, abs(val)):
             return val - 1.0
         prev = val
     raise NumericRankAmbiguous("power iteration did not converge")
 
 
-def fp_dimensions(ring: FusionRing, tol: float = 1e-12, max_iter: int = 200000) -> np.ndarray:
+def fp_dimensions(ring: FusionRing) -> np.ndarray:
     """Frobenius-Perron dimension of each basis element: the largest
     eigenvalue of its fusion matrix."""
-    return np.array(
-        [_perron_value(ring.matrix(i), tol, max_iter) for i in range(ring.rank)]
-    )
+    return np.array([_perron_value(ring.matrix(i)) for i in range(ring.rank)])
 
 
 # -- subrings ----------------------------------------------------------------

@@ -98,20 +98,21 @@ def dual_ore_conditions(inc: Inclusion) -> DualOreReport:
 
 # ------------------------------------------------------- equivalence classing
 
+# Largest core quotient that equivalence classing builds.
+QUOTIENT_CAP = 200
 
-def core_quotient(
-    inc: Inclusion, quotient_cap: int = 200
-) -> tuple[FiniteGroup, Subgroup]:
+
+def core_quotient(inc: Inclusion) -> tuple[FiniteGroup, Subgroup]:
     """(G/core_G(H), image of H), the invariant pair behind equivalence: G on
     the left cosets of H (kernel core_G(H)) and the stabilizer of the coset H.
-    QuotientOrderCapExceeded is raised before building one past the cap."""
+    QuotientOrderCapExceeded is raised before building one past QUOTIENT_CAP."""
     group = inc.group
     first = group.cayley[:, inc.sub.indices].min(axis=1)  # the least element of gH
     reps, coset_of = np.unique(first, return_inverse=True)
     images = np.unique(coset_of[group.cayley[:, reps]], axis=0)
-    if len(images) > quotient_cap:
+    if len(images) > QUOTIENT_CAP:
         raise QuotientOrderCapExceeded(
-            f"core quotient of order {len(images)} exceeds cap {quotient_cap}"
+            f"core quotient of order {len(images)} exceeds cap {QUOTIENT_CAP}"
         )
     quotient = FiniteGroup(images)
     home = coset_of[group.identity_index]
@@ -137,9 +138,9 @@ def pair_invariants(g: FiniteGroup, h: Subgroup) -> tuple:
     return _group_invariants(g) + (h.order, h.is_normal(), h_orders)
 
 
-def equivalence_key(inc: Inclusion, quotient_cap: int = 200) -> tuple:
+def equivalence_key(inc: Inclusion) -> tuple:
     """Hashable invariant of the equivalence class (prefilter/bucketing)."""
-    return pair_invariants(*core_quotient(inc, quotient_cap))
+    return pair_invariants(*core_quotient(inc))
 
 
 def isomorphism_carrying(
@@ -225,12 +226,10 @@ def isomorphism_carrying(
     return search(0, phi0)
 
 
-def inclusions_equivalent(
-    a: Inclusion, b: Inclusion, quotient_cap: int = 200
-) -> bool:
+def inclusions_equivalent(a: Inclusion, b: Inclusion) -> bool:
     """Whether the core quotients are isomorphic as pairs (group, subgroup)."""
-    q1, img1 = core_quotient(a, quotient_cap)
-    q2, img2 = core_quotient(b, quotient_cap)
+    q1, img1 = core_quotient(a)
+    q2, img2 = core_quotient(b)
     if pair_invariants(q1, img1) != pair_invariants(q2, img2):
         return False
     return isomorphism_carrying(q1, img1, q2, img2)

@@ -191,14 +191,18 @@ def _infima(leq: np.ndarray, name: str) -> np.ndarray:
 
 
 def _check_infima(leq: np.ndarray, table: np.ndarray, name: str) -> None:
-    """Raise ValueError unless table[i, j] is the infimum of i and j."""
+    """Raise ValueError unless table[i, j] is the infimum of i and j in the
+    partial order ``leq``."""
     idx = np.arange(leq.shape[0])
     if not np.all(table[idx, idx] == idx):
         raise ValueError(f"{name} of an element with itself is not that element")
     if not (np.all(leq[table, idx[:, None]]) and np.all(leq[table, idx[None, :]])):
         raise ValueError(f"{name} is not a lower bound of its arguments")
-    lower = leq[:, :, None] & leq[:, None, :]          # (x, i, j)
-    if not np.all(lower <= leq[:, table]):
+    # The common lower bounds of i and j include the down-set of the lower
+    # bound table[i, j]; they all lie below it exactly when the counts agree.
+    # A float32 product counts them in BLAS and n^2 memory, exactly (n < 2^24).
+    below = leq.astype(np.float32)
+    if not np.array_equal(below.T @ below, below.sum(axis=0)[table]):
         raise ValueError(f"{name} is not above every common lower bound")
 
 
@@ -233,7 +237,8 @@ def from_subgroups(group: FiniteGroup, h: Subgroup) -> FiniteLattice:
     iff |K & L| = |K|; meets (intersections) and joins (generated
     subgroups) are the infima and suprema of that order."""
     nodes = interval_subgroups(h, group)
-    masks = np.array([k.mask for k in nodes], dtype=np.int32)
+    # float32 runs in BLAS and is exact: every count is at most |G| < 2^24.
+    masks = np.array([k.mask for k in nodes], dtype=np.float32)
     orders = np.array([k.order for k in nodes])
     leq = masks @ masks.T == orders[:, None]
     labels = [
@@ -390,38 +395,16 @@ def complement(lat: FiniteLattice, b: int) -> int:
     return hits[0]
 
 
-def boolean_rank(lat: FiniteLattice, max_rank: int = 12) -> Optional[int]:
-    """The rank n if the lattice is isomorphic to the subsets of an n-set."""
-    atoms = lat.atoms()
-    k = len(atoms)
-    if lat.n != 2**k or k > max_rank:
-        return None
-    if not is_distributive(lat)[0]:
-        return None
-    # Every element must be the join of the atoms below it, bijectively.
-    seen = {}
-    for subset in range(2**k):
-        x = lat.bottom
-        for bit in range(k):
-            if subset >> bit & 1:
-                x = int(lat.join[x, atoms[bit]])
-        atom_set = frozenset(a for a in atoms if lat.leq[a, x])
-        expect = frozenset(atoms[bit] for bit in range(k) if subset >> bit & 1)
-        if atom_set != expect or x in seen:
-            return None
-        seen[x] = subset
-    if len(seen) != lat.n:
-        return None
-    # Complementedness follows, but check one sample to be explicit.
-    for x in range(lat.n):
-        comp = seen[x] ^ (2**k - 1)
-        y = lat.bottom
-        for bit in range(k):
-            if comp >> bit & 1:
-                y = int(lat.join[y, atoms[bit]])
-        if lat.meet[x, y] != lat.bottom or lat.join[x, y] != lat.top:
-            return None
-    return k
+def boolean_rank(lat: FiniteLattice) -> Optional[int]:
+    """The rank k if the lattice is isomorphic to the subsets of a k-set,
+    else None.  By Birkhoff's representation theorem a finite distributive
+    lattice is the lattice of down-sets of its join-irreducibles; with k
+    atoms among them it has 2^k elements exactly when the atoms are all of
+    them, i.e. when it is Boolean of rank k."""
+    k = len(lat.atoms())
+    if lat.n == 2**k and is_distributive(lat)[0]:
+        return k
+    return None
 
 
 # -- constructors ------------------------------------------------------------

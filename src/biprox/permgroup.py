@@ -551,11 +551,7 @@ def generator_strings(subs: Sequence[Subgroup]) -> list[str]:
 _CLOSE_CELLS = 1 << 16
 
 
-def all_subgroups(
-    group: FiniteGroup,
-    count_cap: int = DEFAULT_SUBGROUP_CAP,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> list[Subgroup]:
+def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of ``group``, sorted by (order, bitset key).
 
     Enumeration by generation, breadth first: generation k holds the
@@ -563,17 +559,18 @@ def all_subgroups(
     k + 1 is read off the joins of each member of generation k with every
     cyclic subgroup outside it.  A subgroup first reached at k + 1 is such
     a join of a member of generation k, so this is exact for any finite
-    group, since every subgroup is the join of its cyclic subgroups; capped
-    for desk scale.  Each subgroup carries the generators it was reached
-    from, so a join closes over k + 1 generators rather than all its members,
-    and a generation's seeds are closed in row blocks of ``_CLOSE_CELLS``
-    mask cells.
+    group, since every subgroup is the join of its cyclic subgroups.  Each
+    subgroup carries the generators it was reached from, so a join closes
+    over k + 1 generators rather than all its members, and a generation's
+    seeds are closed in row blocks of ``_CLOSE_CELLS`` mask cells.  Computed
+    once per group; past DEFAULT_ORDER_CAP elements or DEFAULT_SUBGROUP_CAP
+    subgroups it raises OrderCapExceeded or SubgroupCapExceeded.
     """
-    if group.order > order_cap:
+    if group.order > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(
-            f"|G| = {group.order} exceeds the enumeration cap {order_cap}"
+            f"|G| = {group.order} exceeds the enumeration cap {DEFAULT_ORDER_CAP}"
         )
-    if group._subgroups is not None and count_cap >= len(group._subgroups):
+    if group._subgroups is not None:
         return list(group._subgroups)
     block = max(1, _CLOSE_CELLS // group.order)
     masks = np.zeros((1, group.order), dtype=bool)
@@ -597,8 +594,8 @@ def all_subgroups(
                 key = key.tobytes()
                 if key in found:
                     continue
-                if len(found) >= count_cap:
-                    raise SubgroupCapExceeded(f"more than {count_cap} subgroups")
+                if len(found) >= DEFAULT_SUBGROUP_CAP:
+                    raise SubgroupCapExceeded(f"more than {DEFAULT_SUBGROUP_CAP} subgroups")
                 found[key] = Subgroup(group, block_masks[row])
                 new.append(row)
             level_masks.append(block_masks[new])

@@ -19,13 +19,12 @@ powers, and <x> = id is equivalent to the generated subgroup being H.
 
 from __future__ import annotations
 
-import enum
 import functools
 import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,8 +58,6 @@ from .permgroup import (
 )
 
 __all__ = [
-    "NOT_DETERMINED",
-    "Determination",
     "ClassificationReport",
     "ImplicationResult",
     "classify",
@@ -82,15 +79,6 @@ __all__ = [
     "w_plus_cyclic",
     "wcl_generators",
 ]
-
-
-class Determination(enum.Enum):
-    """Explicit marker for capped searches that did not conclude."""
-
-    NOT_DETERMINED = "not_determined"
-
-
-NOT_DETERMINED = Determination.NOT_DETERMINED
 
 
 # -- w-cyclicity ------------------------------------------------------------
@@ -448,36 +436,32 @@ def _shortest_chain(
     return int(dist[lat.top])
 
 
-def wcl_generators(
-    ctx: BoxContext, *, cap: Optional[int] = None
-) -> Union[int, Determination]:
-    """Minimal number of minimal central projections generating id.
+def wcl_generators(ctx: BoxContext) -> int:
+    """Minimal number of minimal central projections generating id, exactly.
 
     A set of blocks generates the join of their biprojections b_{K_i}, and
     a join of biprojections is an intersection of subgroups.  So the answer
     is the distance from e1 to id when one step joins the current node with
-    one block node; the empty set generates e1, so H = G gives 0.  With a
-    cap, an answer past it is NOT_DETERMINED."""
+    one block node; the empty set generates e1, so H = G gives 0."""
     lat = biprojection_lattice(ctx)
     nodes = np.unique(_block_nodes(ctx))
-    wcl = _shortest_chain(lat, lambda a, fresh: np.intersect1d(fresh, lat.join[a, nodes]))
-    return NOT_DETERMINED if cap is not None and wcl > cap else wcl
+    return _shortest_chain(lat, lambda a, fresh: np.intersect1d(fresh, lat.join[a, nodes]))
 
 
 def lengths(
     ctx: BoxContext, which: Tuple[str, ...] = ("cl", "wcl", "dl")
-) -> Dict[str, Union[int, Determination]]:
-    """Chain lengths by name, each a shortest chain e1 < ... < id of the
-    biprojection lattice: "wcl" steps by joining one block (see
-    wcl_generators), every other name ("cl", "dl", "tcl", "bcl", "tbl",
-    "bbl", and capped boolean forms like "tb4l" / "bb4l") to the b whose
-    step interval [a, b] satisfies its predicate.  No cap applies."""
+) -> Dict[str, int]:
+    """Chain lengths by name, each the exact length of a shortest chain
+    e1 < ... < id of the biprojection lattice: "wcl" steps by joining one
+    block (see wcl_generators), every other name ("cl", "dl", "tcl", "bcl",
+    "tbl", "bbl", and rank-bounded Boolean forms like "tb4l" / "bb4l") to
+    the b whose step interval [a, b] satisfies its predicate."""
     lat = biprojection_lattice(ctx)
     # "cl" and "dl" test the same step intervals: build each one, and decide
     # its distributivity, once per call.
     interval = functools.cache(lambda a, b: lat.interval(a, b)[0])
     distributive = functools.cache(lambda a, b: is_distributive(interval(a, b))[0])
-    out: Dict[str, Union[int, Determination]] = {}
+    out: Dict[str, int] = {}
     for name in which:
         if name == "wcl":
             out[name] = wcl_generators(ctx)
@@ -496,7 +480,7 @@ def lengths(
 class ClassificationReport:
     """All classification predicates of one context, with witnesses.
 
-    sum_bound is exact; lengths values are ints or NOT_DETERMINED."""
+    sum_bound and every lengths value are exact."""
 
     context: str
     group_order: int
@@ -512,12 +496,9 @@ class ClassificationReport:
     w_cyclic_dual: bool
     sum_bound: Fraction
     witnesses: Dict[str, object]
-    lengths: Dict[str, Union[int, Determination]]
+    lengths: Dict[str, int]
 
     def to_json_dict(self) -> dict:
-        def enc(v: object) -> object:
-            return v.value if isinstance(v, Determination) else v
-
         return {
             "context": self.context,
             "group_order": self.group_order,
@@ -533,7 +514,7 @@ class ClassificationReport:
             "w_cyclic_dual": self.w_cyclic_dual,
             "sum_bound": str(self.sum_bound),
             "witnesses": {k: self.witnesses[k] for k in sorted(self.witnesses)},
-            "lengths": {k: enc(v) for k, v in self.lengths.items()},
+            "lengths": dict(self.lengths),
         }
 
 

@@ -271,11 +271,12 @@ def test_equivalence_key_buckets() -> None:
     assert equivalence_key(make("Z4")) != equivalence_key(make("E4"))
 
 
-def test_quotient_cap() -> None:
+def test_quotient_cap(monkeypatch) -> None:
+    monkeypatch.setattr(biprox.interval, "QUOTIENT_CAP", 10)
     with pytest.raises(QuotientOrderCapExceeded):
-        inclusions_equivalent(make("S4"), make("S4"), quotient_cap=10)
+        inclusions_equivalent(make("S4"), make("S4"))
     with pytest.raises(QuotientOrderCapExceeded):
-        equivalence_key(make("S4"), quotient_cap=10)
+        equivalence_key(make("S4"))
 
 
 # ---------------------------------------------------------- linear primitivity
@@ -312,7 +313,8 @@ def test_quotient_cap_checked_before_building_the_quotient(monkeypatch) -> None:
         raise AssertionError("a quotient group was built past the cap")
 
     monkeypatch.setattr(biprox.interval, "FiniteGroup", refuse)
+    monkeypatch.setattr(biprox.interval, "QUOTIENT_CAP", 100)
     with pytest.raises(QuotientOrderCapExceeded):
-        equivalence_key(make("S5"), quotient_cap=100)
+        equivalence_key(make("S5"))
     with pytest.raises(QuotientOrderCapExceeded):
-        inclusions_equivalent(make("S5"), make("S5"), quotient_cap=100)
+        inclusions_equivalent(make("S5"), make("S5"))

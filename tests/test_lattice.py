@@ -13,11 +13,14 @@ Oracle values in this file were derived independently:
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from biprox.catalog import catalog_group
+from biprox.cli import enumerate_pairs
 from biprox.errors import NotBoolean
 from biprox.lattice import (
     FiniteLattice,
@@ -110,6 +113,13 @@ def test_from_order_names_a_missing_meet() -> None:
 
 
 def test_validate_raises_value_error_on_corrupt_meet() -> None:
+    # A lower bound that is not the greatest one.
+    b3 = boolean_lattice(3)
+    meet = b3.meet.copy()
+    meet[6, 7] = meet[7, 6] = 0  # claims 110 ∧ 111 = 000, below 110
+    with pytest.raises(ValueError, match="meet is not above every common lower bound"):
+        dataclasses.replace(b3, meet=meet).validate()
+    b3.validate()
     lat = diamond_m3()
     meet = lat.meet.copy()
     meet[1, 2] = meet[2, 1] = 1  # claims a ∧ b = a, but a is not below b
@@ -304,6 +314,67 @@ def test_boolean_rank_values() -> None:
     assert boolean_rank(divisor_lattice(12)) is None
 
 
+def _boolean_rank_by_subsets(lat: FiniteLattice) -> int | None:
+    """Boolean rank by enumeration (the former ``boolean_rank``, kept as the
+    oracle): every element must be the join of the atoms below it,
+    bijectively over the 2^k atom subsets, and complemented."""
+    atoms = lat.atoms()
+    k = len(atoms)
+    if lat.n != 2**k or not is_distributive(lat)[0]:
+        return None
+    seen = {}
+    for subset in range(2**k):
+        x = lat.bottom
+        for bit in range(k):
+            if subset >> bit & 1:
+                x = int(lat.join[x, atoms[bit]])
+        atom_set = frozenset(a for a in atoms if lat.leq[a, x])
+        expect = frozenset(atoms[bit] for bit in range(k) if subset >> bit & 1)
+        if atom_set != expect or x in seen:
+            return None
+        seen[x] = subset
+    if len(seen) != lat.n:
+        return None
+    for x in range(lat.n):
+        comp = seen[x] ^ (2**k - 1)
+        y = lat.bottom
+        for bit in range(k):
+            if comp >> bit & 1:
+                y = int(lat.join[y, atoms[bit]])
+        if lat.meet[x, y] != lat.bottom or lat.join[x, y] != lat.top:
+            return None
+    return k
+
+
+def _boolean_rank_cases() -> list[FiniteLattice]:
+    """Every catalog interval lattice with its top and bottom intervals,
+    every interval of those with at most 32 nodes, and the factory
+    families under products and stacking."""
+    cases = []
+    for _name, inc in enumerate_pairs():
+        lat = inc.lattice
+        cases += [lat, lat.top_interval()[0], lat.bottom_interval()[0]]
+        if lat.n <= 32:
+            cases += [lat.interval(a, b)[0] for a, b in zip(*np.nonzero(lat.leq))]
+    small = [chain(0), chain(1), chain(2), chain(3), diamond_m3(), pentagon_n5()]
+    small += [boolean_lattice(k) for k in range(4)]
+    cases += [divisor_lattice(n) for n in range(1, 121)]
+    cases += [direct_product(a, b) for a, b in itertools.product(small, repeat=2)]
+    cases += [concatenate(a, b) for a, b in itertools.product(small, repeat=2)]
+    cases += [direct_product(boolean_lattice(3), divisor_lattice(n)) for n in (6, 30, 210)]
+    return cases
+
+
+def test_boolean_rank_matches_subset_enumeration() -> None:
+    # Birkhoff's count (distributive, 2^k elements for k atoms) must agree
+    # with the explicit atom-subset bijection on every lattice in reach.
+    cases = _boolean_rank_cases()
+    ranks = [boolean_rank(lat) for lat in cases]
+    assert ranks == [_boolean_rank_by_subsets(lat) for lat in cases]
+    assert len(cases) > 5000
+    assert {r for r in ranks if r is not None} >= {0, 1, 2, 3, 4, 5, 6}
+
+
 def test_complement() -> None:
     lat = boolean_lattice(3)
     # labels are binary subset strings; complement must be the bitwise flip
@@ -412,6 +483,20 @@ def test_to_dot() -> None:
 def test_validate_interval_lattices() -> None:
     for name in ["S3", "Z6", "Q8", "A4"]:
         interval(name).validate()
+
+
+def test_validate_memory_is_quadratic() -> None:
+    # n = 384: an (x, i, j) cube for the bound test would be n^3 = 57 MB of
+    # booleans per array; validate() must stay far below one.
+    lat = direct_product(boolean_lattice(5), divisor_lattice(72))
+    assert lat.n == 384
+    tracemalloc.start()
+    try:
+        lat.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def _pairwise_closure_tables(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:

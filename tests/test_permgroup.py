@@ -278,9 +278,11 @@ def test_all_subgroups_closes_one_block_per_generation(monkeypatch):
     assert all(rows <= 8 for (rows, _order), _k in calls)
 
 
-def test_all_subgroups_cap():
+def test_all_subgroups_cap(monkeypatch):
+    # A fresh S4: the catalog's copy keeps its subgroup list once enumerated.
+    monkeypatch.setattr(biprox.permgroup, "DEFAULT_SUBGROUP_CAP", 10)
     with pytest.raises(SubgroupCapExceeded):
-        all_subgroups(catalog_group("S4"), count_cap=10)
+        all_subgroups(FiniteGroup(catalog_group("S4").images))
 
 
 def test_all_subgroups_deterministic_under_element_order():

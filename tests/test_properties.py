@@ -48,7 +48,6 @@ from biprox.permgroup import (
     parse_generators,
 )
 from biprox.properties import (
-    NOT_DETERMINED,
     _block_subgroups,
     _f2_violation,
     _interval_blocks,
@@ -238,18 +237,16 @@ def _oracle_f2_violation(ctx):
     return None
 
 
-def _oracle_wcl(ctx, cap=4):
+def _oracle_wcl(ctx):
+    """Fewest blocks generating id, over every subset of the blocks."""
     if ctx.dim == 1:
         return 0
     projs = minimal_central_projections(ctx)
-    limit = min(cap, len(projs))
-    for size in range(1, limit + 1):
+    for size in range(1, len(projs) + 1):
         for combo in itertools.combinations(range(len(projs)), size):
             if generate_from_set([projs[i] for i in combo]).subgroup == ctx.sub:
                 return size
-    if len(projs) <= cap:
-        raise AssertionError("the full set of blocks failed to generate id")
-    return NOT_DETERMINED
+    raise AssertionError("the full set of blocks failed to generate id")
 
 
 _BLOCK_CONTEXTS = [
@@ -283,8 +280,7 @@ def test_block_predicates_match_per_set_generation(ctx_factory):
         assert np.array_equal(witness.coeffs, found[1].coeffs)
     assert _z_violation(ctx) == _oracle_z_violation(ctx)
     assert _f2_violation(ctx) == _oracle_f2_violation(ctx)
-    for cap in (1, 2, 4):
-        assert wcl_generators(ctx, cap=cap) == _oracle_wcl(ctx, cap=cap)
+    assert wcl_generators(ctx) == _oracle_wcl(ctx)
 
 
 def _stated_f2_violation(ks):
@@ -642,11 +638,12 @@ def test_trivial_context_lengths_and_report():
 
 
 def test_wcl_not_determined_past_cap():
+    # E32/{1}: every block kernel has index 2, so id needs five blocks; the
+    # search has no cap, and the answer is an int.
     gens = parse_generators("(1,2);(3,4);(5,6);(7,8);(9,10)")
     g = group_closure(gens, name="elementary 32")
     ctx = BoxContext(g, g.trivial_subgroup())
-    assert wcl_generators(ctx, cap=2) is NOT_DETERMINED
-    assert wcl_generators(ctx) == 5  # no cap by default
+    assert wcl_generators(ctx) == 5
 
 
 def test_wcl_exact_on_rank_two():
