@@ -48,7 +48,7 @@ from .errors import (
     TheoremViolation,
 )
 from .fusionring import fusion_report, load_fusion_file
-from .interval import Inclusion, core_quotient, inclusions_equivalent
+from .interval import Inclusion, action_quotient, coset_action, inclusions_equivalent
 from .interval import isomorphism_carrying, pair_invariants
 from .lattice import boolean_rank, from_subgroups, is_distributive, is_modular
 from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings
@@ -316,31 +316,41 @@ def equivalence_classes(
     pairs: Sequence[Tuple[str, Inclusion]]
 ) -> List[List[Tuple[str, Inclusion]]]:
     """Partition by inclusion equivalence; classes and members are sorted
-    canonically so the result is independent of input order.  Each pair's
-    core quotient is built once and compared, within its invariant bucket,
-    with the quotient held for each class's first member; a pair past the
-    quotient cap is a class of its own."""
+    canonically so the result is independent of input order.  Pairs are
+    keyed by their coset action (``coset_action``): a pair whose action was
+    already seen joins that action's class, since equal actions give equal
+    core quotients.  The quotient of each distinct action is built once and
+    compared, within its invariant bucket, with the quotient held for each
+    class's first member; a pair past the quotient cap is a class of its
+    own."""
     subs_by_group: Dict[int, List[Subgroup]] = {}
     for _, inc in pairs:
         subs_by_group.setdefault(id(inc.group), []).append(inc.sub)
     for subs in subs_by_group.values():
         generator_strings(subs)  # label each group's subgroups in one batch for the sort
-    buckets: Dict[tuple, list] = {}  # key -> [(quotient or None, members)]
-    for name, inc in sorted(pairs, key=_pair_sort_key):
+    # Pairs go in sorted order, so classes are created sorted by first member.
+    classes: List[List[Tuple[str, Inclusion]]] = []
+    by_action: Dict[tuple, list] = {}  # (degree, home, row bytes) -> class members
+    buckets: Dict[tuple, list] = {}  # pair invariants -> [(quotient, members)]
+    for item in sorted(pairs, key=_pair_sort_key):
         try:
-            quotient = core_quotient(inc)
-            key = pair_invariants(*quotient)
+            rows, home = coset_action(item[1])
         except _CAP_ERRORS:
-            quotient, key = None, ("cap", inc.group.order, inc.sub.order)
-        held = buckets.setdefault(key, [])
-        for rep, members in held:
-            if quotient is not None and isomorphism_carrying(*quotient, *rep):
-                members.append((name, inc))
-                break
-        else:
-            held.append((quotient, [(name, inc)]))
-    classes = [members for held in buckets.values() for _, members in held]
-    classes.sort(key=lambda cls: _pair_sort_key(cls[0]))
+            classes.append([item])
+            continue
+        action = (rows.shape[1], home, rows.tobytes())
+        if action not in by_action:
+            quotient = action_quotient(rows, home)
+            held = buckets.setdefault(pair_invariants(*quotient), [])
+            for rep, members in held:
+                if isomorphism_carrying(*quotient, *rep):
+                    break
+            else:
+                members = []
+                held.append((quotient, members))
+                classes.append(members)
+            by_action[action] = members
+        by_action[action].append(item)
     return classes
 
 

@@ -102,21 +102,36 @@ def dual_ore_conditions(inc: Inclusion) -> DualOreReport:
 QUOTIENT_CAP = 200
 
 
-def core_quotient(inc: Inclusion) -> tuple[FiniteGroup, Subgroup]:
-    """(G/core_G(H), image of H), the invariant pair behind equivalence: G on
-    the left cosets of H (kernel core_G(H)) and the stabilizer of the coset H.
-    QuotientOrderCapExceeded is raised before building one past QUOTIENT_CAP."""
+def coset_action(inc: Inclusion) -> tuple[np.ndarray, int]:
+    """G acting on the left cosets of H: the sorted distinct image rows, one
+    per element of G/core_G(H), and the home point, the coset H itself.
+    QuotientOrderCapExceeded is raised past QUOTIENT_CAP rows."""
     group = inc.group
     first = group.cayley[:, inc.sub.indices].min(axis=1)  # the least element of gH
     reps, coset_of = np.unique(first, return_inverse=True)
-    images = np.unique(coset_of[group.cayley[:, reps]], axis=0)
-    if len(images) > QUOTIENT_CAP:
+    rows = np.ascontiguousarray(coset_of[group.cayley[:, reps]], dtype=">i4")
+    # Big-endian bytes sort like the rows, as FiniteGroup._keys.
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    _, distinct = np.unique(keys, return_index=True)
+    if len(distinct) > QUOTIENT_CAP:
         raise QuotientOrderCapExceeded(
-            f"core quotient of order {len(images)} exceeds cap {QUOTIENT_CAP}"
+            f"core quotient of order {len(distinct)} exceeds cap {QUOTIENT_CAP}"
         )
-    quotient = FiniteGroup(images)
-    home = coset_of[group.identity_index]
+    return rows[distinct].astype(np.int32), int(coset_of[group.identity_index])
+
+
+def action_quotient(rows: np.ndarray, home: int) -> tuple[FiniteGroup, Subgroup]:
+    """The group of the action ``rows`` and the stabilizer of ``home``."""
+    quotient = FiniteGroup(rows)
     return quotient, quotient.subgroup_from_mask(quotient.images[:, home] == home)
+
+
+def core_quotient(inc: Inclusion) -> tuple[FiniteGroup, Subgroup]:
+    """(G/core_G(H), image of H), the invariant pair behind equivalence: the
+    group of ``coset_action(inc)`` (G on the left cosets of H, kernel
+    core_G(H)) and the stabilizer of the coset H.  QuotientOrderCapExceeded
+    is raised before building one past QUOTIENT_CAP."""
+    return action_quotient(*coset_action(inc))
 
 
 def _group_invariants(g: FiniteGroup) -> tuple:

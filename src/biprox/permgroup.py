@@ -7,7 +7,8 @@ Conventions
 * A ``FiniteGroup`` is its array of image rows, ``images``, sorted
   lexicographically, which makes Cayley tables, subgroup bitsets, and
   everything built on top of them reproducible across runs and platforms.
-  The Cayley table composes rows and looks each product up by its byte key;
+  The Cayley table composes rows and looks the products up by their byte
+  keys, one block of rows per lookup;
   ``elements``, the rows as ``Permutation`` objects, is built on demand.
 * Closure runs in batches: ``_close`` closes every row of a mask matrix at
   once.  ``all_subgroups`` closes one generation of joins per batch, in row
@@ -50,6 +51,12 @@ AMBIGUOUS_BAND = (1e-10, 1e-6)
 RANK_REL_TOL = 1e-8
 CLUSTER_GAP = 1e-6
 SPLIT_RETRIES = 8
+
+# Array cells of one batched step: all_subgroups closes a generation's seeds
+# in row blocks of this many mask cells (rows x |G|), and a Cayley table is
+# looked up in row blocks of this many product image entries (rows x |G| x
+# degree), so memory stays flat however large the group or the generation.
+_CLOSE_CELLS = 1 << 16
 
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)")
 
@@ -189,10 +196,14 @@ class FiniteGroup:
         big = images.astype(">i4")
         self._keys = big.view(f"V{4 * self.degree}").ravel()
         cayley = np.empty((self.order, self.order), dtype=np.int32)
-        for i, row in enumerate(big):
-            cayley[i], closed = self._find(row[images])
+        block = max(1, _CLOSE_CELLS // (self.order * self.degree))
+        for start in range(0, self.order, block):
+            # Entry (i, j) of a block is the row of p_i * p_j, p_i[p_j]; take
+            # gathers it C-contiguous, so _find views it with no copy.
+            found, closed = self._find(np.take(big[start : start + block], images, axis=1))
             if not closed.all():
                 raise ValueError("element list is not closed under products")
+            cayley[start : start + block] = found.reshape(-1, self.order)
         cayley.setflags(write=False)
         self.cayley = cayley
         self.identity_index = 0  # closed, so it holds the least row (0, 1, ..., degree - 1)
@@ -543,12 +554,6 @@ def generator_strings(subs: Sequence[Subgroup]) -> list[str]:
     for key, gens in zip(todo, generating_sets(group, list(todo.values()))):
         labels[key] = "; ".join(group.elements[i].cycle_string() for i in gens) or "()"
     return [labels[key] for key in keys]
-
-
-# Mask cells (rows x |G|) that all_subgroups hands to one _close call: a
-# generation's seeds go through in row blocks of this size, so memory stays
-# flat however many seeds a generation has.
-_CLOSE_CELLS = 1 << 16
 
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:

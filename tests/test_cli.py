@@ -8,6 +8,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from biprox.catalog import catalog_group
@@ -19,6 +20,13 @@ from biprox.cli import (
     subgroup_class_representatives,
     survey,
     survey_csv,
+)
+from biprox.interval import (
+    Inclusion,
+    coset_action,
+    core_quotient,
+    inclusions_equivalent,
+    pair_invariants,
 )
 
 KAC_FILE = Path(__file__).resolve().parents[1] / "src" / "biprox" / "data" / "kac210.txt"
@@ -268,25 +276,81 @@ def test_survey_classes_independent_of_input_order() -> None:
     assert merged, "expected S3 and D3 inclusions to share classes"
 
 
+def _action_key(rows, home) -> tuple:
+    return rows.shape[1], home, rows.tobytes()
+
+
 def test_equivalence_classes_build_each_core_quotient_once(monkeypatch) -> None:
     import biprox.cli
     import biprox.interval
 
     built = []
-    original = biprox.interval.core_quotient
+    original = biprox.interval.action_quotient
 
-    def counted(inc, *args, **kwargs):
-        built.append(inc)
-        return original(inc, *args, **kwargs)
+    def counted(rows, home):
+        built.append(_action_key(rows, home))
+        return original(rows, home)
 
-    # Both bindings: equivalence_key and inclusions_equivalent build through
-    # the interval module's name.
-    monkeypatch.setattr(biprox.interval, "core_quotient", counted)
-    monkeypatch.setattr(biprox.cli, "core_quotient", counted, raising=False)
+    monkeypatch.setattr(biprox.interval, "action_quotient", counted)
+    monkeypatch.setattr(biprox.cli, "action_quotient", counted)
     pairs = enumerate_pairs(names=["Z4", "Z6", "S3", "D3", "Z12", "E4"], max_index=6)
+    actions = {_action_key(*coset_action(inc)) for _, inc in pairs}
     classes = equivalence_classes(pairs)
     assert len(classes) < len(pairs)  # some pairs were compared and merged
-    assert sorted(map(id, built)) == sorted(id(inc) for _, inc in pairs)
+    assert len(actions) < len(pairs)  # S3 and D3 repeat each other's actions
+    # One quotient per distinct coset action, none built twice.
+    assert sorted(built) == sorted(actions)
+
+
+def _closure_of_pairwise_equivalence(pairs) -> list:
+    """Connected components of the pairwise inclusions_equivalent graph, as
+    sets of pair positions.  Equal index is necessary for an edge, since an
+    isomorphism of pairs maps the image of H onto the image of H."""
+    parent = list(range(len(pairs)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a in range(len(pairs)):
+        for b in range(a + 1, len(pairs)):
+            inc_a, inc_b = pairs[a][1], pairs[b][1]
+            if inc_a.index == inc_b.index and inclusions_equivalent(inc_a, inc_b):
+                parent[root(b)] = root(a)
+    components: dict = {}
+    for i in range(len(pairs)):
+        components.setdefault(root(i), set()).add(i)
+    return sorted(map(frozenset, components.values()), key=min)
+
+
+def test_equivalence_classes_are_the_closure_of_pairwise_equivalence(monkeypatch) -> None:
+    import functools
+
+    import biprox.interval
+
+    pairs = enumerate_pairs(max_order=24)
+    actions = {_action_key(*coset_action(inc)) for _, inc in pairs}
+    assert len(actions) < len(pairs)  # the slice repeats coset actions
+    position = {id(inc): i for i, (_, inc) in enumerate(pairs)}
+    classes = equivalence_classes(pairs)
+    got = sorted((frozenset(position[id(inc)] for _, inc in cls) for cls in classes), key=min)
+    # The oracle compares every pair once; memoized quotients keep it fast.
+    monkeypatch.setattr(biprox.interval, "core_quotient", functools.cache(core_quotient))
+    monkeypatch.setattr(biprox.interval, "pair_invariants", functools.cache(pair_invariants))
+    assert got == _closure_of_pairwise_equivalence(pairs)
+
+
+def test_equivalence_classes_keep_capped_pairs_apart(monkeypatch) -> None:
+    import biprox.interval
+
+    s3, d3 = catalog_group("S3"), catalog_group("D3")
+    pairs = [("S3", Inclusion(s3, s3.trivial_subgroup())), ("D3", Inclusion(d3, d3.trivial_subgroup()))]
+    a, b = (coset_action(inc) for _, inc in pairs)
+    assert a[1] == b[1] and np.array_equal(a[0], b[0])  # one action of order 6
+    assert [len(cls) for cls in equivalence_classes(pairs)] == [2]
+    monkeypatch.setattr(biprox.interval, "QUOTIENT_CAP", 5)
+    assert [[name for name, _ in cls] for cls in equivalence_classes(pairs)] == [["D3"], ["S3"]]
 
 
 def test_survey_rows_independent_of_jobs() -> None:

@@ -23,6 +23,7 @@ from biprox.interval import (
     DualOreReport,
     Inclusion,
     core_quotient,
+    coset_action,
     dual_ore_conditions,
     equivalence_key,
     inclusions_equivalent,
@@ -262,6 +263,21 @@ def test_equivalence_is_transitive_spot() -> None:
     assert inclusions_equivalent(a, b)
     assert inclusions_equivalent(b, c)
     assert inclusions_equivalent(a, c)
+
+
+def test_coset_action_is_g_on_the_cosets_of_h() -> None:
+    # Oracle: the cosets as member sets, each named by its least element, and
+    # each element's row read off where it sends the sorted cosets.
+    for name, inc in enumerate_pairs(max_order=24):
+        cayley, members = inc.group.cayley, inc.sub.indices
+        names = sorted({int(cayley[g, members].min()) for g in range(inc.group.order)})
+        point = {rep: k for k, rep in enumerate(names)}
+        every = [[point[int(cayley[cayley[g, rep], members].min())] for rep in names]
+                 for g in range(inc.group.order)]
+        rows, home = coset_action(inc)
+        assert rows.tolist() == sorted(map(list, set(map(tuple, every)))), name
+        assert home == point[int(members.min())], name
+        assert [list(r) for r in core_quotient(inc)[0].images] == rows.tolist(), name
 
 
 def test_equivalence_key_buckets() -> None:

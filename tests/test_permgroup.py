@@ -143,7 +143,7 @@ def _array_layer_groups():
         yield name, group_closure(parse_generators(gens), name=name)
 
 
-def test_cayley_table_is_the_permutation_product():
+def test_cayley_table_is_the_permutation_product(monkeypatch):
     # Every entry, against Permutation multiplication: the group axioms alone
     # would also pass for the table of another group of the same order.
     rng = np.random.default_rng(1)
@@ -156,6 +156,30 @@ def test_cayley_table_is_the_permutation_product():
         for i, j in pairs:
             assert group.cayley[i, j] == group.index_of(elements[i] * elements[j]), name
         assert [list(e.images) for e in elements] == group.images.tolist()
+        # Each lookup stays within the entry budget (a row past it goes alone),
+        # and in blocks of 3 rows (the last one shorter when 3 does not divide
+        # the order) the table is the same.
+        lookups = []
+        real_find = FiniteGroup._find
+
+        def recording_find(self, rows):
+            lookups.append(rows.size)
+            return real_find(self, rows)
+
+        monkeypatch.setattr(FiniteGroup, "_find", recording_find)
+        FiniteGroup(group.images)
+        assert max(lookups) <= max(biprox.permgroup._CLOSE_CELLS, n * group.degree), name
+        monkeypatch.setattr(biprox.permgroup, "_CLOSE_CELLS", 3 * n * group.degree)
+        assert np.array_equal(FiniteGroup(group.images).cayley, group.cayley), name
+        monkeypatch.undo()
+    # Rows 0 and 1, the identity and (2,3), map this list to itself; row 2,
+    # (1,2), is the first with a product outside it: (1,2)(2,3) = (1,2,3).
+    rows = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1]]
+    assert FiniteGroup(np.array(rows)[:2]).order == 2
+    for block_rows in (1, 2, 4):
+        monkeypatch.setattr(biprox.permgroup, "_CLOSE_CELLS", block_rows * len(rows) * 3)
+        with pytest.raises(ValueError, match="not closed"):
+            FiniteGroup(np.array(rows))
 
 
 def test_inverse_and_element_orders_match_a_power_loop():
