@@ -14,6 +14,7 @@ import numpy as np
 from biprox.boxalgebra import (
     BoxContext,
     biprojection_lattice,
+    element_bK,
     generate_biprojection,
     minimal_central_projections,
     minimal_projections_under,
@@ -32,9 +33,9 @@ modular, _ = is_modular(lat)
 print(f"[H, G] for H = <(12)> in S4 has {lat.n} elements; "
       f"distributive: {dist} (witness sublattice {dist_witness}), modular: {modular}")
 print("\nbiprojections b_K (trace = |H| / |K|):")
-for k, b in lat.payload:
+for k in lat.payload:
     print(f"  |K| = {k.order:2d}  generators {k.generator_string():24s} "
-          f"tr(b_K) = {trace(b).real:.4f}")
+          f"tr(b_K) = {trace(element_bK(ctx, k)).real:.4f}")
 
 # generate from a minimal projection: the smallest biprojection above it
 blocks = minimal_central_projections(ctx)

@@ -21,8 +21,6 @@ from .permgroup import (
     core,
     group_closure,
     is_normal_intermediate,
-    maximal_subgroups_over,
-    minimal_overgroups,
     parse_cycles,
     parse_generators,
     subgroup_generated,
@@ -42,8 +40,6 @@ __all__ = [
     "core",
     "group_closure",
     "is_normal_intermediate",
-    "maximal_subgroups_over",
-    "minimal_overgroups",
     "parse_cycles",
     "parse_generators",
     "subgroup_generated",

@@ -28,34 +28,30 @@ from .errors import (
     BiprojectionCheckFailed,
     ContextMismatch,
     NotABiprojection,
-    NotNested,
     NotPositive,
     NotTrivialH,
     NumericRankAmbiguous,
 )
-from .lattice import FiniteLattice, from_subgroups
+from .interval import Inclusion
+from .lattice import FiniteLattice
 from .permgroup import (
     AMBIGUOUS_BAND,
-    CLUSTER_GAP,
-    RANK_REL_TOL,
     SPLIT_RETRIES,
     ZERO_TOL,
     FiniteGroup,
     Subgroup,
     double_coset_labels,
-    is_normal_intermediate,
     require_nested,
 )
 
 
-class BoxContext:
-    """Immutable context for the 2-box space of H <= G."""
+class BoxContext(Inclusion):
+    """Immutable context for the 2-box space of H <= G: the inclusion, with
+    its nesting check, ``index`` and interval ``lattice``, plus the caches
+    of the algebra built on it."""
 
     def __init__(self, group: FiniteGroup, sub: Subgroup):
-        if sub.parent is not group:
-            raise NotNested("subgroup does not live inside the given group")
-        self.group = group
-        self.sub = sub
+        super().__init__(group, sub)
         self.delta = math.sqrt(group.order / sub.order)
         self.kappa = math.sqrt(group.order * sub.order)
         self._cache: dict = {}
@@ -448,7 +444,7 @@ def _range_projection_vec(ctx: BoxContext, coeffs: np.ndarray) -> tuple[np.ndarr
         raise NumericRankAmbiguous(
             "eigenvalue inside the ambiguity band; rank cannot be trusted"
         )
-    keep = rel > RANK_REL_TOL
+    keep = rel > AMBIGUOUS_BAND[0]
     vp = v[:, keep]
     proj = vp @ vp.conj().T
     return proj[:, ctx.group.identity_index].copy(), int(keep.sum())
@@ -504,35 +500,12 @@ def is_biprojection(p: BoxElement, strict: bool = True) -> Optional[Subgroup]:
     return k
 
 
-def is_normal_biprojection(p: BoxElement) -> bool:
-    """Normality of b_K, decided group-theoretically (HgK = KgH).
-
-    For trivial H the decision is cross-checked numerically: b_K is normal
-    iff it is central and its Fourier image is central for the dual
-    coproduct; a mismatch raises instead of returning a guess.
-    """
-    k = is_biprojection(p)
-    if k is None:
-        raise NotABiprojection("element is not of the form b_K")
-    normal = is_normal_intermediate(p.context.sub, k, p.context.group)
-    if p.context.sub.order == 1:
-        numeric = is_central(p) and is_dual_coproduct_central(fourier(p))
-        if numeric != normal:
-            raise BiprojectionCheckFailed(
-                "group-side and numeric normality disagree for b_K"
-            )
-    return normal
-
-
 def biprojection_lattice(ctx: BoxContext) -> FiniteLattice:
-    """Lattice of biprojections: the subgroup interval [H,G], order-reversed
-    (b_K <= b_L iff L <= K); payload pairs (Subgroup, BoxElement)."""
+    """Lattice of biprojections: ``ctx.lattice``, the subgroup interval
+    [H, G], order-reversed (b_K <= b_L iff L <= K), with the same Subgroup
+    payload.  The biprojection of a node K is ``element_bK(ctx, K)``."""
     if "biplattice" not in ctx._cache:
-        lat = from_subgroups(ctx.group, ctx.sub).reverse()
-        payload = tuple((k, element_bK(ctx, k)) for k in lat.payload)
-        ctx._cache["biplattice"] = FiniteLattice(
-            lat.n, lat.leq, lat.meet, lat.join, lat.bottom, lat.top, lat.labels, payload
-        )
+        ctx._cache["biplattice"] = ctx.lattice.reverse()
     return ctx._cache["biplattice"]
 
 
@@ -577,16 +550,6 @@ def generate_biprojection(x: BoxElement) -> Biprojection:
     return Biprojection(bk, k)
 
 
-def generate_from_set(xs: Sequence[BoxElement]) -> Biprojection:
-    """<S> = <sum of S> for a set of positive elements."""
-    if not xs:
-        raise NotPositive("cannot generate from an empty set")
-    total = xs[0]
-    for x in xs[1:]:
-        total = total + x
-    return generate_biprojection(total)
-
-
 # ------------------------------------------------------ center and minimality
 
 
@@ -614,10 +577,6 @@ def _center_basis(ctx: BoxContext) -> np.ndarray:
     center = vh[null] @ d
     ctx._cache["center"] = center
     return center
-
-
-def center_dimension(ctx: BoxContext) -> int:
-    return _center_basis(ctx).shape[0]
 
 
 def center_basis_elements(ctx: BoxContext) -> list[BoxElement]:
@@ -652,16 +611,6 @@ def is_minimal(p: BoxElement) -> bool:
     return int((rel > AMBIGUOUS_BAND[1]).sum()) == 1
 
 
-def central_support(p: BoxElement) -> BoxElement:
-    """Smallest central projection z with z.p = p."""
-    ctx = p.context
-    total = np.zeros(ctx.group.order, dtype=np.complex128)
-    for j in range(ctx.dim):
-        dj = BoxElement(ctx, ctx.basis_matrix[j])
-        total += mul(mul(dj, p), star(dj)).coeffs
-    return range_projection(BoxElement(ctx, total))
-
-
 def _spectral_split(ctx: BoxContext, coeffs: np.ndarray) -> list[np.ndarray]:
     """Split a self-adjoint element into spectral projections by eigenvalue
     clustering, dropping the structural kernel."""
@@ -672,13 +621,13 @@ def _spectral_split(ctx: BoxContext, coeffs: np.ndarray) -> list[np.ndarray]:
     v_sorted = v[:, order]
     boundaries = [0]
     for i in range(1, len(w_sorted)):
-        if w_sorted[i] - w_sorted[i - 1] > CLUSTER_GAP * scale:
+        if w_sorted[i] - w_sorted[i - 1] > AMBIGUOUS_BAND[1] * scale:
             boundaries.append(i)
     boundaries.append(len(w_sorted))
     clusters = []
     for a, b in zip(boundaries[:-1], boundaries[1:]):
         mean = float(np.mean(w_sorted[a:b]))
-        if abs(mean) <= CLUSTER_GAP * scale:
+        if abs(mean) <= AMBIGUOUS_BAND[1] * scale:
             continue  # structural kernel
         block = v_sorted[:, a:b]
         proj = block @ block.conj().T

@@ -50,7 +50,7 @@ from .errors import (
 from .fusionring import fusion_report, load_fusion_file
 from .interval import Inclusion, action_quotient, coset_action, inclusions_equivalent
 from .interval import isomorphism_carrying, pair_invariants
-from .lattice import boolean_rank, from_subgroups, is_distributive, is_modular
+from .lattice import boolean_rank, is_distributive, is_modular
 from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings
 from .properties import classify
 from .reference_tables import dual_coset_basis, run_reference_checks, s2_s4_context, s3_context
@@ -94,7 +94,6 @@ def _context_from_args(args) -> Tuple[FiniteGroup, Subgroup, BoxContext]:
 def cmd_analyze(args) -> int:
     group, sub, ctx = _context_from_args(args)
     lat = biprojection_lattice(ctx)  # [H, G] reversed; each figure below is reversal-invariant
-    distributive, _ = is_distributive(lat)
     modular, _ = is_modular(lat)
     report = classify(ctx)
     out = {
@@ -108,7 +107,7 @@ def cmd_analyze(args) -> int:
         "interval": {
             "size": lat.n,
             "height": lat.height(),
-            "distributive": distributive,
+            "distributive": report.distributive,
             "modular": modular,
             "boolean_rank": boolean_rank(lat),
         },
@@ -215,8 +214,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    group, sub, _ = _context_from_args(args)
-    lat = from_subgroups(group, sub)
+    group, sub, ctx = _context_from_args(args)
+    lat = ctx.lattice
     distributive, _ = is_distributive(lat)
     modular, _ = is_modular(lat)
     rank = boolean_rank(lat)

@@ -23,7 +23,6 @@ from .permgroup import (
     center_subgroup,
     derived_subgroup,
     generating_indices,
-    interval_subgroups,
     is_dedekind_interval,
 )
 
@@ -65,10 +64,12 @@ class DualOreReport:
 
 def is_H_cyclic(inc: Inclusion) -> Optional[int]:
     """First element g (in canonical element order) with <H, g> = G: the
-    least element in no proper subgroup containing H (the identity if H = G)."""
+    least element in no coatom of ``inc.lattice``, since every proper
+    member of [H, G] lies under a maximal one (the identity if H = G)."""
+    lat = inc.lattice
     covered = np.zeros(inc.group.order, dtype=bool)
-    for k in interval_subgroups(inc.sub, inc.group)[:-1]:  # all but G itself
-        covered |= k.mask
+    for c in lat.coatoms():
+        covered |= lat.payload[c].mask
     outside = np.flatnonzero(~covered)
     return int(outside[0]) if outside.size else None
 

@@ -43,13 +43,12 @@ DEFAULT_ORDER_CAP = 400
 DEFAULT_SUBGROUP_CAP = 20_000
 
 # Numeric policy: the absolute zero tolerance on unit-normalized data, the
-# band of relative gaps that can be neither trusted nor ignored, the relative
-# rank cutoff of range projections, the eigenvalue cluster gap of spectral
-# splits and the number of draws minimal_projections_under makes.
+# band of relative gaps that can be neither trusted nor ignored (a range
+# projection keeps the eigenvalues above the band, and a spectral split
+# cuts clusters at its upper end) and the number of draws
+# minimal_projections_under makes.
 ZERO_TOL = 1e-9
 AMBIGUOUS_BAND = (1e-10, 1e-6)
-RANK_REL_TOL = 1e-8
-CLUSTER_GAP = 1e-6
 SPLIT_RETRIES = 8
 
 # Array cells of one batched step: all_subgroups closes a generation's seeds
@@ -684,19 +683,6 @@ def interval_subgroups(h: Subgroup, group: FiniteGroup) -> list[Subgroup]:
     """All K with H <= K <= G, sorted by (order, bitset key)."""
     require_nested(h, group.full_subgroup())
     return [s for s in all_subgroups(group) if h <= s]
-
-
-def minimal_overgroups(h: Subgroup, group: FiniteGroup) -> list[Subgroup]:
-    """Atoms of the interval [H, G]."""
-    interval = [s for s in interval_subgroups(h, group) if h < s]
-    return [s for s in interval if not any(t < s for t in interval)]
-
-
-def maximal_subgroups_over(h: Subgroup, group: FiniteGroup) -> list[Subgroup]:
-    """Coatoms of the interval [H, G]."""
-    full = group.full_subgroup()
-    interval = [s for s in interval_subgroups(h, group) if s < full]
-    return [s for s in interval if not any(s < t for t in interval)]
 
 
 # -- abstract groups ---------------------------------------------------------

@@ -37,6 +37,7 @@ from .boxalgebra import (
     center_basis_elements,
     collapse_dual,
     coproduct,
+    element_bK,
     id_element,
     is_central,
     is_dual_coproduct_central,
@@ -47,7 +48,7 @@ from .boxalgebra import (
     range_projection,
 )
 from .errors import BiprojectionCheckFailed, TheoremViolation
-from .interval import Inclusion, is_H_cyclic
+from .interval import is_H_cyclic
 from .lattice import FiniteLattice, boolean_rank, is_distributive
 from .permgroup import (
     ZERO_TOL,
@@ -93,7 +94,7 @@ def _interval_blocks(lat: FiniteLattice) -> Tuple[np.ndarray, np.ndarray]:
     b_M.z_psi = z_psi exactly when the M-fixed and the inner-fixed vectors
     of the psi-isotypic part agree, i.e. when <psi|_M, 1> = <psi|_inner, 1>.
     Those M are closed under joins, so the block generates the largest."""
-    subs = [k for k, _elem in lat.payload]
+    subs = lat.payload
     masks = np.array([k.mask for k in subs], dtype=float)
     orders = masks.sum(axis=1)
     fixed = subs[lat.bottom].character_table() @ masks.T / orders  # <psi|_M, 1>
@@ -120,7 +121,7 @@ def _interval_w_cyclic(lat: FiniteLattice) -> bool:
 def _interval_z(lat: FiniteLattice) -> bool:
     """(Z) on a biprojection-lattice interval: every block generates a
     central b_M, i.e. inner.g.M = M.g.inner for every g in outer."""
-    subs = [k for k, _elem in lat.payload]
+    subs = lat.payload
     members = [subs[m] for m in np.unique(_interval_blocks(lat)[1])]
     return is_dedekind_interval(subs[lat.top], subs[lat.bottom], members)
 
@@ -142,7 +143,7 @@ def _block_subgroups(ctx: BoxContext) -> List[Subgroup]:
     blocks generates b_K with K the intersection of their K_i: the block
     predicates are mask operations."""
     lat = biprojection_lattice(ctx)
-    return [lat.payload[i][0] for i in _block_nodes(ctx)]
+    return [lat.payload[i] for i in _block_nodes(ctx)]
 
 
 def _w_cyclic_block(ctx: BoxContext) -> Optional[int]:
@@ -179,23 +180,24 @@ def is_w_cyclic_dual(ctx: BoxContext) -> Optional[int]:
     cosets inside <H, C>, so dual w-cyclicity is Ore's H-cyclicity, and
     the first such C holds the first g with <H, g> = G.
     """
-    g = is_H_cyclic(Inclusion(ctx.group, ctx.sub))
+    g = is_H_cyclic(ctx)
     return None if g is None else int(ctx.coset_of[g])
 
 
 # -- lattice-level predicates -------------------------------------------------
 
 
-def maximal_biprojections(ctx: BoxContext) -> List[Tuple[Subgroup, BoxElement]]:
-    """Coatoms of the biprojection lattice: b_K for K a minimal overgroup of H."""
-    lat = biprojection_lattice(ctx)
-    return [lat.payload[i] for i in lat.coatoms()]
+def maximal_biprojections(ctx: BoxContext) -> List[Subgroup]:
+    """The K of the coatoms b_K of the biprojection lattice: the minimal
+    overgroups of H, the atoms of ``ctx.lattice``, in node order."""
+    lat = ctx.lattice
+    return [lat.payload[i] for i in lat.atoms()]
 
 
 def _lattice_dedekind(lat: FiniteLattice) -> bool:
     """Dedekind on a biprojection lattice or one of its intervals: its top
     is b_inner, its bottom b_outer, and every member b_K must be normal."""
-    subs = [k for k, _elem in lat.payload]
+    subs = lat.payload
     return is_dedekind_interval(subs[lat.top], subs[lat.bottom], subs)
 
 
@@ -218,13 +220,10 @@ def w_plus_cyclic(ctx: BoxContext) -> bool:
     """True when the range of the sum of the maximal biprojections stays
     strictly below id, i.e. some nonzero projection is orthogonal to every
     proper biprojection."""
-    pairs = maximal_biprojections(ctx)
-    if not pairs:
+    bs = [element_bK(ctx, k) for k in maximal_biprojections(ctx)]
+    if not bs:
         return True  # H = G: the empty sum leaves all of id
-    total = pairs[0][1]
-    for _k, elem in pairs[1:]:
-        total = total + elem
-    return not range_projection(total).isclose(id_element(ctx))
+    return not range_projection(sum(bs[1:], bs[0])).isclose(id_element(ctx))
 
 
 def sum_bound(ctx: BoxContext) -> Fraction:
@@ -233,7 +232,7 @@ def sum_bound(ctx: BoxContext) -> Fraction:
     [id : b_K] is the index [K : H], so each term is |H|/|K|.
     """
     total = Fraction(0)
-    for k, _elem in maximal_biprojections(ctx):
+    for k in maximal_biprojections(ctx):
         total += Fraction(ctx.sub.order, k.order)
     return total
 
@@ -249,7 +248,7 @@ def lw_rw_cyclic(ctx: BoxContext, k: Subgroup) -> Dict[str, bool]:
     """
     require_nested(ctx.sub, k)
     lat = biprojection_lattice(ctx)
-    node = next(i for i, (s, _elem) in enumerate(lat.payload) if s == k)
+    node = lat.payload.index(k)
     return {
         "lw": _interval_w_cyclic(lat.interval(node, lat.top)[0]),
         "rw": _interval_w_cyclic(lat.interval(lat.bottom, node)[0]),
@@ -549,9 +548,7 @@ def classify(
         "z_violation_block": z_bad,
         "zz_violation_pair": None if zz_bad is None else list(zz_bad),
         "f2_violation_pair": None if f2_bad is None else list(f2_bad),
-        "maximal_subgroup_orders": sorted(
-            k.order for k, _elem in maximal_biprojections(ctx)
-        ),
+        "maximal_subgroup_orders": sorted(k.order for k in maximal_biprojections(ctx)),
     }
     return ClassificationReport(
         context=f"{ctx.group.label()} over subgroup of order {ctx.sub.order}",

@@ -29,6 +29,7 @@ from biprox.boxalgebra import (
     coproduct,
     dual_coproduct,
     e1,
+    element_bK,
     expand_dual,
     generate_biprojection,
     id_element,
@@ -86,8 +87,7 @@ def _proj(ctx: BoxContext, rng: np.random.Generator) -> BoxElement:
 
 def _bip(ctx: BoxContext, rng: np.random.Generator) -> BoxElement:
     payload = biprojection_lattice(ctx).payload
-    _k, elem = payload[int(rng.integers(len(payload)))]
-    return elem
+    return element_bK(ctx, payload[int(rng.integers(len(payload)))])
 
 
 def _sub_projection(ctx: BoxContext, rng: np.random.Generator, b: BoxElement) -> BoxElement:

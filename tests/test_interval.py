@@ -30,7 +30,7 @@ from biprox.interval import (
     is_H_cyclic,
     ore_verify,
 )
-from biprox.permgroup import parse_cycles, subgroup_generated
+from biprox.permgroup import interval_subgroups, parse_cycles, subgroup_generated
 
 
 def make(group_name: str, *cycles: str) -> Inclusion:
@@ -134,6 +134,24 @@ def test_h_cyclic_matches_closure_search() -> None:
     pairs += [Inclusion(g, g.full_subgroup()) for g in groups]
     for inc in pairs:
         assert is_H_cyclic(inc) == _h_cyclic_by_closure(inc), inc
+
+
+def _h_cyclic_by_member_scan(inc: Inclusion):
+    """The least element in no proper member of [H, G], OR-ing the masks of
+    every member (the former is_H_cyclic, kept as an oracle)."""
+    covered = np.zeros(inc.group.order, dtype=bool)
+    for k in interval_subgroups(inc.sub, inc.group)[:-1]:  # all but G itself
+        covered |= k.mask
+    outside = np.flatnonzero(~covered)
+    return int(outside[0]) if outside.size else None
+
+
+def test_h_cyclic_coatoms_match_member_scan() -> None:
+    pairs = [inc for _, inc in enumerate_pairs()]
+    groups = {id(inc.group): inc.group for inc in pairs}.values()
+    pairs += [Inclusion(g, g.full_subgroup()) for g in groups]
+    for inc in pairs:
+        assert is_H_cyclic(inc) == _h_cyclic_by_member_scan(inc), inc
 
 
 # ------------------------------------------------------------------ reports

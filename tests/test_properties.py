@@ -9,20 +9,20 @@ from fractions import Fraction
 import itertools
 import json
 import random
+import sys
 import numpy as np
 import pytest
 
-from biprox import properties
+from biprox import permgroup, properties
 from biprox.boxalgebra import (
     BoxContext,
     biprojection_lattice,
     coproduct,
+    element_bK,
     generate_biprojection,
-    generate_from_set,
     is_central,
     is_dual_coproduct_central,
     is_minimal,
-    is_normal_biprojection,
     is_projection,
     minimal_central_projections,
     minimal_projections_under,
@@ -42,8 +42,8 @@ from biprox.permgroup import (
     Subgroup,
     all_subgroups,
     group_closure,
+    interval_subgroups,
     is_normal_intermediate,
-    maximal_subgroups_over,
     parse_cycles,
     parse_generators,
 )
@@ -77,6 +77,8 @@ from spectral_oracle import (
     compress_lower,
     compress_upper,
     generate_biprojection_dual,
+    generate_from_set,
+    is_normal_biprojection,
     step_context,
     top_context,
 )
@@ -139,7 +141,7 @@ def test_z30_sum_above_one_yet_w_cyclic():
     ctx = trivial_ctx("Z30")
     assert sum_bound(ctx) == Fraction(31, 30)  # 1/2 + 1/3 + 1/5
     assert is_w_cyclic(ctx) is not None
-    assert sorted(k.order for k, _ in maximal_biprojections(ctx)) == [2, 3, 5]
+    assert sorted(k.order for k in maximal_biprojections(ctx)) == [2, 3, 5]
 
 
 def test_s4_embeddings_inequivalent_and_differ():
@@ -319,8 +321,8 @@ def test_z_by_double_cosets_matches_centrality():
     answers = []
     for factory in _BLOCK_CONTEXTS:
         ctx = factory()
-        for k, elem in biprojection_lattice(ctx).payload:
-            central = is_central(elem)
+        for k in biprojection_lattice(ctx).payload:
+            central = is_central(element_bK(ctx, k))
             assert central == is_normal_intermediate(ctx.sub, k, ctx.group), (ctx, k)
             answers.append(central)
     assert set(answers) == {True, False}
@@ -334,6 +336,26 @@ def test_classify_makes_no_random_draw(monkeypatch):
     # S4/<(1,4)> fails (ZZ), so its legacy center-basis witness runs too
     for ctx in (s4_over("(1,4)"), s4_over("(1,2)"), trivial_ctx("A4")):
         classify(ctx)
+
+
+def test_classify_enumerates_the_interval_once(monkeypatch):
+    # The biprojection lattice is ctx.lattice reversed, with the same payload,
+    # and H-cyclicity reads the coatoms of ctx.lattice: one subgroup scan.
+    calls = []
+    scan = permgroup.interval_subgroups
+
+    def counted(h, group):
+        calls.append(h)
+        return scan(h, group)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("biprox") and getattr(module, "interval_subgroups", None) is scan:
+            monkeypatch.setattr(module, "interval_subgroups", counted)
+    for ctx in (s4_over("(1,2)"), trivial_ctx("Q8"), s4_over("(1,2)(3,4)")):
+        calls.clear()
+        classify(ctx)
+        assert len(calls) == 1, ctx
+        assert biprojection_lattice(ctx).payload is ctx.lattice.payload
 
 
 def test_z_tilde():
@@ -386,7 +408,7 @@ def test_interval_routes_match_compressed_contexts(ctx_factory):
     ctx = ctx_factory()
     assert _block_subgroups(ctx) == _oracle_blocks(ctx)
     lat = biprojection_lattice(ctx)
-    subs = [k for k, _elem in lat.payload]
+    subs = lat.payload
     for a, b in zip(*np.nonzero(lat.leq)):
         part, nodes = lat.interval(a, b)
         step = step_context(ctx, subs[a], subs[b])
@@ -445,7 +467,7 @@ def test_verify_theorems_builds_no_group_or_context(monkeypatch):
     monkeypatch.setattr(BoxContext, "__init__", refuse)
     for ctx in contexts:
         assert all(r.holds for r in verify_theorems(ctx))
-        for k, _elem in biprojection_lattice(ctx).payload:
+        for k in biprojection_lattice(ctx).payload:
             lw_rw_cyclic(ctx, k)
 
 
@@ -463,7 +485,7 @@ def test_lw_rw_against_fixed_space_stabilizers():
     for ctx in (trivial_ctx("S3"), s4_over("(1,2)")):
         from biprox.boxalgebra import biprojection_lattice
 
-        for k, _elem in biprojection_lattice(ctx).payload:
+        for k in biprojection_lattice(ctx).payload:
             got = lw_rw_cyclic(ctx, k)
             kg = FiniteGroup(k.perms())
             h_in_k = Subgroup(kg, ctx.sub.mask[k.indices])
@@ -528,15 +550,15 @@ def test_w_plus_complement_structure():
 
     for ctx in (trivial_ctx("S3"), trivial_ctx("Q8"), trivial_ctx("Z12"),
                 s4_over("(1,2)")):
-        pairs = maximal_biprojections(ctx)
-        total = pairs[0][1]
-        for _k, elem in pairs[1:]:
+        bs = [element_bK(ctx, k) for k in maximal_biprojections(ctx)]
+        total = bs[0]
+        for elem in bs[1:]:
             total = total + elem
         reach = range_projection(total)
         if w_plus_cyclic(ctx):
             comp = id_element(ctx) - reach
             assert is_projection(comp)
-            for _k, elem in pairs:
+            for elem in bs:
                 assert mul(comp, elem).norm_max() < 1e-9
             assert generate_biprojection(comp).subgroup == ctx.sub
         else:
@@ -667,12 +689,14 @@ def test_unknown_length_name_rejected():
 def _oracle_cyclic(ctx: BoxContext) -> bool:
     lat = biprojection_lattice(ctx)
     return is_distributive(lat)[0] and all(
-        is_normal_biprojection(elem) for _k, elem in lat.payload
+        is_normal_biprojection(element_bK(ctx, k)) for k in lat.payload
     )
 
 
 def _oracle_bottom_context(ctx: BoxContext) -> BoxContext:
-    maxes = maximal_subgroups_over(ctx.sub, ctx.group)
+    full = ctx.group.full_subgroup()
+    proper = [s for s in interval_subgroups(ctx.sub, ctx.group) if s < full]
+    maxes = [s for s in proper if not any(s < t for t in proper)]
     if not maxes:
         return ctx
     inter = ctx.group.subgroup_from_mask(np.logical_and.reduce([k.mask for k in maxes]))
@@ -699,7 +723,7 @@ def _oracle_step_predicate(name: str):
 def _oracle_length(ctx: BoxContext, name: str) -> int:
     pred = _oracle_step_predicate(name)
     lat = biprojection_lattice(ctx)
-    subs = [k for k, _elem in lat.payload]
+    subs = lat.payload
     dist = {lat.bottom: 0}
     queue = deque([lat.bottom])
     while lat.top not in dist:
