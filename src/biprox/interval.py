@@ -149,9 +149,14 @@ def _group_invariants(g: FiniteGroup) -> tuple:
 
 
 def pair_invariants(g: FiniteGroup, h: Subgroup) -> tuple:
-    """Isomorphism invariants of the pair (g, h), the bucket of equivalence."""
-    h_orders = tuple(int(x) for x in np.sort(g.element_orders()[h.indices]))
-    return _group_invariants(g) + (h.order, h.is_normal(), h_orders)
+    """Isomorphism invariants of the pair (g, h), the bucket of equivalence:
+    among them each element of h keyed by its order and the size of its
+    conjugacy class in g, both kept by an isomorphism carrying h along."""
+    class_size = np.empty(g.order, dtype=np.int64)
+    for cls in g.conjugacy_classes():
+        class_size[cls] = len(cls)
+    h_keys = sorted(zip(g.element_orders()[h.indices].tolist(), class_size[h.indices].tolist()))
+    return _group_invariants(g) + (h.order, h.is_normal(), tuple(h_keys))
 
 
 def equivalence_key(inc: Inclusion) -> tuple:

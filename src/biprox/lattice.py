@@ -1,10 +1,19 @@
 """Finite lattices: distributivity, modularity, Boolean recognition, intervals.
 
 A lattice is stored as an explicit order matrix plus meet/join index
-tables. Distributivity and modularity are decided by the triple
-identities (exact, vectorized); when they fail, a forbidden-sublattice
-witness (diamond M3 or pentagon N5) is constructed from a failing triple
-and verified to be an induced sublattice before being returned.
+tables, built level by level in float32 products.  Modularity and
+distributivity are decided by valuations (Birkhoff, *Lattice Theory*,
+ch. II): a finite lattice is modular exactly when its height is a
+valuation, and distributive exactly when r(x), the number of
+join-irreducibles below x, is one too.  The triples only build witnesses:
+when a valuation fails, the first failing triple is scanned for and a
+forbidden sublattice (diamond M3 or pentagon N5) is built from it and
+verified to be an induced sublattice before it is returned.
+
+The subgroup lattice of a group is built once and cached on the group;
+every interval [H, G] is read off it as the up-set of H, except in a group
+of more than _SHARED_LATTICE_NODES subgroups, where [H, G] for H > {1} is
+built alone unless the whole lattice is cached already.
 """
 
 from __future__ import annotations
@@ -16,8 +25,26 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotBoolean
-from .permgroup import FiniteGroup, Subgroup, generator_strings, interval_subgroups
+from .errors import NotBoolean, SubgroupCapExceeded
+from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings, require_nested
+
+# Array cells of one block of the level products, the valuation checks and
+# the witness scans, so transient memory stays a few blocks however large a
+# level or a lattice is.
+_BLOCK_CELLS = 1 << 20
+# Bytes per n^2 cell that building and deciding a subgroup lattice on n
+# nodes reaches at its peak, and the most one may take: past it
+# from_subgroups raises SubgroupCapExceeded before allocating.  Measured:
+# `lattice` on E64 (2,825 nodes) and Z3^5 (2,664) peaks 26.7 and 27.0 bytes
+# per cell of resident memory above the interpreter's own (the table checks
+# and the covers product); 512 MiB is reached near 4,380 nodes.
+_TABLE_BYTES_PER_CELL = 28
+LATTICE_TABLE_BUDGET = 1 << 29
+# A group with at most this many subgroups has its whole subgroup lattice
+# built on first use, and every [H, G] read off it.  A larger one is built
+# whole only for H = {1}; any other [H, G] of it is built alone from its
+# members, unless the whole lattice is cached already.
+_SHARED_LATTICE_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -46,12 +73,15 @@ class FiniteLattice:
         labels: Optional[Sequence[str]] = None,
         payload: Optional[tuple] = None,
     ) -> "FiniteLattice":
-        """Build from an order matrix, computing meet/join tables."""
+        """Build from an order matrix, computing meet/join tables; raises
+        ValueError unless the order is a lattice."""
         leq = np.asarray(leq, dtype=bool)
         n = leq.shape[0]
         _check_partial_order(leq)
         meet = _infima(leq, "meet")
         join = _infima(leq.T, "join")  # joins are the infima of the reversed order
+        _check_infima(leq, meet, "meet")
+        _check_infima(leq.T, join, "join")
         bottom = int(np.flatnonzero(leq.sum(axis=1) == n)[0])
         top = int(np.flatnonzero(leq.sum(axis=0) == n)[0])
         if labels is None:
@@ -99,15 +129,23 @@ class FiniteLattice:
         return np.flatnonzero(self.covers()[:, self.top]).tolist()
 
     def height(self) -> int:
-        """Greatest chain length (number of cover steps bottom to top)."""
-        cover = self.covers()
-        order = np.argsort(self.leq.sum(axis=0))  # by down-set size
+        """Greatest chain length (number of cover steps bottom to top): the
+        top's entry of the cached height vector."""
+        return int(self._heights[self.top])
+
+    @cached_property
+    def _heights(self) -> np.ndarray:
+        """The longest-chain height of every node, relaxed over the cover
+        edges: round t settles every node of height t."""
+        lower, upper = np.nonzero(self.covers())
         h = np.zeros(self.n, dtype=np.int64)
-        for x in order:
-            below = np.flatnonzero(cover[:, x])
-            if below.size:
-                h[x] = 1 + h[below].max()
-        return int(h[self.top])
+        while True:
+            nxt = np.zeros_like(h)
+            np.maximum.at(nxt, upper, h[lower] + 1)
+            if np.array_equal(nxt, h):
+                h.setflags(write=False)
+                return h
+            h = nxt
 
     def reverse(self) -> "FiniteLattice":
         """The order-reversed lattice (a view: no tables are recomputed)."""
@@ -174,19 +212,36 @@ class FiniteLattice:
 
 
 def _infima(leq: np.ndarray, name: str) -> np.ndarray:
-    """Greatest-lower-bound table of ``leq``: of the common lower bounds of
-    i and j, the one with the largest down-set, which must lie above all of
-    them (else ValueError)."""
+    """Candidate greatest-lower-bound table of ``leq``, level by level.
+
+    A level is the nodes of one down-set size.  An infimum of i and j is
+    the common lower bound with the largest down-set, so it is the only
+    common lower bound at the largest level that has one.  Per level, two
+    float32 products count each pair's common lower bounds there and sum
+    their indices (exact where the count is 1: a single index is below
+    2^24), in row blocks; levels run smallest first, so a larger level
+    overwrites.  Two at a pair's last level raise ValueError; a single one
+    is the candidate, which ``_check_infima`` must still confirm above
+    every common lower bound.  ``leq`` has a bottom, so every pair gets a
+    candidate."""
     n = leq.shape[0]
-    down_sizes = leq.sum(axis=0)
-    table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        lower = leq[:, i, None] & leq                      # (x, j)
-        cand = np.argmax(np.where(lower, down_sizes[:, None], -1), axis=0)
-        missing = np.flatnonzero(np.any(lower & ~leq[:, cand], axis=0))
-        if missing.size:
-            raise ValueError(f"elements {i},{missing[0]} have no {name}")
-        table[i] = cand
+    down = leq.sum(axis=0)
+    table = np.zeros((n, n), dtype=np.int32)
+    clash = np.zeros((n, n), dtype=bool)
+    step = max(1, _BLOCK_CELLS // n)
+    for size in np.unique(down):
+        level = np.flatnonzero(down == size)
+        ones = leq[level].astype(np.float32)
+        weighted = ones * level[:, None].astype(np.float32)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            count = ones[:, rows].T @ ones
+            hit = count > 0
+            np.copyto(table[rows], weighted[:, rows].T @ ones, casting="unsafe", where=hit)
+            np.copyto(clash[rows], count > 1, where=hit)
+    if clash.any():
+        i, j = np.argwhere(clash)[0]
+        raise ValueError(f"elements {i},{j} have no {name}")
     return table
 
 
@@ -233,10 +288,44 @@ def _check_partial_order(leq: np.ndarray) -> None:
 
 
 def from_subgroups(group: FiniteGroup, h: Subgroup) -> FiniteLattice:
-    """The interval lattice [H, G], nodes sorted by (order, bitset). K <= L
-    iff |K & L| = |K|; meets (intersections) and joins (generated
-    subgroups) are the infima and suprema of that order."""
-    nodes = interval_subgroups(h, group)
+    """The interval lattice [H, G] on the subgroups H <= K <= G, nodes
+    sorted by (order, bitset); K <= L iff |K & L| = |K|, and meets
+    (intersections) and joins (generated subgroups) are the infima and
+    suprema of that order.
+
+    It is the up-set of H in the subgroup lattice of G, which is built once
+    and cached on the group (for H = {1}, that lattice itself), unless G
+    has more than _SHARED_LATTICE_NODES subgroups and that lattice is not
+    cached: then [H, G] is built alone.  Whatever is built, past
+    LATTICE_TABLE_BUDGET bytes of tables SubgroupCapExceeded is raised."""
+    require_nested(h, group.full_subgroup())
+    nodes = all_subgroups(group)
+    if group._subgroup_lattice is None and h.order > 1 and len(nodes) > _SHARED_LATTICE_NODES:
+        members = [k for k in nodes if h <= k]
+        if members[0].key() != h.key():
+            raise ValueError(f"{h!r} is not closed under products")
+        return _lattice_of_subgroups(members)
+    if group._subgroup_lattice is None:
+        group._subgroup_lattice = (
+            _lattice_of_subgroups(nodes),
+            {k.key(): i for i, k in enumerate(nodes)},
+        )
+    lat, index = group._subgroup_lattice
+    i = index.get(h.key())
+    if i is None:
+        raise ValueError(f"{h!r} is not closed under products")
+    return lat if i == lat.bottom else lat.interval(i, lat.top)[0]
+
+
+def _lattice_of_subgroups(nodes: list[Subgroup]) -> FiniteLattice:
+    """The lattice of the subgroups ``nodes``, sorted by (order, bitset) and
+    closed under intersection and generation."""
+    need = _TABLE_BYTES_PER_CELL * len(nodes) ** 2
+    if need > LATTICE_TABLE_BUDGET:
+        raise SubgroupCapExceeded(
+            f"the lattice of {len(nodes)} subgroups needs about {need >> 20} MiB"
+            f" of tables, past the budget of {LATTICE_TABLE_BUDGET >> 20} MiB"
+        )
     # float32 runs in BLAS and is exact: every count is at most |G| < 2^24.
     masks = np.array([k.mask for k in nodes], dtype=np.float32)
     orders = np.array([k.order for k in nodes])
@@ -252,27 +341,34 @@ def from_subgroups(group: FiniteGroup, h: Subgroup) -> FiniteLattice:
 
 
 def _failing_distributive_triple(lat: FiniteLattice) -> Optional[tuple[int, int, int]]:
-    """First (a,b,c) with a∨(b∧c) != (a∨b)∧(a∨c), scanning a, then (b,c)."""
+    """First (a,b,c) with a∨(b∧c) != (a∨b)∧(a∨c), scanning a, then (b,c)
+    in row blocks of b."""
+    step = max(1, _BLOCK_CELLS // lat.n)
     for a in range(lat.n):
-        lhs = lat.join[a, lat.meet]                       # (b, c)
-        rhs = lat.meet[np.ix_(lat.join[a], lat.join[a])]  # (b, c)
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            b, c = bad[0]
-            return a, int(b), int(c)
+        for start in range(0, lat.n, step):
+            rows = slice(start, start + step)
+            lhs = lat.join[a, lat.meet[rows]]                    # (b, c)
+            rhs = lat.meet[np.ix_(lat.join[a, rows], lat.join[a])]  # (b, c)
+            bad = np.argwhere(lhs != rhs)
+            if bad.size:
+                b, c = bad[0]
+                return a, start + int(b), int(c)
     return None
 
 
 def _failing_modular_triple(lat: FiniteLattice) -> Optional[tuple[int, int, int]]:
-    """First (a,b,c) with a<=b but a∨(c∧b) != (a∨c)∧b."""
+    """First (a,b,c) with a<=b but a∨(c∧b) != (a∨c)∧b, scanning a, then
+    (c, b) in row blocks of c."""
+    step = max(1, _BLOCK_CELLS // lat.n)
     for a in range(lat.n):
-        lhs = lat.join[a, lat.meet]            # (c, b)
-        rhs = lat.meet[lat.join[a], :]         # (c, b): meet[a∨c, b]
-        bad = (lhs != rhs) & lat.leq[a, :][None, :]
-        hits = np.argwhere(bad)
-        if hits.size:
-            c, b = hits[0]
-            return a, int(b), int(c)
+        for start in range(0, lat.n, step):
+            rows = slice(start, start + step)
+            lhs = lat.join[a, lat.meet[rows]]            # (c, b)
+            rhs = lat.meet[lat.join[a, rows], :]         # (c, b): meet[a∨c, b]
+            hits = np.argwhere((lhs != rhs) & lat.leq[a, :][None, :])
+            if hits.size:
+                c, b = hits[0]
+                return a, int(b), start + int(c)
     return None
 
 
@@ -330,25 +426,61 @@ def _diamond_witness(lat: FiniteLattice, a: int, b: int, c: int) -> tuple[int, .
     return (witness[0], *witness[1], witness[2])
 
 
+def _is_valuation(lat: FiniteLattice, v: np.ndarray) -> bool:
+    """Whether v(x) + v(y) = v(x∨y) + v(x∧y) for all x, y, in row blocks."""
+    step = max(1, _BLOCK_CELLS // lat.n)
+    for start in range(0, lat.n, step):
+        rows = slice(start, start + step)
+        if not np.array_equal(
+            v[rows, None] + v[None, :], v[lat.join[rows]] + v[lat.meet[rows]]
+        ):
+            return False
+    return True
+
+
+def _join_irreducible_rank(lat: FiniteLattice) -> np.ndarray:
+    """r(x), the number of join-irreducibles below x; a join-irreducible
+    is a node with exactly one lower cover."""
+    irreducible = lat.covers().sum(axis=0) == 1
+    return lat.leq[irreducible].sum(axis=0)
+
+
 def is_modular(lat: FiniteLattice) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Whether no pentagon N5 embeds; on failure returns an N5 witness
-    (z, x, y, w, t) with z < x < y < t the chain and w the side element."""
+    (z, x, y, w, t) with z < x < y < t the chain and w the side element.
+
+    Decided by the height h: a finite lattice is modular exactly when h is
+    a valuation (Birkhoff, *Lattice Theory*, ch. II).  h is strictly
+    monotone, so a valuation rules out N5, where h(x) + h(w) = h(z) + h(t)
+    = h(y) + h(w) would force h(x) = h(y).  Only on failure is the first
+    failing triple a <= b, a∨(c∧b) != (a∨c)∧b scanned for, to build the
+    witness.
+    """
+    if _is_valuation(lat, lat._heights):
+        return True, None
     triple = _failing_modular_triple(lat)
     if triple is None:
-        return True, None
+        raise RuntimeError("internal error: the height is no valuation, yet no triple fails")
     return False, _pentagon_witness(lat, *triple)
 
 
 def is_distributive(lat: FiniteLattice) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Whether no diamond M3 and no pentagon N5 embeds.
 
-    Decided by the triple identity a∨(b∧c) = (a∨b)∧(a∨c); on failure the
-    witness 5-tuple is an induced M3 (m, x, y, z, j) or N5 (z, x, y, w, t)
-    built from the failing triple.
+    Decided by r(x), the number of join-irreducibles below x: the lattice
+    is distributive exactly when r is a valuation (Birkhoff, *Lattice
+    Theory*, ch. II).  With J(x) the join-irreducibles below x,
+    J(x∧y) = J(x) ∩ J(y) always, so r is a valuation exactly when
+    J(x∨y) = J(x) ∪ J(y), which holds exactly in a distributive lattice.
+    Only on failure is the first failing triple of the identity
+    a∨(b∧c) = (a∨b)∧(a∨c) scanned for; the witness 5-tuple is an induced
+    M3 (m, x, y, z, j) or N5 (z, x, y, w, t) built from it.
     """
+    if _is_valuation(lat, _join_irreducible_rank(lat)):
+        return True, None
     triple = _failing_distributive_triple(lat)
     if triple is None:
-        return True, None
+        raise RuntimeError("internal error: r is no valuation, yet no triple fails")
     modular, pentagon = is_modular(lat)
     if not modular:
         return False, pentagon

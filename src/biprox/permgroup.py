@@ -209,6 +209,7 @@ class FiniteGroup:
         self.inverse = np.argmax(cayley == 0, axis=1).astype(np.int32)
         self.inverse.setflags(write=False)
         self._subgroups: Optional[list[Subgroup]] = None
+        self._subgroup_lattice = None  # (lattice of _subgroups, key -> node index)
         self._element_orders: Optional[np.ndarray] = None
         self._conjugacy_classes: Optional[list[np.ndarray]] = None
         self._character_tables: dict[bytes, np.ndarray] = {}  # by subgroup key
@@ -677,12 +678,6 @@ def is_dedekind_interval(
         if not np.array_equal(left, double_coset_labels(k, inner)[outer.indices]):
             return False
     return True
-
-
-def interval_subgroups(h: Subgroup, group: FiniteGroup) -> list[Subgroup]:
-    """All K with H <= K <= G, sorted by (order, bitset key)."""
-    require_nested(h, group.full_subgroup())
-    return [s for s in all_subgroups(group) if h <= s]
 
 
 # -- abstract groups ---------------------------------------------------------

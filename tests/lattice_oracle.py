@@ -1,0 +1,101 @@
+"""Independent lattice routes, kept as test oracles.
+
+``interval_subgroups`` is the subgroup scan for [H, G] that ``from_subgroups``
+used before every interval became a restriction of one subgroup lattice per
+group; ``row_infima`` is the row-by-row meet routine the level tables
+replaced; ``standalone_interval_lattice`` is the former per-inclusion build from
+those two; ``scan_is_modular`` and ``scan_is_distributive`` decide by the
+triple scans alone, as before the valuation criteria.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from biprox.lattice import (
+    FiniteLattice,
+    _check_partial_order,
+    _diamond_witness,
+    _failing_distributive_triple,
+    _failing_modular_triple,
+    _pentagon_witness,
+)
+from biprox.permgroup import (
+    FiniteGroup,
+    Subgroup,
+    all_subgroups,
+    generator_strings,
+    require_nested,
+)
+
+
+def interval_subgroups(h: Subgroup, group: FiniteGroup) -> list[Subgroup]:
+    """All K with H <= K <= G, sorted by (order, bitset key)."""
+    require_nested(h, group.full_subgroup())
+    return [s for s in all_subgroups(group) if h <= s]
+
+
+def row_infima(leq: np.ndarray, name: str) -> np.ndarray:
+    """Greatest-lower-bound table of ``leq``, one row at a time: of the
+    common lower bounds of i and j, the one with the largest down-set, which
+    must lie above all of them (else ValueError)."""
+    n = leq.shape[0]
+    down_sizes = leq.sum(axis=0)
+    table = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        lower = leq[:, i, None] & leq  # (x, j)
+        cand = np.argmax(np.where(lower, down_sizes[:, None], -1), axis=0)
+        missing = np.flatnonzero(np.any(lower & ~leq[:, cand], axis=0))
+        if missing.size:
+            raise ValueError(f"elements {i},{missing[0]} have no {name}")
+        table[i] = cand
+    return table
+
+
+def row_lattice(leq: np.ndarray, labels=None, payload=None) -> FiniteLattice:
+    """``FiniteLattice.from_order`` with the tables taken by ``row_infima``."""
+    leq = np.asarray(leq, dtype=bool)
+    n = leq.shape[0]
+    _check_partial_order(leq)
+    meet = row_infima(leq, "meet")
+    join = row_infima(leq.T, "join")
+    bottom = int(np.flatnonzero(leq.sum(axis=1) == n)[0])
+    top = int(np.flatnonzero(leq.sum(axis=0) == n)[0])
+    if labels is None:
+        labels = [str(i) for i in range(n)]
+    return FiniteLattice._finish(n, leq, meet, join, bottom, top, tuple(labels), payload)
+
+
+def standalone_interval_lattice(group: FiniteGroup, h: Subgroup) -> FiniteLattice:
+    """[H, G] built for this inclusion alone: its members scanned from the
+    subgroup list, the order from their masks, the tables row by row."""
+    nodes = interval_subgroups(h, group)
+    masks = np.array([k.mask for k in nodes], dtype=np.float64)
+    orders = np.array([k.order for k in nodes])
+    leq = masks @ masks.T == orders[:, None]
+    labels = [
+        gens if len(gens) <= 28 else f"order {k.order}"
+        for k, gens in zip(nodes, generator_strings(nodes))
+    ]
+    return row_lattice(leq, labels, tuple(nodes))
+
+
+def scan_is_modular(lat: FiniteLattice) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Modularity by the modular-triple scan alone."""
+    triple = _failing_modular_triple(lat)
+    if triple is None:
+        return True, None
+    return False, _pentagon_witness(lat, *triple)
+
+
+def scan_is_distributive(lat: FiniteLattice) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Distributivity by the distributive-triple scan alone."""
+    triple = _failing_distributive_triple(lat)
+    if triple is None:
+        return True, None
+    modular, pentagon = scan_is_modular(lat)
+    if not modular:
+        return False, pentagon
+    return False, _diamond_witness(lat, *triple)

@@ -30,7 +30,8 @@ from biprox.interval import (
     is_H_cyclic,
     ore_verify,
 )
-from biprox.permgroup import interval_subgroups, parse_cycles, subgroup_generated
+from biprox.permgroup import parse_cycles, subgroup_generated
+from lattice_oracle import interval_subgroups
 
 
 def make(group_name: str, *cycles: str) -> Inclusion:
@@ -303,6 +304,19 @@ def test_equivalence_key_buckets() -> None:
         make("S3", "(2,3)")
     )
     assert equivalence_key(make("Z4")) != equivalence_key(make("E4"))
+
+
+def test_equivalence_key_separates_classes_of_equal_element_order(monkeypatch) -> None:
+    # In S5 a transposition and a double transposition both have order 2, but
+    # their classes have 10 and 15 elements: the keys differ, so the two
+    # inclusions are told apart with no isomorphism search.
+    def refuse(*_args):
+        raise AssertionError("an isomorphism search ran")
+
+    transposition, double = make("S5", "(1,2)"), make("S5", "(1,2)(3,4)")
+    assert equivalence_key(transposition) != equivalence_key(double)
+    monkeypatch.setattr(biprox.interval, "isomorphism_carrying", refuse)
+    assert not inclusions_equivalent(transposition, double)
 
 
 def test_quotient_cap(monkeypatch) -> None:

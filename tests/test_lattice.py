@@ -14,14 +14,19 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import biprox.lattice
 from biprox.catalog import catalog_group
-from biprox.cli import enumerate_pairs
-from biprox.errors import NotBoolean
+from biprox.cli import enumerate_pairs, main
+from biprox.errors import NotBoolean, SubgroupCapExceeded
+from biprox.interval import Inclusion
 from biprox.lattice import (
     FiniteLattice,
     boolean_lattice,
@@ -40,7 +45,19 @@ from biprox.lattice import (
     _is_m3,
     _is_n5,
 )
-from biprox.permgroup import parse_cycles, subgroup_generated
+from biprox.permgroup import (
+    FiniteGroup,
+    Subgroup,
+    all_subgroups,
+    parse_cycles,
+    subgroup_generated,
+)
+from lattice_oracle import (
+    row_lattice,
+    scan_is_distributive,
+    scan_is_modular,
+    standalone_interval_lattice,
+)
 
 
 def interval(group_name: str, *subgroup_cycles: str) -> FiniteLattice:
@@ -534,3 +551,207 @@ def test_interval_tables_match_group_meet_and_join(name: str, sub: tuple) -> Non
     assert lat.bottom == 0 and lat.top == lat.n - 1
     orders = [k.order for k in lat.payload]
     assert orders == sorted(orders)
+
+
+# ------------------------------------------- level tables and valuations
+
+
+def test_from_order_checks_a_single_candidate() -> None:
+    # 0 < a < c, 0 < y, with c and y below both i and j, and i < k: c is the
+    # only common lower bound of i and j at the largest level that has one,
+    # but y is a common lower bound not below it, so i and j have no meet.
+    # (Dually i is the only minimal common upper bound of c and y at its
+    # level, yet j is not above it; no level ever holds two candidates.)
+    leq = np.eye(8, dtype=bool)  # 0, a, c, y, i, j, k, 1
+    leq[0, :] = leq[:, 7] = True
+    leq[1, [2, 4, 5, 6]] = True
+    leq[[2, 3], 4:7] = True
+    leq[4, 6] = True
+    with pytest.raises(ValueError, match="meet is not above every common lower bound"):
+        FiniteLattice.from_order(leq)
+    with pytest.raises(ValueError, match="elements 4,5 have no meet"):
+        row_lattice(leq)
+
+
+def _combine(a: FiniteLattice, b: FiniteLattice, how: str) -> FiniteLattice:
+    if a.n * b.n > 80:
+        return a
+    return direct_product(a, b) if how == "product" else concatenate(a, b)
+
+
+def _subgroup_interval(name: str, pick: int) -> FiniteLattice:
+    g = catalog_group(name)
+    subs = all_subgroups(g)
+    return from_subgroups(g, subs[pick % len(subs)])
+
+
+_BASE_LATTICES = st.one_of(
+    st.integers(0, 4).map(chain),
+    st.integers(0, 3).map(boolean_lattice),
+    st.builds(diamond_m3),
+    st.builds(pentagon_n5),
+    st.integers(1, 60).map(divisor_lattice),
+    st.builds(
+        _subgroup_interval,
+        st.sampled_from(["S3", "Z12", "Q8", "A4", "D4", "S4", "E8", "D6"]),
+        st.integers(0, 100),
+    ),
+)
+LATTICES = st.builds(
+    lambda lat, flip: lat.reverse() if flip else lat,
+    st.recursive(
+        _BASE_LATTICES,
+        lambda inner: st.builds(_combine, inner, inner, st.sampled_from(["product", "concat"])),
+        max_leaves=3,
+    ),
+    st.booleans(),
+)
+
+
+def _without(lat: FiniteLattice, pick: int) -> np.ndarray:
+    """The order of ``lat`` with one node other than bottom and top removed,
+    often no lattice."""
+    inner = [i for i in range(lat.n) if i not in (lat.bottom, lat.top)]
+    if not inner:
+        return lat.leq
+    keep = np.setdiff1d(np.arange(lat.n), inner[pick % len(inner)])
+    return lat.leq[np.ix_(keep, keep)]
+
+
+def _bounded_poset(k: int, seed: int) -> np.ndarray:
+    """A random order on k nodes (a transitive closure of upward edges, each
+    drawn with probability 1/2), with a bottom and a top added: a lattice or
+    not."""
+    rng = np.random.default_rng(seed)
+    n = k + 2
+    leq = np.eye(n, dtype=bool)
+    leq[0, :] = leq[:, -1] = True
+    leq[1:-1, 1:-1] |= np.triu(rng.random((k, k)) < 0.5)
+    for _ in range(k):
+        leq |= (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
+    return leq
+
+
+ORDERS = st.one_of(
+    LATTICES.map(lambda lat: lat.leq),
+    st.builds(_without, LATTICES, st.integers(0, 100)),
+    st.builds(_bounded_poset, st.integers(5, 9), st.integers(0, 2**32 - 1)),
+)
+
+
+# Array cells per block: the default (one block at these sizes), or one
+# row per block.
+BLOCK_CELLS = st.sampled_from([biprox.lattice._BLOCK_CELLS, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ORDERS, BLOCK_CELLS)
+def test_level_tables_match_row_infima(leq: np.ndarray, block_cells: int) -> None:
+    # The level-by-level tables against the row-by-row routine they replaced:
+    # equal tables on a lattice, and a ValueError from both on anything else.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(biprox.lattice, "_BLOCK_CELLS", block_cells)
+        try:
+            expected = row_lattice(leq)
+        except ValueError:
+            event("not a lattice")
+            with pytest.raises(ValueError):
+                FiniteLattice.from_order(leq)
+            return
+        event("lattice")
+        lat = FiniteLattice.from_order(leq)
+    assert np.array_equal(lat.meet, expected.meet)
+    assert np.array_equal(lat.join, expected.join)
+    assert (lat.bottom, lat.top) == (expected.bottom, expected.top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LATTICES, BLOCK_CELLS)
+def test_valuations_match_triple_scans(lat: FiniteLattice, block_cells: int) -> None:
+    # The valuation criteria against the triple scans, with the same witness
+    # whether the witness scan runs in one block or one row per block; a
+    # lattice with two maximal chains of different lengths is not graded.
+    expected = scan_is_modular(lat), scan_is_distributive(lat)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(biprox.lattice, "_BLOCK_CELLS", block_cells)
+        modular = is_modular(lat)
+        assert (modular, is_distributive(lat)) == expected
+    event("modular" if modular[0] else "not modular")
+    lengths = {int(lat._heights[c]) for c in lat.coatoms()}
+    event("graded" if len(lengths) <= 1 else "not graded")
+
+
+def test_height_is_the_longest_chain() -> None:
+    # N5: the chains 0 < x < y < 1 and 0 < w < 1 have lengths 3 and 2.
+    n5 = pentagon_n5()
+    assert n5._heights.tolist() == [0, 1, 2, 1, 3]
+    assert n5.height() == 3 and not is_modular(n5)[0]
+    assert concatenate(n5, diamond_m3()).height() == 5
+
+
+def test_intervals_are_restrictions_of_one_lattice_per_group() -> None:
+    # Every catalog inclusion's [H, G] against a build of that interval
+    # alone (its members scanned, its tables row by row).
+    pairs = enumerate_pairs()
+    assert len(pairs) == 565
+    for name, inc in pairs:
+        lat, alone = inc.lattice, standalone_interval_lattice(inc.group, inc.sub)
+        assert np.array_equal(lat.leq, alone.leq), name
+        assert np.array_equal(lat.meet, alone.meet), name
+        assert np.array_equal(lat.join, alone.join), name
+        assert (lat.bottom, lat.top) == (alone.bottom, alone.top), name
+        assert lat.labels == alone.labels, name
+        assert [k.key() for k in lat.payload] == [k.key() for k in alone.payload], name
+    for group in {id(inc.group): inc.group for _, inc in pairs}.values():
+        whole = from_subgroups(group, group.trivial_subgroup())
+        assert whole is Inclusion(group, group.trivial_subgroup()).lattice
+        assert list(whole.payload) == all_subgroups(group)
+
+
+def test_lattice_past_the_table_budget_is_a_cap_error(monkeypatch, capsys) -> None:
+    # S4 has 30 subgroups: 30^2 cells need more than a 1 KiB budget.
+    monkeypatch.setattr(biprox.lattice, "LATTICE_TABLE_BUDGET", 1024)
+    s4 = FiniteGroup(catalog_group("S4").images)
+    with pytest.raises(SubgroupCapExceeded, match="30 subgroups"):
+        from_subgroups(s4, s4.trivial_subgroup())
+    assert s4._subgroup_lattice is None
+    assert main(["lattice", "--group", "perm:(1,2,3,4);(1,2)", "--format", "json"]) == 2
+    assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_large_group_builds_each_interval_alone_within_the_budget(monkeypatch, capsys) -> None:
+    # With every group past the shared size and a budget of 100 cells,
+    # S4's whole lattice (30 nodes) is over budget, yet [V4, S4] (6 nodes)
+    # and [A4, S4] (2 nodes) are built alone, equal to the standalone build.
+    monkeypatch.setattr(biprox.lattice, "_SHARED_LATTICE_NODES", 0)
+    monkeypatch.setattr(
+        biprox.lattice, "LATTICE_TABLE_BUDGET", 100 * biprox.lattice._TABLE_BYTES_PER_CELL
+    )
+    s4 = FiniteGroup(catalog_group("S4").images)
+    subs = all_subgroups(s4)
+    v4 = next(k for k in subs if k.order == 4 and k.is_normal())
+    a4 = next(k for k in subs if k.order == 12)
+    for h, size in ((v4, 6), (a4, 2)):
+        lat, alone = from_subgroups(s4, h), standalone_interval_lattice(s4, h)
+        assert lat.n == size
+        assert np.array_equal(lat.leq, alone.leq)
+        assert np.array_equal(lat.meet, alone.meet) and np.array_equal(lat.join, alone.join)
+        assert lat.labels == alone.labels
+        assert [k.key() for k in lat.payload] == [k.key() for k in alone.payload]
+    assert s4._subgroup_lattice is None
+    with pytest.raises(SubgroupCapExceeded, match="30 subgroups"):
+        from_subgroups(s4, s4.trivial_subgroup())
+    # A 2-element set that is no subgroup is refused on this route too.
+    pair = np.zeros(s4.order, dtype=bool)
+    pair[[s4.identity_index, s4.index_of(parse_cycles("(1,2,3)", degree=4))]] = True
+    with pytest.raises(ValueError, match="not closed under products"):
+        from_subgroups(s4, Subgroup(s4, pair))
+    spec = ["lattice", "--group", "perm:(1,2,3,4);(1,2)", "--format", "json"]
+    assert main(spec + ["--subgroup", "(1,2,3);(2,3,4)"]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 2
+    assert main(spec) == 2
+    # Once the whole lattice is cached, a large H reads its interval off it.
+    monkeypatch.undo()
+    monkeypatch.setattr(biprox.lattice, "_SHARED_LATTICE_NODES", 0)
+    whole = from_subgroups(s4, s4.trivial_subgroup())
+    assert from_subgroups(s4, v4).payload[0] is whole.payload[subs.index(v4)]

@@ -23,13 +23,13 @@ from biprox.permgroup import (
     generating_sets,
     generator_strings,
     group_closure,
-    interval_subgroups,
     is_dedekind_interval,
     is_normal_intermediate,
     parse_cycles,
     parse_generators,
     subgroup_generated,
 )
+from lattice_oracle import interval_subgroups
 
 # Frozen oracle values from an independent one-element-extension BFS
 # enumeration (notes/oracles/subgroup_counts.py); S4 = 30, S5 = 156,
@@ -179,6 +179,16 @@ def test_cayley_table_is_the_permutation_product(monkeypatch):
         monkeypatch.setattr(biprox.permgroup, "_CLOSE_CELLS", block_rows * len(rows) * 3)
         with pytest.raises(ValueError, match="not closed"):
             FiniteGroup(np.array(rows))
+    monkeypatch.undo()
+    # The same list on the last 3 of 16 points: keys of 64 bytes, where a row
+    # outside the list differs from its nearest key only in its last bytes.
+    wide = np.hstack([np.tile(np.arange(13), (len(rows), 1)), np.array(rows) + 13])
+    pair = FiniteGroup(wide[:2])
+    assert pair.order == 2
+    with pytest.raises(KeyError):
+        pair.index_of(parse_cycles("(14,15)", degree=16))
+    with pytest.raises(ValueError, match="not closed"):
+        FiniteGroup(wide)
 
 
 def test_inverse_and_element_orders_match_a_power_loop():

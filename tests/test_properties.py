@@ -9,11 +9,10 @@ from fractions import Fraction
 import itertools
 import json
 import random
-import sys
 import numpy as np
 import pytest
 
-from biprox import permgroup, properties
+from biprox import properties
 from biprox.boxalgebra import (
     BoxContext,
     biprojection_lattice,
@@ -36,13 +35,12 @@ from biprox.interval import (
     is_linearly_primitive_group,
     is_linearly_primitive_inclusion,
 )
-from biprox.lattice import boolean_rank, is_distributive
+from biprox.lattice import FiniteLattice, boolean_rank, is_distributive
 from biprox.permgroup import (
     FiniteGroup,
     Subgroup,
     all_subgroups,
     group_closure,
-    interval_subgroups,
     is_normal_intermediate,
     parse_cycles,
     parse_generators,
@@ -82,6 +80,7 @@ from spectral_oracle import (
     step_context,
     top_context,
 )
+from lattice_oracle import interval_subgroups
 
 
 def trivial_ctx(name: str) -> BoxContext:
@@ -339,23 +338,25 @@ def test_classify_makes_no_random_draw(monkeypatch):
 
 
 def test_classify_enumerates_the_interval_once(monkeypatch):
-    # The biprojection lattice is ctx.lattice reversed, with the same payload,
-    # and H-cyclicity reads the coatoms of ctx.lattice: one subgroup scan.
+    # Every interval [H, G] is the up-set of H in one subgroup lattice per
+    # group: classifying any number of inclusions of a group builds that
+    # lattice's tables once.  The biprojection lattice is ctx.lattice
+    # reversed, with the same payload.
     calls = []
-    scan = permgroup.interval_subgroups
+    build = FiniteLattice.from_order
 
-    def counted(h, group):
-        calls.append(h)
-        return scan(h, group)
+    def counted(leq, *args, **kwargs):
+        calls.append(len(leq))
+        return build(leq, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("biprox") and getattr(module, "interval_subgroups", None) is scan:
-            monkeypatch.setattr(module, "interval_subgroups", counted)
-    for ctx in (s4_over("(1,2)"), trivial_ctx("Q8"), s4_over("(1,2)(3,4)")):
-        calls.clear()
+    monkeypatch.setattr(FiniteLattice, "from_order", staticmethod(counted))
+    s4 = FiniteGroup(catalog_group("S4").images)  # a fresh group: nothing cached
+    subs = all_subgroups(s4)
+    for sub in (subs[1], s4.trivial_subgroup(), subs[10], subs[-2], s4.full_subgroup()):
+        ctx = BoxContext(s4, sub)
         classify(ctx)
-        assert len(calls) == 1, ctx
         assert biprojection_lattice(ctx).payload is ctx.lattice.payload
+    assert calls == [30]
 
 
 def test_z_tilde():
