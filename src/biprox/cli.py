@@ -270,12 +270,17 @@ def cmd_fusion_check(args) -> int:
 
 
 def subgroup_class_representatives(group: FiniteGroup) -> List[Subgroup]:
-    """One subgroup per conjugacy class: the member with minimal mask key."""
-    return [
-        sub
-        for sub in all_subgroups(group)
-        if sub.key() == min(row.tobytes() for row in np.packbits(sub.conjugates(), axis=1))
-    ]
+    """One subgroup per conjugacy class: the member with minimal mask key.
+    Conjugates have equal order, so in the (order, key) order of
+    ``all_subgroups`` the first member met of each class is that member; it
+    is conjugated once, and every key of its class is marked seen."""
+    seen: set = set()
+    reps = []
+    for sub in all_subgroups(group):
+        if sub.key() not in seen:
+            reps.append(sub)
+            seen.update(row.tobytes() for row in np.packbits(sub.conjugates(), axis=1))
+    return reps
 
 
 def enumerate_pairs(

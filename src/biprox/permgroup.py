@@ -11,9 +11,10 @@ Conventions
   keys, one block of rows per lookup;
   ``elements``, the rows as ``Permutation`` objects, is built on demand.
 * Closure runs in batches: ``_close`` closes every row of a mask matrix at
-  once.  ``all_subgroups`` closes one generation of joins per batch, in row
-  blocks of a fixed cell budget, and ``generating_sets`` takes one greedy
-  step for many subgroups per batch.
+  once, from rows already closed under all but their last generator when
+  told so.  ``all_subgroups`` closes one generation of joins per batch, one
+  join per double coset, in row blocks of a fixed cell budget, and
+  ``generating_sets`` takes one greedy step for many subgroups per batch.
 * The A\\G/B double cosets are one label array: the least element of AgB
   for every g.
 * Per-subgroup results are cached on the parent by member set
@@ -475,18 +476,25 @@ def group_closure(
     return FiniteGroup(list(seen.values()), name=name)
 
 
-def _close(group: FiniteGroup, masks: np.ndarray, gens: np.ndarray) -> np.ndarray:
+def _close(
+    group: FiniteGroup, masks: np.ndarray, gens: np.ndarray, closed: bool = False
+) -> np.ndarray:
     """Close each row of the boolean ``masks`` (in place, and returned) under
     right multiplication by that row's generators, row r of the index array
     ``gens``.  Each round gathers the products of the whole frontier of every
-    row at once."""
+    row at once.  With ``closed``, each row is already closed under all but
+    its last generator, so the first round multiplies the row by that new
+    generator alone and only the elements it reaches go on to every
+    generator."""
     rows, frontier = np.nonzero(masks)
+    step = gens[:, -1:] if closed else gens
     while rows.size:
         reached = np.zeros_like(masks)
-        reached[rows[:, None], group.cayley[frontier[:, None], gens[rows]]] = True
+        reached[rows[:, None], group.cayley[frontier[:, None], step[rows]]] = True
         reached &= ~masks
         masks |= reached
         rows, frontier = np.nonzero(reached)
+        step = gens
     return masks
 
 
@@ -510,7 +518,8 @@ def generating_sets(group: FiniteGroup, subs: Sequence[Subgroup]) -> list[list[i
     Each list is built greedily: step t gives every row not yet spanned its
     first member outside its current span, by largest element order (which
     keeps the list short for cyclic-ish groups) and then by index, and one
-    ``_close`` call then closes every row over its t + 1 generators."""
+    ``_close`` call then closes every row over its t + 1 generators, from
+    the span already closed under the first t."""
     rank = np.lexsort((np.arange(group.order), -group.element_orders()))
     targets = np.zeros((len(subs), group.order), dtype=bool)
     for row, sub in enumerate(subs):
@@ -528,9 +537,8 @@ def generating_sets(group: FiniteGroup, subs: Sequence[Subgroup]) -> list[list[i
         if not rows.size:
             return out
         pick = rank[(targets & ~spans)[:, rank].argmax(axis=1)]
-        spans[np.arange(rows.size), pick] = True
         gens = np.column_stack([gens, pick])
-        _close(group, spans, gens)
+        _close(group, spans, gens, closed=True)
 
 
 def generating_indices(sub: Subgroup) -> list[int]:
@@ -551,9 +559,33 @@ def generator_strings(subs: Sequence[Subgroup]) -> list[str]:
     labels = group._generator_strings
     keys = [sub.key() for sub in subs]
     todo = {key: sub for key, sub in zip(keys, subs) if key not in labels}
-    for key, gens in zip(todo, generating_sets(group, list(todo.values()))):
-        labels[key] = "; ".join(group.elements[i].cycle_string() for i in gens) or "()"
+    if todo:
+        for key, gens in zip(todo, generating_sets(group, list(todo.values()))):
+            labels[key] = "; ".join(group.elements[i].cycle_string() for i in gens) or "()"
     return [labels[key] for key in keys]
+
+
+def _least_cyclic_generators(group: FiniteGroup) -> np.ndarray:
+    """The least generator of each cyclic subgroup, ascending: the g with
+    g <= g^k for every k prime to the order of g."""
+    orders = group.element_orders()
+    elements = np.arange(group.order)
+    least, power = elements.copy(), elements
+    for k in range(2, int(orders.max())):
+        power = group.cayley[power, elements]  # g^k
+        least = np.where(np.gcd(k, orders) == 1, np.minimum(least, power), least)
+    return np.flatnonzero(least == elements)
+
+
+def _double_coset_seeds(cayley: np.ndarray, mask: np.ndarray, joins: np.ndarray) -> np.ndarray:
+    """The positions j, ascending, of the first ``joins[j]`` outside the
+    subgroup S with member ``mask`` in each double coset S c S, by its least
+    element."""
+    members = np.flatnonzero(mask)
+    _, first = np.unique(
+        _least_in_double_cosets(cayley, members, members, joins), return_index=True
+    )
+    return np.sort(first[~mask[joins[first]]])
 
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
@@ -561,15 +593,19 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
 
     Enumeration by generation, breadth first: generation k holds the
     subgroups first reached as a join of k cyclic subgroups, and generation
-    k + 1 is read off the joins of each member of generation k with every
-    cyclic subgroup outside it.  A subgroup first reached at k + 1 is such
-    a join of a member of generation k, so this is exact for any finite
-    group, since every subgroup is the join of its cyclic subgroups.  Each
-    subgroup carries the generators it was reached from, so a join closes
-    over k + 1 generators rather than all its members, and a generation's
-    seeds are closed in row blocks of ``_CLOSE_CELLS`` mask cells.  Computed
-    once per group; past DEFAULT_ORDER_CAP elements or DEFAULT_SUBGROUP_CAP
-    subgroups it raises OrderCapExceeded or SubgroupCapExceeded.
+    k + 1 is read off the joins of each member S of generation k with every
+    cyclic subgroup <c> outside it.  A subgroup first reached at k + 1 is
+    such a join of a member of generation k, so this is exact for any finite
+    group, since every subgroup is the join of its cyclic subgroups.  Since
+    <S, c> = <S, s c s'> for all s, s' in S, the joins of one S are seeded
+    once per double coset S c S (the first c of each, by least element), and
+    the others are never closed.  Each subgroup carries the generators it was
+    reached from, so a join closes over k + 1 generators rather than all its
+    members; S is closed under the first k, so the first closure round
+    multiplies S by c alone.  A generation's seeds are closed in row blocks
+    of ``_CLOSE_CELLS`` mask cells.  Computed once per group; past
+    DEFAULT_ORDER_CAP elements or DEFAULT_SUBGROUP_CAP subgroups it raises
+    OrderCapExceeded or SubgroupCapExceeded.
     """
     if group.order > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(
@@ -582,18 +618,18 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     masks[0, group.identity_index] = True
     found = {np.packbits(masks[0]).tobytes(): Subgroup(group, masks[0])}
     gens = np.zeros((1, 0), dtype=np.int64)
-    joins = np.arange(group.order)  # generation 1 joins {1} with every <g>
+    joins = _least_cyclic_generators(group)  # one element per cyclic subgroup
     while len(masks):
         # Seed (row, j) joins generation member `row` with <joins[j]> outside it.
-        seed_rows, seed_joins = np.nonzero(~masks[:, joins])
+        firsts = [_double_coset_seeds(group.cayley, mask, joins) for mask in masks]
+        seed_rows = np.repeat(np.arange(len(masks)), [first.size for first in firsts])
+        seed_joins = np.concatenate(firsts)
         level_masks, level_gens = [], []
         for start in range(0, seed_rows.size, block):
             rows = seed_rows[start : start + block]
-            added = joins[seed_joins[start : start + block]]
             block_masks = masks[rows]
-            block_masks[np.arange(rows.size), added] = True
-            block_gens = np.column_stack([gens[rows], added])
-            _close(group, block_masks, block_gens)
+            block_gens = np.column_stack([gens[rows], joins[seed_joins[start : start + block]]])
+            _close(group, block_masks, block_gens, closed=True)
             new = []
             for row, key in enumerate(np.packbits(block_masks, axis=1)):
                 key = key.tobytes()
@@ -608,8 +644,6 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
         if not level_masks:  # only G itself, which has no join outside it
             break
         masks, gens = np.concatenate(level_masks), np.concatenate(level_gens)
-        if gens.shape[1] == 1:
-            joins = gens[:, 0]  # one generator per cyclic subgroup
     result = sorted(found.values(), key=lambda s: (s.order, s.key()))
     group._subgroups = result
     return list(result)
@@ -618,11 +652,25 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
 # -- cosets and normality --------------------------------------------------
 
 
+def _least_in_double_cosets(
+    cayley: np.ndarray, a: np.ndarray, b: np.ndarray, among: np.ndarray | slice
+) -> np.ndarray:
+    """For each element index g in ``among``, the least element index of AgB,
+    where ``a`` and ``b`` are member index arrays.  Each gather takes at most
+    ``_CLOSE_CELLS // |G|`` members at once."""
+    step = max(1, _CLOSE_CELLS // len(cayley))
+    least_gb = cayley[:, b[:step]].min(axis=1)
+    for start in range(step, b.size, step):
+        np.minimum(least_gb, cayley[:, b[start : start + step]].min(axis=1), out=least_gb)
+    out = least_gb[cayley[a[:step]][:, among]].min(axis=0)
+    for start in range(step, a.size, step):
+        np.minimum(out, least_gb[cayley[a[start : start + step]][:, among]].min(axis=0), out=out)
+    return out
+
+
 def double_coset_labels(a: Subgroup, b: Subgroup) -> np.ndarray:
     """For every element index g, the least element index of AgB."""
-    cayley = a.parent.cayley
-    least_gb = cayley[:, b.indices].min(axis=1)
-    return least_gb[cayley[a.indices]].min(axis=0)
+    return _least_in_double_cosets(a.parent.cayley, a.indices, b.indices, slice(None))
 
 
 def double_cosets(group: FiniteGroup, a: Subgroup, b: Subgroup) -> list[np.ndarray]:
@@ -671,9 +719,14 @@ def is_dedekind_interval(
     biprojection of the 2-box algebra of inner <= outer is normal.
     """
     require_nested(inner, outer)
+    members = list(members)
+    masks = np.array([k.mask for k in members if k.parent is inner.parent], dtype=bool)
+    masks = masks.reshape(-1, outer.parent.order)
+    if len(masks) < len(members) or not (
+        masks[:, inner.indices].all() and not masks[:, ~outer.mask].any()
+    ):
+        raise NotNested(f"a member is not between {inner!r} and {outer!r}")
     for k in members:
-        require_nested(inner, k)
-        require_nested(k, outer)
         left = double_coset_labels(inner, k)[outer.indices]
         if not np.array_equal(left, double_coset_labels(k, inner)[outer.indices]):
             return False

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import biprox.permgroup
 from biprox.catalog import catalog_group, catalog_names, parse_group_spec, parse_subgroup_spec
-from biprox.cli import subgroup_class_representatives
+from biprox.cli import enumerate_pairs, subgroup_class_representatives
 from biprox.errors import DegreeMismatch, NotNested, OrderCapExceeded, SubgroupCapExceeded
 from biprox.interval import Inclusion
 from biprox.permgroup import (
@@ -30,6 +30,7 @@ from biprox.permgroup import (
     subgroup_generated,
 )
 from lattice_oracle import interval_subgroups
+from permgroup_oracle import every_seed_subgroups, min_key_class_representatives
 
 # Frozen oracle values from an independent one-element-extension BFS
 # enumeration (notes/oracles/subgroup_counts.py); S4 = 30, S5 = 156,
@@ -291,9 +292,9 @@ def test_all_subgroups_closes_one_block_per_generation(monkeypatch):
     calls = []
     real = biprox.permgroup._close
 
-    def recording_close(group, masks, gens):
+    def recording_close(group, masks, gens, *args, **kwargs):
         calls.append((masks.shape, gens.shape[1]))
-        return real(group, masks, gens)
+        return real(group, masks, gens, *args, **kwargs)
 
     monkeypatch.setattr(biprox.permgroup, "_close", recording_close)
     group = group_closure(parse_generators("(1,2); (1,2,3,4)"))  # nothing cached yet
@@ -309,6 +310,54 @@ def test_all_subgroups_closes_one_block_per_generation(monkeypatch):
     assert [s.key() for s in all_subgroups(group)] == keys
     assert len(calls) > calls[-1][1]  # more blocks than generations
     assert all(rows <= 8 for (rows, _order), _k in calls)
+
+
+def test_all_subgroups_match_every_seed_enumeration_on_the_catalog():
+    for name in catalog_names():
+        group = catalog_group(name)
+        assert [s.key() for s in all_subgroups(group)] == every_seed_subgroups(group), name
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "perm:(1,2,3);(2,3,4,5,6)",  # A6: 501 subgroups
+        "perm:(1,2);(3,4);(5,6);(7,8);(9,10)",  # E32: 374
+        "perm:(1,2,3);(4,5,6);(7,8,9)",  # Z3^3: 28
+    ],
+)
+def test_all_subgroups_match_every_seed_enumeration(spec):
+    group = parse_group_spec(spec)
+    assert [s.key() for s in all_subgroups(group)] == every_seed_subgroups(group)
+
+
+def test_all_subgroups_closes_one_seed_per_double_coset(monkeypatch):
+    # Generation 1 seeds each cyclic subgroup once, and each later member S
+    # one join per double coset S c S: 7,042 seeds over the catalog, where
+    # every element and every cyclic generator outside S gives 26,143.
+    closed = []
+    real = biprox.permgroup._close
+
+    def counting_close(group, masks, gens, *args, **kwargs):
+        closed.append(len(masks))
+        return real(group, masks, gens, *args, **kwargs)
+
+    monkeypatch.setattr(biprox.permgroup, "_close", counting_close)
+    for name in catalog_names():
+        all_subgroups(FiniteGroup(catalog_group(name).images))  # nothing cached yet
+    assert sum(closed) == 7042
+
+
+def test_subgroup_class_representatives_match_the_least_key_rule():
+    count = 0
+    for name in catalog_names():
+        group = catalog_group(name)
+        reps = subgroup_class_representatives(group)
+        assert [s.key() for s in reps] == [
+            s.key() for s in min_key_class_representatives(group)
+        ], name
+        count += len(reps)
+    assert count == len(enumerate_pairs()) + len(catalog_names())  # H = G is no pair
 
 
 def test_all_subgroups_cap(monkeypatch):
@@ -410,6 +459,23 @@ def test_is_normal_intermediate_requires_nesting():
     rot = subgroup_generated(s3, {s3.index_of(parse_cycles("(1,2,3)", degree=3))})
     with pytest.raises(NotNested):
         is_normal_intermediate(rot, flip, s3)
+
+
+def test_is_dedekind_interval_requires_every_member_nested():
+    s4 = catalog_group("S4")
+    subs = all_subgroups(s4)
+    h = subgroup_generated(s4, {s4.index_of(parse_cycles("(1,2)", degree=4))})
+    above = [k for k in subs if h <= k]
+    d4 = next(k for k in above if k.order == 8)
+    outside = next(k for k in above if not k <= d4)  # an S3 over <(1,2)>
+    not_over = next(k for k in subs if k.order == 3)
+    inside = [k for k in above if k <= d4]
+    assert is_dedekind_interval(h, d4, inside) == _dedekind_by_double_cosets(h, d4, inside)
+    for members in ([h, outside, d4], [not_over], [catalog_group("S3").full_subgroup()]):
+        with pytest.raises(NotNested):
+            is_dedekind_interval(h, d4, members)
+    with pytest.raises(NotNested):
+        is_dedekind_interval(d4, h, [])
 
 
 def _atoms(group, h):
@@ -526,7 +592,7 @@ def test_generator_string_labels_each_member_set_once(monkeypatch):
     monkeypatch.setattr(
         biprox.permgroup,
         "generating_sets",
-        lambda group, subs: labelled.extend(sub.key() for sub in subs) or real(group, subs),
+        lambda group, subs: labelled.append([sub.key() for sub in subs]) or real(group, subs),
     )
     group = group_closure(parse_generators("(1,2); (1,2,3,4)"))  # nothing cached yet
     subgroups = all_subgroups(group)
@@ -536,7 +602,10 @@ def test_generator_string_labels_each_member_set_once(monkeypatch):
     # A fresh Subgroup on the same member set reads the parent's label.
     copies = [parse_subgroup_spec(group, label) for label in labels]
     assert [copy.generator_string() for copy in copies] == labels
-    assert sorted(labelled) == sorted(sub.key() for sub in subgroups)
+    assert sorted(key for batch in labelled for key in batch) == sorted(
+        sub.key() for sub in subgroups
+    )
+    assert all(labelled)  # a batch with every member set labelled is skipped
     with pytest.raises(ValueError, match="one parent"):
         generator_strings([group.trivial_subgroup(), catalog_group("S3").trivial_subgroup()])
 
