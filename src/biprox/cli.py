@@ -323,10 +323,10 @@ def equivalence_classes(
     canonically so the result is independent of input order.  Pairs are
     keyed by their coset action (``coset_action``): a pair whose action was
     already seen joins that action's class, since equal actions give equal
-    core quotients.  The quotient of each distinct action is built once and
-    compared, within its invariant bucket, with the quotient held for each
-    class's first member; a pair past the quotient cap is a class of its
-    own."""
+    core quotients.  The quotient of each distinct action is built once, its
+    Cayley table gathered off G's (``action_quotient``), and compared, within
+    its invariant bucket, with the quotient held for each class's first
+    member; a pair past the quotient cap is a class of its own."""
     subs_by_group: Dict[int, List[Subgroup]] = {}
     for _, inc in pairs:
         subs_by_group.setdefault(id(inc.group), []).append(inc.sub)
@@ -338,13 +338,13 @@ def equivalence_classes(
     buckets: Dict[tuple, list] = {}  # pair invariants -> [(quotient, members)]
     for item in sorted(pairs, key=_pair_sort_key):
         try:
-            rows, home = coset_action(item[1])
+            rows, home, image, first = coset_action(item[1])
         except _CAP_ERRORS:
             classes.append([item])
             continue
         action = (rows.shape[1], home, rows.tobytes())
         if action not in by_action:
-            quotient = action_quotient(rows, home)
+            quotient = action_quotient(item[1].group, rows, home, image, first)
             held = buckets.setdefault(pair_invariants(*quotient), [])
             for rep, members in held:
                 if isomorphism_carrying(*quotient, *rep):

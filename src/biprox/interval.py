@@ -103,27 +103,35 @@ def dual_ore_conditions(inc: Inclusion) -> DualOreReport:
 QUOTIENT_CAP = 200
 
 
-def coset_action(inc: Inclusion) -> tuple[np.ndarray, int]:
+def coset_action(inc: Inclusion) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """G acting on the left cosets of H: the sorted distinct image rows, one
-    per element of G/core_G(H), and the home point, the coset H itself.
-    QuotientOrderCapExceeded is raised past QUOTIENT_CAP rows."""
+    per element of G/core_G(H); the home point, the coset H itself; the
+    position of each g's row among them, its image in the quotient; and the
+    first g of each row.  QuotientOrderCapExceeded is raised past
+    QUOTIENT_CAP rows."""
     group = inc.group
-    first = group.cayley[:, inc.sub.indices].min(axis=1)  # the least element of gH
-    reps, coset_of = np.unique(first, return_inverse=True)
+    least = group.cayley[:, inc.sub.indices].min(axis=1)  # the least element of gH
+    reps, coset_of = np.unique(least, return_inverse=True)
     rows = np.ascontiguousarray(coset_of[group.cayley[:, reps]], dtype=">i4")
     # Big-endian bytes sort like the rows, as FiniteGroup._keys.
     keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
-    _, distinct = np.unique(keys, return_index=True)
-    if len(distinct) > QUOTIENT_CAP:
+    _, first, image = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) > QUOTIENT_CAP:
         raise QuotientOrderCapExceeded(
-            f"core quotient of order {len(distinct)} exceeds cap {QUOTIENT_CAP}"
+            f"core quotient of order {len(first)} exceeds cap {QUOTIENT_CAP}"
         )
-    return rows[distinct].astype(np.int32), int(coset_of[group.identity_index])
+    return rows[first].astype(np.int32), int(coset_of[group.identity_index]), image, first
 
 
-def action_quotient(rows: np.ndarray, home: int) -> tuple[FiniteGroup, Subgroup]:
-    """The group of the action ``rows`` and the stabilizer of ``home``."""
-    quotient = FiniteGroup(rows)
+def action_quotient(
+    group: FiniteGroup, rows: np.ndarray, home: int, image: np.ndarray, first: np.ndarray
+) -> tuple[FiniteGroup, Subgroup]:
+    """The group of the action ``rows`` of ``group`` and the stabilizer of
+    ``home``, with ``image`` and ``first`` as ``coset_action`` gives them.
+    g -> row(g) is a homomorphism, row(g h) = row(g)[row(h)], so the
+    quotient's Cayley table is G's table at the first g of each row, read
+    through ``image``: one gather, which FiniteGroup verifies."""
+    quotient = FiniteGroup(rows, _table=image[group.cayley[np.ix_(first, first)]])
     return quotient, quotient.subgroup_from_mask(quotient.images[:, home] == home)
 
 
@@ -132,7 +140,7 @@ def core_quotient(inc: Inclusion) -> tuple[FiniteGroup, Subgroup]:
     group of ``coset_action(inc)`` (G on the left cosets of H, kernel
     core_G(H)) and the stabilizer of the coset H.  QuotientOrderCapExceeded
     is raised before building one past QUOTIENT_CAP."""
-    return action_quotient(*coset_action(inc))
+    return action_quotient(inc.group, *coset_action(inc))
 
 
 def _group_invariants(g: FiniteGroup) -> tuple:

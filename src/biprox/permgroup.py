@@ -7,8 +7,9 @@ Conventions
 * A ``FiniteGroup`` is its array of image rows, ``images``, sorted
   lexicographically, which makes Cayley tables, subgroup bitsets, and
   everything built on top of them reproducible across runs and platforms.
-  The Cayley table composes rows and looks the products up by their byte
-  keys, one block of rows per lookup;
+  The Cayley table composes rows one block at a time and looks the products
+  up by their byte keys, or, for a quotient read off its parent's table,
+  checks the given table against them;
   ``elements``, the rows as ``Permutation`` objects, is built on demand.
 * Closure runs in batches: ``_close`` closes every row of a mask matrix at
   once, from rows already closed under all but their last generator when
@@ -173,42 +174,72 @@ class FiniteGroup:
     ``elements`` is a sequence of permutations of one degree or an integer
     array of their image rows. Elements are indexed 0..order-1 in
     lexicographic image order; all subgroup and coset machinery works on
-    these indices. ``elements`` as ``Permutation`` objects is built on first
-    use. Instances are immutable after construction and cache derived data
+    these indices, and rows that arrive in that order are not sorted again.
+    The Cayley table looks each product row up among the rows; the private
+    ``_table`` (``interval.action_quotient``) is a table for rows already in
+    order, checked entry by entry against the composed rows instead, and a
+    wrong entry raises ValueError as a list not closed under products does.
+    ``elements`` as ``Permutation`` objects is built on first use.
+    Instances are immutable after construction and cache derived data
     (subgroup lists, element orders, conjugacy classes) on first use.
     """
 
-    def __init__(self, elements: Sequence[Permutation] | np.ndarray, name: Optional[str] = None):
+    def __init__(
+        self,
+        elements: Sequence[Permutation] | np.ndarray,
+        name: Optional[str] = None,
+        *,
+        _table: Optional[np.ndarray] = None,
+    ):
         if len(elements) == 0:
             raise ValueError("a group needs at least the identity")
         if not isinstance(elements, np.ndarray):
             if len({e.degree for e in elements}) > 1:
                 raise DegreeMismatch("elements of mixed degree")
             elements = [e.images for e in elements]
-        images = np.unique(np.asarray(elements, dtype=np.int32), axis=0)
+        images = np.array(elements, dtype=np.int32)
+        if not _sorted_distinct(images):
+            if _table is not None:
+                raise ValueError("a Cayley table needs its rows sorted and distinct")
+            images = np.unique(images, axis=0)
         self.order, self.degree = images.shape
         if np.any(np.sort(images, axis=1) != np.arange(self.degree)):
             raise ValueError("image rows are not permutations")
         images.setflags(write=False)
         self.images = images
         self.name = name
-        # Big-endian bytes sort like the rows, so a row's index is a searchsorted.
-        big = images.astype(">i4")
-        self._keys = big.view(f"V{4 * self.degree}").ravel()
+        if _table is None:
+            # Products are looked up by key, so gather them from big-endian rows.
+            rows = self._keys.view(">i4").reshape(images.shape)
+            unclosed = "element list is not closed under products"
+        else:
+            rows = images
+            unclosed = "table is not the Cayley table of the rows"
+            _table = np.asarray(_table)
+            if _table.shape != (self.order, self.order) or not (
+                0 <= _table.min() and _table.max() < self.order
+            ):
+                raise ValueError(unclosed)
         cayley = np.empty((self.order, self.order), dtype=np.int32)
         block = max(1, _CLOSE_CELLS // (self.order * self.degree))
         for start in range(0, self.order, block):
             # Entry (i, j) of a block is the row of p_i * p_j, p_i[p_j]; take
             # gathers it C-contiguous, so _find views it with no copy.
-            found, closed = self._find(np.take(big[start : start + block], images, axis=1))
+            products = np.take(rows[start : start + block], images, axis=1)
+            if _table is None:
+                found, closed = self._find(products)
+            else:
+                found = _table[start : start + block]
+                closed = images[found] == products
             if not closed.all():
-                raise ValueError("element list is not closed under products")
+                raise ValueError(unclosed)
             cayley[start : start + block] = found.reshape(-1, self.order)
         cayley.setflags(write=False)
         self.cayley = cayley
         self.identity_index = 0  # closed, so it holds the least row (0, 1, ..., degree - 1)
         self.inverse = np.argmax(cayley == 0, axis=1).astype(np.int32)
         self.inverse.setflags(write=False)
+        self._full_subgroup: Optional[Subgroup] = None
         self._subgroups: Optional[list[Subgroup]] = None
         self._subgroup_lattice = None  # (lattice of _subgroups, key -> node index)
         self._element_orders: Optional[np.ndarray] = None
@@ -217,6 +248,12 @@ class FiniteGroup:
         self._generator_strings: dict[bytes, str] = {}  # by subgroup key
 
     # -- basics ---------------------------------------------------------
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The rows as big-endian bytes, which sort like the rows, so a row's
+        index is a searchsorted."""
+        return self.images.astype(">i4").view(f"V{4 * self.degree}").ravel()
 
     def _find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The index of each image row, and whether the row is an element."""
@@ -274,7 +311,10 @@ class FiniteGroup:
         return self.subgroup_from_indices([self.identity_index])
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, np.ones(self.order, dtype=bool))
+        """G as a subgroup of itself, built once per group."""
+        if self._full_subgroup is None:
+            self._full_subgroup = Subgroup(self, np.ones(self.order, dtype=bool))
+        return self._full_subgroup
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Element indices grouped by conjugacy, each class sorted."""
@@ -288,18 +328,24 @@ class FiniteGroup:
         return self.full_subgroup().character_table()
 
 
+def _sorted_distinct(rows: np.ndarray) -> bool:
+    """Whether the rows strictly ascend in lexicographic order: the first
+    entry where each row differs from the previous one is larger."""
+    step = np.diff(rows, axis=0)
+    lead = (step != 0).argmax(axis=1)
+    return bool(np.all(step[np.arange(len(step)), lead] > 0))
+
+
 def _conjugacy_classes(group: FiniteGroup, members: np.ndarray) -> list[np.ndarray]:
-    """The classes of the subgroup on ``members`` under its own conjugation,
-    each sorted, in the order of their least elements."""
-    seen = np.zeros(group.order, dtype=bool)
-    classes = []
-    for x in members:
-        if seen[x]:
-            continue
-        orbit = np.unique(group.cayley[group.cayley[members, x], group.inverse[members]])
-        seen[orbit] = True
-        classes.append(orbit)
-    return classes
+    """The classes of the subgroup on ``members`` (ascending) under its own
+    conjugation, each sorted, in the order of their least elements: one
+    members x members gather of g x g^-1 gives each member its least
+    conjugate, which names its class."""
+    least = group.cayley[
+        group.cayley[np.ix_(members, members)], group.inverse[members, None]
+    ].min(axis=0)
+    order = np.argsort(least, kind="stable")
+    return np.split(members[order], np.flatnonzero(np.diff(least[order])) + 1)
 
 
 def _class_matrix(
@@ -339,6 +385,7 @@ class Subgroup:
         self.parent = parent
         self.mask = mask
         self.indices = np.flatnonzero(mask)
+        self.indices.setflags(write=False)
         self.order = int(mask.sum())
         if parent.order % self.order != 0:
             raise ValueError("member count does not divide the group order")

@@ -7,7 +7,9 @@ every generation member with every element (generation 1) or cyclic
 generator outside it, each from all its members and generators.
 ``min_key_class_representatives`` is the former rule of
 ``cli.subgroup_class_representatives``: a subgroup represents its class when
-its key is the least over all of its conjugates.
+its key is the least over all of its conjugates.  ``orbit_conjugacy_classes``
+is the former ``permgroup._conjugacy_classes``: one conjugation orbit per
+Python step.
 """
 
 from __future__ import annotations
@@ -62,3 +64,17 @@ def min_key_class_representatives(group: FiniteGroup) -> list[Subgroup]:
         for sub in all_subgroups(group)
         if sub.key() == min(row.tobytes() for row in np.packbits(sub.conjugates(), axis=1))
     ]
+
+
+def orbit_conjugacy_classes(group: FiniteGroup, members: np.ndarray) -> list[np.ndarray]:
+    """The classes of the subgroup on ``members`` under its own conjugation,
+    each sorted, in the order of their least elements."""
+    seen = np.zeros(group.order, dtype=bool)
+    classes = []
+    for x in members:
+        if seen[x]:
+            continue
+        orbit = np.unique(group.cayley[group.cayley[members, x], group.inverse[members]])
+        seen[orbit] = True
+        classes.append(orbit)
+    return classes

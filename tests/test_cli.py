@@ -297,7 +297,7 @@ def test_survey_classes_independent_of_input_order() -> None:
     assert merged, "expected S3 and D3 inclusions to share classes"
 
 
-def _action_key(rows, home) -> tuple:
+def _action_key(rows, home, *_) -> tuple:
     return rows.shape[1], home, rows.tobytes()
 
 
@@ -308,9 +308,9 @@ def test_equivalence_classes_build_each_core_quotient_once(monkeypatch) -> None:
     built = []
     original = biprox.interval.action_quotient
 
-    def counted(rows, home):
+    def counted(group, rows, home, *rest):
         built.append(_action_key(rows, home))
-        return original(rows, home)
+        return original(group, rows, home, *rest)
 
     monkeypatch.setattr(biprox.interval, "action_quotient", counted)
     monkeypatch.setattr(biprox.cli, "action_quotient", counted)

@@ -22,6 +22,7 @@ from biprox.errors import NotNested, QuotientOrderCapExceeded, TheoremViolation
 from biprox.interval import (
     DualOreReport,
     Inclusion,
+    action_quotient,
     core_quotient,
     coset_action,
     dual_ore_conditions,
@@ -30,7 +31,7 @@ from biprox.interval import (
     is_H_cyclic,
     ore_verify,
 )
-from biprox.permgroup import parse_cycles, subgroup_generated
+from biprox.permgroup import FiniteGroup, parse_cycles, subgroup_generated
 from lattice_oracle import interval_subgroups
 
 
@@ -293,10 +294,32 @@ def test_coset_action_is_g_on_the_cosets_of_h() -> None:
         point = {rep: k for k, rep in enumerate(names)}
         every = [[point[int(cayley[cayley[g, rep], members].min())] for rep in names]
                  for g in range(inc.group.order)]
-        rows, home = coset_action(inc)
+        rows, home, image, first = coset_action(inc)
         assert rows.tolist() == sorted(map(list, set(map(tuple, every)))), name
         assert home == point[int(members.min())], name
+        # image[g] is the position of g's row; first[i] is the least g of row i.
+        assert rows[image].tolist() == every, name
+        assert first.tolist() == [every.index(row) for row in rows.tolist()], name
         assert [list(r) for r in core_quotient(inc)[0].images] == rows.tolist(), name
+
+
+def test_gathered_quotients_match_the_lookup_on_the_census() -> None:
+    # Each distinct coset action of the census, built from G's table and by
+    # looking its products up among its rows.
+    actions = set()
+    for name, inc in enumerate_pairs():
+        rows, home, image, first = coset_action(inc)
+        if (rows.shape[1], home, rows.tobytes()) in actions:
+            continue
+        actions.add((rows.shape[1], home, rows.tobytes()))
+        gathered, stabilizer = action_quotient(inc.group, rows, home, image, first)
+        looked_up = FiniteGroup(rows)
+        assert np.array_equal(gathered.images, looked_up.images), name
+        assert np.array_equal(gathered.cayley, looked_up.cayley), name
+        assert np.array_equal(gathered.inverse, looked_up.inverse), name
+        assert gathered.identity_index == looked_up.identity_index, name
+        assert np.array_equal(stabilizer.mask, looked_up.images[:, home] == home), name
+    assert len(actions) == 178
 
 
 def test_equivalence_key_buckets() -> None:

@@ -30,7 +30,11 @@ from biprox.permgroup import (
     subgroup_generated,
 )
 from lattice_oracle import interval_subgroups
-from permgroup_oracle import every_seed_subgroups, min_key_class_representatives
+from permgroup_oracle import (
+    every_seed_subgroups,
+    min_key_class_representatives,
+    orbit_conjugacy_classes,
+)
 
 # Frozen oracle values from an independent one-element-extension BFS
 # enumeration (notes/oracles/subgroup_counts.py); S4 = 30, S5 = 156,
@@ -190,6 +194,57 @@ def test_cayley_table_is_the_permutation_product(monkeypatch):
         pair.index_of(parse_cycles("(14,15)", degree=16))
     with pytest.raises(ValueError, match="not closed"):
         FiniteGroup(wide)
+
+
+def test_a_given_cayley_table_is_verified():
+    s4 = catalog_group("S4")
+    assert np.array_equal(FiniteGroup(s4.images, _table=s4.cayley).cayley, s4.cayley)
+    for i, j in [(0, 0), (5, 17), (23, 22)]:
+        wrong = s4.cayley.copy()
+        wrong[i, j] = (wrong[i, j] + 1) % s4.order
+        with pytest.raises(ValueError, match="not the Cayley table"):
+            FiniteGroup(s4.images, _table=wrong)
+    # -1 would wrap to the last row, and past the order there is no row.
+    for entry in (-1, s4.order):
+        wrong = s4.cayley.copy()
+        wrong[3, 4] = entry
+        with pytest.raises(ValueError, match="not the Cayley table"):
+            FiniteGroup(s4.images, _table=wrong)
+    with pytest.raises(ValueError, match="not the Cayley table"):
+        FiniteGroup(s4.images, _table=s4.cayley[:, :-1])
+    # The table indexes the rows as given, so they must already be in order.
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        FiniteGroup(s4.images[::-1], _table=s4.cayley)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=1, max_size=6))
+def test_sorted_distinct_rows_are_the_unique_rows(rows):
+    rows = np.array(rows)
+    unique = np.unique(rows, axis=0)
+    expected = unique.shape == rows.shape and np.array_equal(unique, rows)
+    assert biprox.permgroup._sorted_distinct(rows) == expected
+
+
+def test_conjugacy_classes_match_the_orbit_loop():
+    groups = [catalog_group(name) for name in catalog_names()]
+    groups.append(group_closure(parse_generators(LARGE["A6"]), name="A6"))
+    for group in groups:
+        for sub in all_subgroups(group):
+            got = biprox.permgroup._conjugacy_classes(group, sub.indices)
+            want = orbit_conjugacy_classes(group, sub.indices)
+            assert [c.tolist() for c in got] == [c.tolist() for c in want], (group, sub)
+
+
+def test_full_subgroup_is_built_once_and_read_only():
+    s4 = catalog_group("S4")
+    full = s4.full_subgroup()
+    assert s4.full_subgroup() is full
+    assert full.indices.tolist() == list(range(s4.order))
+    with pytest.raises(ValueError):
+        full.indices[0] = 1
+    with pytest.raises(ValueError):
+        full.mask[0] = False
 
 
 def test_inverse_and_element_orders_match_a_power_loop():
