@@ -635,14 +635,20 @@ def _spectral_split(ctx: BoxContext, coeffs: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
-def _canonical_key(p: BoxElement) -> tuple:
-    tr = trace(p).real
-    pattern = tuple((round(float(c.real), 8), round(float(c.imag), 8)) for c in p.coeffs)
-    return (round(tr, 10), pattern)
+def _canonical_order(projs: list[BoxElement]) -> np.ndarray:
+    """The stable sort of projs by trace rounded to 10 decimals, then by the
+    coefficients in element order, each real part before its imaginary
+    part, rounded to 8: one lexsort over the rounded columns."""
+    coeffs = np.array([p.coeffs for p in projs])
+    cols = np.empty((len(projs), 2 * coeffs.shape[1]))
+    cols[:, 0::2] = np.round(coeffs.real, 8)
+    cols[:, 1::2] = np.round(coeffs.imag, 8)
+    traces = np.round([trace(p).real for p in projs], 10)
+    return np.lexsort(np.vstack([cols[:, ::-1].T, traces]))  # last key leads
 
 
 def _canonical_projection_sort(projs: list[BoxElement]) -> list[BoxElement]:
-    return sorted(projs, key=_canonical_key)
+    return [projs[i] for i in _canonical_order(projs)]
 
 
 def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
@@ -668,7 +674,7 @@ def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
         ]
         if not sum(projs[1:], projs[0]).isclose(id_element(ctx)):
             raise BiprojectionCheckFailed("the blocks do not sum to id")
-        order = sorted(range(len(projs)), key=lambda i: _canonical_key(projs[i]))
+        order = _canonical_order(projs)
         ctx._cache["mcp"] = [projs[i] for i in order]
         ctx._cache["block_characters"] = rows[order].tolist()
     return ctx._cache["mcp"]

@@ -9,6 +9,12 @@ biprojections, shortest-chain lengths whose per-step predicates are
 decided on intervals of the parent biprojection lattice, and a table of
 verified implications between all of these.
 
+On [H, G] itself, Dedekind, cyclic, (Z), (Z~) and w+ read the integers
+<chi|_K, 1> of the verified character table (one table per context or
+interval; see _fixed_dims).  Chain-length steps keep the double-coset test
+HgK = KgH, and the range projection runs only for the w+ pairs those
+integers leave undecided.
+
 Conventions used throughout (see boxalgebra): the biprojection lattice
 reverses subgroup inclusion, so b_K <= b_L iff L <= K, the bottom is
 e1 = b_G and the top is id = b_H; "minimal projection" means a rank-one
@@ -54,7 +60,6 @@ from .permgroup import (
     ZERO_TOL,
     Subgroup,
     is_dedekind_interval,
-    is_normal_intermediate,
     require_nested,
 )
 
@@ -85,28 +90,49 @@ __all__ = [
 # -- w-cyclicity ------------------------------------------------------------
 
 
-def _interval_blocks(lat: FiniteLattice) -> Tuple[np.ndarray, np.ndarray]:
+def _fixed_dims(lat: FiniteLattice) -> np.ndarray:
+    """dims[psi, M] = <psi|_M, 1> for an interval [b_outer, b_inner] of the
+    biprojection lattice: the characters psi of outer (rows of its character
+    table) against the nodes M, checked to be integers.
+
+    The 2-box algebra of inner <= outer is the sum over psi of matrix blocks
+    of size dims[psi, top], and b_M is a projection of rank dims[psi, M] in
+    the block of psi: the M-fixed vectors inside the inner-fixed ones."""
+    subs = lat.payload
+    masks = np.array([k.mask for k in subs], dtype=float)
+    fixed = subs[lat.bottom].character_table() @ masks.T / masks.sum(axis=1)
+    dims = np.rint(fixed.real)
+    if np.abs(fixed - dims).max() > ZERO_TOL:
+        raise BiprojectionCheckFailed("a fixed-point dimension is not an integer")
+    return dims
+
+
+def _central_nodes(lat: FiniteLattice, dims: np.ndarray) -> np.ndarray:
+    """Whether each b_M of the interval is central in its 2-box algebra: a
+    projection of rank 0 or of full rank in every block."""
+    return ((dims == 0) | (dims == dims[:, [lat.top]])).all(axis=0)
+
+
+def _interval_blocks(
+    lat: FiniteLattice, dims: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """The blocks of an interval [b_outer, b_inner] of the biprojection
     lattice: the characters psi of outer with <psi|_inner, 1> > 0 (rows of
     its character table) and the node M of the biprojection b_M that each
-    block generates.
+    block generates.  dims is the interval's _fixed_dims, built when absent.
 
     b_M.z_psi = z_psi exactly when the M-fixed and the inner-fixed vectors
     of the psi-isotypic part agree, i.e. when <psi|_M, 1> = <psi|_inner, 1>.
     Those M are closed under joins, so the block generates the largest."""
-    subs = lat.payload
-    masks = np.array([k.mask for k in subs], dtype=float)
-    orders = masks.sum(axis=1)
-    fixed = subs[lat.bottom].character_table() @ masks.T / orders  # <psi|_M, 1>
-    dims = np.rint(fixed.real)
-    if np.abs(fixed - dims).max() > ZERO_TOL:
-        raise BiprojectionCheckFailed("a fixed-point dimension is not an integer")
+    if dims is None:
+        dims = _fixed_dims(lat)
+    orders = np.array([k.order for k in lat.payload])
     rows = np.flatnonzero(dims[:, lat.top] > 0)
     nodes = []
     for psi in rows:
         same = dims[psi] == dims[psi, lat.top]
         m = int(np.argmax(np.where(same, orders, 0)))
-        if (masks[same] > masks[m]).any():
+        if not lat.leq[m, same].all():  # every such M a subgroup of the largest
             raise BiprojectionCheckFailed("no largest node keeps the fixed dimension")
         nodes.append(m)
     return rows, np.array(nodes, dtype=np.int64)
@@ -120,10 +146,17 @@ def _interval_w_cyclic(lat: FiniteLattice) -> bool:
 
 def _interval_z(lat: FiniteLattice) -> bool:
     """(Z) on a biprojection-lattice interval: every block generates a
-    central b_M, i.e. inner.g.M = M.g.inner for every g in outer."""
-    subs = lat.payload
-    members = [subs[m] for m in np.unique(_interval_blocks(lat)[1])]
-    return is_dedekind_interval(subs[lat.top], subs[lat.bottom], members)
+    central b_M, read off the interval's own fixed-point table."""
+    dims = _fixed_dims(lat)
+    return bool(_central_nodes(lat, dims)[_interval_blocks(lat, dims)[1]].all())
+
+
+def _context_dims(ctx: BoxContext) -> np.ndarray:
+    """_fixed_dims of the whole biprojection lattice of ctx, built once: the
+    block nodes, (Z), Dedekind and w+ all read this one table."""
+    if "fixed_dims" not in ctx._cache:
+        ctx._cache["fixed_dims"] = _fixed_dims(biprojection_lattice(ctx))
+    return ctx._cache["fixed_dims"]
 
 
 def _block_nodes(ctx: BoxContext) -> List[int]:
@@ -131,7 +164,7 @@ def _block_nodes(ctx: BoxContext) -> List[int]:
     central projection z_i, in block order, read off the character table on
     the whole lattice."""
     if "block_nodes" not in ctx._cache:
-        rows, nodes = _interval_blocks(biprojection_lattice(ctx))
+        rows, nodes = _interval_blocks(biprojection_lattice(ctx), _context_dims(ctx))
         node_of = dict(zip(rows.tolist(), nodes.tolist()))
         ctx._cache["block_nodes"] = [node_of[chi] for chi in block_characters(ctx)]
     return ctx._cache["block_nodes"]
@@ -207,22 +240,38 @@ def _lattice_cyclic(lat: FiniteLattice) -> bool:
 
 def is_dedekind(ctx: BoxContext) -> bool:
     """True when every biprojection is normal (b x b ~ x b x for all x),
-    decided group-theoretically: HgK = KgH for every intermediate K."""
-    return _lattice_dedekind(biprojection_lattice(ctx))
+    i.e. central, read off the fixed-point table: in the block of chi, b_K
+    has rank <chi|_K, 1>, so b_K is central exactly when that rank is 0 or
+    <chi|_H, 1> for every chi.  (The same as HgK = KgH for every g.)"""
+    lat = biprojection_lattice(ctx)
+    return bool(_central_nodes(lat, _context_dims(ctx)).all())
 
 
 def is_cyclic(ctx: BoxContext) -> bool:
     """Dedekind with distributive biprojection lattice."""
-    return _lattice_cyclic(biprojection_lattice(ctx))
+    return is_distributive(biprojection_lattice(ctx))[0] and is_dedekind(ctx)
 
 
 def w_plus_cyclic(ctx: BoxContext) -> bool:
-    """True when the range of the sum of the maximal biprojections stays
-    strictly below id, i.e. some nonzero projection is orthogonal to every
-    proper biprojection."""
+    """True when the range of the sum of the maximal biprojections b_{K_j}
+    stays strictly below id, i.e. some nonzero projection is orthogonal to
+    every proper biprojection.
+
+    Integers first: in the block of chi, of size m = <chi|_H, 1>, b_{K_j}
+    has rank d_j = <chi|_{K_j}, 1>.  If sum_j d_j < m in some block, the
+    range misses part of it: w+ holds.  If every block has some d_j = m, the
+    range fills every block: w+ fails.  Only the pairs left between take
+    the range projection."""
+    lat = biprojection_lattice(ctx)
+    dims = _context_dims(ctx)
+    live = dims[:, lat.top] > 0
+    m = dims[live, lat.top]
+    d = dims[live][:, ctx.lattice.atoms()]  # H = G: no K_j, and w+ holds
+    if (d.sum(axis=1) < m).any():
+        return True
+    if (d == m[:, None]).any(axis=1).all():
+        return False
     bs = [element_bK(ctx, k) for k in maximal_biprojections(ctx)]
-    if not bs:
-        return True  # H = G: the empty sum leaves all of id
     return not range_projection(sum(bs[1:], bs[0])).isclose(id_element(ctx))
 
 
@@ -259,30 +308,25 @@ def lw_rw_cyclic(ctx: BoxContext, k: Subgroup) -> Dict[str, bool]:
 
 
 def _z_violation(ctx: BoxContext) -> Optional[int]:
-    """Index of a minimal central projection generating a non-central
-    biprojection, or None.  b_K.pi(g).b_H is the uniform measure on KgH,
-    so b_K is central exactly when KgH = HgK for every g."""
-    for i, k in enumerate(_block_subgroups(ctx)):
-        if not is_normal_intermediate(ctx.sub, k, ctx.group):
-            return i
-    return None
+    """Index of the first minimal central projection generating a
+    non-central biprojection, or None, read off the fixed-point table (see
+    is_dedekind)."""
+    central = _central_nodes(biprojection_lattice(ctx), _context_dims(ctx))
+    bad = np.flatnonzero(~central[_block_nodes(ctx)])
+    return int(bad[0]) if len(bad) else None
 
 
 def property_Z(ctx: BoxContext) -> bool:
-    """Every minimal central projection generates a central biprojection."""
+    """Every minimal central projection generates a central biprojection,
+    decided on the fixed-point table (see _z_violation)."""
     return _z_violation(ctx) is None
 
 
-def _zz_violation(ctx: BoxContext) -> Optional[Tuple[int, int]]:
-    """Pair of center-basis indices whose coproduct is not central, or None.
+def _zz_blocks_central(ctx: BoxContext) -> bool:
+    """Whether every coproduct z_i * z_j of two blocks is central.
 
-    The coproduct is bilinear and commutative and the blocks span the
-    center, so the z_i * z_j with i <= j decide (ZZ).  The blocks are
-    orthogonal, so z_i * z_j is central exactly when it equals its
-    projection onto their span; one row i is tested at a time.  Only a
-    violation computes the orthonormal center basis, whose indices the
-    pair reports.
-    """
+    The blocks are orthogonal, so z_i * z_j is central exactly when it
+    equals its projection onto their span; one row i is tested at a time."""
     z = np.array([b.coeffs for b in minimal_central_projections(ctx)])
     norms = (np.abs(z) ** 2).sum(axis=1)
 
@@ -292,7 +336,20 @@ def _zz_violation(ctx: BoxContext) -> Optional[Tuple[int, int]]:
         scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None]
         return bool(np.all(np.abs(resid) <= ZERO_TOL * scale))
 
-    if all(row_central(i) for i in range(len(z))):
+    return all(row_central(i) for i in range(len(z)))
+
+
+def _zz_violation(ctx: BoxContext) -> Optional[Tuple[int, int]]:
+    """Pair of center-basis indices whose coproduct is not central, or None.
+
+    The coproduct is bilinear and commutative and the blocks span the
+    center, so the z_i * z_j with i <= j decide (ZZ).  At H = {1} the
+    coproduct is the pointwise product of functions on G, and a pointwise
+    product of class functions is a class function, so (ZZ) holds with no
+    test.  Only a violation computes the orthonormal center basis, whose
+    indices the pair reports.
+    """
+    if ctx.sub.order == 1 or _zz_blocks_central(ctx):
         return None
     basis = center_basis_elements(ctx)
     for i, a in enumerate(basis):

@@ -17,6 +17,9 @@ biprojection lattice as a 2-box context of its own (a fresh group, lattice
 and algebra), the route the interval predicates took before they were read
 off the parent lattice and the character tables of its subgroups.
 
+``canonical_key`` is the per-element sort key of projections that one
+lexsort over rounded columns replaced; the block order must not change.
+
 ``is_normal_biprojection``, ``generate_from_set``, ``central_support`` and
 ``center_dimension`` are 2-box routines that no library path calls; the
 tests use them as oracles for the exact predicates.
@@ -55,6 +58,13 @@ from biprox.permgroup import (
     require_nested,
     subgroup_generated,
 )
+
+
+def canonical_key(p: BoxElement) -> tuple:
+    """Trace to 10 decimals, then every coefficient as (real, imag) to 8."""
+    tr = bx.trace(p).real
+    pattern = tuple((round(float(c.real), 8), round(float(c.imag), 8)) for c in p.coeffs)
+    return (round(tr, 10), pattern)
 
 
 def generate_biprojection_spectral(x: bx.BoxElement) -> bx.Biprojection:

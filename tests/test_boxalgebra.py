@@ -43,6 +43,7 @@ from biprox.permgroup import ZERO_TOL, FiniteGroup, Subgroup, parse_cycles, subg
 from biprox.properties import dual_coproduct_center_basis
 from biprox import reference_tables as ref
 from spectral_oracle import (
+    canonical_key,
     center_dimension,
     central_support,
     compress_lower,
@@ -559,6 +560,30 @@ def test_corrupted_class_matrix_raises(monkeypatch):
     monkeypatch.setattr(permgroup, "_class_matrix", corrupted)
     with pytest.raises(BiprojectionCheckFailed):
         group.character_table()
+
+
+def _strictly_ascending(keys) -> bool:
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_block_order_matches_the_per_element_key_on_the_census():
+    # The witnesses print block indices: the lexsort over rounded columns
+    # must order the blocks exactly as the per-element tuple key did.  Keys
+    # that strictly ascend leave no tie for a stable sort to break.  The
+    # census holds every corpus pair.
+    from biprox.cli import enumerate_pairs
+
+    for _name, inc in enumerate_pairs():
+        ctx = bx.BoxContext(inc.group, inc.sub)
+        blocks = bx.minimal_central_projections(ctx)
+        assert _strictly_ascending([canonical_key(p) for p in blocks]), ctx
+    for ctx in (_oracle_context("S4/(1,2)"), _oracle_context("S4")):
+        for z in bx.minimal_central_projections(ctx):
+            mins = bx.minimal_projections_under(z, seed=3)
+            assert _strictly_ascending([canonical_key(q) for q in mins])
+    # The same rounded keys in reverse: the sort undoes the reversal.
+    blocks = bx.minimal_central_projections(_oracle_context("S4"))
+    assert bx._canonical_projection_sort(blocks[::-1]) == blocks
 
 
 def test_is_minimal(ctx_s3, ctx_s4s2):

@@ -28,6 +28,7 @@ from biprox.boxalgebra import (
     mul_dual,
 )
 from biprox.catalog import catalog_group, catalog_names
+from biprox.cli import enumerate_pairs
 from biprox.errors import BiprojectionCheckFailed, NotNested
 from biprox.interval import (
     Inclusion,
@@ -41,18 +42,22 @@ from biprox.permgroup import (
     Subgroup,
     all_subgroups,
     group_closure,
+    is_dedekind_interval,
     is_normal_intermediate,
     parse_cycles,
     parse_generators,
 )
 from biprox.properties import (
     _block_subgroups,
+    _central_nodes,
+    _context_dims,
     _f2_violation,
     _interval_blocks,
     _interval_w_cyclic,
     _interval_z,
     _w_cyclic_block,
     _z_violation,
+    _zz_blocks_central,
     classify,
     find_zz_violation_dual,
     is_cyclic,
@@ -325,6 +330,88 @@ def test_z_by_double_cosets_matches_centrality():
             assert central == is_normal_intermediate(ctx.sub, k, ctx.group), (ctx, k)
             answers.append(central)
     assert set(answers) == {True, False}
+
+
+# -- the fixed-point table against the double cosets, on the census -----------
+
+
+@pytest.fixture(scope="module")
+def census_contexts():
+    return [BoxContext(inc.group, inc.sub) for _name, inc in enumerate_pairs()]
+
+
+def test_fixed_point_centrality_matches_double_cosets_on_the_census(census_contexts):
+    # b_K is central exactly when HgK = KgH for every g: the rank test on
+    # the table equals the double-coset test on every node of every [H, G].
+    answers = set()
+    for ctx in census_contexts:
+        lat = biprojection_lattice(ctx)
+        central = _central_nodes(lat, _context_dims(ctx))
+        normal = [is_normal_intermediate(ctx.sub, k, ctx.group) for k in lat.payload]
+        assert central.tolist() == normal, ctx
+        assert is_dedekind(ctx) == all(normal)
+        first = next(
+            (i for i, k in enumerate(_block_subgroups(ctx))
+             if not is_normal_intermediate(ctx.sub, k, ctx.group)),
+            None,
+        )
+        assert _z_violation(ctx) == first
+        answers.update(normal)
+        answers.add(first is None)
+    assert answers == {True, False}
+
+
+def test_interval_z_matches_double_cosets_on_census_sub_intervals(census_contexts):
+    answers = []
+    for ctx in census_contexts:
+        lat = biprojection_lattice(ctx)
+        for a, b in zip(*np.nonzero(lat.leq)):
+            if a == b:
+                continue
+            part = lat.interval(a, b)[0]
+            subs = part.payload
+            blocks = [subs[m] for m in np.unique(_interval_blocks(part)[1])]
+            holds = is_dedekind_interval(subs[part.top], subs[part.bottom], blocks)
+            assert _interval_z(part) == holds, (ctx, a, b)
+            answers.append(holds)
+    assert set(answers) == {True, False}
+
+
+def _oracle_w_plus(ctx) -> bool:
+    """w+ by the range projection of the sum of the maximal biprojections."""
+    from biprox.boxalgebra import id_element, range_projection
+
+    bs = [element_bK(ctx, k) for k in maximal_biprojections(ctx)]
+    if not bs:
+        return True
+    return not range_projection(sum(bs[1:], bs[0])).isclose(id_element(ctx))
+
+
+def test_w_plus_integers_match_range_projection_on_the_census(census_contexts, monkeypatch):
+    projected = []
+    honest = properties.range_projection
+    monkeypatch.setattr(
+        properties, "range_projection", lambda x: projected.append(1) or honest(x)
+    )
+    routes = {"integers": 0, "range projection": 0}
+    answers = set()
+    for ctx in census_contexts:
+        before = len(projected)
+        got = w_plus_cyclic(ctx)
+        routes["range projection" if len(projected) > before else "integers"] += 1
+        assert got == _oracle_w_plus(ctx), ctx
+        answers.add(got)
+    assert answers == {True, False}
+    assert min(routes.values()) > 0, routes
+
+
+def test_zz_holds_at_the_trivial_subgroup():
+    # At H = {1} the coproduct is the pointwise product, which keeps class
+    # functions: (ZZ) needs no test there, and the row test agrees.
+    for name in catalog_names():
+        ctx = trivial_ctx(name)
+        assert property_ZZ(ctx)
+        assert _zz_blocks_central(ctx), name
 
 
 def test_classify_makes_no_random_draw(monkeypatch):
