@@ -21,15 +21,16 @@ from biprox.boxalgebra import (
     trace,
 )
 from biprox.catalog import catalog_group, parse_subgroup_spec
-from biprox.lattice import is_distributive, is_modular
+from biprox.lattice import forbidden_sublattice, is_distributive, is_modular
 
 group = catalog_group("S4")
 sub = parse_subgroup_spec(group, "(1,2)")
 ctx = BoxContext(group, sub)
 
 lat = biprojection_lattice(ctx)
-dist, dist_witness = is_distributive(lat)
-modular, _ = is_modular(lat)
+dist = is_distributive(lat)
+dist_witness = forbidden_sublattice(lat)
+modular = is_modular(lat)
 print(f"[H, G] for H = <(12)> in S4 has {lat.n} elements; "
       f"distributive: {dist} (witness sublattice {dist_witness}), modular: {modular}")
 print("\nbiprojections b_K (trace = |H| / |K|):")

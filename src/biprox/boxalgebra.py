@@ -668,10 +668,9 @@ def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
         # (b_H.e_chi)(g) = chi(1)/|G| . mean over h in H of conj(chi(h^-1 g))
         left, e = group.cayley[group.inverse[sub.indices]], group.identity_index
         rows = np.flatnonzero(np.rint(fixed.real) > 0)
-        projs = [
-            BoxElement(ctx, chi[left].conj().mean(axis=0) * chi[e].real / group.order)
-            for chi in table[rows]
-        ]
+        sel = table[rows]
+        blocks = sel[:, left].conj().mean(axis=1) * sel[:, e].real[:, None] / group.order
+        projs = [BoxElement(ctx, block) for block in blocks]
         if not sum(projs[1:], projs[0]).isclose(id_element(ctx)):
             raise BiprojectionCheckFailed("the blocks do not sum to id")
         order = _canonical_order(projs)

@@ -94,7 +94,7 @@ def _context_from_args(args) -> Tuple[FiniteGroup, Subgroup, BoxContext]:
 def cmd_analyze(args) -> int:
     group, sub, ctx = _context_from_args(args)
     lat = biprojection_lattice(ctx)  # [H, G] reversed; each figure below is reversal-invariant
-    modular, _ = is_modular(lat)
+    modular = is_modular(lat)
     report = classify(ctx)
     out = {
         "schema": SCHEMA,
@@ -216,8 +216,8 @@ def cmd_table(args) -> int:
 def cmd_lattice(args) -> int:
     group, sub, ctx = _context_from_args(args)
     lat = ctx.lattice
-    distributive, _ = is_distributive(lat)
-    modular, _ = is_modular(lat)
+    distributive = is_distributive(lat)
+    modular = is_modular(lat)
     rank = boolean_rank(lat)
     title = f"[{sub.generator_string()}, {group.label()}]"
     if args.format == "json":

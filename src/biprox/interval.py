@@ -77,7 +77,7 @@ def is_H_cyclic(inc: Inclusion) -> Optional[int]:
 def ore_verify(inc: Inclusion) -> OreReport:
     """Distributivity of [H, G] together with the one-extra-generator
     property; a distributive interval failing the latter is a hard error."""
-    distributive = is_distributive(inc.lattice)[0]
+    distributive = is_distributive(inc.lattice)
     witness = is_H_cyclic(inc)
     if distributive and witness is None:
         raise TheoremViolation(

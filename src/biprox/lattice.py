@@ -5,10 +5,10 @@ tables, built level by level in float32 products.  Modularity and
 distributivity are decided by valuations (Birkhoff, *Lattice Theory*,
 ch. II): a finite lattice is modular exactly when its height is a
 valuation, and distributive exactly when r(x), the number of
-join-irreducibles below x, is one too.  The triples only build witnesses:
-when a valuation fails, the first failing triple is scanned for and a
-forbidden sublattice (diamond M3 or pentagon N5) is built from it and
-verified to be an induced sublattice before it is returned.
+join-irreducibles below x, is one too.  The triple scans run only in
+forbidden_sublattice: it scans for the first failing triple and builds a
+forbidden sublattice (diamond M3 or pentagon N5) from it, verified to be an
+induced sublattice before it is returned.
 
 The subgroup lattice of a group is built once and cached on the group;
 every interval [H, G] is read off it as the up-set of H, except in a group
@@ -154,10 +154,9 @@ class FiniteLattice:
             self.labels, self.payload,
         )
 
-    def interval(self, lo: int, hi: int) -> tuple["FiniteLattice", np.ndarray]:
-        """The interval [lo, hi] as a lattice plus the index map back."""
-        members = np.flatnonzero(self.leq[lo, :] & self.leq[:, hi])
-        return self._restrict(members), members
+    def interval(self, lo: int, hi: int) -> "FiniteLattice":
+        """The interval [lo, hi] as a lattice on its members, in node order."""
+        return self._restrict(np.flatnonzero(self.leq[lo, :] & self.leq[:, hi]))
 
     def _restrict(self, members: np.ndarray) -> "FiniteLattice":
         """The sublattice on the increasing node indices ``members``."""
@@ -183,15 +182,15 @@ class FiniteLattice:
         """The sublattice on ``members``; raises if not meet/join closed."""
         return self._restrict(np.asarray(sorted(members), dtype=np.int64))
 
-    def top_interval(self) -> tuple["FiniteLattice", np.ndarray]:
-        """[B, 1] with B the meet of all coatoms."""
+    def top_interval(self) -> "FiniteLattice":
+        """The interval [B, 1] with B the meet of all coatoms."""
         b = self.top
         for c in self.coatoms():
             b = int(self.meet[b, c])
         return self.interval(b, self.top)
 
-    def bottom_interval(self) -> tuple["FiniteLattice", np.ndarray]:
-        """[0, b] with b the join of all atoms."""
+    def bottom_interval(self) -> "FiniteLattice":
+        """The interval [0, b] with b the join of all atoms."""
         b = self.bottom
         for a in self.atoms():
             b = int(self.join[b, a])
@@ -314,7 +313,7 @@ def from_subgroups(group: FiniteGroup, h: Subgroup) -> FiniteLattice:
     i = index.get(h.key())
     if i is None:
         raise ValueError(f"{h!r} is not closed under products")
-    return lat if i == lat.bottom else lat.interval(i, lat.top)[0]
+    return lat if i == lat.bottom else lat.interval(i, lat.top)
 
 
 def _lattice_of_subgroups(nodes: list[Subgroup]) -> FiniteLattice:
@@ -445,26 +444,18 @@ def _join_irreducible_rank(lat: FiniteLattice) -> np.ndarray:
     return lat.leq[irreducible].sum(axis=0)
 
 
-def is_modular(lat: FiniteLattice) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Whether no pentagon N5 embeds; on failure returns an N5 witness
-    (z, x, y, w, t) with z < x < y < t the chain and w the side element.
+def is_modular(lat: FiniteLattice) -> bool:
+    """Whether no pentagon N5 embeds.
 
     Decided by the height h: a finite lattice is modular exactly when h is
     a valuation (Birkhoff, *Lattice Theory*, ch. II).  h is strictly
     monotone, so a valuation rules out N5, where h(x) + h(w) = h(z) + h(t)
-    = h(y) + h(w) would force h(x) = h(y).  Only on failure is the first
-    failing triple a <= b, a∨(c∧b) != (a∨c)∧b scanned for, to build the
-    witness.
+    = h(y) + h(w) would force h(x) = h(y).
     """
-    if _is_valuation(lat, lat._heights):
-        return True, None
-    triple = _failing_modular_triple(lat)
-    if triple is None:
-        raise RuntimeError("internal error: the height is no valuation, yet no triple fails")
-    return False, _pentagon_witness(lat, *triple)
+    return _is_valuation(lat, lat._heights)
 
 
-def is_distributive(lat: FiniteLattice) -> tuple[bool, Optional[tuple[int, ...]]]:
+def is_distributive(lat: FiniteLattice) -> bool:
     """Whether no diamond M3 and no pentagon N5 embeds.
 
     Decided by r(x), the number of join-irreducibles below x: the lattice
@@ -472,19 +463,25 @@ def is_distributive(lat: FiniteLattice) -> tuple[bool, Optional[tuple[int, ...]]
     Theory*, ch. II).  With J(x) the join-irreducibles below x,
     J(x∧y) = J(x) ∩ J(y) always, so r is a valuation exactly when
     J(x∨y) = J(x) ∪ J(y), which holds exactly in a distributive lattice.
-    Only on failure is the first failing triple of the identity
-    a∨(b∧c) = (a∨b)∧(a∨c) scanned for; the witness 5-tuple is an induced
-    M3 (m, x, y, z, j) or N5 (z, x, y, w, t) built from it.
     """
-    if _is_valuation(lat, _join_irreducible_rank(lat)):
-        return True, None
-    triple = _failing_distributive_triple(lat)
+    return _is_valuation(lat, _join_irreducible_rank(lat))
+
+
+def forbidden_sublattice(lat: FiniteLattice) -> Optional[tuple[int, ...]]:
+    """An induced M3 (m, x, y, z, j) or N5 (z, x, y, w, t) of ``lat``, or
+    None when it is distributive.
+
+    A lattice that is not modular gets the N5 built from its first failing
+    triple a <= b, a∨(c∧b) != (a∨c)∧b; a modular one the M3 built from its
+    first failing triple of a∨(b∧c) = (a∨b)∧(a∨c).
+    """
+    if is_distributive(lat):
+        return None
+    modular = is_modular(lat)
+    triple = (_failing_distributive_triple if modular else _failing_modular_triple)(lat)
     if triple is None:
-        raise RuntimeError("internal error: r is no valuation, yet no triple fails")
-    modular, pentagon = is_modular(lat)
-    if not modular:
-        return False, pentagon
-    return False, _diamond_witness(lat, *triple)
+        raise RuntimeError("internal error: a valuation fails, yet no triple does")
+    return (_diamond_witness if modular else _pentagon_witness)(lat, *triple)
 
 
 def find_forbidden_bruteforce(lat: FiniteLattice) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -534,7 +531,7 @@ def boolean_rank(lat: FiniteLattice) -> Optional[int]:
     atoms among them it has 2^k elements exactly when the atoms are all of
     them, i.e. when it is Boolean of rank k."""
     k = len(lat.atoms())
-    if lat.n == 2**k and is_distributive(lat)[0]:
+    if lat.n == 2**k and is_distributive(lat):
         return k
     return None
 

@@ -227,15 +227,17 @@ def maximal_biprojections(ctx: BoxContext) -> List[Subgroup]:
     return [lat.payload[i] for i in lat.atoms()]
 
 
-def _lattice_dedekind(lat: FiniteLattice) -> bool:
-    """Dedekind on a biprojection lattice or one of its intervals: its top
-    is b_inner, its bottom b_outer, and every member b_K must be normal."""
+def _step_dedekind(lat: FiniteLattice, a: int, b: int) -> bool:
+    """Dedekind on the step [a, b] of a biprojection lattice or one of its
+    intervals: b is b_inner, a is b_outer, and every member b_K must be
+    normal.  Read off the members' subgroups: no step lattice is built."""
     subs = lat.payload
-    return is_dedekind_interval(subs[lat.top], subs[lat.bottom], subs)
+    members = np.flatnonzero(lat.leq[a] & lat.leq[:, b])
+    return is_dedekind_interval(subs[b], subs[a], [subs[m] for m in members])
 
 
 def _lattice_cyclic(lat: FiniteLattice) -> bool:
-    return is_distributive(lat)[0] and _lattice_dedekind(lat)
+    return is_distributive(lat) and _step_dedekind(lat, lat.bottom, lat.top)
 
 
 def is_dedekind(ctx: BoxContext) -> bool:
@@ -249,7 +251,7 @@ def is_dedekind(ctx: BoxContext) -> bool:
 
 def is_cyclic(ctx: BoxContext) -> bool:
     """Dedekind with distributive biprojection lattice."""
-    return is_distributive(biprojection_lattice(ctx))[0] and is_dedekind(ctx)
+    return is_distributive(biprojection_lattice(ctx)) and is_dedekind(ctx)
 
 
 def w_plus_cyclic(ctx: BoxContext) -> bool:
@@ -299,8 +301,8 @@ def lw_rw_cyclic(ctx: BoxContext, k: Subgroup) -> Dict[str, bool]:
     lat = biprojection_lattice(ctx)
     node = lat.payload.index(k)
     return {
-        "lw": _interval_w_cyclic(lat.interval(node, lat.top)[0]),
-        "rw": _interval_w_cyclic(lat.interval(lat.bottom, node)[0]),
+        "lw": _interval_w_cyclic(lat.interval(node, lat.top)),
+        "rw": _interval_w_cyclic(lat.interval(lat.bottom, node)),
     }
 
 
@@ -430,7 +432,7 @@ def property_Z_tilde(ctx: BoxContext) -> bool:
     K < L, the full one included."""
     lat = biprojection_lattice(ctx)
     return all(
-        _interval_z(lat.interval(a, b)[0])
+        _interval_z(lat.interval(a, b))
         for a in range(lat.n)
         for b in range(lat.n)
         if a != b and lat.leq[a, b]
@@ -441,17 +443,15 @@ def property_Z_tilde(ctx: BoxContext) -> bool:
 
 
 def _length_step_predicate(
-    name: str,
-    interval: Callable[[int, int], FiniteLattice],
-    distributive: Callable[[int, int], bool],
+    name: str, lat: FiniteLattice, distributive: Callable[[int, int], bool]
 ) -> Callable[[int, int], bool]:
-    """The predicate a step interval [a, b] of the biprojection lattice must
-    meet, given the step interval and its distributivity by (a, b).  A "t"
-    name looks at the step's top interval [meet of maximal biprojections,
-    top], a "b" name at its bottom interval [bottom, join of atoms]; "c"
-    asks for cyclic, "b<k>" for Boolean of rank <= k."""
+    """The predicate a step interval [a, b] of the biprojection lattice
+    ``lat`` must meet, given its distributivity by (a, b).  A "t" name looks
+    at the step's top interval [meet of maximal biprojections, top], a "b"
+    name at its bottom interval [bottom, join of atoms]; "c" asks for
+    cyclic, "b<k>" for Boolean of rank <= k."""
     if name == "cl":
-        return lambda a, b: distributive(a, b) and _lattice_dedekind(interval(a, b))
+        return lambda a, b: distributive(a, b) and _step_dedekind(lat, a, b)
     if name == "dl":
         return distributive
     m = re.fullmatch(r"([tb])(c|b([1-9]\d*)?)l", name)
@@ -460,11 +460,11 @@ def _length_step_predicate(
     side, kind, digits = m.groups()
     part = FiniteLattice.top_interval if side == "t" else FiniteLattice.bottom_interval
     if kind == "c":
-        return lambda a, b: _lattice_cyclic(part(interval(a, b))[0])
+        return lambda a, b: _lattice_cyclic(part(lat.interval(a, b)))
     cap = int(digits) if digits else None
 
     def pred(a: int, b: int) -> bool:
-        rank = boolean_rank(part(interval(a, b))[0])
+        rank = boolean_rank(part(lat.interval(a, b)))
         return rank is not None and (cap is None or rank <= cap)
 
     return pred
@@ -513,16 +513,15 @@ def lengths(
     "tbl", "bbl", and rank-bounded Boolean forms like "tb4l" / "bb4l") to
     the b whose step interval [a, b] satisfies its predicate."""
     lat = biprojection_lattice(ctx)
-    # "cl" and "dl" test the same step intervals: build each one, and decide
-    # its distributivity, once per call.
-    interval = functools.cache(lambda a, b: lat.interval(a, b)[0])
-    distributive = functools.cache(lambda a, b: is_distributive(interval(a, b))[0])
+    # "cl" and "dl" ask the same steps for distributivity: decide each once
+    # per call, and keep the answer, not the step lattice.
+    distributive = functools.cache(lambda a, b: is_distributive(lat.interval(a, b)))
     out: Dict[str, int] = {}
     for name in which:
         if name == "wcl":
             out[name] = wcl_generators(ctx)
         else:
-            pred = _length_step_predicate(name, interval, distributive)
+            pred = _length_step_predicate(name, lat, distributive)
             out[name] = _shortest_chain(
                 lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)]
             )
@@ -589,7 +588,7 @@ def classify(
     from a legitimate input.
     """
     lat = biprojection_lattice(ctx)
-    distributive = is_distributive(lat)[0]
+    distributive = is_distributive(lat)
     dedekind = is_dedekind(ctx)
     cyclic = distributive and dedekind
     w_block = _w_cyclic_block(ctx)
@@ -651,7 +650,7 @@ def verify_theorems(ctx: BoxContext) -> List[ImplicationResult]:
     the test suite) assert `all(r.holds for r in rows)`.
     """
     lat = biprojection_lattice(ctx)
-    distributive = is_distributive(lat)[0]
+    distributive = is_distributive(lat)
     dedekind = is_dedekind(ctx)
     cyclic = distributive and dedekind
     w = _w_cyclic_block(ctx) is not None
@@ -659,7 +658,7 @@ def verify_theorems(ctx: BoxContext) -> List[ImplicationResult]:
     bound = sum_bound(ctx)
     rank = boolean_rank(lat)
     n_maximal = len(lat.coatoms())
-    top_w = _interval_w_cyclic(lat.top_interval()[0])
+    top_w = _interval_w_cyclic(lat.top_interval())
     rows = [
         ImplicationResult("cyclic-implies-w-cyclic", cyclic, w),
         ImplicationResult(

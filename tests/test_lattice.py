@@ -38,6 +38,7 @@ from biprox.lattice import (
     direct_product,
     divisor_lattice,
     find_forbidden_bruteforce,
+    forbidden_sublattice,
     from_subgroups,
     is_distributive,
     is_modular,
@@ -181,8 +182,7 @@ def test_interval_z6() -> None:
     assert lat.n == 4
     assert [s.order for s in lat.payload] == [1, 2, 3, 6]
     assert lat.height() == 2
-    ok, witness = is_distributive(lat)
-    assert ok and witness is None
+    assert is_distributive(lat) and forbidden_sublattice(lat) is None
     assert boolean_rank(lat) == 2
 
 
@@ -190,10 +190,10 @@ def test_interval_v4_is_diamond() -> None:
     # (Z/2)^2: trivial, three order-2 subgroups, full group — the diamond M3.
     lat = interval("E4")
     assert lat.n == 5
-    ok, witness = is_distributive(lat)
-    assert not ok
+    assert not is_distributive(lat)
+    witness = forbidden_sublattice(lat)
     assert witness is not None and _is_m3(lat, witness[0], witness[1:4], witness[4])
-    assert is_modular(lat)[0]
+    assert is_modular(lat)
 
 
 def test_interval_s3() -> None:
@@ -202,9 +202,9 @@ def test_interval_s3() -> None:
     assert lat.n == 6
     assert sorted(s.order for s in lat.payload) == [1, 2, 2, 2, 3, 6]
     assert lat.height() == 2
-    ok, witness = is_distributive(lat)
-    assert not ok and _is_m3(lat, witness[0], witness[1:4], witness[4])
-    assert is_modular(lat)[0]  # all chains are short; no pentagon fits
+    witness = forbidden_sublattice(lat)
+    assert not is_distributive(lat) and _is_m3(lat, witness[0], witness[1:4], witness[4])
+    assert is_modular(lat)  # all chains are short; no pentagon fits
     assert boolean_rank(lat) is None
 
 
@@ -213,9 +213,9 @@ def test_interval_q8_modular_not_distributive() -> None:
     # order-4 subgroups over the centre form a diamond.
     lat = interval("Q8")
     assert lat.n == 6
-    assert is_modular(lat)[0]
-    ok, witness = is_distributive(lat)
-    assert not ok and _is_m3(lat, witness[0], witness[1:4], witness[4])
+    assert is_modular(lat)
+    witness = forbidden_sublattice(lat)
+    assert not is_distributive(lat) and _is_m3(lat, witness[0], witness[1:4], witness[4])
 
 
 def test_interval_s2_s4_pentagon() -> None:
@@ -224,19 +224,16 @@ def test_interval_s2_s4_pentagon() -> None:
     lat = interval("S4", "(1,2)")
     assert lat.n == 6
     assert [s.order for s in lat.payload] == [2, 4, 6, 6, 8, 24]
-    modular, pent = is_modular(lat)
-    assert not modular
-    assert _is_n5(lat, *pent)
-    ok, witness = is_distributive(lat)
-    assert not ok and _is_n5(lat, *witness)
+    assert not is_modular(lat) and not is_distributive(lat)
+    assert _is_n5(lat, *forbidden_sublattice(lat))
 
 
 def test_interval_s4_full() -> None:
     lat = interval("S4")
     assert lat.n == 30
     assert lat.height() == 4  # 1 < C2 < V4 < D8 < S4
-    ok, witness = is_distributive(lat)
-    assert not ok
+    assert not is_distributive(lat)
+    witness = forbidden_sublattice(lat)
     kind = "M3" if _is_m3(lat, witness[0], witness[1:4], witness[4]) else "N5"
     if kind == "N5":
         assert _is_n5(lat, *witness)
@@ -279,9 +276,9 @@ def test_distributive_agrees_with_bruteforce(make, expected: bool) -> None:
     # exhaustive search for induced M3/N5 five-element sublattices.
     lat = make()
     assert lat.n <= 12, "brute force oracle is limited to small lattices"
-    ok, witness = is_distributive(lat)
+    ok, witness = is_distributive(lat), forbidden_sublattice(lat)
     brute = find_forbidden_bruteforce(lat)
-    assert ok == (brute is None) == expected
+    assert ok == (brute is None) == (witness is None) == expected
     if not ok:
         assert witness is not None and len(set(witness)) == 5
         # the witness must itself be a closed (induced) sublattice
@@ -303,17 +300,16 @@ def test_distributive_agrees_with_bruteforce(make, expected: bool) -> None:
 )
 def test_modularity_oracles(make, expected: bool) -> None:
     lat = make()
-    modular, witness = is_modular(lat)
-    assert modular == expected
-    if not modular:
-        assert _is_n5(lat, *witness)
+    assert is_modular(lat) == expected
+    if not expected:
+        assert _is_n5(lat, *forbidden_sublattice(lat))
 
 
 def test_distributivity_is_reverse_invariant() -> None:
     for _, make, expected in BRUTE_CASES:
         lat = make()
-        assert is_distributive(lat.reverse())[0] == expected
-        assert is_modular(lat.reverse())[0] == is_modular(lat)[0]
+        assert is_distributive(lat.reverse()) == expected
+        assert is_modular(lat.reverse()) == is_modular(lat)
 
 
 # ------------------------------------------------------------- Boolean rank
@@ -337,7 +333,7 @@ def _boolean_rank_by_subsets(lat: FiniteLattice) -> int | None:
     bijectively over the 2^k atom subsets, and complemented."""
     atoms = lat.atoms()
     k = len(atoms)
-    if lat.n != 2**k or not is_distributive(lat)[0]:
+    if lat.n != 2**k or not is_distributive(lat):
         return None
     seen = {}
     for subset in range(2**k):
@@ -370,9 +366,9 @@ def _boolean_rank_cases() -> list[FiniteLattice]:
     cases = []
     for _name, inc in enumerate_pairs():
         lat = inc.lattice
-        cases += [lat, lat.top_interval()[0], lat.bottom_interval()[0]]
+        cases += [lat, lat.top_interval(), lat.bottom_interval()]
         if lat.n <= 32:
-            cases += [lat.interval(a, b)[0] for a, b in zip(*np.nonzero(lat.leq))]
+            cases += [lat.interval(a, b) for a, b in zip(*np.nonzero(lat.leq))]
     small = [chain(0), chain(1), chain(2), chain(3), diamond_m3(), pentagon_n5()]
     small += [boolean_lattice(k) for k in range(4)]
     cases += [divisor_lattice(n) for n in range(1, 121)]
@@ -411,27 +407,29 @@ def test_top_interval_z12() -> None:
     # Coatoms of L(Z/12) are the subgroups of order 6 and 4; their meet has
     # order 2, and [C2, Z12] = {2,4,6,12} is a 2-cube.
     lat = interval("Z12")
-    top, members = lat.top_interval()
+    top = lat.top_interval()
     assert top.n == 4
     assert boolean_rank(top) == 2
-    assert [lat.payload[m].order for m in members] == [2, 4, 6, 12]
-    # index map points back into the parent lattice
-    assert all(lat.labels[m] == top.labels[k] for k, m in enumerate(members))
+    assert [k.order for k in top.payload] == [2, 4, 6, 12]
+    # labels and payload are the members' own, in the parent's node order
+    members = [lat.payload.index(k) for k in top.payload]
+    assert members == sorted(members)
+    assert [lat.labels[m] for m in members] == list(top.labels)
 
 
 def test_bottom_interval_s3() -> None:
     # Atoms of L(S3) generate everything: join of atoms is S3 itself.
     lat = interval("S3")
-    bot, members = lat.bottom_interval()
+    bot = lat.bottom_interval()
     assert bot.n == lat.n
-    assert np.array_equal(members, np.arange(lat.n))
+    assert bot.labels == lat.labels and bot.payload == lat.payload
 
 
 def test_interval_of_chain() -> None:
     lat = chain(5)
-    mid, members = lat.interval(1, 4)
+    mid = lat.interval(1, 4)
     assert mid.n == 4 and mid.height() == 3
-    assert members.tolist() == [1, 2, 3, 4]
+    assert mid.labels == ("1", "2", "3", "4")
 
 
 def test_induced_sublattice_requires_closure() -> None:
@@ -452,14 +450,14 @@ def test_direct_product_shapes() -> None:
     assert boolean_rank(prod3) == 3
     mixed = direct_product(chain(2), chain(3))
     assert mixed.n == 12 and mixed.height() == 5
-    assert is_distributive(mixed)[0]
+    assert is_distributive(mixed)
     mixed.validate()
 
 
 def test_direct_product_preserves_distributivity_exactly() -> None:
-    assert is_distributive(direct_product(divisor_lattice(12), chain(2)))[0]
-    assert not is_distributive(direct_product(diamond_m3(), chain(1)))[0]
-    assert not is_modular(direct_product(pentagon_n5(), boolean_lattice(1)))[0]
+    assert is_distributive(direct_product(divisor_lattice(12), chain(2)))
+    assert not is_distributive(direct_product(diamond_m3(), chain(1)))
+    assert not is_modular(direct_product(pentagon_n5(), boolean_lattice(1)))
 
 
 def test_concatenate() -> None:
@@ -467,13 +465,13 @@ def test_concatenate() -> None:
     assert stacked.n == 6 and stacked.height() == 5
     both = concatenate(diamond_m3(), chain(1))
     assert both.n == 6
-    assert not is_distributive(both)[0]
-    assert is_modular(both)[0]
+    assert not is_distributive(both)
+    assert is_modular(both)
     tower = concatenate(boolean_lattice(1), boolean_lattice(1))
     assert tower.n == 3 and tower.height() == 2
-    assert is_distributive(tower)[0]
+    assert is_distributive(tower)
     # concatenation with a pentagon stays non-modular
-    assert not is_modular(concatenate(chain(1), pentagon_n5()))[0]
+    assert not is_modular(concatenate(chain(1), pentagon_n5()))
 
 
 def test_concatenate_identifies_endpoints() -> None:
@@ -666,26 +664,59 @@ def test_level_tables_match_row_infima(leq: np.ndarray, block_cells: int) -> Non
 
 
 @settings(max_examples=300, deadline=None)
-@given(LATTICES, BLOCK_CELLS)
-def test_valuations_match_triple_scans(lat: FiniteLattice, block_cells: int) -> None:
-    # The valuation criteria against the triple scans, with the same witness
-    # whether the witness scan runs in one block or one row per block; a
-    # lattice with two maximal chains of different lengths is not graded.
-    expected = scan_is_modular(lat), scan_is_distributive(lat)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(biprox.lattice, "_BLOCK_CELLS", block_cells)
-        modular = is_modular(lat)
-        assert (modular, is_distributive(lat)) == expected
-    event("modular" if modular[0] else "not modular")
+@given(LATTICES)
+def test_valuations_match_triple_scans(lat: FiniteLattice) -> None:
+    # The valuation criteria against the triple scans; a lattice with two
+    # maximal chains of different lengths is not graded.
+    modular = is_modular(lat)
+    assert modular == scan_is_modular(lat)[0]
+    assert is_distributive(lat) == scan_is_distributive(lat)[0]
+    event("modular" if modular else "not modular")
     lengths = {int(lat._heights[c]) for c in lat.coatoms()}
     event("graded" if len(lengths) <= 1 else "not graded")
+
+
+@settings(max_examples=300, deadline=None)
+@given(LATTICES, BLOCK_CELLS)
+def test_forbidden_sublattice_matches_triple_scans(
+    lat: FiniteLattice, block_cells: int
+) -> None:
+    # The same witness as the scan route, whether the witness scan runs in
+    # one block or one row per block.
+    expected = scan_is_distributive(lat)[1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(biprox.lattice, "_BLOCK_CELLS", block_cells)
+        assert forbidden_sublattice(lat) == expected
+    event("distributive" if expected is None else "not distributive")
+
+
+def test_valuations_match_triple_scans_on_census_intervals() -> None:
+    # Every interval [a, b] with a < b of the 565 census lattices, [H, G]
+    # itself included: both valuations and the witness against the triple
+    # scans.
+    counts = {"intervals": 0, "not distributive": 0, "not modular": 0}
+    for name, inc in enumerate_pairs():
+        lat = inc.lattice
+        for a, b in zip(*np.nonzero(lat.leq)):
+            if a == b:
+                continue
+            part = lat.interval(a, b)
+            modular, pentagon = scan_is_modular(part)
+            distributive, witness = scan_is_distributive(part)
+            assert is_modular(part) == modular, (name, a, b)
+            assert is_distributive(part) == distributive, (name, a, b)
+            assert forbidden_sublattice(part) == witness, (name, a, b)
+            counts["intervals"] += 1
+            counts["not distributive"] += not distributive
+            counts["not modular"] += not modular
+    assert counts == {"intervals": 9112, "not distributive": 1549, "not modular": 358}
 
 
 def test_height_is_the_longest_chain() -> None:
     # N5: the chains 0 < x < y < 1 and 0 < w < 1 have lengths 3 and 2.
     n5 = pentagon_n5()
     assert n5._heights.tolist() == [0, 1, 2, 1, 3]
-    assert n5.height() == 3 and not is_modular(n5)[0]
+    assert n5.height() == 3 and not is_modular(n5)
     assert concatenate(n5, diamond_m3()).height() == 5
 
 

@@ -9,9 +9,12 @@ from fractions import Fraction
 import itertools
 import json
 import random
+import weakref
+
 import numpy as np
 import pytest
 
+import biprox.lattice
 from biprox import properties
 from biprox.boxalgebra import (
     BoxContext,
@@ -28,13 +31,14 @@ from biprox.boxalgebra import (
     mul_dual,
 )
 from biprox.catalog import catalog_group, catalog_names
-from biprox.cli import enumerate_pairs
+from biprox.cli import enumerate_pairs, main
 from biprox.errors import BiprojectionCheckFailed, NotNested
 from biprox.interval import (
     Inclusion,
     inclusions_equivalent,
     is_linearly_primitive_group,
     is_linearly_primitive_inclusion,
+    ore_verify,
 )
 from biprox.lattice import FiniteLattice, boolean_rank, is_distributive
 from biprox.permgroup import (
@@ -368,7 +372,7 @@ def test_interval_z_matches_double_cosets_on_census_sub_intervals(census_context
         for a, b in zip(*np.nonzero(lat.leq)):
             if a == b:
                 continue
-            part = lat.interval(a, b)[0]
+            part = lat.interval(a, b)
             subs = part.payload
             blocks = [subs[m] for m in np.unique(_interval_blocks(part)[1])]
             holds = is_dedekind_interval(subs[part.top], subs[part.bottom], blocks)
@@ -498,10 +502,10 @@ def test_interval_routes_match_compressed_contexts(ctx_factory):
     lat = biprojection_lattice(ctx)
     subs = lat.payload
     for a, b in zip(*np.nonzero(lat.leq)):
-        part, nodes = lat.interval(a, b)
+        part = lat.interval(a, b)
         step = step_context(ctx, subs[a], subs[b])
         outer = subs[a]
-        got = {subs[nodes[m]].key() for m in _interval_blocks(part)[1]}
+        got = {part.payload[m].key() for m in _interval_blocks(part)[1]}
         want = {
             ctx.group.subgroup_from_indices(outer.indices[k.indices]).key()
             for k in _oracle_blocks(step)
@@ -776,7 +780,7 @@ def test_unknown_length_name_rejected():
 
 def _oracle_cyclic(ctx: BoxContext) -> bool:
     lat = biprojection_lattice(ctx)
-    return is_distributive(lat)[0] and all(
+    return is_distributive(lat) and all(
         is_normal_biprojection(element_bK(ctx, k)) for k in lat.payload
     )
 
@@ -795,7 +799,7 @@ def _oracle_step_predicate(name: str):
     if name == "cl":
         return _oracle_cyclic
     if name == "dl":
-        return lambda c: is_distributive(biprojection_lattice(c))[0]
+        return lambda c: is_distributive(biprojection_lattice(c))
     pick = top_context if name[0] == "t" else _oracle_bottom_context
     if name[1] == "c":
         return lambda c: _oracle_cyclic(pick(c))
@@ -839,6 +843,51 @@ def test_lengths_match_step_context_oracle(ctx_factory):
     ctx = ctx_factory()
     got = lengths(ctx, which=STEP_NAMES)
     assert got == {name: _oracle_length(ctx, name) for name in STEP_NAMES}
+
+
+@pytest.mark.parametrize("subgroup", ["trivial", "(1,2)"], ids=["S4/1", "S4/(1,2)"])
+def test_decisions_run_no_triple_scan(monkeypatch, capsys, subgroup):
+    # Distributive and modular are decided by valuations alone: the triple
+    # scans build witnesses only, so no decision path may reach them.
+    def scan(lat):
+        raise AssertionError("a decision path ran a triple scan")
+
+    monkeypatch.setattr(biprox.lattice, "_failing_distributive_triple", scan)
+    monkeypatch.setattr(biprox.lattice, "_failing_modular_triple", scan)
+    g = catalog_group("S4")
+    sub = g.trivial_subgroup() if subgroup == "trivial" else s4_over(subgroup).sub
+    ctx = BoxContext(g, sub)
+    report = classify(ctx)
+    assert not report.distributive and report.lengths["dl"] >= 1
+    assert all(row.holds for row in verify_theorems(ctx))
+    assert boolean_rank(biprojection_lattice(ctx)) is None
+    assert not ore_verify(Inclusion(g, sub)).distributive
+    for command in ("lattice", "analyze"):
+        args = [command, "--group", "S4", "--subgroup", subgroup, "--format", "json"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)
+    with pytest.raises(AssertionError, match="triple scan"):
+        biprox.lattice.forbidden_sublattice(biprojection_lattice(ctx))
+
+
+def test_lengths_keeps_no_step_lattice(monkeypatch):
+    # Each step interval is dropped once decided: at most one is alive when
+    # the next one is built.
+    ctx = trivial_ctx("S4")
+    lat = biprojection_lattice(ctx)
+    built, alive_at_build = [], []
+    interval = FiniteLattice.interval
+
+    def recording(self, lo, hi):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        part = interval(self, lo, hi)
+        built.append(weakref.ref(part))
+        return part
+
+    monkeypatch.setattr(FiniteLattice, "interval", recording)
+    assert lengths(ctx) == {"cl": 2, "wcl": 1, "dl": 2}
+    assert len(built) > 1 and max(alive_at_build) <= 1
+    assert lat is biprojection_lattice(ctx)
 
 
 # -- witnesses and report shape ----------------------------------------------
