@@ -8,7 +8,9 @@ valuation, and distributive exactly when r(x), the number of
 join-irreducibles below x, is one too.  The triple scans run only in
 forbidden_sublattice: it scans for the first failing triple and builds a
 forbidden sublattice (diamond M3 or pentagon N5) from it, verified to be an
-induced sublattice before it is returned.
+induced sublattice before it is returned.  Every interval [a, b] at once
+is decided by one cached table, distributive_intervals, of local failures;
+top_part and bottom_part give an interval's top and bottom parts by index.
 
 The subgroup lattice of a group is built once and cached on the group;
 every interval [H, G] is read off it as the up-set of H, except in a group
@@ -28,9 +30,9 @@ import numpy as np
 from .errors import NotBoolean, SubgroupCapExceeded
 from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings, require_nested
 
-# Array cells of one block of the level products, the valuation checks and
-# the witness scans, so transient memory stays a few blocks however large a
-# level or a lattice is.
+# Array cells of one block of the level products, the valuation checks, the
+# witness scans and the interval table, so transient memory stays a few
+# blocks however large a level or a lattice is.
 _BLOCK_CELLS = 1 << 20
 # Bytes per n^2 cell that building and deciding a subgroup lattice on n
 # nodes reaches at its peak, and the most one may take: past it
@@ -182,19 +184,47 @@ class FiniteLattice:
         """The sublattice on ``members``; raises if not meet/join closed."""
         return self._restrict(np.asarray(sorted(members), dtype=np.int64))
 
-    def top_interval(self) -> "FiniteLattice":
-        """The interval [B, 1] with B the meet of all coatoms."""
-        b = self.top
-        for c in self.coatoms():
-            b = int(self.meet[b, c])
-        return self.interval(b, self.top)
+    def top_part(self, a: int, b: int) -> int:
+        """m with [m, b] the top part of [a, b]: the meet of its coatoms."""
+        m = b
+        for c in np.flatnonzero(self.covers()[:, b] & self.leq[a]):
+            m = self.meet[m, c]
+        return int(m)
 
-    def bottom_interval(self) -> "FiniteLattice":
-        """The interval [0, b] with b the join of all atoms."""
-        b = self.bottom
-        for a in self.atoms():
-            b = int(self.join[b, a])
-        return self.interval(self.bottom, b)
+    def bottom_part(self, a: int, b: int) -> int:
+        """j with [a, j] the bottom part of [a, b]: the join of its atoms."""
+        j = a
+        for c in np.flatnonzero(self.covers()[a] & self.leq[:, b]):
+            j = self.join[j, c]
+        return int(j)
+
+    @cached_property
+    def distributive_intervals(self) -> np.ndarray:
+        """Read-only boolean matrix: [a, b] iff a <= b and the interval [a, b]
+        is distributive.  A lattice of finite length is modular exactly when
+        it is upper and lower semimodular (Birkhoff, *Lattice Theory*, ch. II),
+        and a modular one is distributive exactly when it has no
+        cover-preserving diamond (Grätzer, *Lattice Theory: Foundation*,
+        2011).  So each failure sits at a pair z < w: x and y cover z = x∧y
+        but w = x∨y does not cover both, or the dual, or three x have
+        z ⋖ x ⋖ w.  An interval's covers, meets and joins are the parent's,
+        so [a, b] is distributive exactly when no such (z, w) lies in it."""
+        cover = self.covers()
+        ones, leq = cover.astype(np.float32), self.leq.astype(np.float32)
+        bad = np.zeros((self.n, self.n), dtype=np.float32)
+        idx = np.arange(self.n)
+        step = max(1, _BLOCK_CELLS // self.n)
+        blocks = [slice(start, start + step) for start in range(0, self.n, step)]
+        for rows in blocks:  # rows of x for the semimodularity, of z for the diamonds
+            meet, join, x = self.meet[rows], self.join[rows], idx[rows, None]
+            below = cover[meet, x] & cover[meet, idx]  # x and y cover x∧y
+            above = cover[x, join] & cover[idx, join]  # x∨y covers x and y
+            bad[meet[below != above], join[below != above]] = 1
+            bad[rows][ones[rows] @ ones >= 3] = 1  # exact: counts are below n < 2^24
+        # A sum of non-negative float32 terms is 0 exactly when every term is.
+        dist = np.concatenate([self.leq[rows] & (leq[rows] @ bad @ leq == 0) for rows in blocks])
+        dist.setflags(write=False)
+        return dist
 
     def to_dot(self, title: str = "lattice") -> str:
         """Hasse diagram in DOT format (edges are cover relations)."""

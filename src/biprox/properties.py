@@ -5,9 +5,9 @@ algebra of an inclusion H <= G: distributivity and normality of the
 biprojection lattice (cyclic = both at once), w-cyclicity on the primal
 and dual sides, w+-cyclicity, the centrality properties (Z), (ZZ), (Z~)
 and (F2), the exact rational bound sum(1/[id:b]) over maximal
-biprojections, shortest-chain lengths whose per-step predicates are
-decided on intervals of the parent biprojection lattice, and a table of
-verified implications between all of these.
+biprojections, shortest-chain lengths whose per-step predicates read one
+table of the parent biprojection lattice, its distributive_intervals, and
+a table of verified implications between all of these.
 
 On [H, G] itself, Dedekind, cyclic, (Z), (Z~) and w+ read the integers
 <chi|_K, 1> of the verified character table (one table per context or
@@ -25,7 +25,6 @@ powers, and <x> = id is equivalent to the generated subgroup being H.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -236,10 +235,6 @@ def _step_dedekind(lat: FiniteLattice, a: int, b: int) -> bool:
     return is_dedekind_interval(subs[b], subs[a], [subs[m] for m in members])
 
 
-def _lattice_cyclic(lat: FiniteLattice) -> bool:
-    return is_distributive(lat) and _step_dedekind(lat, lat.bottom, lat.top)
-
-
 def is_dedekind(ctx: BoxContext) -> bool:
     """True when every biprojection is normal (b x b ~ x b x for all x),
     i.e. central, read off the fixed-point table: in the block of chi, b_K
@@ -442,30 +437,38 @@ def property_Z_tilde(ctx: BoxContext) -> bool:
 # -- chain lengths ------------------------------------------------------------
 
 
-def _length_step_predicate(
-    name: str, lat: FiniteLattice, distributive: Callable[[int, int], bool]
-) -> Callable[[int, int], bool]:
+def _length_step_predicate(name: str, lat: FiniteLattice) -> Callable[[int, int], bool]:
     """The predicate a step interval [a, b] of the biprojection lattice
-    ``lat`` must meet, given its distributivity by (a, b).  A "t" name looks
-    at the step's top interval [meet of maximal biprojections, top], a "b"
-    name at its bottom interval [bottom, join of atoms]; "c" asks for
-    cyclic, "b<k>" for Boolean of rank <= k."""
+    ``lat`` must meet, read off lat.distributive_intervals.  A "t" name looks
+    at the step's top part [lat.top_part(a, b), b], a "b" name at its bottom
+    part [a, lat.bottom_part(a, b)]; "c" asks for cyclic, "b<k>" for Boolean
+    of rank <= k.  A part is the join of its atoms (or dually), so it is
+    Boolean exactly when distributive (Birkhoff: join-irreducibles are then
+    join-prime, so those below a join of atoms are atoms)."""
+
+    def cyclic(a: int, b: int) -> bool:
+        return bool(lat.distributive_intervals[a, b]) and _step_dedekind(lat, a, b)
+
     if name == "cl":
-        return lambda a, b: distributive(a, b) and _step_dedekind(lat, a, b)
+        return cyclic
     if name == "dl":
-        return distributive
+        return lambda a, b: lat.distributive_intervals[a, b]
     m = re.fullmatch(r"([tb])(c|b([1-9]\d*)?)l", name)
     if m is None:
         raise ValueError(f"unknown chain-length name: {name!r}")
     side, kind, digits = m.groups()
-    part = FiniteLattice.top_interval if side == "t" else FiniteLattice.bottom_interval
+
+    def part(a: int, b: int) -> Tuple[int, int]:
+        return (lat.top_part(a, b), b) if side == "t" else (a, lat.bottom_part(a, b))
+
     if kind == "c":
-        return lambda a, b: _lattice_cyclic(part(lat.interval(a, b)))
+        return lambda a, b: cyclic(*part(a, b))
     cap = int(digits) if digits else None
 
     def pred(a: int, b: int) -> bool:
-        rank = boolean_rank(part(lat.interval(a, b)))
-        return rank is not None and (cap is None or rank <= cap)
+        lo, hi = part(a, b)
+        k = np.count_nonzero(lat.covers()[lo] & lat.leq[:, hi])  # atoms of [lo, hi]
+        return lat.distributive_intervals[lo, hi] and (cap is None or k <= cap)
 
     return pred
 
@@ -511,17 +514,15 @@ def lengths(
     e1 < ... < id of the biprojection lattice: "wcl" steps by joining one
     block (see wcl_generators), every other name ("cl", "dl", "tcl", "bcl",
     "tbl", "bbl", and rank-bounded Boolean forms like "tb4l" / "bb4l") to
-    the b whose step interval [a, b] satisfies its predicate."""
+    the b whose step interval [a, b] satisfies its predicate, read off one
+    table of the biprojection lattice (see _length_step_predicate)."""
     lat = biprojection_lattice(ctx)
-    # "cl" and "dl" ask the same steps for distributivity: decide each once
-    # per call, and keep the answer, not the step lattice.
-    distributive = functools.cache(lambda a, b: is_distributive(lat.interval(a, b)))
     out: Dict[str, int] = {}
     for name in which:
         if name == "wcl":
             out[name] = wcl_generators(ctx)
         else:
-            pred = _length_step_predicate(name, lat, distributive)
+            pred = _length_step_predicate(name, lat)
             out[name] = _shortest_chain(
                 lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)]
             )
@@ -658,7 +659,7 @@ def verify_theorems(ctx: BoxContext) -> List[ImplicationResult]:
     bound = sum_bound(ctx)
     rank = boolean_rank(lat)
     n_maximal = len(lat.coatoms())
-    top_w = _interval_w_cyclic(lat.top_interval())
+    top_w = _interval_w_cyclic(lat.interval(lat.top_part(lat.bottom, lat.top), lat.top))
     rows = [
         ImplicationResult("cyclic-implies-w-cyclic", cyclic, w),
         ImplicationResult(

@@ -5,12 +5,15 @@ used before every interval became a restriction of one subgroup lattice per
 group; ``row_infima`` is the row-by-row meet routine the level tables
 replaced; ``standalone_interval_lattice`` is the former per-inclusion build from
 those two; ``scan_is_modular`` and ``scan_is_distributive`` decide by the
-triple scans alone, as before the valuation criteria.
+triple scans alone, as before the valuation criteria; ``interval_route_length``
+is the chain length with every step built as an interval lattice, as before
+the steps read ``FiniteLattice.distributive_intervals``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,6 +24,8 @@ from biprox.lattice import (
     _failing_distributive_triple,
     _failing_modular_triple,
     _pentagon_witness,
+    boolean_rank,
+    is_distributive,
 )
 from biprox.permgroup import (
     FiniteGroup,
@@ -29,6 +34,7 @@ from biprox.permgroup import (
     generator_strings,
     require_nested,
 )
+from biprox.properties import _shortest_chain, _step_dedekind
 
 
 def interval_subgroups(h: Subgroup, group: FiniteGroup) -> list[Subgroup]:
@@ -99,3 +105,52 @@ def scan_is_distributive(lat: FiniteLattice) -> tuple[bool, Optional[tuple[int, 
     if not modular:
         return False, pentagon
     return False, _diamond_witness(lat, *triple)
+
+
+def top_interval(lat: FiniteLattice) -> FiniteLattice:
+    """The interval [B, 1] with B the meet of all coatoms."""
+    b = lat.top
+    for c in lat.coatoms():
+        b = int(lat.meet[b, c])
+    return lat.interval(b, lat.top)
+
+
+def bottom_interval(lat: FiniteLattice) -> FiniteLattice:
+    """The interval [0, b] with b the join of all atoms."""
+    b = lat.bottom
+    for a in lat.atoms():
+        b = int(lat.join[b, a])
+    return lat.interval(lat.bottom, b)
+
+
+def _interval_cyclic(lat: FiniteLattice) -> bool:
+    return is_distributive(lat) and _step_dedekind(lat, lat.bottom, lat.top)
+
+
+def interval_step_predicate(name: str, lat: FiniteLattice) -> Callable[[int, int], bool]:
+    """The step predicate of a chain-length name on the biprojection lattice
+    ``lat``, each step [a, b] built as ``lat.interval(a, b)`` and decided by
+    ``is_distributive`` or ``boolean_rank`` on it, or on its top or bottom
+    interval for a "t" or "b" name."""
+    if name == "cl":
+        return lambda a, b: _interval_cyclic(lat.interval(a, b))
+    if name == "dl":
+        return lambda a, b: is_distributive(lat.interval(a, b))
+    side, kind, digits = re.fullmatch(r"([tb])(c|b([1-9]\d*)?)l", name).groups()
+    part = top_interval if side == "t" else bottom_interval
+    if kind == "c":
+        return lambda a, b: _interval_cyclic(part(lat.interval(a, b)))
+    cap = int(digits) if digits else None
+
+    def pred(a: int, b: int) -> bool:
+        rank = boolean_rank(part(lat.interval(a, b)))
+        return rank is not None and (cap is None or rank <= cap)
+
+    return pred
+
+
+def interval_route_length(lat: FiniteLattice, name: str) -> int:
+    """The chain length ``name`` of the biprojection lattice ``lat`` by the
+    same search as ``lengths``, with ``interval_step_predicate`` steps."""
+    pred = interval_step_predicate(name, lat)
+    return _shortest_chain(lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)])

@@ -76,6 +76,9 @@ DATA = Path(__file__).resolve().parent / "data"
         ("Q8", "trivial", "Q8_1"),
         ("S4", "trivial", "S4_1"),
         ("S4", "full", "S4_full"),
+        # A6/{1}: the one pin where cl (3) exceeds dl (2), so the Dedekind half
+        # of each cl step decides the length.
+        ("perm:(1,2,3);(2,3,4,5,6)", "trivial", "A6_1"),
     ],
 )
 def test_analyze_output_is_pinned(capsys, group, subgroup, name) -> None:

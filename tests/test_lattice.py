@@ -360,13 +360,14 @@ def _boolean_rank_by_subsets(lat: FiniteLattice) -> int | None:
 
 
 def _boolean_rank_cases() -> list[FiniteLattice]:
-    """Every catalog interval lattice with its top and bottom intervals,
+    """Every catalog interval lattice with its top and bottom parts,
     every interval of those with at most 32 nodes, and the factory
     families under products and stacking."""
     cases = []
     for _name, inc in enumerate_pairs():
         lat = inc.lattice
-        cases += [lat, lat.top_interval(), lat.bottom_interval()]
+        top, bottom = lat.top_part(lat.bottom, lat.top), lat.bottom_part(lat.bottom, lat.top)
+        cases += [lat, lat.interval(top, lat.top), lat.interval(lat.bottom, bottom)]
         if lat.n <= 32:
             cases += [lat.interval(a, b) for a, b in zip(*np.nonzero(lat.leq))]
     small = [chain(0), chain(1), chain(2), chain(3), diamond_m3(), pentagon_n5()]
@@ -403,11 +404,11 @@ def test_complement() -> None:
 # ---------------------------------------------------------------- intervals
 
 
-def test_top_interval_z12() -> None:
+def test_top_part_z12() -> None:
     # Coatoms of L(Z/12) are the subgroups of order 6 and 4; their meet has
-    # order 2, and [C2, Z12] = {2,4,6,12} is a 2-cube.
+    # order 2, and the top part [C2, Z12] = {2,4,6,12} is a 2-cube.
     lat = interval("Z12")
-    top = lat.top_interval()
+    top = lat.interval(lat.top_part(lat.bottom, lat.top), lat.top)
     assert top.n == 4
     assert boolean_rank(top) == 2
     assert [k.order for k in top.payload] == [2, 4, 6, 12]
@@ -417,10 +418,10 @@ def test_top_interval_z12() -> None:
     assert [lat.labels[m] for m in members] == list(top.labels)
 
 
-def test_bottom_interval_s3() -> None:
+def test_bottom_part_s3() -> None:
     # Atoms of L(S3) generate everything: join of atoms is S3 itself.
     lat = interval("S3")
-    bot = lat.bottom_interval()
+    bot = lat.interval(lat.bottom, lat.bottom_part(lat.bottom, lat.top))
     assert bot.n == lat.n
     assert bot.labels == lat.labels and bot.payload == lat.payload
 
@@ -583,8 +584,20 @@ def _subgroup_interval(name: str, pick: int) -> FiniteLattice:
     return from_subgroups(g, subs[pick % len(subs)])
 
 
+def _semimodular_s7() -> FiniteLattice:
+    """S7: upper semimodular but not modular, with no cover-preserving
+    diamond, so only its failure of lower semimodularity (3 and 5 are
+    covered by 6, yet their meet 0 is covered by neither) shows that it is
+    not distributive."""
+    leq = np.eye(7, dtype=bool)
+    leq[0, :] = leq[:, 6] = True
+    leq[1, [3, 4]] = leq[2, [4, 5]] = True
+    return FiniteLattice.from_order(leq)
+
+
 _BASE_LATTICES = st.one_of(
     st.integers(0, 4).map(chain),
+    st.builds(_semimodular_s7),
     st.integers(0, 3).map(boolean_lattice),
     st.builds(diamond_m3),
     st.builds(pentagon_n5),
@@ -690,10 +703,27 @@ def test_forbidden_sublattice_matches_triple_scans(
     event("distributive" if expected is None else "not distributive")
 
 
+@settings(max_examples=300, deadline=None)
+@given(LATTICES, BLOCK_CELLS)
+def test_distributive_intervals_match_interval_lattices(
+    lat: FiniteLattice, block_cells: int
+) -> None:
+    # The table of local failures against is_distributive on each interval
+    # lattice, and False off the order, whether the table is built in one
+    # block or one row per block.
+    expected = np.zeros((lat.n, lat.n), dtype=bool)
+    for a, b in zip(*np.nonzero(lat.leq)):
+        expected[a, b] = is_distributive(lat.interval(a, b))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(biprox.lattice, "_BLOCK_CELLS", block_cells)
+        assert np.array_equal(lat.distributive_intervals, expected)
+    event("distributive" if expected[lat.bottom, lat.top] else "not distributive")
+
+
 def test_valuations_match_triple_scans_on_census_intervals() -> None:
     # Every interval [a, b] with a < b of the 565 census lattices, [H, G]
-    # itself included: both valuations and the witness against the triple
-    # scans.
+    # itself included: both valuations, the witness and the parent's
+    # distributive-interval table against the triple scans.
     counts = {"intervals": 0, "not distributive": 0, "not modular": 0}
     for name, inc in enumerate_pairs():
         lat = inc.lattice
@@ -706,6 +736,7 @@ def test_valuations_match_triple_scans_on_census_intervals() -> None:
             assert is_modular(part) == modular, (name, a, b)
             assert is_distributive(part) == distributive, (name, a, b)
             assert forbidden_sublattice(part) == witness, (name, a, b)
+            assert lat.distributive_intervals[a, b] == distributive, (name, a, b)
             counts["intervals"] += 1
             counts["not distributive"] += not distributive
             counts["not modular"] += not modular

@@ -9,7 +9,6 @@ from fractions import Fraction
 import itertools
 import json
 import random
-import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from biprox.boxalgebra import (
     mul_dual,
 )
 from biprox.catalog import catalog_group, catalog_names
-from biprox.cli import enumerate_pairs, main
+from biprox.cli import enumerate_pairs, equivalence_classes, main
 from biprox.errors import BiprojectionCheckFailed, NotNested
 from biprox.interval import (
     Inclusion,
@@ -89,7 +88,7 @@ from spectral_oracle import (
     step_context,
     top_context,
 )
-from lattice_oracle import interval_subgroups
+from lattice_oracle import interval_route_length, interval_subgroups
 
 
 def trivial_ctx(name: str) -> BoxContext:
@@ -870,23 +869,39 @@ def test_decisions_run_no_triple_scan(monkeypatch, capsys, subgroup):
         biprox.lattice.forbidden_sublattice(biprojection_lattice(ctx))
 
 
-def test_lengths_keeps_no_step_lattice(monkeypatch):
-    # Each step interval is dropped once decided: at most one is alive when
-    # the next one is built.
-    ctx = trivial_ctx("S4")
+def test_lengths_match_interval_route_on_census_classes():
+    # One representative of each census equivalence class: every step name
+    # read off the distributive-interval table against the step lattices it
+    # replaced.
+    names = STEP_NAMES + ("tb4l", "bb4l")
+    classes = equivalence_classes(enumerate_pairs())
+    for cls in classes:
+        label, inc = cls[0]
+        ctx = BoxContext(inc.group, inc.sub)
+        lat = biprojection_lattice(ctx)
+        expected = {name: interval_route_length(lat, name) for name in names}
+        assert lengths(ctx, which=names) == expected, label
+    assert len(classes) == 142
+
+
+@pytest.mark.parametrize("subgroup", [None, "(1,2)"], ids=["S4/1", "S4/(1,2)"])
+def test_lengths_builds_no_step_lattice(monkeypatch, subgroup):
+    # Every step, its top and bottom parts included, reads the table of the
+    # parent lattice: no interval lattice is built.
+    ctx = trivial_ctx("S4") if subgroup is None else s4_over(subgroup)
     lat = biprojection_lattice(ctx)
-    built, alive_at_build = [], []
-    interval = FiniteLattice.interval
+    names = STEP_NAMES + ("tb4l", "bb4l")
+    expected = {name: interval_route_length(lat, name) for name in names}
+    expected["wcl"] = wcl_generators(ctx)
+    calls = []
+    for method in ("interval", "_restrict"):
+        def recording(self, *args, _original=getattr(FiniteLattice, method)):
+            calls.append(_original.__name__)
+            return _original(self, *args)
 
-    def recording(self, lo, hi):
-        alive_at_build.append(sum(ref() is not None for ref in built))
-        part = interval(self, lo, hi)
-        built.append(weakref.ref(part))
-        return part
-
-    monkeypatch.setattr(FiniteLattice, "interval", recording)
-    assert lengths(ctx) == {"cl": 2, "wcl": 1, "dl": 2}
-    assert len(built) > 1 and max(alive_at_build) <= 1
+        monkeypatch.setattr(FiniteLattice, method, recording)
+    assert lengths(ctx, which=tuple(expected)) == expected
+    assert calls == []
     assert lat is biprojection_lattice(ctx)
 
 
