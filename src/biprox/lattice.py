@@ -66,6 +66,9 @@ class FiniteLattice:
     top: int
     labels: tuple[str, ...]
     payload: Optional[tuple] = field(default=None, compare=False)
+    # The lattice that a reverse() view reverses: the view's covers are its
+    # covers transposed, so the pair computes them once.
+    reversed_of: Optional["FiniteLattice"] = field(default=None, compare=False, repr=False)
 
     # -- constructors ----------------------------------------------------
 
@@ -119,6 +122,8 @@ class FiniteLattice:
 
     @cached_property
     def _covers(self) -> np.ndarray:
+        if self.reversed_of is not None:
+            return self.reversed_of.covers().T
         strict = self.leq & ~np.eye(self.n, dtype=bool)
         cover = strict & ~_bool_product(strict, strict)
         cover.setflags(write=False)
@@ -150,10 +155,11 @@ class FiniteLattice:
             h = nxt
 
     def reverse(self) -> "FiniteLattice":
-        """The order-reversed lattice (a view: no tables are recomputed)."""
+        """The order-reversed lattice (a view: no tables are recomputed, and
+        its covers are read off this lattice's when first asked for)."""
         return FiniteLattice(
             self.n, self.leq.T, self.join, self.meet, self.top, self.bottom,
-            self.labels, self.payload,
+            self.labels, self.payload, self,
         )
 
     def interval(self, lo: int, hi: int) -> "FiniteLattice":
@@ -514,29 +520,6 @@ def forbidden_sublattice(lat: FiniteLattice) -> Optional[tuple[int, ...]]:
     return (_diamond_witness if modular else _pentagon_witness)(lat, *triple)
 
 
-def find_forbidden_bruteforce(lat: FiniteLattice) -> Optional[tuple[str, tuple[int, ...]]]:
-    """Exhaustive 5-subset search for M3/N5 (test oracle; small lattices)."""
-    for subset in combinations(range(lat.n), 5):
-        for z in subset:
-            for t in subset:
-                if z == t:
-                    continue
-                mids = [x for x in subset if x not in (z, t)]
-                if _is_m3(lat, z, tuple(mids), t):
-                    return "M3", (z, *mids, t)
-        for perm_z in subset:
-            for perm_t in subset:
-                if perm_z == perm_t:
-                    continue
-                rest = [x for x in subset if x not in (perm_z, perm_t)]
-                for w in rest:
-                    x, y = [q for q in rest if q != w]
-                    for xx, yy in ((x, y), (y, x)):
-                        if _is_n5(lat, perm_z, xx, yy, w, perm_t):
-                            return "N5", (perm_z, xx, yy, w, perm_t)
-    return None
-
-
 # -- Boolean lattices --------------------------------------------------------
 
 
@@ -629,27 +612,15 @@ def direct_product(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
 
 def concatenate(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
     """Stack b on top of a, identifying top(a) with bottom(b)."""
-    # Reindex: a's elements keep their indices; b's elements (except its
-    # bottom) follow, in b's order.
-    b_map = {}
-    nxt = a.n
-    for i in range(b.n):
-        if i == b.bottom:
-            b_map[i] = a.top
-        else:
-            b_map[i] = nxt
-            nxt += 1
+    # Reindex: a's elements keep their indices; b's bottom becomes a's top,
+    # and b's other elements follow, in b's order.
+    rest = np.flatnonzero(np.arange(b.n) != b.bottom)
+    upper = np.full(b.n, a.top)
+    upper[rest] = a.n + np.arange(len(rest))
     n = a.n + b.n - 1
     leq = np.zeros((n, n), dtype=bool)
     leq[: a.n, : a.n] = a.leq
-    for i in range(b.n):
-        for j in range(b.n):
-            if b.leq[i, j]:
-                leq[b_map[i], b_map[j]] = True
-    lower = np.arange(a.n)
-    upper = np.array([b_map[i] for i in range(b.n)])
-    leq[np.ix_(lower, upper)] |= True  # everything in a is below everything in b
-    labels = list(a.labels) + [
-        b.labels[i] for i in range(b.n) if i != b.bottom
-    ]
+    leq[np.ix_(upper, upper)] = b.leq
+    leq[: a.n, upper] = True  # everything in a is below everything in b
+    labels = list(a.labels) + [b.labels[i] for i in rest]
     return FiniteLattice.from_order(leq, labels)

@@ -10,10 +10,11 @@ table of the parent biprojection lattice, its distributive_intervals, and
 a table of verified implications between all of these.
 
 On [H, G] itself, Dedekind, cyclic, (Z), (Z~) and w+ read the integers
-<chi|_K, 1> of the verified character table (one table per context or
-interval; see _fixed_dims).  Chain-length steps keep the double-coset test
-HgK = KgH, and the range projection runs only for the w+ pairs those
-integers leave undecided.
+<chi|_K, 1> of the verified character table: one table per context, and
+for (Z~) one per outer node a, whose columns serve every interval [a, b]
+named by its endpoints in the parent lattice (see _fixed_dims).  Chain
+steps keep the double-coset test HgK = KgH, and the range projection runs
+only for the w+ pairs those integers leave undecided.
 
 Conventions used throughout (see boxalgebra): the biprojection lattice
 reverses subgroup inclusion, so b_K <= b_L iff L <= K, the bottom is
@@ -89,72 +90,71 @@ __all__ = [
 # -- w-cyclicity ------------------------------------------------------------
 
 
-def _fixed_dims(lat: FiniteLattice) -> np.ndarray:
-    """dims[psi, M] = <psi|_M, 1> for an interval [b_outer, b_inner] of the
-    biprojection lattice: the characters psi of outer (rows of its character
-    table) against the nodes M, checked to be integers.
+def _fixed_dims(lat: FiniteLattice, a: int) -> np.ndarray:
+    """dims[psi, M] = <psi|_M, 1> for the characters psi of K_a, node a's
+    subgroup (rows of its character table), against the nodes M of [a, top]
+    of the biprojection lattice, checked to be integers there; 0 elsewhere.
 
-    The 2-box algebra of inner <= outer is the sum over psi of matrix blocks
-    of size dims[psi, top], and b_M is a projection of rank dims[psi, M] in
-    the block of psi: the M-fixed vectors inside the inner-fixed ones."""
-    subs = lat.payload
-    masks = np.array([k.mask for k in subs], dtype=float)
-    fixed = subs[lat.bottom].character_table() @ masks.T / masks.sum(axis=1)
-    dims = np.rint(fixed.real)
-    if np.abs(fixed - dims).max() > ZERO_TOL:
+    The 2-box algebra of K_b <= K_a is the sum over psi of matrix blocks
+    of size dims[psi, b], and b_M is a projection of rank dims[psi, M] in
+    the block of psi: the M-fixed vectors inside the K_b-fixed ones."""
+    cols = np.flatnonzero(lat.leq[a])  # the subgroups of K_a, in node order
+    masks = np.array([lat.payload[m].mask for m in cols], dtype=float)
+    fixed = lat.payload[a].character_table() @ masks.T / masks.sum(axis=1)
+    dims = np.zeros((len(fixed), lat.n))
+    dims[:, cols] = np.rint(fixed.real)
+    if np.abs(fixed - dims[:, cols]).max() > ZERO_TOL:
         raise BiprojectionCheckFailed("a fixed-point dimension is not an integer")
     return dims
 
 
-def _central_nodes(lat: FiniteLattice, dims: np.ndarray) -> np.ndarray:
-    """Whether each b_M of the interval is central in its 2-box algebra: a
-    projection of rank 0 or of full rank in every block."""
-    return ((dims == 0) | (dims == dims[:, [lat.top]])).all(axis=0)
+def _central_nodes(dims: np.ndarray, b: int) -> np.ndarray:
+    """Whether each b_M is central in the 2-box algebra of [a, b], read at
+    its members off dims = _fixed_dims(lat, a): rank 0 or full in each block."""
+    return ((dims == 0) | (dims == dims[:, [b]])).all(axis=0)
 
 
 def _interval_blocks(
-    lat: FiniteLattice, dims: Optional[np.ndarray] = None
+    lat: FiniteLattice, dims: np.ndarray, a: int, b: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The blocks of an interval [b_outer, b_inner] of the biprojection
-    lattice: the characters psi of outer with <psi|_inner, 1> > 0 (rows of
-    its character table) and the node M of the biprojection b_M that each
-    block generates.  dims is the interval's _fixed_dims, built when absent.
+    """The blocks of an interval [a, b] of the biprojection lattice: the
+    characters psi of K_a with <psi|_{K_b}, 1> > 0 (rows of dims =
+    _fixed_dims(lat, a)) and the node M of the b_M that each generates.
 
-    b_M.z_psi = z_psi exactly when the M-fixed and the inner-fixed vectors
-    of the psi-isotypic part agree, i.e. when <psi|_M, 1> = <psi|_inner, 1>.
-    Those M are closed under joins, so the block generates the largest."""
-    if dims is None:
-        dims = _fixed_dims(lat)
-    orders = np.array([k.order for k in lat.payload])
-    rows = np.flatnonzero(dims[:, lat.top] > 0)
+    b_M.z_psi = z_psi exactly when the M-fixed and the K_b-fixed vectors
+    of the psi-isotypic part agree, i.e. when <psi|_M, 1> = <psi|_{K_b}, 1>.
+    Those M of [a, b] are closed under joins, so the block generates the
+    largest."""
+    members = np.flatnonzero(lat.leq[a] & lat.leq[:, b])
+    rows = np.flatnonzero(dims[:, b] > 0)
     nodes = []
     for psi in rows:
-        same = dims[psi] == dims[psi, lat.top]
-        m = int(np.argmax(np.where(same, orders, 0)))
+        same = members[dims[psi, members] == dims[psi, b]]
+        m = int(same[-1])  # nodes ascend by subgroup order, so the largest is last
         if not lat.leq[m, same].all():  # every such M a subgroup of the largest
             raise BiprojectionCheckFailed("no largest node keeps the fixed dimension")
         nodes.append(m)
     return rows, np.array(nodes, dtype=np.int64)
 
 
-def _interval_w_cyclic(lat: FiniteLattice) -> bool:
-    """w-cyclicity of a biprojection-lattice interval: some block
-    generates its top b_inner."""
-    return bool(np.any(_interval_blocks(lat)[1] == lat.top))
+def _interval_w_cyclic(lat: FiniteLattice, dims: np.ndarray, a: int, b: int) -> bool:
+    """w-cyclicity of the biprojection-lattice interval [a, b]: some block
+    generates its top b, read off dims = _fixed_dims(lat, a)."""
+    return bool(np.any(_interval_blocks(lat, dims, a, b)[1] == b))
 
 
-def _interval_z(lat: FiniteLattice) -> bool:
-    """(Z) on a biprojection-lattice interval: every block generates a
-    central b_M, read off the interval's own fixed-point table."""
-    dims = _fixed_dims(lat)
-    return bool(_central_nodes(lat, dims)[_interval_blocks(lat, dims)[1]].all())
+def _interval_z(lat: FiniteLattice, dims: np.ndarray, a: int, b: int) -> bool:
+    """(Z) on the biprojection-lattice interval [a, b]: every block
+    generates a central b_M, read off dims = _fixed_dims(lat, a)."""
+    return bool(_central_nodes(dims, b)[_interval_blocks(lat, dims, a, b)[1]].all())
 
 
 def _context_dims(ctx: BoxContext) -> np.ndarray:
     """_fixed_dims of the whole biprojection lattice of ctx, built once: the
     block nodes, (Z), Dedekind and w+ all read this one table."""
     if "fixed_dims" not in ctx._cache:
-        ctx._cache["fixed_dims"] = _fixed_dims(biprojection_lattice(ctx))
+        lat = biprojection_lattice(ctx)
+        ctx._cache["fixed_dims"] = _fixed_dims(lat, lat.bottom)
     return ctx._cache["fixed_dims"]
 
 
@@ -163,7 +163,8 @@ def _block_nodes(ctx: BoxContext) -> List[int]:
     central projection z_i, in block order, read off the character table on
     the whole lattice."""
     if "block_nodes" not in ctx._cache:
-        rows, nodes = _interval_blocks(biprojection_lattice(ctx), _context_dims(ctx))
+        lat = biprojection_lattice(ctx)
+        rows, nodes = _interval_blocks(lat, _context_dims(ctx), lat.bottom, lat.top)
         node_of = dict(zip(rows.tolist(), nodes.tolist()))
         ctx._cache["block_nodes"] = [node_of[chi] for chi in block_characters(ctx)]
     return ctx._cache["block_nodes"]
@@ -241,7 +242,7 @@ def is_dedekind(ctx: BoxContext) -> bool:
     has rank <chi|_K, 1>, so b_K is central exactly when that rank is 0 or
     <chi|_H, 1> for every chi.  (The same as HgK = KgH for every g.)"""
     lat = biprojection_lattice(ctx)
-    return bool(_central_nodes(lat, _context_dims(ctx)).all())
+    return bool(_central_nodes(_context_dims(ctx), lat.top).all())
 
 
 def is_cyclic(ctx: BoxContext) -> bool:
@@ -296,8 +297,8 @@ def lw_rw_cyclic(ctx: BoxContext, k: Subgroup) -> Dict[str, bool]:
     lat = biprojection_lattice(ctx)
     node = lat.payload.index(k)
     return {
-        "lw": _interval_w_cyclic(lat.interval(node, lat.top)),
-        "rw": _interval_w_cyclic(lat.interval(lat.bottom, node)),
+        "lw": _interval_w_cyclic(lat, _fixed_dims(lat, node), node, lat.top),
+        "rw": _interval_w_cyclic(lat, _context_dims(ctx), lat.bottom, node),
     }
 
 
@@ -308,7 +309,7 @@ def _z_violation(ctx: BoxContext) -> Optional[int]:
     """Index of the first minimal central projection generating a
     non-central biprojection, or None, read off the fixed-point table (see
     is_dedekind)."""
-    central = _central_nodes(biprojection_lattice(ctx), _context_dims(ctx))
+    central = _central_nodes(_context_dims(ctx), biprojection_lattice(ctx).top)
     bad = np.flatnonzero(~central[_block_nodes(ctx)])
     return int(bad[0]) if len(bad) else None
 
@@ -423,15 +424,15 @@ def property_F2(ctx: BoxContext) -> bool:
 
 
 def property_Z_tilde(ctx: BoxContext) -> bool:
-    """(Z) holds on every interval [K, L] of the biprojection lattice with
-    K < L, the full one included."""
+    """(Z) holds on every interval [a, b] of the biprojection lattice with
+    a < b, the full one included: one _fixed_dims(lat, a) serves each a."""
     lat = biprojection_lattice(ctx)
-    return all(
-        _interval_z(lat.interval(a, b))
-        for a in range(lat.n)
-        for b in range(lat.n)
-        if a != b and lat.leq[a, b]
-    )
+    for a in np.flatnonzero(~lat.leq[lat.top]):  # every a below the top
+        dims = _fixed_dims(lat, a)
+        upper = np.flatnonzero(lat.leq[a])[:-1]  # [a, top] but a, its last node
+        if not all(_interval_z(lat, dims, a, b) for b in upper):
+            return False
+    return True
 
 
 # -- chain lengths ------------------------------------------------------------
@@ -659,7 +660,8 @@ def verify_theorems(ctx: BoxContext) -> List[ImplicationResult]:
     bound = sum_bound(ctx)
     rank = boolean_rank(lat)
     n_maximal = len(lat.coatoms())
-    top_w = _interval_w_cyclic(lat.interval(lat.top_part(lat.bottom, lat.top), lat.top))
+    m = lat.top_part(lat.bottom, lat.top)  # the top part is [m, lat.top]
+    top_w = _interval_w_cyclic(lat, _fixed_dims(lat, m), m, lat.top)
     rows = [
         ImplicationResult("cyclic-implies-w-cyclic", cyclic, w),
         ImplicationResult(

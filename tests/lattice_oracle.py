@@ -7,12 +7,14 @@ replaced; ``standalone_interval_lattice`` is the former per-inclusion build from
 those two; ``scan_is_modular`` and ``scan_is_distributive`` decide by the
 triple scans alone, as before the valuation criteria; ``interval_route_length``
 is the chain length with every step built as an interval lattice, as before
-the steps read ``FiniteLattice.distributive_intervals``.
+the steps read ``FiniteLattice.distributive_intervals``;
+``find_forbidden_bruteforce`` searches every 5-subset for an induced M3 or N5.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,6 +25,8 @@ from biprox.lattice import (
     _diamond_witness,
     _failing_distributive_triple,
     _failing_modular_triple,
+    _is_m3,
+    _is_n5,
     _pentagon_witness,
     boolean_rank,
     is_distributive,
@@ -154,3 +158,26 @@ def interval_route_length(lat: FiniteLattice, name: str) -> int:
     same search as ``lengths``, with ``interval_step_predicate`` steps."""
     pred = interval_step_predicate(name, lat)
     return _shortest_chain(lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)])
+
+
+def find_forbidden_bruteforce(lat: FiniteLattice) -> Optional[tuple[str, tuple[int, ...]]]:
+    """Exhaustive 5-subset search for M3/N5 (small lattices only)."""
+    for subset in combinations(range(lat.n), 5):
+        for z in subset:
+            for t in subset:
+                if z == t:
+                    continue
+                mids = [x for x in subset if x not in (z, t)]
+                if _is_m3(lat, z, tuple(mids), t):
+                    return "M3", (z, *mids, t)
+        for perm_z in subset:
+            for perm_t in subset:
+                if perm_z == perm_t:
+                    continue
+                rest = [x for x in subset if x not in (perm_z, perm_t)]
+                for w in rest:
+                    x, y = [q for q in rest if q != w]
+                    for xx, yy in ((x, y), (y, x)):
+                        if _is_n5(lat, perm_z, xx, yy, w, perm_t):
+                            return "N5", (perm_z, xx, yy, w, perm_t)
+    return None

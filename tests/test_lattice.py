@@ -7,7 +7,7 @@ Oracle values in this file were derived independently:
     <(12),(34)> (order 4), the two symmetric groups on {1,2,3} and
     {1,2,4} (order 6), the dihedral group <(12),(34),(13)(24)> (order 8);
   - forbidden-sublattice answers are cross-checked in-file against an
-    exhaustive 5-subset search (find_forbidden_bruteforce).
+    exhaustive 5-subset search (lattice_oracle.find_forbidden_bruteforce).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from biprox.lattice import (
     diamond_m3,
     direct_product,
     divisor_lattice,
-    find_forbidden_bruteforce,
     forbidden_sublattice,
     from_subgroups,
     is_distributive,
@@ -54,6 +53,7 @@ from biprox.permgroup import (
     subgroup_generated,
 )
 from lattice_oracle import (
+    find_forbidden_bruteforce,
     row_lattice,
     scan_is_distributive,
     scan_is_modular,

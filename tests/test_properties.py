@@ -55,6 +55,7 @@ from biprox.properties import (
     _central_nodes,
     _context_dims,
     _f2_violation,
+    _fixed_dims,
     _interval_blocks,
     _interval_w_cyclic,
     _interval_z,
@@ -349,7 +350,7 @@ def test_fixed_point_centrality_matches_double_cosets_on_the_census(census_conte
     answers = set()
     for ctx in census_contexts:
         lat = biprojection_lattice(ctx)
-        central = _central_nodes(lat, _context_dims(ctx))
+        central = _central_nodes(_context_dims(ctx), lat.top)
         normal = [is_normal_intermediate(ctx.sub, k, ctx.group) for k in lat.payload]
         assert central.tolist() == normal, ctx
         assert is_dedekind(ctx) == all(normal)
@@ -368,15 +369,16 @@ def test_interval_z_matches_double_cosets_on_census_sub_intervals(census_context
     answers = []
     for ctx in census_contexts:
         lat = biprojection_lattice(ctx)
-        for a, b in zip(*np.nonzero(lat.leq)):
-            if a == b:
-                continue
-            part = lat.interval(a, b)
-            subs = part.payload
-            blocks = [subs[m] for m in np.unique(_interval_blocks(part)[1])]
-            holds = is_dedekind_interval(subs[part.top], subs[part.bottom], blocks)
-            assert _interval_z(part) == holds, (ctx, a, b)
-            answers.append(holds)
+        subs = lat.payload
+        for a in range(lat.n):
+            dims = _fixed_dims(lat, a)  # one table serves every [a, b]
+            for b in np.flatnonzero(lat.leq[a]):
+                if a == b:
+                    continue
+                blocks = [subs[m] for m in np.unique(_interval_blocks(lat, dims, a, b)[1])]
+                holds = is_dedekind_interval(subs[b], subs[a], blocks)
+                assert _interval_z(lat, dims, a, b) == holds, (ctx, a, b)
+                answers.append(holds)
     assert set(answers) == {True, False}
 
 
@@ -449,6 +451,33 @@ def test_classify_enumerates_the_interval_once(monkeypatch):
     assert calls == [30]
 
 
+@pytest.mark.parametrize("subgroup", [None, "(1,2)"], ids=["S4/1", "S4/(1,2)"])
+def test_classify_builds_the_covers_once(monkeypatch, subgroup):
+    # The biprojection lattice, a reverse() view of ctx.lattice, reads the
+    # transpose of its covers: one cover product per classify, and the
+    # view's validate() makes only its own transitivity product.
+    s4 = FiniteGroup(catalog_group("S4").images)  # a fresh group: nothing cached
+    sub = s4.trivial_subgroup() if subgroup is None else s4.subgroup_from_perms(
+        [parse_cycles(subgroup, s4.degree)]
+    )
+    ctx = BoxContext(s4, sub)
+    bip = biprojection_lattice(ctx)
+    products = []
+    honest = biprox.lattice._bool_product
+
+    def counted(a, b):
+        products.append(a.shape)
+        return honest(a, b)
+
+    monkeypatch.setattr(biprox.lattice, "_bool_product", counted)
+    classify(ctx, lengths_which=())
+    assert len(products) == 1
+    bip.validate()
+    assert len(products) == 2
+    monkeypatch.undo()
+    assert np.array_equal(bip.covers(), FiniteLattice.from_order(bip.leq).covers())
+
+
 def test_z_tilde():
     assert property_Z_tilde(trivial_ctx("Q8"))  # Dedekind forces it
     assert not property_Z_tilde(s4_over("(1,2)(3,4)"))  # already fails (Z)
@@ -501,17 +530,17 @@ def test_interval_routes_match_compressed_contexts(ctx_factory):
     lat = biprojection_lattice(ctx)
     subs = lat.payload
     for a, b in zip(*np.nonzero(lat.leq)):
-        part = lat.interval(a, b)
+        dims = _fixed_dims(lat, a)
         step = step_context(ctx, subs[a], subs[b])
         outer = subs[a]
-        got = {part.payload[m].key() for m in _interval_blocks(part)[1]}
+        got = {subs[m].key() for m in _interval_blocks(lat, dims, a, b)[1]}
         want = {
             ctx.group.subgroup_from_indices(outer.indices[k.indices]).key()
             for k in _oracle_blocks(step)
         }
         assert got == want, (subs[a].order, subs[b].order)
-        assert _interval_w_cyclic(part) == _oracle_w(step)
-        assert _interval_z(part) == (_oracle_z_violation(step) is None)
+        assert _interval_w_cyclic(lat, dims, a, b) == _oracle_w(step)
+        assert _interval_z(lat, dims, a, b) == (_oracle_z_violation(step) is None)
     z_tilde = all(
         _oracle_z_violation(step_context(ctx, subs[a], subs[b])) is None
         for a, b in zip(*np.nonzero(lat.leq)) if a != b
@@ -543,19 +572,24 @@ def test_interval_blocks_check_fixed_point_dimensions(monkeypatch):
     row[np.flatnonzero(orders == 2)[2]] = -4.0
     monkeypatch.setattr(Subgroup, "character_table", lambda self: row[None, :])
     with pytest.raises(BiprojectionCheckFailed):
-        _interval_blocks(lat)
+        _interval_blocks(lat, _fixed_dims(lat, lat.bottom), lat.bottom, lat.top)
 
 
 def test_verify_theorems_builds_no_group_or_context(monkeypatch):
+    # Every interval, (Z~)'s and the top part's included, is read by its
+    # endpoints in the parent lattice: no interval lattice is built either.
+    # Q8 is Dedekind, so its battery runs property_Z_tilde.
     contexts = [s4_over("(1,2)"), trivial_ctx("Q8"), trivial_ctx("D8")]
     for ctx in contexts:
         biprojection_lattice(ctx)
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("a group or a context was built")
+        raise AssertionError("a group, a context or an interval lattice was built")
 
     monkeypatch.setattr(FiniteGroup, "__init__", refuse)
     monkeypatch.setattr(BoxContext, "__init__", refuse)
+    monkeypatch.setattr(FiniteLattice, "interval", refuse)
+    monkeypatch.setattr(FiniteLattice, "_restrict", refuse)
     for ctx in contexts:
         assert all(r.holds for r in verify_theorems(ctx))
         for k in biprojection_lattice(ctx).payload:
