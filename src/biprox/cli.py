@@ -28,7 +28,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,7 +50,7 @@ from .fusionring import fusion_report, load_fusion_file
 from .interval import Inclusion, action_quotient, coset_action, inclusions_equivalent
 from .interval import isomorphism_carrying, pair_invariants
 from .lattice import boolean_rank, is_distributive, is_modular
-from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings
+from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings, mask_keys
 from .properties import classify
 from .reference_tables import dual_coset_basis, run_reference_checks, s2_s4_context, s3_context
 
@@ -279,7 +278,7 @@ def subgroup_class_representatives(group: FiniteGroup) -> List[Subgroup]:
     for sub in all_subgroups(group):
         if sub.key() not in seen:
             reps.append(sub)
-            seen.update(row.tobytes() for row in np.packbits(sub.conjugates(), axis=1))
+            seen.update(mask_keys(sub.conjugates()))
     return reps
 
 
@@ -399,6 +398,9 @@ def survey(
     )
     tasks = [(cls[0][0], cls[0][1].sub.generator_string()) for cls in classes]
     if jobs > 1:
+        # Imported here: multiprocessing costs every other command its import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_survey_row, *zip(*tasks)))
     else:

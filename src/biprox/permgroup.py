@@ -11,11 +11,17 @@ Conventions
   up by their byte keys, or, for a quotient read off its parent's table,
   checks the given table against them;
   ``elements``, the rows as ``Permutation`` objects, is built on demand.
-* Closure runs in batches: ``_close`` closes every row of a mask matrix at
-  once, from rows already closed under all but their last generator when
-  told so.  ``all_subgroups`` closes one generation of joins per batch, one
-  join per double coset, in row blocks of a fixed cell budget, and
-  ``generating_sets`` takes one greedy step for many subgroups per batch.
+* One pass over the powers of every element (g, g^2, ... up to the
+  largest element order) fills the member mask of every cyclic subgroup
+  <g>; the element orders and the least generator of each cyclic subgroup
+  are read off those masks.
+* Closure runs in batches, from the cyclic subgroups it joins: ``_close``
+  closes every row of a mask matrix at once, from rows S | <c> with S
+  already closed under all but the last generator c when told so.
+  ``all_subgroups`` reads generation 1 off the cyclic masks and closes each
+  later generation of joins per batch, one join per double coset, in row
+  blocks of a fixed cell budget; ``generating_sets`` takes one greedy step
+  for many subgroups per batch.
 * The A\\G/B double cosets are one label array: the least element of AgB
   for every g.
 * Per-subgroup results are cached on the parent by member set
@@ -272,17 +278,35 @@ class FiniteGroup:
                 return int(found[0])
         raise KeyError(f"{perm!r} is not an element of this group")
 
+    @cached_property
+    def _cyclic_masks(self) -> np.ndarray:
+        """Row g is the member mask of <g>, filled off the power table: one
+        gather per power g^k of every g at once, for k up to the largest
+        element order.  The table itself is not kept."""
+        elements = np.arange(self.order)
+        masks = np.zeros((self.order, self.order), dtype=bool)
+        power = elements
+        while not masks[:, self.identity_index].all():
+            masks[elements, power] = True
+            power = self.cayley[power, elements]
+        masks.setflags(write=False)
+        return masks
+
     def element_orders(self) -> np.ndarray:
-        """The order of each element, by index."""
+        """The order of each element, by index: the size of <g>."""
         if self._element_orders is None:
-            orders = np.zeros(self.order, dtype=np.int64)
-            power, n = np.arange(self.order), 1
-            while not orders.all():
-                orders[(power == self.identity_index) & (orders == 0)] = n
-                power, n = self.cayley[power, np.arange(self.order)], n + 1
+            orders = self._cyclic_masks.sum(axis=1)
             orders.setflags(write=False)
             self._element_orders = orders
         return self._element_orders
+
+    @cached_property
+    def _cyclic_generators(self) -> np.ndarray:
+        """The least generator of each cyclic subgroup, ascending (the
+        identity first): the g that is the least member of <g> of its order."""
+        orders = self.element_orders()
+        least = (self._cyclic_masks & (orders == orders[:, None])).argmax(axis=1)
+        return np.flatnonzero(least == np.arange(self.order))
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.cayley, self.cayley.T))
@@ -528,11 +552,16 @@ def _close(
 ) -> np.ndarray:
     """Close each row of the boolean ``masks`` (in place, and returned) under
     right multiplication by that row's generators, row r of the index array
-    ``gens``.  Each round gathers the products of the whole frontier of every
-    row at once.  With ``closed``, each row is already closed under all but
-    its last generator, so the first round multiplies the row by that new
-    generator alone and only the elements it reaches go on to every
-    generator."""
+    ``gens``; every row holds the identity.  Each round gathers the products
+    of the whole frontier of every row at once.
+
+    With ``closed``, each row is a subgroup S, closed under all but its last
+    generator c, joined with <c>, and the first round multiplies the row by
+    c alone; only the elements it reaches go on to every generator.  That
+    still reaches J = <S, c>: a new element x of J is taken on by every
+    generator, so its closure is xJ = J; and if the first round finds none,
+    then Sc lies in S or in <c>, so S lies in <c> or c in S, and the row is
+    J already."""
     rows, frontier = np.nonzero(masks)
     step = gens[:, -1:] if closed else gens
     while rows.size:
@@ -545,16 +574,23 @@ def _close(
     return masks
 
 
+def mask_keys(masks: np.ndarray) -> list[bytes]:
+    """``Subgroup.key()`` of each row of the boolean ``masks``, packed at once."""
+    packed = np.packbits(masks, axis=1)
+    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
+
+
 def subgroup_generated(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of ``group`` containing the seed element indices.
 
-    Closure by right-multiplication with the seed: every word in the seed
-    elements is reached, and in a finite group the word closure is already
-    a subgroup (inverses are positive powers).
+    Closure by right-multiplication with the seed, from the union of the
+    seed's cyclic subgroups: every word in the seed elements is reached, and
+    in a finite group the word closure is already a subgroup (inverses are
+    positive powers).
     """
     gens = np.array(sorted({int(i) for i in seed}), dtype=np.int64)
-    mask = np.zeros((1, group.order), dtype=bool)
-    mask[0, [group.identity_index, *gens]] = True
+    mask = group._cyclic_masks[gens].any(axis=0, keepdims=True)
+    mask[0, group.identity_index] = True
     return Subgroup(group, _close(group, mask, gens[None, :])[0])
 
 
@@ -564,9 +600,10 @@ def generating_sets(group: FiniteGroup, subs: Sequence[Subgroup]) -> list[list[i
 
     Each list is built greedily: step t gives every row not yet spanned its
     first member outside its current span, by largest element order (which
-    keeps the list short for cyclic-ish groups) and then by index, and one
-    ``_close`` call then closes every row over its t + 1 generators, from
-    the span already closed under the first t."""
+    keeps the list short for cyclic-ish groups) and then by index.  The
+    span, closed under the first t generators, takes in the cyclic subgroup
+    of that pick, and one ``_close`` call then closes every row over its
+    t + 1 generators."""
     rank = np.lexsort((np.arange(group.order), -group.element_orders()))
     targets = np.zeros((len(subs), group.order), dtype=bool)
     for row, sub in enumerate(subs):
@@ -585,6 +622,7 @@ def generating_sets(group: FiniteGroup, subs: Sequence[Subgroup]) -> list[list[i
             return out
         pick = rank[(targets & ~spans)[:, rank].argmax(axis=1)]
         gens = np.column_stack([gens, pick])
+        spans |= group._cyclic_masks[pick]
         _close(group, spans, gens, closed=True)
 
 
@@ -612,45 +650,62 @@ def generator_strings(subs: Sequence[Subgroup]) -> list[str]:
     return [labels[key] for key in keys]
 
 
-def _least_cyclic_generators(group: FiniteGroup) -> np.ndarray:
-    """The least generator of each cyclic subgroup, ascending: the g with
-    g <= g^k for every k prime to the order of g."""
-    orders = group.element_orders()
-    elements = np.arange(group.order)
-    least, power = elements.copy(), elements
-    for k in range(2, int(orders.max())):
-        power = group.cayley[power, elements]  # g^k
-        least = np.where(np.gcd(k, orders) == 1, np.minimum(least, power), least)
-    return np.flatnonzero(least == elements)
+def _double_coset_seeds(
+    group: FiniteGroup, masks: np.ndarray, joins: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The joins to close for each subgroup S, a row of ``masks``: pairs
+    (row, j) for the first joins[j] outside S in each double coset S c S,
+    by its least element.  Rows come by subgroup order, and j ascends in
+    each row.
 
-
-def _double_coset_seeds(cayley: np.ndarray, mask: np.ndarray, joins: np.ndarray) -> np.ndarray:
-    """The positions j, ascending, of the first ``joins[j]`` outside the
-    subgroup S with member ``mask`` in each double coset S c S, by its least
-    element."""
-    members = np.flatnonzero(mask)
-    _, first = np.unique(
-        _least_in_double_cosets(cayley, members, members, joins), return_index=True
-    )
-    return np.sort(first[~mask[joins[first]]])
+    The rows go in blocks of at most ``_CLOSE_CELLS`` gathered cells (a row
+    past it goes alone), their members padded with the identity, which lies
+    in every S: one gather gives the least element of every gS, and one
+    more the least of every S c S."""
+    n, sizes = group.order, masks.sum(axis=1)
+    left = group.cayley[:, joins]  # row s: c -> s c
+    by_order = np.argsort(sizes, kind="stable")
+    seed_rows, seed_joins = [], []
+    start = 0
+    while start < by_order.size:
+        # Sizes ascend, so the last row of a block is its widest.
+        fits = np.arange(1, by_order.size - start + 1) * sizes[by_order[start:]] * n
+        rows = by_order[start : start + max(1, int((fits <= _CLOSE_CELLS).sum()))]
+        start += rows.size
+        block, counts = masks[rows], sizes[rows]
+        r, members = np.nonzero(block)
+        padded = np.full((rows.size, counts[-1]), group.identity_index, dtype=np.int64)
+        padded[r, np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = members
+        least_gs = group.cayley[:, padded].min(axis=2).T
+        at = np.arange(rows.size)[:, None]
+        labels = least_gs[at[:, :, None], left[padded]].min(axis=1)
+        js = np.arange(joins.size, dtype=np.int32)
+        first = np.full((rows.size, n), joins.size, dtype=np.int32)  # per label, its first j
+        np.minimum.at(first, (at, labels), js)
+        r, j = np.nonzero((first[at, labels] == js) & ~block[:, joins])
+        seed_rows.append(rows[r])
+        seed_joins.append(j)
+    return np.concatenate(seed_rows), np.concatenate(seed_joins)
 
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of ``group``, sorted by (order, bitset key).
 
-    Enumeration by generation, breadth first: generation k holds the
-    subgroups first reached as a join of k cyclic subgroups, and generation
-    k + 1 is read off the joins of each member S of generation k with every
-    cyclic subgroup <c> outside it.  A subgroup first reached at k + 1 is
-    such a join of a member of generation k, so this is exact for any finite
-    group, since every subgroup is the join of its cyclic subgroups.  Since
-    <S, c> = <S, s c s'> for all s, s' in S, the joins of one S are seeded
-    once per double coset S c S (the first c of each, by least element), and
-    the others are never closed.  Each subgroup carries the generators it was
-    reached from, so a join closes over k + 1 generators rather than all its
-    members; S is closed under the first k, so the first closure round
-    multiplies S by c alone.  A generation's seeds are closed in row blocks
-    of ``_CLOSE_CELLS`` mask cells.  Computed once per group; past
+    Enumeration by generation, breadth first, after Neubüser's cyclic
+    extension method: generation k holds the subgroups first reached as a
+    join of k cyclic subgroups, and generation k + 1 is read off the joins
+    of each member S of generation k with every cyclic subgroup <c> outside
+    it.  A subgroup first reached at k + 1 is such a join of a member of
+    generation k, so this is exact for any finite group, since every
+    subgroup is the join of its cyclic subgroups.  Generation 1 is read off
+    the group's cyclic masks, with no closure.  Since <S, c> = <S, s c s'>
+    for all s, s' in S, the joins of one S are seeded once per double coset
+    S c S (the first c of each, by least element), and the others are never
+    closed.  Each subgroup carries the generators it was reached from, so a
+    join closes over k + 1 generators rather than all its members, from
+    S | <c>; S is closed under the first k, so the first closure round
+    multiplies it by c alone.  A generation's seeds are found and closed in
+    row blocks of ``_CLOSE_CELLS`` cells.  Computed once per group; past
     DEFAULT_ORDER_CAP elements or DEFAULT_SUBGROUP_CAP subgroups it raises
     OrderCapExceeded or SubgroupCapExceeded.
     """
@@ -660,26 +715,24 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
         )
     if group._subgroups is not None:
         return list(group._subgroups)
+    cyclic, firsts = group._cyclic_masks, group._cyclic_generators
+    if firsts.size > DEFAULT_SUBGROUP_CAP:
+        raise SubgroupCapExceeded(f"more than {DEFAULT_SUBGROUP_CAP} subgroups")
+    found = {key: Subgroup(group, cyclic[g]) for key, g in zip(mask_keys(cyclic[firsts]), firsts)}
+    joins = firsts[1:]  # the identity's <1> is generation 0
+    masks, gens = cyclic[joins], joins[:, None]
     block = max(1, _CLOSE_CELLS // group.order)
-    masks = np.zeros((1, group.order), dtype=bool)
-    masks[0, group.identity_index] = True
-    found = {np.packbits(masks[0]).tobytes(): Subgroup(group, masks[0])}
-    gens = np.zeros((1, 0), dtype=np.int64)
-    joins = _least_cyclic_generators(group)  # one element per cyclic subgroup
     while len(masks):
-        # Seed (row, j) joins generation member `row` with <joins[j]> outside it.
-        firsts = [_double_coset_seeds(group.cayley, mask, joins) for mask in masks]
-        seed_rows = np.repeat(np.arange(len(masks)), [first.size for first in firsts])
-        seed_joins = np.concatenate(firsts)
+        seed_rows, seed_joins = _double_coset_seeds(group, masks, joins)
         level_masks, level_gens = [], []
         for start in range(0, seed_rows.size, block):
             rows = seed_rows[start : start + block]
-            block_masks = masks[rows]
-            block_gens = np.column_stack([gens[rows], joins[seed_joins[start : start + block]]])
+            added = joins[seed_joins[start : start + block]]
+            block_masks = masks[rows] | cyclic[added]
+            block_gens = np.column_stack([gens[rows], added])
             _close(group, block_masks, block_gens, closed=True)
             new = []
-            for row, key in enumerate(np.packbits(block_masks, axis=1)):
-                key = key.tobytes()
+            for row, key in enumerate(mask_keys(block_masks)):
                 if key in found:
                     continue
                 if len(found) >= DEFAULT_SUBGROUP_CAP:

@@ -292,10 +292,16 @@ def lw_rw_cyclic(ctx: BoxContext, k: Subgroup) -> Dict[str, bool]:
     rw asks for a minimal u with <u> = b_K and reduces to w-cyclicity of
     the upper interval [K, G].  Both hold for instance at K = H (u = e1
     settles lw) and at K = G (rw is w-cyclicity of the one-node interval).
+    K is looked up among the nodes by member key; a K that is no node of
+    [H, G] raises ValueError.
     """
     require_nested(ctx.sub, k)
     lat = biprojection_lattice(ctx)
-    node = lat.payload.index(k)
+    if "node_of_key" not in ctx._cache:
+        ctx._cache["node_of_key"] = {s.key(): i for i, s in enumerate(lat.payload)}
+    node = ctx._cache["node_of_key"].get(k.key())
+    if node is None:
+        raise ValueError(f"{k!r} is not a subgroup between H and G")
     return {
         "lw": _interval_w_cyclic(lat, _fixed_dims(lat, node), node, lat.top),
         "rw": _interval_w_cyclic(lat, _context_dims(ctx), lat.bottom, node),

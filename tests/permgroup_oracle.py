@@ -9,14 +9,16 @@ generator outside it, each from all its members and generators.
 ``cli.subgroup_class_representatives``: a subgroup represents its class when
 its key is the least over all of its conjugates.  ``orbit_conjugacy_classes``
 is the former ``permgroup._conjugacy_classes``: one conjugation orbit per
-Python step.
+Python step.  ``unseeded_generating_sets`` is the former
+``permgroup.generating_sets``, whose spans took in each pick alone rather
+than its cyclic subgroup before they closed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from biprox.permgroup import FiniteGroup, Subgroup, all_subgroups
+from biprox.permgroup import FiniteGroup, Subgroup, _close, all_subgroups
 
 
 def _close_every_generator(group: FiniteGroup, masks: np.ndarray, gens: np.ndarray) -> None:
@@ -78,3 +80,23 @@ def orbit_conjugacy_classes(group: FiniteGroup, members: np.ndarray) -> list[np.
         seen[orbit] = True
         classes.append(orbit)
     return classes
+
+
+def unseeded_generating_sets(group: FiniteGroup, subs: list[Subgroup]) -> list[list[int]]:
+    """The greedy generating list of each subgroup in ``subs``: step t picks
+    the first member outside the span by largest element order, then index,
+    and closes the span, closed under the first t generators, over all
+    t + 1 of them, from the span alone, not joined with <pick> first."""
+    rank = np.lexsort((np.arange(group.order), -group.element_orders()))
+    targets = np.array([sub.mask for sub in subs], dtype=bool).reshape(len(subs), -1)
+    spans = np.zeros_like(targets)
+    spans[:, group.identity_index] = True
+    gens = np.zeros((len(subs), 0), dtype=np.int64)
+    while not (spans == targets).all():
+        todo = ~(spans == targets).all(axis=1)
+        pick = rank[(targets[todo] & ~spans[todo])[:, rank].argmax(axis=1)]
+        added = np.full(len(subs), -1)
+        added[todo] = pick
+        gens = np.column_stack([gens, added])
+        spans[todo] = _close(group, spans[todo], gens[todo], closed=True)
+    return [[int(g) for g in row if g >= 0] for row in gens]

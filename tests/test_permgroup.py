@@ -34,6 +34,7 @@ from permgroup_oracle import (
     every_seed_subgroups,
     min_key_class_representatives,
     orbit_conjugacy_classes,
+    unseeded_generating_sets,
 )
 
 # Frozen oracle values from an independent one-element-extension BFS
@@ -259,6 +260,24 @@ def test_inverse_and_element_orders_match_a_power_loop():
             assert group.index_of(x.inverse()) == group.inverse[i], name
 
 
+def test_cyclic_masks_match_a_per_element_power_loop():
+    # Orders, <g> masks and the least generator of each cyclic subgroup, all
+    # from one pass over the powers of every element at once, against g,
+    # g^2, ... taken one element at a time.
+    for name, group in _array_layer_groups():
+        cayley = group.cayley.tolist()
+        least = set()
+        for g in range(group.order):
+            powers = [g]
+            while powers[-1] != group.identity_index:
+                powers.append(cayley[powers[-1]][g])
+            n = len(powers)
+            assert group.element_orders()[g] == n, name
+            assert np.flatnonzero(group._cyclic_masks[g]).tolist() == sorted(powers), name
+            least.add(min(p for k, p in enumerate(powers, 1) if np.gcd(k, n) == 1))
+        assert group._cyclic_generators.tolist() == sorted(least), name
+
+
 def test_non_closed_element_list_raises():
     with pytest.raises(ValueError, match="not closed"):
         FiniteGroup([Permutation.identity(3), parse_cycles("(1,2)", 3), parse_cycles("(2,3)", 3)])
@@ -355,15 +374,19 @@ def test_all_subgroups_closes_one_block_per_generation(monkeypatch):
     group = group_closure(parse_generators("(1,2); (1,2,3,4)"))  # nothing cached yet
     keys = [s.key() for s in all_subgroups(group)]
     assert len(keys) == SUBGROUP_COUNTS["S4"]
-    # Generation k closes its seeds over k generators in one call.
-    assert [k for _shape, k in calls] == list(range(1, len(calls) + 1))
+    # Generation 1, the cyclic subgroups, is read off the cyclic masks with no
+    # closure; each later generation k closes its seeds over k generators in
+    # one call.
+    assert [k for _shape, k in calls] == list(range(2, len(calls) + 2))
     assert all(rows * order <= biprox.permgroup._CLOSE_CELLS for (rows, order), _k in calls)
-    # A budget of 8 rows splits the generations into blocks, with the same result.
+    # A budget of 8 rows splits the generations into blocks, and the double
+    # coset seeds into blocks of at most 8 padded members (a wider row goes
+    # alone), with the same result.
     calls.clear()
     monkeypatch.setattr(biprox.permgroup, "_CLOSE_CELLS", 8 * group.order)
     group = group_closure(parse_generators("(1,2); (1,2,3,4)"))
     assert [s.key() for s in all_subgroups(group)] == keys
-    assert len(calls) > calls[-1][1]  # more blocks than generations
+    assert len(calls) > calls[-1][1] - 1  # more blocks than closed generations
     assert all(rows <= 8 for (rows, _order), _k in calls)
 
 
@@ -387,9 +410,11 @@ def test_all_subgroups_match_every_seed_enumeration(spec):
 
 
 def test_all_subgroups_closes_one_seed_per_double_coset(monkeypatch):
-    # Generation 1 seeds each cyclic subgroup once, and each later member S
-    # one join per double coset S c S: 7,042 seeds over the catalog, where
-    # every element and every cyclic generator outside S gives 26,143.
+    # Generation 1, the 800 nontrivial cyclic subgroups of the catalog, is
+    # read off the cyclic masks, and each later member S closes one join per
+    # double coset S c S: 6,242 seeds over the catalog.  Closing generation 1
+    # too gave 7,042, and every element and every cyclic generator outside S
+    # gave 26,143.
     closed = []
     real = biprox.permgroup._close
 
@@ -400,7 +425,8 @@ def test_all_subgroups_closes_one_seed_per_double_coset(monkeypatch):
     monkeypatch.setattr(biprox.permgroup, "_close", counting_close)
     for name in catalog_names():
         all_subgroups(FiniteGroup(catalog_group(name).images))  # nothing cached yet
-    assert sum(closed) == 7042
+    assert sum(closed) == 6242
+    assert sum(catalog_group(name)._cyclic_generators.size - 1 for name in catalog_names()) == 800
 
 
 def test_subgroup_class_representatives_match_the_least_key_rule():
@@ -679,6 +705,18 @@ def _sequential_generating_indices(sub) -> list[int]:
             have = subgroup_generated(group, [*gens, i])
             gens.append(i)
     return gens
+
+
+@pytest.mark.parametrize("spec", [None, "perm:(1,2);(3,4);(5,6);(7,8);(9,10)"])
+def test_generating_sets_match_the_unseeded_greedy_route(spec):
+    # Seeding each span with the cyclic subgroup of its pick changes no list:
+    # every catalog subgroup, and the 374 subgroups of E32.
+    groups = [catalog_group(name) for name in catalog_names()] if spec is None else [
+        parse_group_spec(spec)
+    ]
+    for group in groups:
+        subs = all_subgroups(group)
+        assert generating_sets(group, subs) == unseeded_generating_sets(group, subs), group
 
 
 def test_generating_sets_match_the_sequential_greedy_loop():

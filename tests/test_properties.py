@@ -641,6 +641,13 @@ def test_lw_rw_requires_nesting():
     stray = ctx.group.subgroup_from_perms([parse_cycles("(3,4)", ctx.group.degree)])
     with pytest.raises(NotNested):
         lw_rw_cyclic(ctx, stray)
+    # H = <(1,2)> and two more transpositions: four members over H, a count
+    # that divides 24, but no subgroup, so no node of [H, G].
+    g = ctx.group
+    mask = ctx.sub.mask.copy()
+    mask[[g.index_of(parse_cycles(c, g.degree)) for c in ("(1,3)", "(1,4)")]] = True
+    with pytest.raises(ValueError, match="not a subgroup between"):
+        lw_rw_cyclic(ctx, Subgroup(g, mask))
 
 
 # -- w+, sums, and the group-side cross-checks --------------------------------
