@@ -47,7 +47,7 @@ from .errors import (
     TheoremViolation,
 )
 from .fusionring import fusion_report, load_fusion_file
-from .interval import Inclusion, action_quotient, coset_action, inclusions_equivalent
+from .interval import Inclusion, coset_action, core_pair, inclusions_equivalent
 from .interval import isomorphism_carrying, pair_invariants
 from .lattice import boolean_rank, is_distributive, is_modular
 from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings, mask_keys
@@ -322,10 +322,10 @@ def equivalence_classes(
     canonically so the result is independent of input order.  Pairs are
     keyed by their coset action (``coset_action``): a pair whose action was
     already seen joins that action's class, since equal actions give equal
-    core quotients.  The quotient of each distinct action is built once, its
-    Cayley table gathered off G's (``action_quotient``), and compared, within
-    its invariant bucket, with the quotient held for each class's first
-    member; a pair past the quotient cap is a class of its own."""
+    core quotients.  Each distinct action is taken once as its ``core_pair``,
+    (G, H) itself if core_G(H) = 1, and compared, within its invariant
+    bucket, with the pair held for each class's first member; a pair past
+    the quotient cap is a class of its own."""
     subs_by_group: Dict[int, List[Subgroup]] = {}
     for _, inc in pairs:
         subs_by_group.setdefault(id(inc.group), []).append(inc.sub)
@@ -334,7 +334,7 @@ def equivalence_classes(
     # Pairs go in sorted order, so classes are created sorted by first member.
     classes: List[List[Tuple[str, Inclusion]]] = []
     by_action: Dict[tuple, list] = {}  # (degree, home, row bytes) -> class members
-    buckets: Dict[tuple, list] = {}  # pair invariants -> [(quotient, members)]
+    buckets: Dict[tuple, list] = {}  # pair invariants -> [(pair, members)]
     for item in sorted(pairs, key=_pair_sort_key):
         try:
             rows, home, image, first = coset_action(item[1])
@@ -343,14 +343,14 @@ def equivalence_classes(
             continue
         action = (rows.shape[1], home, rows.tobytes())
         if action not in by_action:
-            quotient = action_quotient(item[1].group, rows, home, image, first)
-            held = buckets.setdefault(pair_invariants(*quotient), [])
+            pair = core_pair(item[1], (rows, home, image, first))
+            held = buckets.setdefault(pair_invariants(*pair), [])
             for rep, members in held:
-                if isomorphism_carrying(*quotient, *rep):
+                if isomorphism_carrying(*pair, *rep):
                     break
             else:
                 members = []
-                held.append((quotient, members))
+                held.append((pair, members))
                 classes.append(members)
             by_action[action] = members
         by_action[action].append(item)

@@ -2,8 +2,8 @@
 
 Covers: cyclic-over-subgroup witnesses, the distributivity/one-generator
 report, the normality and index-sum conditions on minimal overgroups,
-equivalence of inclusions through core quotients, and linear primitivity
-(delegated to the box-algebra blocks).
+equivalence of inclusions through core quotients (a core-free pair is its
+own), and linear primitivity (delegated to the box-algebra blocks).
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def dual_ore_conditions(inc: Inclusion) -> DualOreReport:
 
 # ------------------------------------------------------- equivalence classing
 
-# Largest core quotient that equivalence classing builds.
+# Largest core quotient order that equivalence classing compares, core-free or not.
 QUOTIENT_CAP = 200
 
 
@@ -138,9 +138,19 @@ def action_quotient(
 def core_quotient(inc: Inclusion) -> tuple[FiniteGroup, Subgroup]:
     """(G/core_G(H), image of H), the invariant pair behind equivalence: the
     group of ``coset_action(inc)`` (G on the left cosets of H, kernel
-    core_G(H)) and the stabilizer of the coset H.  QuotientOrderCapExceeded
-    is raised before building one past QUOTIENT_CAP."""
+    core_G(H)) and the stabilizer of the coset H, built even if core_G(H) = 1.
+    QuotientOrderCapExceeded is raised before building one past QUOTIENT_CAP."""
     return action_quotient(inc.group, *coset_action(inc))
+
+
+def core_pair(inc: Inclusion, action: Optional[tuple] = None) -> tuple[FiniteGroup, Subgroup]:
+    """A pair isomorphic to ``core_quotient(inc)``, read off ``action`` (the
+    ``coset_action(inc)`` if not given): (G, H) itself when G acts faithfully,
+    one row per element, so core_G(H) = 1; else the action's quotient."""
+    action = coset_action(inc) if action is None else action
+    if len(action[3]) == inc.group.order:
+        return inc.group, inc.sub
+    return action_quotient(inc.group, *action)
 
 
 def _group_invariants(g: FiniteGroup) -> tuple:
@@ -160,16 +170,8 @@ def pair_invariants(g: FiniteGroup, h: Subgroup) -> tuple:
     """Isomorphism invariants of the pair (g, h), the bucket of equivalence:
     among them each element of h keyed by its order and the size of its
     conjugacy class in g, both kept by an isomorphism carrying h along."""
-    class_size = np.empty(g.order, dtype=np.int64)
-    for cls in g.conjugacy_classes():
-        class_size[cls] = len(cls)
-    h_keys = sorted(zip(g.element_orders()[h.indices].tolist(), class_size[h.indices].tolist()))
-    return _group_invariants(g) + (h.order, h.is_normal(), tuple(h_keys))
-
-
-def equivalence_key(inc: Inclusion) -> tuple:
-    """Hashable invariant of the equivalence class (prefilter/bucketing)."""
-    return pair_invariants(*core_quotient(inc))
+    keys = zip(g.element_orders()[h.indices].tolist(), g.class_sizes[h.indices].tolist())
+    return _group_invariants(g) + (h.order, h.is_normal(), tuple(sorted(keys)))
 
 
 def isomorphism_carrying(
@@ -185,12 +187,7 @@ def isomorphism_carrying(
     if not gens:  # trivial group
         return q2.order == 1
     orders1, orders2 = q1.element_orders(), q2.element_orders()
-    csize1 = np.empty(q1.order, dtype=np.int64)
-    for cls in q1.conjugacy_classes():
-        csize1[cls] = len(cls)
-    csize2 = np.empty(q2.order, dtype=np.int64)
-    for cls in q2.conjugacy_classes():
-        csize2[cls] = len(cls)
+    csize1, csize2 = q1.class_sizes, q2.class_sizes
 
     candidates = []
     for g in gens:
@@ -256,9 +253,9 @@ def isomorphism_carrying(
 
 
 def inclusions_equivalent(a: Inclusion, b: Inclusion) -> bool:
-    """Whether the core quotients are isomorphic as pairs (group, subgroup)."""
-    q1, img1 = core_quotient(a)
-    q2, img2 = core_quotient(b)
+    """Whether the core quotients, each as its ``core_pair``, are isomorphic as pairs."""
+    q1, img1 = core_pair(a)
+    q2, img2 = core_pair(b)
     if pair_invariants(q1, img1) != pair_invariants(q2, img2):
         return False
     return isomorphism_carrying(q1, img1, q2, img2)
@@ -281,9 +278,3 @@ def is_linearly_primitive_inclusion(inc: Inclusion) -> Optional[int]:
         if np.array_equal(stab, inc.sub.mask):
             return i
     return None
-
-
-def is_linearly_primitive_group(group: FiniteGroup) -> bool:
-    """Whether some irreducible block is faithful (trivial stabilizer)."""
-    inc = Inclusion(group, group.trivial_subgroup())
-    return is_linearly_primitive_inclusion(inc) is not None

@@ -346,6 +346,15 @@ class FiniteGroup:
             self._conjugacy_classes = _conjugacy_classes(self, np.arange(self.order))
         return self._conjugacy_classes
 
+    @cached_property
+    def class_sizes(self) -> np.ndarray:
+        """The size of each element's conjugacy class, by index."""
+        sizes = np.empty(self.order, dtype=np.int64)
+        for cls in self.conjugacy_classes():
+            sizes[cls] = len(cls)
+        sizes.setflags(write=False)
+        return sizes
+
     def character_table(self) -> np.ndarray:
         """The irreducible characters of G: ``Subgroup.character_table`` of
         the full subgroup (row chi holds chi(g) per element index)."""

@@ -23,8 +23,8 @@ from biprox.cli import (
 )
 from biprox.interval import (
     Inclusion,
+    core_pair,
     coset_action,
-    core_quotient,
     inclusions_equivalent,
     pair_invariants,
 )
@@ -304,8 +304,8 @@ def _action_key(rows, home, *_) -> tuple:
     return rows.shape[1], home, rows.tobytes()
 
 
-def test_equivalence_classes_build_each_core_quotient_once(monkeypatch) -> None:
-    import biprox.cli
+def _count_quotients(monkeypatch) -> list:
+    """Record the action key of every quotient that ``action_quotient`` builds."""
     import biprox.interval
 
     built = []
@@ -316,14 +316,42 @@ def test_equivalence_classes_build_each_core_quotient_once(monkeypatch) -> None:
         return original(group, rows, home, *rest)
 
     monkeypatch.setattr(biprox.interval, "action_quotient", counted)
-    monkeypatch.setattr(biprox.cli, "action_quotient", counted)
+    return built
+
+
+def _split_by_core(pairs) -> tuple[set, set]:
+    """The distinct coset actions of ``pairs``: those that only a pair with a
+    nontrivial core has (fewer rows than |G|), and those of a core-free pair.
+    An action of both kinds is met first on the core-free pair, whose group
+    is smaller and sorts first, so its class holds (G, H) and no quotient."""
+    cored, core_free = set(), set()
+    for _, inc in pairs:
+        action = coset_action(inc)
+        faithful = len(action[3]) == inc.group.order
+        (core_free if faithful else cored).add(_action_key(*action))
+    return cored - core_free, core_free
+
+
+def test_equivalence_classes_build_each_core_quotient_once(monkeypatch) -> None:
+    built = _count_quotients(monkeypatch)
     pairs = enumerate_pairs(names=["Z4", "Z6", "S3", "D3", "Z12", "E4"], max_index=6)
-    actions = {_action_key(*coset_action(inc)) for _, inc in pairs}
+    cored, core_free = _split_by_core(pairs)
     classes = equivalence_classes(pairs)
     assert len(classes) < len(pairs)  # some pairs were compared and merged
-    assert len(actions) < len(pairs)  # S3 and D3 repeat each other's actions
-    # One quotient per distinct coset action, none built twice.
-    assert sorted(built) == sorted(actions)
+    assert len(cored) + len(core_free) < len(pairs)  # S3 and D3 repeat each other's actions
+    assert cored and core_free
+    # One quotient per distinct action with a nontrivial core, none built
+    # twice; a core-free pair stands for its own quotient.
+    assert sorted(built) == sorted(cored)
+
+
+def test_equivalence_classes_build_25_quotients_on_the_census(monkeypatch) -> None:
+    built = _count_quotients(monkeypatch)
+    pairs = enumerate_pairs()
+    cored, core_free = _split_by_core(pairs)
+    equivalence_classes(pairs)
+    assert (len(cored), len(core_free)) == (25, 153)
+    assert sorted(built) == sorted(cored)
 
 
 def _closure_of_pairwise_equivalence(pairs) -> list:
@@ -360,7 +388,7 @@ def test_equivalence_classes_are_the_closure_of_pairwise_equivalence(monkeypatch
     classes = equivalence_classes(pairs)
     got = sorted((frozenset(position[id(inc)] for _, inc in cls) for cls in classes), key=min)
     # The oracle compares every pair once; memoized quotients keep it fast.
-    monkeypatch.setattr(biprox.interval, "core_quotient", functools.cache(core_quotient))
+    monkeypatch.setattr(biprox.interval, "core_pair", functools.cache(core_pair))
     monkeypatch.setattr(biprox.interval, "pair_invariants", functools.cache(pair_invariants))
     assert got == _closure_of_pairwise_equivalence(pairs)
 

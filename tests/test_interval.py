@@ -23,15 +23,18 @@ from biprox.interval import (
     DualOreReport,
     Inclusion,
     action_quotient,
+    core_pair,
     core_quotient,
     coset_action,
     dual_ore_conditions,
-    equivalence_key,
     inclusions_equivalent,
     is_H_cyclic,
+    isomorphism_carrying,
     ore_verify,
+    pair_invariants,
 )
 from biprox.permgroup import FiniteGroup, parse_cycles, subgroup_generated
+from interval_oracle import equivalence_key, is_linearly_primitive_group
 from lattice_oracle import interval_subgroups
 
 
@@ -322,6 +325,23 @@ def test_gathered_quotients_match_the_lookup_on_the_census() -> None:
     assert len(actions) == 178
 
 
+def test_core_free_pairs_stand_for_their_quotients_on_the_census() -> None:
+    # G acts faithfully on the cosets of a core-free H, so (G, H) and its
+    # core quotient share every pair invariant and an isomorphism carries
+    # one onto the other; core_pair returns (G, H) itself.
+    core_free = 0
+    for name, inc in enumerate_pairs():
+        if len(coset_action(inc)[3]) < inc.group.order:
+            assert core_pair(inc)[0].order < inc.group.order, name
+            continue
+        core_free += 1
+        quotient = core_quotient(inc)
+        assert pair_invariants(inc.group, inc.sub) == pair_invariants(*quotient), name
+        assert isomorphism_carrying(inc.group, inc.sub, *quotient), name
+        assert core_pair(inc) == (inc.group, inc.sub), name
+    assert core_free > 0
+
+
 def test_equivalence_key_buckets() -> None:
     assert equivalence_key(make("S3", "(1,2)")) == equivalence_key(
         make("S3", "(2,3)")
@@ -354,8 +374,6 @@ def test_quotient_cap(monkeypatch) -> None:
 
 
 def test_linearly_primitive_groups() -> None:
-    from biprox.interval import is_linearly_primitive_group
-
     # S3 and Q8 have faithful irreducible representations; Z/n always has
     # a faithful character; (Z/2)^2 has only non-faithful characters
     assert is_linearly_primitive_group(catalog_group("S3"))

@@ -754,6 +754,8 @@ def test_element_orders_and_conjugacy_classes():
     assert counts == {1: 1, 2: 9, 3: 8, 4: 6}
     classes = s4.conjugacy_classes()
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
+    assert [s4.class_sizes[c].tolist() for c in classes] == [[len(c)] * len(c) for c in classes]
+    assert not s4.class_sizes.flags.writeable
 
 
 @settings(max_examples=30, deadline=None)

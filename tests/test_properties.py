@@ -35,7 +35,6 @@ from biprox.errors import BiprojectionCheckFailed, NotNested
 from biprox.interval import (
     Inclusion,
     inclusions_equivalent,
-    is_linearly_primitive_group,
     is_linearly_primitive_inclusion,
     ore_verify,
 )
@@ -89,6 +88,7 @@ from spectral_oracle import (
     step_context,
     top_context,
 )
+from interval_oracle import is_linearly_primitive_group
 from lattice_oracle import interval_route_length, interval_subgroups
 
 
