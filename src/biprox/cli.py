@@ -49,7 +49,7 @@ from .errors import (
 from .fusionring import fusion_report, load_fusion_file
 from .interval import Inclusion, coset_action, core_pair, inclusions_equivalent
 from .interval import isomorphism_carrying, pair_invariants
-from .lattice import boolean_rank, is_distributive, is_modular
+from .lattice import FiniteLattice, boolean_rank, is_distributive, is_modular, to_dot
 from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings, mask_keys
 from .properties import classify
 from .reference_tables import dual_coset_basis, run_reference_checks, s2_s4_context, s3_context
@@ -90,10 +90,20 @@ def _context_from_args(args) -> Tuple[FiniteGroup, Subgroup, BoxContext]:
 # -- analyze -------------------------------------------------------------
 
 
+def _interval_figures(lat: FiniteLattice, i: int) -> dict:
+    """The figures of [H, G], the up-set of node i of ``lat`` (Inclusion.node)."""
+    return {
+        "size": int(np.count_nonzero(lat.leq[i])),
+        "height": lat.height(i),
+        "distributive": is_distributive(lat, i),
+        "modular": is_modular(lat, i),
+        "boolean_rank": boolean_rank(lat, i),
+    }
+
+
 def cmd_analyze(args) -> int:
     group, sub, ctx = _context_from_args(args)
-    lat = biprojection_lattice(ctx)  # [H, G] reversed; each figure below is reversal-invariant
-    modular = is_modular(lat)
+    figures = _interval_figures(*ctx.node)
     report = classify(ctx)
     out = {
         "schema": SCHEMA,
@@ -103,20 +113,14 @@ def cmd_analyze(args) -> int:
         "group_order": group.order,
         "subgroup_order": sub.order,
         "index": group.order // sub.order,
-        "interval": {
-            "size": lat.n,
-            "height": lat.height(),
-            "distributive": report.distributive,
-            "modular": modular,
-            "boolean_rank": boolean_rank(lat),
-        },
+        "interval": figures,
         "report": report.to_json_dict(),
     }
     if args.format == "text":
         r = out["report"]
         lines = [
             f"{out['group']} over subgroup of order {sub.order}"
-            f" (index {out['index']}, interval size {lat.n})",
+            f" (index {out['index']}, interval size {figures['size']})",
             "  "
             + "  ".join(f"{k}={r[k]}" for k in _CSV_REPORT_FIELDS),
             f"  sum of reciprocal indices: {r['sum_bound']}",
@@ -214,35 +218,27 @@ def cmd_table(args) -> int:
 
 def cmd_lattice(args) -> int:
     group, sub, ctx = _context_from_args(args)
-    lat = ctx.lattice
-    distributive = is_distributive(lat)
-    modular = is_modular(lat)
-    rank = boolean_rank(lat)
-    title = f"[{sub.generator_string()}, {group.label()}]"
+    lat, i = ctx.node  # [H, G] is the up-set of node i: no interval lattice is built
+    members = np.flatnonzero(lat.leq[i])
+    labels = [lat.labels[k] for k in members]
+    edges = np.argwhere(lat.covers()[np.ix_(members, members)])  # row-major order
+    figures = _interval_figures(lat, i)
     if args.format == "json":
-        edges = np.argwhere(lat.covers()).tolist()  # (a, b) pairs in row-major order
         _emit_json(
             {
                 "schema": SCHEMA,
                 "command": "lattice",
                 "group": group.label(),
                 "subgroup": sub.generator_string(),
-                "size": lat.n,
-                "height": lat.height(),
-                "distributive": distributive,
-                "modular": modular,
-                "boolean_rank": rank,
-                "labels": list(lat.labels),
-                "cover_edges": edges,
+                **figures,
+                "labels": labels,
+                "cover_edges": edges.tolist(),
             }
         )
     else:
-        preamble = (
-            f"// size: {lat.n}  height: {lat.height()}  "
-            f"distributive: {distributive}  modular: {modular}  "
-            f"boolean_rank: {rank}"
-        )
-        _emit(preamble + "\n" + lat.to_dot(title=title))
+        preamble = "// " + "  ".join(f"{k}: {v}" for k, v in figures.items())
+        title = f"[{sub.generator_string()}, {group.label()}]"
+        _emit(preamble + "\n" + to_dot(labels, edges, title))
     return 0
 
 

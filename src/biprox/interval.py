@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotNested, QuotientOrderCapExceeded, TheoremViolation
-from .lattice import FiniteLattice, from_subgroups, is_distributive
+from .lattice import FiniteLattice, is_distributive, subgroup_node
 from .permgroup import (
     FiniteGroup,
     Subgroup,
@@ -41,8 +41,15 @@ class Inclusion:
         return self.group.order // self.sub.order
 
     @cached_property
+    def node(self) -> tuple[FiniteLattice, int]:
+        """``subgroup_node``: every figure of [H, G] reads this pair."""
+        return subgroup_node(self.group, self.sub)
+
+    @cached_property
     def lattice(self) -> FiniteLattice:
-        return from_subgroups(self.group, self.sub)
+        """[H, G] as a lattice of its own, for the predicates that walk it."""
+        lat, i = self.node
+        return lat if i == lat.bottom else lat.interval(i, lat.top)
 
     def __repr__(self) -> str:
         return f"Inclusion(|H|={self.sub.order}, |G|={self.group.order})"
@@ -77,7 +84,7 @@ def is_H_cyclic(inc: Inclusion) -> Optional[int]:
 def ore_verify(inc: Inclusion) -> OreReport:
     """Distributivity of [H, G] together with the one-extra-generator
     property; a distributive interval failing the latter is a hard error."""
-    distributive = is_distributive(inc.lattice)
+    distributive = is_distributive(*inc.node)
     witness = is_H_cyclic(inc)
     if distributive and witness is None:
         raise TheoremViolation(
@@ -111,7 +118,8 @@ def coset_action(inc: Inclusion) -> tuple[np.ndarray, int, np.ndarray, np.ndarra
     QUOTIENT_CAP rows."""
     group = inc.group
     least = group.cayley[:, inc.sub.indices].min(axis=1)  # the least element of gH
-    reps, coset_of = np.unique(least, return_inverse=True)
+    is_rep = least == np.arange(group.order)  # g is the least of its coset
+    reps, coset_of = np.flatnonzero(is_rep), np.cumsum(is_rep)[least] - 1
     rows = np.ascontiguousarray(coset_of[group.cayley[:, reps]], dtype=">i4")
     # Big-endian bytes sort like the rows, as FiniteGroup._keys.
     keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()

@@ -2,25 +2,26 @@
 
 A lattice is stored as an explicit order matrix plus meet/join index
 tables, built level by level in float32 products.  Modularity and
-distributivity are decided by valuations (Birkhoff, *Lattice Theory*,
-ch. II): a finite lattice is modular exactly when its height is a
-valuation, and distributive exactly when r(x), the number of
-join-irreducibles below x, is one too.  The triple scans run only in
+distributivity are decided from one cached list of local failures per
+lattice (FiniteLattice._failures), which a reverse() view and an interval()
+read off their parent's: is_modular, is_distributive and boolean_rank
+decide any up-set [a, top] by it, and distributive_intervals every
+interval [a, b] at once.  The triple scans run only in
 forbidden_sublattice: it scans for the first failing triple and builds a
 forbidden sublattice (diamond M3 or pentagon N5) from it, verified to be an
-induced sublattice before it is returned.  Every interval [a, b] at once
-is decided by one cached table, distributive_intervals, of local failures;
-top_part and bottom_part give an interval's top and bottom parts by index.
+induced sublattice before it is returned.  top_part and bottom_part give an
+interval's top and bottom parts by index.
 
 The subgroup lattice of a group is built once and cached on the group;
-every interval [H, G] is read off it as the up-set of H, except in a group
-of more than _SHARED_LATTICE_NODES subgroups, where [H, G] for H > {1} is
-built alone unless the whole lattice is cached already.
+every interval [H, G] is the up-set of H's node in it (subgroup_node),
+except in a group of more than _SHARED_LATTICE_NODES subgroups, where
+[H, G] for H > {1} is built alone unless the whole lattice is cached
+already.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
@@ -30,13 +31,13 @@ import numpy as np
 from .errors import NotBoolean, SubgroupCapExceeded
 from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings, require_nested
 
-# Array cells of one block of the level products, the valuation checks, the
+# Array cells of one block of the level products, the failure marking, the
 # witness scans and the interval table, so transient memory stays a few
 # blocks however large a level or a lattice is.
 _BLOCK_CELLS = 1 << 20
 # Bytes per n^2 cell that building and deciding a subgroup lattice on n
 # nodes reaches at its peak, and the most one may take: past it
-# from_subgroups raises SubgroupCapExceeded before allocating.  Measured:
+# subgroup_node raises SubgroupCapExceeded before allocating.  Measured:
 # `lattice` on E64 (2,825 nodes) and Z3^5 (2,664) peaks 26.7 and 27.0 bytes
 # per cell of resident memory above the interpreter's own (the table checks
 # and the covers product); 512 MiB is reached near 4,380 nodes.
@@ -69,6 +70,8 @@ class FiniteLattice:
     # The lattice that a reverse() view reverses: the view's covers are its
     # covers transposed, so the pair computes them once.
     reversed_of: Optional["FiniteLattice"] = field(default=None, compare=False, repr=False)
+    # (lattice, increasing node indices) that an interval() is cut from.
+    interval_of: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     # -- constructors ----------------------------------------------------
 
@@ -124,8 +127,12 @@ class FiniteLattice:
     def _covers(self) -> np.ndarray:
         if self.reversed_of is not None:
             return self.reversed_of.covers().T
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        cover = strict & ~_bool_product(strict, strict)
+        if self.interval_of is not None:
+            parent, members = self.interval_of
+            cover = parent.covers()[np.ix_(members, members)]
+        else:
+            strict = self.leq & ~np.eye(self.n, dtype=bool)
+            cover = strict & ~_bool_product(strict, strict)
         cover.setflags(write=False)
         return cover
 
@@ -135,24 +142,24 @@ class FiniteLattice:
     def coatoms(self) -> list[int]:
         return np.flatnonzero(self.covers()[:, self.top]).tolist()
 
-    def height(self) -> int:
-        """Greatest chain length (number of cover steps bottom to top): the
-        top's entry of the cached height vector."""
-        return int(self._heights[self.top])
+    def height(self, a: Optional[int] = None) -> int:
+        """Greatest chain length (number of cover steps) from ``a``, the
+        bottom by default, to the top: an entry of the cached depth vector."""
+        return int(self._depths[self.bottom if a is None else a])
 
     @cached_property
-    def _heights(self) -> np.ndarray:
-        """The longest-chain height of every node, relaxed over the cover
-        edges: round t settles every node of height t."""
+    def _depths(self) -> np.ndarray:
+        """The longest chain from every node to the top, relaxed over the
+        cover edges: round t settles every node of depth t."""
         lower, upper = np.nonzero(self.covers())
-        h = np.zeros(self.n, dtype=np.int64)
+        d = np.zeros(self.n, dtype=np.int64)
         while True:
-            nxt = np.zeros_like(h)
-            np.maximum.at(nxt, upper, h[lower] + 1)
-            if np.array_equal(nxt, h):
-                h.setflags(write=False)
-                return h
-            h = nxt
+            nxt = np.zeros_like(d)
+            np.maximum.at(nxt, lower, d[upper] + 1)
+            if np.array_equal(nxt, d):
+                d.setflags(write=False)
+                return d
+            d = nxt
 
     def reverse(self) -> "FiniteLattice":
         """The order-reversed lattice (a view: no tables are recomputed, and
@@ -163,8 +170,10 @@ class FiniteLattice:
         )
 
     def interval(self, lo: int, hi: int) -> "FiniteLattice":
-        """The interval [lo, hi] as a lattice on its members, in node order."""
-        return self._restrict(np.flatnonzero(self.leq[lo, :] & self.leq[:, hi]))
+        """The interval [lo, hi] as a lattice on its members, in node order;
+        its covers and failure list are read off this lattice's."""
+        members = np.flatnonzero(self.leq[lo, :] & self.leq[:, hi])
+        return replace(self._restrict(members), interval_of=(self, members))
 
     def _restrict(self, members: np.ndarray) -> "FiniteLattice":
         """The sublattice on the increasing node indices ``members``."""
@@ -205,45 +214,68 @@ class FiniteLattice:
         return int(j)
 
     @cached_property
+    def _failures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index arrays z, w of the pairs z < w where distributivity fails
+        locally, and a flag for the semimodularity failures: x and y cover
+        z = x∧y but w = x∨y does not cover both, or the dual.  The rest are
+        cover-preserving diamonds, three x with z ⋖ x ⋖ w.  A finite lattice
+        is modular exactly when it is upper and lower semimodular (Birkhoff,
+        *Lattice Theory*, ch. II), and a modular one distributive exactly
+        when it has no such diamond (Grätzer, *Lattice Theory: Foundation*).
+        Both kinds are self-dual, so a reverse() view reads its parent's
+        pairs swapped; an interval() reads those of its parent inside it."""
+        if self.reversed_of is not None:
+            z, w, semimodular = self.reversed_of._failures
+            return w, z, semimodular
+        if self.interval_of is not None:
+            parent, members = self.interval_of
+            z, w, semimodular = parent._failures
+            keep = parent.leq[members[self.bottom], z] & parent.leq[w, members[self.top]]
+            z, w = np.searchsorted(members, z[keep]), np.searchsorted(members, w[keep])
+            return z, w, semimodular[keep]
+        cover, n, idx = self.covers(), self.n, np.arange(self.n)
+        semi, fine = [], []  # z * n + w of each semimodularity failure, of each fine pair
+        step = max(1, _BLOCK_CELLS // n)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)  # rows of x
+            meet, join, x = self.meet[rows], self.join[rows], idx[rows, None]
+            below = cover[meet, x] & cover[meet, idx]  # x and y cover z = x∧y
+            above = cover[x, join] & cover[idx, join]  # w = x∨y covers x and y
+            semi.append(meet[below != above] * n + join[below != above])
+            fine.append(meet[below & above] * n + join[below & above])
+        semi = np.unique(np.concatenate(semi))
+        # k covers of z under w make k(k-1) fine pairs (x, y): three make a diamond.
+        keys, pairs = np.unique(np.concatenate(fine), return_counts=True)
+        z, w = np.divmod(np.concatenate([semi, keys[pairs >= 6]]), n)
+        return z, w, np.arange(len(z)) < len(semi)
+
+    @cached_property
     def distributive_intervals(self) -> np.ndarray:
         """Read-only boolean matrix: [a, b] iff a <= b and the interval [a, b]
-        is distributive.  A lattice of finite length is modular exactly when
-        it is upper and lower semimodular (Birkhoff, *Lattice Theory*, ch. II),
-        and a modular one is distributive exactly when it has no
-        cover-preserving diamond (Grätzer, *Lattice Theory: Foundation*,
-        2011).  So each failure sits at a pair z < w: x and y cover z = x∧y
-        but w = x∨y does not cover both, or the dual, or three x have
-        z ⋖ x ⋖ w.  An interval's covers, meets and joins are the parent's,
-        so [a, b] is distributive exactly when no such (z, w) lies in it."""
-        cover = self.covers()
-        ones, leq = cover.astype(np.float32), self.leq.astype(np.float32)
+        is distributive, that is when no failure pair (z, w) of the cached
+        list lies in it (see _failures)."""
+        z, w, _ = self._failures
         bad = np.zeros((self.n, self.n), dtype=np.float32)
-        idx = np.arange(self.n)
+        bad[z, w] = 1
+        leq = self.leq.astype(np.float32)
         step = max(1, _BLOCK_CELLS // self.n)
         blocks = [slice(start, start + step) for start in range(0, self.n, step)]
-        for rows in blocks:  # rows of x for the semimodularity, of z for the diamonds
-            meet, join, x = self.meet[rows], self.join[rows], idx[rows, None]
-            below = cover[meet, x] & cover[meet, idx]  # x and y cover x∧y
-            above = cover[x, join] & cover[idx, join]  # x∨y covers x and y
-            bad[meet[below != above], join[below != above]] = 1
-            bad[rows][ones[rows] @ ones >= 3] = 1  # exact: counts are below n < 2^24
         # A sum of non-negative float32 terms is 0 exactly when every term is.
         dist = np.concatenate([self.leq[rows] & (leq[rows] @ bad @ leq == 0) for rows in blocks])
         dist.setflags(write=False)
         return dist
 
-    def to_dot(self, title: str = "lattice") -> str:
-        """Hasse diagram in DOT format (edges are cover relations)."""
-        cover = self.covers()
-        lines = [f'digraph "{title}" {{', "  rankdir=BT;", "  node [shape=box];"]
-        for i in range(self.n):
-            label = self.labels[i].replace('"', "'")
-            lines.append(f'  n{i} [label="{label}"];')
-        for i in range(self.n):
-            for j in np.flatnonzero(cover[i]):
-                lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+
+def to_dot(labels: Sequence[str], edges: np.ndarray, title: str = "lattice") -> str:
+    """Hasse diagram in DOT format: node i labelled labels[i], and an edge
+    i -> j for every cover pair (i, j) of ``edges``, in their order."""
+    lines = [f'digraph "{title}" {{', "  rankdir=BT;", "  node [shape=box];"]
+    for i, label in enumerate(labels):
+        label = label.replace('"', "'")
+        lines.append(f'  n{i} [label="{label}"];')
+    lines += [f"  n{i} -> n{j};" for i, j in edges.tolist()]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _infima(leq: np.ndarray, name: str) -> np.ndarray:
@@ -322,16 +354,12 @@ def _check_partial_order(leq: np.ndarray) -> None:
 # -- interval lattices of group inclusions ----------------------------------
 
 
-def from_subgroups(group: FiniteGroup, h: Subgroup) -> FiniteLattice:
-    """The interval lattice [H, G] on the subgroups H <= K <= G, nodes
-    sorted by (order, bitset); K <= L iff |K & L| = |K|, and meets
-    (intersections) and joins (generated subgroups) are the infima and
-    suprema of that order.
-
-    It is the up-set of H in the subgroup lattice of G, which is built once
-    and cached on the group (for H = {1}, that lattice itself), unless G
-    has more than _SHARED_LATTICE_NODES subgroups and that lattice is not
-    cached: then [H, G] is built alone.  Whatever is built, past
+def subgroup_node(group: FiniteGroup, h: Subgroup) -> tuple[FiniteLattice, int]:
+    """(lattice, i) with [H, G] the up-set of node i, H's node: the subgroup
+    lattice of G, built once and cached on the group (nodes sorted by
+    (order, bitset), K <= L iff |K & L| = |K|); or, if G has more than
+    _SHARED_LATTICE_NODES subgroups, H > {1} and that lattice is not cached,
+    [H, G] built alone and its bottom.  Whatever is built, past
     LATTICE_TABLE_BUDGET bytes of tables SubgroupCapExceeded is raised."""
     require_nested(h, group.full_subgroup())
     nodes = all_subgroups(group)
@@ -339,7 +367,8 @@ def from_subgroups(group: FiniteGroup, h: Subgroup) -> FiniteLattice:
         members = [k for k in nodes if h <= k]
         if members[0].key() != h.key():
             raise ValueError(f"{h!r} is not closed under products")
-        return _lattice_of_subgroups(members)
+        lat = _lattice_of_subgroups(members)
+        return lat, lat.bottom
     if group._subgroup_lattice is None:
         group._subgroup_lattice = (
             _lattice_of_subgroups(nodes),
@@ -349,7 +378,7 @@ def from_subgroups(group: FiniteGroup, h: Subgroup) -> FiniteLattice:
     i = index.get(h.key())
     if i is None:
         raise ValueError(f"{h!r} is not closed under products")
-    return lat if i == lat.bottom else lat.interval(i, lat.top)
+    return lat, i
 
 
 def _lattice_of_subgroups(nodes: list[Subgroup]) -> FiniteLattice:
@@ -461,46 +490,20 @@ def _diamond_witness(lat: FiniteLattice, a: int, b: int, c: int) -> tuple[int, .
     return (witness[0], *witness[1], witness[2])
 
 
-def _is_valuation(lat: FiniteLattice, v: np.ndarray) -> bool:
-    """Whether v(x) + v(y) = v(x∨y) + v(x∧y) for all x, y, in row blocks."""
-    step = max(1, _BLOCK_CELLS // lat.n)
-    for start in range(0, lat.n, step):
-        rows = slice(start, start + step)
-        if not np.array_equal(
-            v[rows, None] + v[None, :], v[lat.join[rows]] + v[lat.meet[rows]]
-        ):
-            return False
-    return True
+def is_modular(lat: FiniteLattice, a: Optional[int] = None) -> bool:
+    """Whether no pentagon N5 embeds in [a, top], the whole lattice by
+    default.  Its covers, meets and joins are the lattice's, so it is
+    modular exactly when no semimodularity failure of the cached list
+    (FiniteLattice._failures) has a <= z."""
+    z, _, semimodular = lat._failures
+    return not lat.leq[lat.bottom if a is None else a, z[semimodular]].any()
 
 
-def _join_irreducible_rank(lat: FiniteLattice) -> np.ndarray:
-    """r(x), the number of join-irreducibles below x; a join-irreducible
-    is a node with exactly one lower cover."""
-    irreducible = lat.covers().sum(axis=0) == 1
-    return lat.leq[irreducible].sum(axis=0)
-
-
-def is_modular(lat: FiniteLattice) -> bool:
-    """Whether no pentagon N5 embeds.
-
-    Decided by the height h: a finite lattice is modular exactly when h is
-    a valuation (Birkhoff, *Lattice Theory*, ch. II).  h is strictly
-    monotone, so a valuation rules out N5, where h(x) + h(w) = h(z) + h(t)
-    = h(y) + h(w) would force h(x) = h(y).
-    """
-    return _is_valuation(lat, lat._heights)
-
-
-def is_distributive(lat: FiniteLattice) -> bool:
-    """Whether no diamond M3 and no pentagon N5 embeds.
-
-    Decided by r(x), the number of join-irreducibles below x: the lattice
-    is distributive exactly when r is a valuation (Birkhoff, *Lattice
-    Theory*, ch. II).  With J(x) the join-irreducibles below x,
-    J(x∧y) = J(x) ∩ J(y) always, so r is a valuation exactly when
-    J(x∨y) = J(x) ∪ J(y), which holds exactly in a distributive lattice.
-    """
-    return _is_valuation(lat, _join_irreducible_rank(lat))
+def is_distributive(lat: FiniteLattice, a: Optional[int] = None) -> bool:
+    """Whether no diamond M3 and no pentagon N5 embeds in [a, top], the
+    whole lattice by default: whether no failure of the cached list
+    (FiniteLattice._failures) has a <= z."""
+    return not lat.leq[lat.bottom if a is None else a, lat._failures[0]].any()
 
 
 def forbidden_sublattice(lat: FiniteLattice) -> Optional[tuple[int, ...]]:
@@ -516,7 +519,7 @@ def forbidden_sublattice(lat: FiniteLattice) -> Optional[tuple[int, ...]]:
     modular = is_modular(lat)
     triple = (_failing_distributive_triple if modular else _failing_modular_triple)(lat)
     if triple is None:
-        raise RuntimeError("internal error: a valuation fails, yet no triple does")
+        raise RuntimeError("internal error: a failure pair is marked, yet no triple fails")
     return (_diamond_witness if modular else _pentagon_witness)(lat, *triple)
 
 
@@ -537,14 +540,15 @@ def complement(lat: FiniteLattice, b: int) -> int:
     return hits[0]
 
 
-def boolean_rank(lat: FiniteLattice) -> Optional[int]:
-    """The rank k if the lattice is isomorphic to the subsets of a k-set,
-    else None.  By Birkhoff's representation theorem a finite distributive
-    lattice is the lattice of down-sets of its join-irreducibles; with k
-    atoms among them it has 2^k elements exactly when the atoms are all of
-    them, i.e. when it is Boolean of rank k."""
-    k = len(lat.atoms())
-    if lat.n == 2**k and is_distributive(lat):
+def boolean_rank(lat: FiniteLattice, a: Optional[int] = None) -> Optional[int]:
+    """The rank k if [a, top] (the whole lattice by default) is isomorphic
+    to the subsets of a k-set, else None.  By Birkhoff's representation
+    theorem a finite distributive lattice is the lattice of down-sets of its
+    join-irreducibles; with k atoms (a's upper covers) among them it has 2^k
+    elements exactly when the atoms are all of them."""
+    a = lat.bottom if a is None else a
+    k = int(np.count_nonzero(lat.covers()[a]))
+    if np.count_nonzero(lat.leq[a]) == 2**k and is_distributive(lat, a):
         return k
     return None
 

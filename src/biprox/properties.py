@@ -247,7 +247,7 @@ def is_dedekind(ctx: BoxContext) -> bool:
 
 def is_cyclic(ctx: BoxContext) -> bool:
     """Dedekind with distributive biprojection lattice."""
-    return is_distributive(biprojection_lattice(ctx)) and is_dedekind(ctx)
+    return is_distributive(*ctx.node) and is_dedekind(ctx)
 
 
 def w_plus_cyclic(ctx: BoxContext) -> bool:
@@ -595,8 +595,7 @@ def classify(
     fails: that combination can only come from an internal error, never
     from a legitimate input.
     """
-    lat = biprojection_lattice(ctx)
-    distributive = is_distributive(lat)
+    distributive = is_distributive(*ctx.node)
     dedekind = is_dedekind(ctx)
     cyclic = distributive and dedekind
     w_block = _w_cyclic_block(ctx)
@@ -658,13 +657,13 @@ def verify_theorems(ctx: BoxContext) -> List[ImplicationResult]:
     the test suite) assert `all(r.holds for r in rows)`.
     """
     lat = biprojection_lattice(ctx)
-    distributive = is_distributive(lat)
+    distributive = is_distributive(*ctx.node)
     dedekind = is_dedekind(ctx)
     cyclic = distributive and dedekind
     w = _w_cyclic_block(ctx) is not None
     w_plus = w_plus_cyclic(ctx)
     bound = sum_bound(ctx)
-    rank = boolean_rank(lat)
+    rank = boolean_rank(*ctx.node)
     n_maximal = len(lat.coatoms())
     m = lat.top_part(lat.bottom, lat.top)  # the top part is [m, lat.top]
     top_w = _interval_w_cyclic(lat, _fixed_dims(lat, m), m, lat.top)

@@ -1,11 +1,15 @@
 """Independent lattice routes, kept as test oracles.
 
-``interval_subgroups`` is the subgroup scan for [H, G] that ``from_subgroups``
+``interval_subgroups`` is the subgroup scan for [H, G] that its lattice
 used before every interval became a restriction of one subgroup lattice per
 group; ``row_infima`` is the row-by-row meet routine the level tables
 replaced; ``standalone_interval_lattice`` is the former per-inclusion build from
 those two; ``scan_is_modular`` and ``scan_is_distributive`` decide by the
-triple scans alone, as before the valuation criteria; ``interval_route_length``
+triple scans alone, as before the valuation criteria;
+``valuation_is_modular`` and ``valuation_is_distributive`` decide by the
+valuation criteria, as before the cached failure list; ``restricted_figures``
+reads the figures of [H, G] off [H, G] restricted from the group's lattice,
+as before they were read off the group's lattice by H's node; ``interval_route_length``
 is the chain length with every step built as an interval lattice, as before
 the steps read ``FiniteLattice.distributive_intervals``;
 ``find_forbidden_bruteforce`` searches every 5-subset for an induced M3 or N5.
@@ -19,7 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from biprox.interval import Inclusion
 from biprox.lattice import (
+    _BLOCK_CELLS,
     FiniteLattice,
     _check_partial_order,
     _diamond_witness,
@@ -109,6 +115,64 @@ def scan_is_distributive(lat: FiniteLattice) -> tuple[bool, Optional[tuple[int, 
     if not modular:
         return False, pentagon
     return False, _diamond_witness(lat, *triple)
+
+
+def _is_valuation(lat: FiniteLattice, v: np.ndarray) -> bool:
+    """Whether v(x) + v(y) = v(x∨y) + v(x∧y) for all x, y, in row blocks."""
+    step = max(1, _BLOCK_CELLS // lat.n)
+    for start in range(0, lat.n, step):
+        rows = slice(start, start + step)
+        if not np.array_equal(
+            v[rows, None] + v[None, :], v[lat.join[rows]] + v[lat.meet[rows]]
+        ):
+            return False
+    return True
+
+
+def _join_irreducible_rank(lat: FiniteLattice) -> np.ndarray:
+    """r(x), the number of join-irreducibles below x; a join-irreducible
+    is a node with exactly one lower cover."""
+    irreducible = lat.covers().sum(axis=0) == 1
+    return lat.leq[irreducible].sum(axis=0)
+
+
+def valuation_is_modular(lat: FiniteLattice) -> bool:
+    """Modularity by the height h: a finite lattice is modular exactly when
+    h is a valuation (Birkhoff, *Lattice Theory*, ch. II).  h is strictly
+    monotone, so a valuation rules out N5, where h(x) + h(w) = h(z) + h(t)
+    = h(y) + h(w) would force h(x) = h(y).  The heights are the depths of
+    the reversed lattice."""
+    return _is_valuation(lat, lat.reverse()._depths)
+
+
+def valuation_is_distributive(lat: FiniteLattice) -> bool:
+    """Distributivity by r(x), the number of join-irreducibles below x: the
+    lattice is distributive exactly when r is a valuation (Birkhoff,
+    *Lattice Theory*, ch. II).  With J(x) the join-irreducibles below x,
+    J(x∧y) = J(x) ∩ J(y) always, so r is a valuation exactly when
+    J(x∨y) = J(x) ∪ J(y), which holds exactly in a distributive lattice."""
+    return _is_valuation(lat, _join_irreducible_rank(lat))
+
+
+def restricted_figures(inc: Inclusion) -> dict:
+    """The ``lattice`` command's figures, labels and cover edges of [H, G],
+    read off [H, G] restricted from the group's lattice into a lattice of
+    its own (no parent: it computes its own covers and depths), and decided
+    by the valuations."""
+    lat, i = inc.node
+    part = lat._restrict(np.flatnonzero(lat.leq[i]))
+    assert part.interval_of is None and part.reversed_of is None
+    k = len(part.atoms())
+    distributive = valuation_is_distributive(part)
+    return {
+        "size": part.n,
+        "height": part.height(),
+        "distributive": distributive,
+        "modular": valuation_is_modular(part),
+        "boolean_rank": k if part.n == 2**k and distributive else None,
+        "labels": list(part.labels),
+        "cover_edges": np.argwhere(part.covers()).tolist(),
+    }
 
 
 def top_interval(lat: FiniteLattice) -> FiniteLattice:

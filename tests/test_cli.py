@@ -188,6 +188,17 @@ def test_lattice_z6_json(capsys) -> None:
     assert len(doc["cover_edges"]) == 4
 
 
+@pytest.mark.parametrize(
+    "group, subgroup, name",
+    [("S4", "(1,2)", "S4_12"), ("S4", "trivial", "S4_1"), ("E8", "trivial", "E8_1")],
+)
+def test_lattice_dot_output_is_pinned(capsys, group, subgroup, name) -> None:
+    # The preamble, labels and cover edges of the DOT export, byte for byte.
+    code, out, _ = run(capsys, "lattice", "--group", group, "--subgroup", subgroup)
+    assert code == 0
+    assert out == (DATA / f"lattice_{name}.dot").read_text()
+
+
 def test_repeated_calls_share_one_parser(capsys) -> None:
     # One process, one parser: a call leaves nothing behind for the next.
     argv = ("lattice", "--group", "S4", "--subgroup", "(1,2)")

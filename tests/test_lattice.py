@@ -38,10 +38,10 @@ from biprox.lattice import (
     direct_product,
     divisor_lattice,
     forbidden_sublattice,
-    from_subgroups,
     is_distributive,
     is_modular,
     pentagon_n5,
+    to_dot,
     _is_m3,
     _is_n5,
 )
@@ -54,10 +54,13 @@ from biprox.permgroup import (
 )
 from lattice_oracle import (
     find_forbidden_bruteforce,
+    restricted_figures,
     row_lattice,
     scan_is_distributive,
     scan_is_modular,
     standalone_interval_lattice,
+    valuation_is_distributive,
+    valuation_is_modular,
 )
 
 
@@ -68,7 +71,7 @@ def interval(group_name: str, *subgroup_cycles: str) -> FiniteLattice:
         h = subgroup_generated(g, idx)
     else:
         h = g.trivial_subgroup()
-    return from_subgroups(g, h)
+    return Inclusion(g, h).lattice
 
 
 # ---------------------------------------------------------------- basics
@@ -488,7 +491,7 @@ def test_concatenate_identifies_endpoints() -> None:
 
 def test_to_dot() -> None:
     lat = interval("S3")
-    dot = lat.to_dot("L(S3)")
+    dot = to_dot(lat.labels, np.argwhere(lat.covers()), "L(S3)")
     assert dot.startswith('digraph "L(S3)"')
     assert dot.count("->") == int(lat.covers().sum())  # 8 cover edges
     assert lat.covers().sum() == 8
@@ -518,7 +521,7 @@ def test_validate_memory_is_quadratic() -> None:
 def _pairwise_closure_tables(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
     """Meet and join tables of an interval lattice taken node pair by node
     pair: the meet is the node whose mask is the intersection, the join the
-    subgroup generated by both members (the former ``from_subgroups`` route,
+    subgroup generated by both members (the former per-inclusion route,
     kept as the group-theoretic oracle)."""
     nodes = lat.payload
     group = nodes[0].parent
@@ -552,7 +555,7 @@ def test_interval_tables_match_group_meet_and_join(name: str, sub: tuple) -> Non
     assert orders == sorted(orders)
 
 
-# ------------------------------------------- level tables and valuations
+# ------------------------------- level tables, failure lists and valuations
 
 
 def test_from_order_checks_a_single_candidate() -> None:
@@ -581,7 +584,7 @@ def _combine(a: FiniteLattice, b: FiniteLattice, how: str) -> FiniteLattice:
 def _subgroup_interval(name: str, pick: int) -> FiniteLattice:
     g = catalog_group(name)
     subs = all_subgroups(g)
-    return from_subgroups(g, subs[pick % len(subs)])
+    return Inclusion(g, subs[pick % len(subs)]).lattice
 
 
 def _semimodular_s7() -> FiniteLattice:
@@ -679,13 +682,14 @@ def test_level_tables_match_row_infima(leq: np.ndarray, block_cells: int) -> Non
 @settings(max_examples=300, deadline=None)
 @given(LATTICES)
 def test_valuations_match_triple_scans(lat: FiniteLattice) -> None:
-    # The valuation criteria against the triple scans; a lattice with two
-    # maximal chains of different lengths is not graded.
-    modular = is_modular(lat)
-    assert modular == scan_is_modular(lat)[0]
-    assert is_distributive(lat) == scan_is_distributive(lat)[0]
+    # The valuation criteria (the oracle copies) and the failure list against
+    # the triple scans; a lattice with two maximal chains of different
+    # lengths is not graded.
+    modular = valuation_is_modular(lat)
+    assert modular == is_modular(lat) == scan_is_modular(lat)[0]
+    assert valuation_is_distributive(lat) == is_distributive(lat) == scan_is_distributive(lat)[0]
     event("modular" if modular else "not modular")
-    lengths = {int(lat._heights[c]) for c in lat.coatoms()}
+    lengths = {int(lat._depths[a]) for a in lat.atoms()}
     event("graded" if len(lengths) <= 1 else "not graded")
 
 
@@ -703,26 +707,93 @@ def test_forbidden_sublattice_matches_triple_scans(
     event("distributive" if expected is None else "not distributive")
 
 
+def test_forbidden_sublattice_raises_when_no_triple_fails(monkeypatch) -> None:
+    # A marked failure with no failing triple is an internal error, on the
+    # modular (M3) and the non-modular (N5) branch alike.
+    monkeypatch.setattr(biprox.lattice, "_failing_distributive_triple", lambda lat: None)
+    monkeypatch.setattr(biprox.lattice, "_failing_modular_triple", lambda lat: None)
+    for lat in (diamond_m3(), pentagon_n5()):
+        with pytest.raises(RuntimeError, match="a failure pair is marked, yet no triple fails"):
+            forbidden_sublattice(lat)
+    assert forbidden_sublattice(boolean_lattice(2)) is None
+
+
 @settings(max_examples=300, deadline=None)
 @given(LATTICES, BLOCK_CELLS)
 def test_distributive_intervals_match_interval_lattices(
     lat: FiniteLattice, block_cells: int
 ) -> None:
-    # The table of local failures against is_distributive on each interval
-    # lattice, and False off the order, whether the table is built in one
-    # block or one row per block.
+    # The table of local failures against the valuation criterion on each
+    # interval lattice, and False off the order, whether the table is built
+    # in one block or one row per block.
     expected = np.zeros((lat.n, lat.n), dtype=bool)
     for a, b in zip(*np.nonzero(lat.leq)):
-        expected[a, b] = is_distributive(lat.interval(a, b))
+        expected[a, b] = valuation_is_distributive(lat.interval(a, b))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(biprox.lattice, "_BLOCK_CELLS", block_cells)
         assert np.array_equal(lat.distributive_intervals, expected)
     event("distributive" if expected[lat.bottom, lat.top] else "not distributive")
 
 
+@settings(max_examples=100, deadline=None)
+@given(LATTICES, BLOCK_CELLS)
+def test_upper_intervals_match_triple_scans(lat: FiniteLattice, block_cells: int) -> None:
+    # [a, top] for every node a, read off the failure list, against the
+    # triple scans of the interval lattice; the list marked as drawn and
+    # again in one row per block, on a copy with no caches and no parent.
+    fresh = FiniteLattice._finish(
+        lat.n, lat.leq, lat.meet, lat.join, lat.bottom, lat.top, lat.labels, None
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(biprox.lattice, "_BLOCK_CELLS", block_cells)
+        for a in range(lat.n):
+            part = lat.interval(a, lat.top)
+            modular, distributive = scan_is_modular(part)[0], scan_is_distributive(part)[0]
+            assert is_modular(lat, a) == is_modular(fresh, a) == modular, a
+            assert is_distributive(lat, a) == is_distributive(fresh, a) == distributive, a
+    # The reversed view reads the parent's list with z and w swapped, and
+    # marks nothing of its own: its list has the parent's very arrays.
+    z, w, semimodular = lat._failures
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(biprox.lattice, "_BLOCK_CELLS", None)  # a marking would fail
+        rz, rw, rsemimodular = lat.reverse()._failures
+    assert rz is w and rw is z and rsemimodular is semimodular
+    event("distributive" if is_distributive(lat) else "not distributive")
+
+
+def test_lattice_figures_match_restricted_lattices_on_the_census(capsys) -> None:
+    # Every census pair's `lattice` JSON, read off the group's lattice by
+    # H's node, against [H, G] restricted from it and decided by valuations.
+    pairs = enumerate_pairs()
+    counts = {"not distributive": 0, "not modular": 0, "Boolean": 0}
+    for name, inc in pairs:
+        spec = ["lattice", "--group", name, "--subgroup", inc.sub.generator_string()]
+        assert main(spec + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        expected = restricted_figures(inc)
+        assert {k: doc[k] for k in expected} == expected, (name, spec)
+        counts["not distributive"] += not expected["distributive"]
+        counts["not modular"] += not expected["modular"]
+        counts["Boolean"] += expected["boolean_rank"] is not None
+    assert len(pairs) == 565
+    assert all(counts.values()), counts
+
+
+def test_lattice_command_builds_no_interval_lattice(monkeypatch, capsys) -> None:
+    # [<(1,2)>, S4] is read off S4's lattice by its node, in JSON and DOT.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an interval lattice was built")
+
+    monkeypatch.setattr(FiniteLattice, "_restrict", refuse)
+    for fmt in ("json", "dot"):
+        assert main(["lattice", "--group", "S4", "--subgroup", "(1,2)", "--format", fmt]) == 0
+        assert "size" in capsys.readouterr().out
+
+
 def test_valuations_match_triple_scans_on_census_intervals() -> None:
     # Every interval [a, b] with a < b of the 565 census lattices, [H, G]
-    # itself included: both valuations, the witness and the parent's
+    # itself included: modularity and distributivity from the failure list
+    # (each interval reads its parent's), the witness and the parent's
     # distributive-interval table against the triple scans.
     counts = {"intervals": 0, "not distributive": 0, "not modular": 0}
     for name, inc in enumerate_pairs():
@@ -745,8 +816,11 @@ def test_valuations_match_triple_scans_on_census_intervals() -> None:
 
 def test_height_is_the_longest_chain() -> None:
     # N5: the chains 0 < x < y < 1 and 0 < w < 1 have lengths 3 and 2.
+    # Depths count down from the top; the reversed view's are the heights.
     n5 = pentagon_n5()
-    assert n5._heights.tolist() == [0, 1, 2, 1, 3]
+    assert n5._depths.tolist() == [3, 2, 1, 1, 0]
+    assert n5.reverse()._depths.tolist() == [0, 1, 2, 1, 3]
+    assert [n5.height(a) for a in range(5)] == [3, 2, 1, 1, 0]
     assert n5.height() == 3 and not is_modular(n5)
     assert concatenate(n5, diamond_m3()).height() == 5
 
@@ -765,8 +839,8 @@ def test_intervals_are_restrictions_of_one_lattice_per_group() -> None:
         assert lat.labels == alone.labels, name
         assert [k.key() for k in lat.payload] == [k.key() for k in alone.payload], name
     for group in {id(inc.group): inc.group for _, inc in pairs}.values():
-        whole = from_subgroups(group, group.trivial_subgroup())
-        assert whole is Inclusion(group, group.trivial_subgroup()).lattice
+        whole = Inclusion(group, group.trivial_subgroup()).lattice
+        assert whole is group._subgroup_lattice[0]
         assert list(whole.payload) == all_subgroups(group)
 
 
@@ -775,7 +849,7 @@ def test_lattice_past_the_table_budget_is_a_cap_error(monkeypatch, capsys) -> No
     monkeypatch.setattr(biprox.lattice, "LATTICE_TABLE_BUDGET", 1024)
     s4 = FiniteGroup(catalog_group("S4").images)
     with pytest.raises(SubgroupCapExceeded, match="30 subgroups"):
-        from_subgroups(s4, s4.trivial_subgroup())
+        Inclusion(s4, s4.trivial_subgroup()).lattice
     assert s4._subgroup_lattice is None
     assert main(["lattice", "--group", "perm:(1,2,3,4);(1,2)", "--format", "json"]) == 2
     assert "cap exceeded" in capsys.readouterr().err
@@ -794,7 +868,7 @@ def test_large_group_builds_each_interval_alone_within_the_budget(monkeypatch, c
     v4 = next(k for k in subs if k.order == 4 and k.is_normal())
     a4 = next(k for k in subs if k.order == 12)
     for h, size in ((v4, 6), (a4, 2)):
-        lat, alone = from_subgroups(s4, h), standalone_interval_lattice(s4, h)
+        lat, alone = Inclusion(s4, h).lattice, standalone_interval_lattice(s4, h)
         assert lat.n == size
         assert np.array_equal(lat.leq, alone.leq)
         assert np.array_equal(lat.meet, alone.meet) and np.array_equal(lat.join, alone.join)
@@ -802,12 +876,12 @@ def test_large_group_builds_each_interval_alone_within_the_budget(monkeypatch, c
         assert [k.key() for k in lat.payload] == [k.key() for k in alone.payload]
     assert s4._subgroup_lattice is None
     with pytest.raises(SubgroupCapExceeded, match="30 subgroups"):
-        from_subgroups(s4, s4.trivial_subgroup())
+        Inclusion(s4, s4.trivial_subgroup()).lattice
     # A 2-element set that is no subgroup is refused on this route too.
     pair = np.zeros(s4.order, dtype=bool)
     pair[[s4.identity_index, s4.index_of(parse_cycles("(1,2,3)", degree=4))]] = True
     with pytest.raises(ValueError, match="not closed under products"):
-        from_subgroups(s4, Subgroup(s4, pair))
+        Inclusion(s4, Subgroup(s4, pair)).lattice
     spec = ["lattice", "--group", "perm:(1,2,3,4);(1,2)", "--format", "json"]
     assert main(spec + ["--subgroup", "(1,2,3);(2,3,4)"]) == 0
     assert json.loads(capsys.readouterr().out)["size"] == 2
@@ -815,5 +889,5 @@ def test_large_group_builds_each_interval_alone_within_the_budget(monkeypatch, c
     # Once the whole lattice is cached, a large H reads its interval off it.
     monkeypatch.undo()
     monkeypatch.setattr(biprox.lattice, "_SHARED_LATTICE_NODES", 0)
-    whole = from_subgroups(s4, s4.trivial_subgroup())
-    assert from_subgroups(s4, v4).payload[0] is whole.payload[subs.index(v4)]
+    whole = Inclusion(s4, s4.trivial_subgroup()).lattice
+    assert Inclusion(s4, v4).lattice.payload[0] is whole.payload[subs.index(v4)]

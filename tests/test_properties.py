@@ -454,8 +454,9 @@ def test_classify_enumerates_the_interval_once(monkeypatch):
 @pytest.mark.parametrize("subgroup", [None, "(1,2)"], ids=["S4/1", "S4/(1,2)"])
 def test_classify_builds_the_covers_once(monkeypatch, subgroup):
     # The biprojection lattice, a reverse() view of ctx.lattice, reads the
-    # transpose of its covers: one cover product per classify, and the
-    # view's validate() makes only its own transitivity product.
+    # transpose of its covers, and ctx.lattice, an interval of the group's
+    # lattice, reads those of the group's: one cover product per classify,
+    # and the view's validate() makes only its own transitivity product.
     s4 = FiniteGroup(catalog_group("S4").images)  # a fresh group: nothing cached
     sub = s4.trivial_subgroup() if subgroup is None else s4.subgroup_from_perms(
         [parse_cycles(subgroup, s4.degree)]
@@ -887,8 +888,8 @@ def test_lengths_match_step_context_oracle(ctx_factory):
 
 @pytest.mark.parametrize("subgroup", ["trivial", "(1,2)"], ids=["S4/1", "S4/(1,2)"])
 def test_decisions_run_no_triple_scan(monkeypatch, capsys, subgroup):
-    # Distributive and modular are decided by valuations alone: the triple
-    # scans build witnesses only, so no decision path may reach them.
+    # Distributive and modular are decided by the failure list alone: the
+    # triple scans build witnesses only, so no decision path may reach them.
     def scan(lat):
         raise AssertionError("a decision path ran a triple scan")
 
