@@ -758,19 +758,6 @@ class CoproductTable:
             )
         return "\n".join(lines) + "\n"
 
-    def as_json_dict(self) -> dict:
-        def serialize(z: complex) -> list[float]:
-            return [float(f"{z.real:.12g}"), float(f"{z.imag:.12g}")]
-
-        return {
-            "basis": list(self.labels),
-            "scale": float(f"{self.scale:.12g}"),
-            "entries": [
-                [[serialize(z) for z in self.entries[i, j]] for j in range(len(self.labels))]
-                for i in range(len(self.labels))
-            ],
-        }
-
 
 def format_combination(coeffs: np.ndarray, labels: Sequence[str]) -> str:
     """Human-readable linear combination, e.g. '2e22' or 'e1 - e2'."""

@@ -9,8 +9,7 @@ decide any up-set [a, top] by it, and distributive_intervals every
 interval [a, b] at once.  The triple scans run only in
 forbidden_sublattice: it scans for the first failing triple and builds a
 forbidden sublattice (diamond M3 or pentagon N5) from it, verified to be an
-induced sublattice before it is returned.  top_part and bottom_part give an
-interval's top and bottom parts by index.
+induced sublattice before it is returned.
 
 The subgroup lattice of a group is built once and cached on the group;
 every interval [H, G] is the up-set of H's node in it (subgroup_node),
@@ -28,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotBoolean, SubgroupCapExceeded
+from .errors import SubgroupCapExceeded
 from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings, require_nested
 
 # Array cells of one block of the level products, the failure marking, the
@@ -194,24 +193,6 @@ class FiniteLattice:
             len(members), leq, tables[0], tables[1], bottom, top,
             tuple(self.labels[int(m)] for m in members), payload,
         )
-
-    def induced_sublattice(self, members: Sequence[int]) -> "FiniteLattice":
-        """The sublattice on ``members``; raises if not meet/join closed."""
-        return self._restrict(np.asarray(sorted(members), dtype=np.int64))
-
-    def top_part(self, a: int, b: int) -> int:
-        """m with [m, b] the top part of [a, b]: the meet of its coatoms."""
-        m = b
-        for c in np.flatnonzero(self.covers()[:, b] & self.leq[a]):
-            m = self.meet[m, c]
-        return int(m)
-
-    def bottom_part(self, a: int, b: int) -> int:
-        """j with [a, j] the bottom part of [a, b]: the join of its atoms."""
-        j = a
-        for c in np.flatnonzero(self.covers()[a] & self.leq[:, b]):
-            j = self.join[j, c]
-        return int(j)
 
     @cached_property
     def _failures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -526,20 +507,6 @@ def forbidden_sublattice(lat: FiniteLattice) -> Optional[tuple[int, ...]]:
 # -- Boolean lattices --------------------------------------------------------
 
 
-def complement(lat: FiniteLattice, b: int) -> int:
-    """The unique complement of ``b`` in a Boolean lattice."""
-    if boolean_rank(lat) is None:
-        raise NotBoolean("complement is only defined on Boolean lattices")
-    hits = [
-        c
-        for c in range(lat.n)
-        if lat.meet[b, c] == lat.bottom and lat.join[b, c] == lat.top
-    ]
-    if len(hits) != 1:
-        raise ValueError(f"element {b} has {len(hits)} complements, not one")
-    return hits[0]
-
-
 def boolean_rank(lat: FiniteLattice, a: Optional[int] = None) -> Optional[int]:
     """The rank k if [a, top] (the whole lattice by default) is isomorphic
     to the subsets of a k-set, else None.  By Birkhoff's representation
@@ -551,80 +518,3 @@ def boolean_rank(lat: FiniteLattice, a: Optional[int] = None) -> Optional[int]:
     if np.count_nonzero(lat.leq[a]) == 2**k and is_distributive(lat, a):
         return k
     return None
-
-
-# -- constructors ------------------------------------------------------------
-
-
-def chain(k: int) -> FiniteLattice:
-    """The (k+1)-element chain 0 < 1 < ... < k."""
-    n = k + 1
-    leq = np.triu(np.ones((n, n), dtype=bool))
-    return FiniteLattice.from_order(leq, [str(i) for i in range(n)])
-
-
-def boolean_lattice(k: int) -> FiniteLattice:
-    """The subsets of a k-set ordered by inclusion."""
-    n = 2**k
-    subsets = np.arange(n)
-    leq = (subsets[:, None] & ~subsets[None, :]) == 0
-    labels = [format(s, f"0{max(k, 1)}b") for s in subsets]
-    return FiniteLattice.from_order(leq, labels)
-
-
-def diamond_m3() -> FiniteLattice:
-    leq = np.eye(5, dtype=bool)
-    leq[0, :] = True
-    leq[:, 4] = True
-    return FiniteLattice.from_order(leq, ["0", "a", "b", "c", "1"])
-
-
-def pentagon_n5() -> FiniteLattice:
-    # 0 < x < y < 1 and 0 < w < 1.
-    leq = np.eye(5, dtype=bool)
-    order = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)}
-    for i, j in order:
-        leq[i, j] = True
-    return FiniteLattice.from_order(leq, ["0", "x", "y", "w", "1"])
-
-
-def divisor_lattice(n: int) -> FiniteLattice:
-    """Divisors of n under divisibility (the subgroup lattice of Z/n)."""
-    divs = [d for d in range(1, n + 1) if n % d == 0]
-    count = len(divs)
-    leq = np.zeros((count, count), dtype=bool)
-    for i, a in enumerate(divs):
-        for j, b in enumerate(divs):
-            leq[i, j] = b % a == 0
-    return FiniteLattice.from_order(leq, [str(d) for d in divs])
-
-
-def direct_product(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
-    """Componentwise order on pairs; index packing i = i_a * n_b + i_b."""
-    leq = np.kron(a.leq, b.leq).astype(bool)
-    meet = a.meet[:, None, :, None] * b.n + b.meet[None, :, None, :]
-    join = a.join[:, None, :, None] * b.n + b.join[None, :, None, :]
-    n = a.n * b.n
-    labels = tuple(
-        f"({la},{lb})" for la in a.labels for lb in b.labels
-    )
-    return FiniteLattice._finish(
-        n, leq, meet.reshape(n, n), join.reshape(n, n),
-        a.bottom * b.n + b.bottom, a.top * b.n + b.top, labels, None,
-    )
-
-
-def concatenate(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
-    """Stack b on top of a, identifying top(a) with bottom(b)."""
-    # Reindex: a's elements keep their indices; b's bottom becomes a's top,
-    # and b's other elements follow, in b's order.
-    rest = np.flatnonzero(np.arange(b.n) != b.bottom)
-    upper = np.full(b.n, a.top)
-    upper[rest] = a.n + np.arange(len(rest))
-    n = a.n + b.n - 1
-    leq = np.zeros((n, n), dtype=bool)
-    leq[: a.n, : a.n] = a.leq
-    leq[np.ix_(upper, upper)] = b.leq
-    leq[: a.n, upper] = True  # everything in a is below everything in b
-    labels = list(a.labels) + [b.labels[i] for i in rest]
-    return FiniteLattice.from_order(leq, labels)

@@ -5,16 +5,16 @@ algebra of an inclusion H <= G: distributivity and normality of the
 biprojection lattice (cyclic = both at once), w-cyclicity on the primal
 and dual sides, w+-cyclicity, the centrality properties (Z), (ZZ), (Z~)
 and (F2), the exact rational bound sum(1/[id:b]) over maximal
-biprojections, shortest-chain lengths whose per-step predicates read one
-table of the parent biprojection lattice, its distributive_intervals, and
-a table of verified implications between all of these.
+biprojections, shortest-chain lengths searched over boolean step rows of
+the biprojection lattice, read off its distributive_intervals, and a table
+of verified implications between all of these.
 
 On [H, G] itself, Dedekind, cyclic, (Z), (Z~) and w+ read the integers
 <chi|_K, 1> of the verified character table: one table per context, and
 for (Z~) one per outer node a, whose columns serve every interval [a, b]
 named by its endpoints in the parent lattice (see _fixed_dims).  Chain
-steps keep the double-coset test HgK = KgH, and the range projection runs
-only for the w+ pairs those integers leave undecided.
+steps over a non-normal inner subgroup keep the double-coset test HgK = KgH,
+and the range projection runs only for the w+ pairs left undecided.
 
 Conventions used throughout (see boxalgebra): the biprojection lattice
 reverses subgroup inclusion, so b_K <= b_L iff L <= K, the bottom is
@@ -30,7 +30,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -444,51 +444,67 @@ def property_Z_tilde(ctx: BoxContext) -> bool:
 # -- chain lengths ------------------------------------------------------------
 
 
-def _length_step_predicate(name: str, lat: FiniteLattice) -> Callable[[int, int], bool]:
-    """The predicate a step interval [a, b] of the biprojection lattice
-    ``lat`` must meet, read off lat.distributive_intervals.  A "t" name looks
-    at the step's top part [lat.top_part(a, b), b], a "b" name at its bottom
-    part [a, lat.bottom_part(a, b)]; "c" asks for cyclic, "b<k>" for Boolean
-    of rank <= k.  A part is the join of its atoms (or dually), so it is
-    Boolean exactly when distributive (Birkhoff: join-irreducibles are then
-    join-prime, so those below a join of atoms are atoms)."""
+def _normaliser_nodes(ctx: BoxContext) -> np.ndarray:
+    """The node of N_G(K_b) for every node b of the biprojection lattice: it
+    holds K_b, so it lies in [H, G].  K_b is normal in K_a exactly when
+    K_a <= N_G(K_b), that is when lat.leq[nodes[b], a]."""
+    if "normalisers" not in ctx._cache:
+        lat, g = biprojection_lattice(ctx), ctx.group
+        node = ctx._cache.setdefault("node_of_key", {k.key(): i for i, k in enumerate(lat.payload)})
+        conj = (k.mask[g.cayley[g.cayley[:, k.indices], g.inverse[:, None]]] for k in lat.payload)
+        ctx._cache["normalisers"] = np.array([node[np.packbits(c.all(1)).tobytes()] for c in conj])
+    return ctx._cache["normalisers"]
 
-    def cyclic(a: int, b: int) -> bool:
-        return bool(lat.distributive_intervals[a, b]) and _step_dedekind(lat, a, b)
 
-    if name == "cl":
-        return cyclic
-    if name == "dl":
-        return lambda a, b: lat.distributive_intervals[a, b]
+def _fold(table: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Each row of nodes, of at least one column, folded under table
+    (lat.meet or lat.join), all rows at once and pairwise: log2 rounds."""
+    while nodes.shape[1] > 1:
+        half = nodes.shape[1] // 2
+        nodes = np.hstack([table[nodes[:, :half], nodes[:, half : 2 * half]], nodes[:, 2 * half :]])
+    return nodes[:, 0]
+
+
+def _step_parts(ctx: BoxContext, side: str, a: int, fresh: np.ndarray):
+    """(lo, hi, k) for the steps [a, b], b in fresh: the top part [lo, b]
+    (side "t") or, for a below the top, the bottom part [lo = a, hi] ("b")
+    of each, and k its atoms, which are the step's atoms (coatoms, for a top
+    part).  hi joins a's upper covers under b; lo meets b's lower covers
+    over a, in cover lists padded with b itself.  A part is the join of its
+    atoms (or dually), so it is Boolean exactly when distributive (Birkhoff:
+    the join-irreducibles below a join of atoms are atoms), of rank k."""
+    lat = biprojection_lattice(ctx)
+    if side == "b":
+        covers = np.flatnonzero(lat.covers()[a])
+        under = lat.leq[covers][:, fresh].T  # row b: the atoms of [a, b]
+        return np.full_like(fresh, a), _fold(lat.join, np.where(under, covers, a)), under.sum(1)
+    if "lower_covers" not in ctx._cache:
+        lower = [np.flatnonzero(col) for col in lat.covers().T]
+        width = max(1, *map(len, lower))
+        pad = [np.pad(c, (0, width - len(c)), constant_values=b) for b, c in enumerate(lower)]
+        ctx._cache["lower_covers"] = np.array(pad)
+    lower = ctx._cache["lower_covers"][fresh]
+    over = lat.leq[a, lower] & (lower != fresh[:, None])  # row b: the coatoms of [a, b]
+    return _fold(lat.meet, np.where(over, lower, fresh[:, None])), fresh, over.sum(axis=1)
+
+
+def _shortest_chain(ctx: BoxContext, name: str) -> int:
+    """Length of a shortest chain e1 = b_0 < ... < b_l = id of the
+    biprojection lattice whose steps [a, b] meet the rule of ``name``, by
+    breadth-first search: each popped a asks for one boolean step row over
+    the unvisited b > a.  "wcl" joins a with one block node; the others ask
+    the step, or for "t"/"b" its top/bottom part (see _step_parts), to be
+    distributive, of rank at most k for "b<k>", and Dedekind for "c".  With
+    inner N = K_b normal in outer L = K_a, [a, b] is the subgroup lattice of
+    L/N, distributive exactly when L/N is cyclic (Ore), and then every
+    member M is normal in L, so NgM = gM = Mg = MgN: Dedekind.  Every rule
+    steps up from any a below the top (a cover is a 2-element interval, and
+    the blocks join to id), so the raise marks an internal error."""
     m = re.fullmatch(r"([tb])(c|b([1-9]\d*)?)l", name)
-    if m is None:
+    if m is None and name not in ("cl", "dl", "wcl"):
         raise ValueError(f"unknown chain-length name: {name!r}")
-    side, kind, digits = m.groups()
-
-    def part(a: int, b: int) -> Tuple[int, int]:
-        return (lat.top_part(a, b), b) if side == "t" else (a, lat.bottom_part(a, b))
-
-    if kind == "c":
-        return lambda a, b: cyclic(*part(a, b))
-    cap = int(digits) if digits else None
-
-    def pred(a: int, b: int) -> bool:
-        lo, hi = part(a, b)
-        k = np.count_nonzero(lat.covers()[lo] & lat.leq[:, hi])  # atoms of [lo, hi]
-        return lat.distributive_intervals[lo, hi] and (cap is None or k <= cap)
-
-    return pred
-
-
-def _shortest_chain(
-    lat: FiniteLattice, step: Callable[[int, np.ndarray], Iterable[int]]
-) -> int:
-    """Length of a shortest chain bottom = b_0 < ... < b_l = top of lat, by
-    breadth-first search.  step(a, fresh) returns the nodes of fresh (the
-    unvisited b > a, increasing) that one step from a reaches, so each pair
-    (a, b) is offered to it at most once.  Every step rule used here admits
-    a step up from any a below the top (cover steps are 2-element intervals,
-    and the blocks join to id), so the raise marks an internal error."""
+    side, kind, digits = m.groups() if m else ("", name[0], None)
+    lat = biprojection_lattice(ctx)
     dist = np.full(lat.n, -1)
     dist[lat.bottom] = 0
     queue = deque([lat.bottom])
@@ -496,9 +512,21 @@ def _shortest_chain(
         if not queue:
             raise BiprojectionCheckFailed("no admissible chain reaches the top")
         a = queue.popleft()
-        for b in step(a, np.flatnonzero(lat.leq[a] & (dist < 0))):
-            dist[b] = dist[a] + 1
-            queue.append(b)
+        fresh = np.flatnonzero(lat.leq[a] & (dist < 0))
+        if kind == "w":  # true at the joins of a with one block node
+            row = np.zeros(lat.n, dtype=bool)
+            row[lat.join[a, _block_nodes(ctx)]] = True
+            row = row[fresh]
+        else:  # a part has fewer than n atoms: no cap is a cap of n
+            whole = (np.full_like(fresh, a), fresh, 0)
+            lo, hi, k = _step_parts(ctx, side, a, fresh) if side else whole
+            row = lat.distributive_intervals[lo, hi] & (k <= int(digits or lat.n))
+        if kind == "c":  # only an inner not normal in its outer takes double cosets
+            for i in np.flatnonzero(row & ~lat.leq[_normaliser_nodes(ctx)[hi], lo]):
+                row[i] = _step_dedekind(lat, lo[i], hi[i])
+        reached = fresh[row]
+        dist[reached] = dist[a] + 1
+        queue.extend(reached.tolist())
     return int(dist[lat.top])
 
 
@@ -509,31 +537,17 @@ def wcl_generators(ctx: BoxContext) -> int:
     a join of biprojections is an intersection of subgroups.  So the answer
     is the distance from e1 to id when one step joins the current node with
     one block node; the empty set generates e1, so H = G gives 0."""
-    lat = biprojection_lattice(ctx)
-    nodes = np.unique(_block_nodes(ctx))
-    return _shortest_chain(lat, lambda a, fresh: np.intersect1d(fresh, lat.join[a, nodes]))
+    return _shortest_chain(ctx, "wcl")
 
 
 def lengths(
     ctx: BoxContext, which: Tuple[str, ...] = ("cl", "wcl", "dl")
 ) -> Dict[str, int]:
     """Chain lengths by name, each the exact length of a shortest chain
-    e1 < ... < id of the biprojection lattice: "wcl" steps by joining one
-    block (see wcl_generators), every other name ("cl", "dl", "tcl", "bcl",
-    "tbl", "bbl", and rank-bounded Boolean forms like "tb4l" / "bb4l") to
-    the b whose step interval [a, b] satisfies its predicate, read off one
-    table of the biprojection lattice (see _length_step_predicate)."""
-    lat = biprojection_lattice(ctx)
-    out: Dict[str, int] = {}
-    for name in which:
-        if name == "wcl":
-            out[name] = wcl_generators(ctx)
-        else:
-            pred = _length_step_predicate(name, lat)
-            out[name] = _shortest_chain(
-                lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)]
-            )
-    return out
+    e1 < ... < id of the biprojection lattice (see _shortest_chain): "wcl"
+    (see wcl_generators), "cl", "dl", "tcl", "bcl", "tbl", "bbl", and
+    rank-bounded Boolean forms like "tb4l" / "bb4l"."""
+    return {name: _shortest_chain(ctx, name) for name in which}
 
 
 # -- the report ---------------------------------------------------------------
@@ -665,7 +679,7 @@ def verify_theorems(ctx: BoxContext) -> List[ImplicationResult]:
     bound = sum_bound(ctx)
     rank = boolean_rank(*ctx.node)
     n_maximal = len(lat.coatoms())
-    m = lat.top_part(lat.bottom, lat.top)  # the top part is [m, lat.top]
+    m = int(_step_parts(ctx, "t", lat.bottom, np.array([lat.top]))[0][0])  # top part [m, top]
     top_w = _interval_w_cyclic(lat, _fixed_dims(lat, m), m, lat.top)
     rows = [
         ImplicationResult("cyclic-implies-w-cyclic", cyclic, w),

@@ -12,17 +12,23 @@ reads the figures of [H, G] off [H, G] restricted from the group's lattice,
 as before they were read off the group's lattice by H's node; ``interval_route_length``
 is the chain length with every step built as an interval lattice, as before
 the steps read ``FiniteLattice.distributive_intervals``;
+``closure_route_length`` is the chain length with every step asked of a
+per-pair closure, its parts folded pair by pair (``top_part``,
+``bottom_part``) and every distributive "c" step put to the double-coset
+test, as before the search read boolean step rows;
 ``find_forbidden_bruteforce`` searches every 5-subset for an induced M3 or N5.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from biprox.boxalgebra import BoxContext, biprojection_lattice
 from biprox.interval import Inclusion
 from biprox.lattice import (
     _BLOCK_CELLS,
@@ -44,7 +50,7 @@ from biprox.permgroup import (
     generator_strings,
     require_nested,
 )
-from biprox.properties import _shortest_chain, _step_dedekind
+from biprox.properties import _block_nodes, _step_dedekind
 
 
 def interval_subgroups(h: Subgroup, group: FiniteGroup) -> list[Subgroup]:
@@ -175,20 +181,30 @@ def restricted_figures(inc: Inclusion) -> dict:
     }
 
 
+def top_part(lat: FiniteLattice, a: int, b: int) -> int:
+    """m with [m, b] the top part of [a, b]: the meet of its coatoms."""
+    m = b
+    for c in np.flatnonzero(lat.covers()[:, b] & lat.leq[a]):
+        m = lat.meet[m, c]
+    return int(m)
+
+
+def bottom_part(lat: FiniteLattice, a: int, b: int) -> int:
+    """j with [a, j] the bottom part of [a, b]: the join of its atoms."""
+    j = a
+    for c in np.flatnonzero(lat.covers()[a] & lat.leq[:, b]):
+        j = lat.join[j, c]
+    return int(j)
+
+
 def top_interval(lat: FiniteLattice) -> FiniteLattice:
     """The interval [B, 1] with B the meet of all coatoms."""
-    b = lat.top
-    for c in lat.coatoms():
-        b = int(lat.meet[b, c])
-    return lat.interval(b, lat.top)
+    return lat.interval(top_part(lat, lat.bottom, lat.top), lat.top)
 
 
 def bottom_interval(lat: FiniteLattice) -> FiniteLattice:
     """The interval [0, b] with b the join of all atoms."""
-    b = lat.bottom
-    for a in lat.atoms():
-        b = int(lat.join[b, a])
-    return lat.interval(lat.bottom, b)
+    return lat.interval(lat.bottom, bottom_part(lat, lat.bottom, lat.top))
 
 
 def _interval_cyclic(lat: FiniteLattice) -> bool:
@@ -219,9 +235,75 @@ def interval_step_predicate(name: str, lat: FiniteLattice) -> Callable[[int, int
 
 def interval_route_length(lat: FiniteLattice, name: str) -> int:
     """The chain length ``name`` of the biprojection lattice ``lat`` by the
-    same search as ``lengths``, with ``interval_step_predicate`` steps."""
+    same search as ``closure_route_length``, with ``interval_step_predicate``
+    steps."""
     pred = interval_step_predicate(name, lat)
-    return _shortest_chain(lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)])
+    return closure_shortest_chain(lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)])
+
+
+def closure_step_predicate(name: str, lat: FiniteLattice) -> Callable[[int, int], bool]:
+    """The predicate a step interval [a, b] of the biprojection lattice
+    ``lat`` must meet, one pair at a time, read off
+    lat.distributive_intervals.  A "t" name looks at the step's top part
+    [top_part(lat, a, b), b], a "b" name at its bottom part
+    [a, bottom_part(lat, a, b)]; "c" asks for distributive and Dedekind by
+    double cosets, "b<k>" for Boolean of rank <= k."""
+
+    def cyclic(a: int, b: int) -> bool:
+        return bool(lat.distributive_intervals[a, b]) and _step_dedekind(lat, a, b)
+
+    if name == "cl":
+        return cyclic
+    if name == "dl":
+        return lambda a, b: lat.distributive_intervals[a, b]
+    m = re.fullmatch(r"([tb])(c|b([1-9]\d*)?)l", name)
+    if m is None:
+        raise ValueError(f"unknown chain-length name: {name!r}")
+    side, kind, digits = m.groups()
+
+    def part(a: int, b: int) -> tuple[int, int]:
+        return (top_part(lat, a, b), b) if side == "t" else (a, bottom_part(lat, a, b))
+
+    if kind == "c":
+        return lambda a, b: cyclic(*part(a, b))
+    cap = int(digits) if digits else None
+
+    def pred(a: int, b: int) -> bool:
+        lo, hi = part(a, b)
+        k = np.count_nonzero(lat.covers()[lo] & lat.leq[:, hi])  # atoms of [lo, hi]
+        return lat.distributive_intervals[lo, hi] and (cap is None or k <= cap)
+
+    return pred
+
+
+def closure_shortest_chain(
+    lat: FiniteLattice, step: Callable[[int, np.ndarray], Iterable[int]]
+) -> int:
+    """Length of a shortest chain bottom = b_0 < ... < b_l = top of lat, by
+    breadth-first search.  step(a, fresh) returns the nodes of fresh (the
+    unvisited b > a, increasing) that one step from a reaches."""
+    dist = np.full(lat.n, -1)
+    dist[lat.bottom] = 0
+    queue = deque([lat.bottom])
+    while dist[lat.top] < 0:
+        a = queue.popleft()
+        for b in step(a, np.flatnonzero(lat.leq[a] & (dist < 0))):
+            dist[b] = dist[a] + 1
+            queue.append(b)
+    return int(dist[lat.top])
+
+
+def closure_route_length(ctx: BoxContext, name: str) -> int:
+    """The chain length ``name`` of ``ctx`` with a per-pair step closure:
+    ``closure_step_predicate``, or for "wcl" the join with one block node."""
+    lat = biprojection_lattice(ctx)
+    if name == "wcl":
+        nodes = np.unique(_block_nodes(ctx))
+        return closure_shortest_chain(
+            lat, lambda a, fresh: np.intersect1d(fresh, lat.join[a, nodes])
+        )
+    pred = closure_step_predicate(name, lat)
+    return closure_shortest_chain(lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)])
 
 
 def find_forbidden_bruteforce(lat: FiniteLattice) -> Optional[tuple[str, tuple[int, ...]]]:

@@ -20,6 +20,7 @@ Oracle notes:
 from __future__ import annotations
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from biprox import boxalgebra as bx
 from biprox import permgroup
 from biprox.catalog import catalog_group, catalog_names, parse_subgroup_spec
+from biprox.cli import main
 from biprox.errors import (
     BasisNotSpanning,
     BiprojectionCheckFailed,
@@ -840,18 +842,21 @@ def test_table_rejects_non_spanning(ctx_s3):
         bx.coproduct_table(ctx_s3, [])
 
 
-def test_table_text_and_json(ctx_s3):
+def test_table_text_and_json(ctx_s3, capsys):
     table = ref.s3_coproduct_table(ctx_s3)
     text = table.as_text()
     assert "e11" in text and "|" in text
     lines = text.strip().split("\n")
     assert len(lines) == 8  # header, rule, six rows
-    data = table.as_json_dict()
-    assert data["basis"] == list(ref.S3_BASIS_LABELS)
+    # The JSON of a table is the `table` command's, in the double-coset basis.
+    assert main(["table", "--group", "S3", "--subgroup", "trivial", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["labels"] == [f"e{i}" for i in range(1, 7)]
     assert data["scale"] == pytest.approx(np.sqrt(6))
     arr = np.array(data["entries"])  # (6, 6, 6, 2)
     assert arr.shape == (6, 6, 6, 2)
-    assert np.abs(arr[..., 0] + 1j * arr[..., 1] - table.entries).max() < 1e-9
+    cosets = bx.coproduct_table(ctx_s3, [bx.BoxElement(ctx_s3, row) for row in ctx_s3.basis_matrix])
+    assert np.abs(arr[..., 0] + 1j * arr[..., 1] - cosets.entries).max() < 1e-9
 
 
 def test_format_combination():

@@ -23,24 +23,17 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import biprox.lattice
+from biprox.boxalgebra import BoxContext, biprojection_lattice
 from biprox.catalog import catalog_group
 from biprox.cli import enumerate_pairs, main
 from biprox.errors import NotBoolean, SubgroupCapExceeded
 from biprox.interval import Inclusion
 from biprox.lattice import (
     FiniteLattice,
-    boolean_lattice,
     boolean_rank,
-    chain,
-    complement,
-    concatenate,
-    diamond_m3,
-    direct_product,
-    divisor_lattice,
     forbidden_sublattice,
     is_distributive,
     is_modular,
-    pentagon_n5,
     to_dot,
     _is_m3,
     _is_n5,
@@ -52,13 +45,27 @@ from biprox.permgroup import (
     parse_cycles,
     subgroup_generated,
 )
+from biprox.properties import _step_parts
+from lattice_fixtures import (
+    boolean_lattice,
+    chain,
+    complement,
+    concatenate,
+    diamond_m3,
+    direct_product,
+    divisor_lattice,
+    induced_sublattice,
+    pentagon_n5,
+)
 from lattice_oracle import (
+    bottom_part,
     find_forbidden_bruteforce,
     restricted_figures,
     row_lattice,
     scan_is_distributive,
     scan_is_modular,
     standalone_interval_lattice,
+    top_part,
     valuation_is_distributive,
     valuation_is_modular,
 )
@@ -285,7 +292,7 @@ def test_distributive_agrees_with_bruteforce(make, expected: bool) -> None:
     if not ok:
         assert witness is not None and len(set(witness)) == 5
         # the witness must itself be a closed (induced) sublattice
-        sub = lat.induced_sublattice(sorted(witness))
+        sub = induced_sublattice(lat, sorted(witness))
         assert sub.n == 5
 
 
@@ -369,7 +376,7 @@ def _boolean_rank_cases() -> list[FiniteLattice]:
     cases = []
     for _name, inc in enumerate_pairs():
         lat = inc.lattice
-        top, bottom = lat.top_part(lat.bottom, lat.top), lat.bottom_part(lat.bottom, lat.top)
+        top, bottom = top_part(lat, lat.bottom, lat.top), bottom_part(lat, lat.bottom, lat.top)
         cases += [lat, lat.interval(top, lat.top), lat.interval(lat.bottom, bottom)]
         if lat.n <= 32:
             cases += [lat.interval(a, b) for a, b in zip(*np.nonzero(lat.leq))]
@@ -407,11 +414,23 @@ def test_complement() -> None:
 # ---------------------------------------------------------------- intervals
 
 
+def _whole_step_parts(group_name: str):
+    """[H, G] for H = {1} and the parts of the biprojection lattice's whole
+    step [e1, id], from the step row: the biprojection lattice reverses
+    [H, G], so its bottom part is the top part of [H, G] and vice versa."""
+    g = catalog_group(group_name)
+    ctx = BoxContext(g, g.trivial_subgroup())
+    bip = biprojection_lattice(ctx)
+    step = (bip.bottom, np.array([bip.top]))
+    return ctx.lattice, _step_parts(ctx, "b", *step), _step_parts(ctx, "t", *step)
+
+
 def test_top_part_z12() -> None:
     # Coatoms of L(Z/12) are the subgroups of order 6 and 4; their meet has
     # order 2, and the top part [C2, Z12] = {2,4,6,12} is a 2-cube.
-    lat = interval("Z12")
-    top = lat.interval(lat.top_part(lat.bottom, lat.top), lat.top)
+    lat, (_, (m,), (k,)), _ = _whole_step_parts("Z12")
+    assert m == top_part(lat, lat.bottom, lat.top) and k == 2
+    top = lat.interval(m, lat.top)
     assert top.n == 4
     assert boolean_rank(top) == 2
     assert [k.order for k in top.payload] == [2, 4, 6, 12]
@@ -423,8 +442,9 @@ def test_top_part_z12() -> None:
 
 def test_bottom_part_s3() -> None:
     # Atoms of L(S3) generate everything: join of atoms is S3 itself.
-    lat = interval("S3")
-    bot = lat.interval(lat.bottom, lat.bottom_part(lat.bottom, lat.top))
+    lat, _, ((j,), _, (k,)) = _whole_step_parts("S3")
+    assert j == bottom_part(lat, lat.bottom, lat.top) and k == 4
+    bot = lat.interval(lat.bottom, j)
     assert bot.n == lat.n
     assert bot.labels == lat.labels and bot.payload == lat.payload
 
@@ -439,9 +459,9 @@ def test_interval_of_chain() -> None:
 def test_induced_sublattice_requires_closure() -> None:
     lat = boolean_lattice(2)
     with pytest.raises(ValueError):
-        lat.induced_sublattice([1, 2])  # missing meet and join
+        induced_sublattice(lat, [1, 2])  # missing meet and join
     with pytest.raises(ValueError, match="join"):
-        lat.induced_sublattice([0, 1, 2])  # closed under meet, not under join
+        induced_sublattice(lat, [0, 1, 2])  # closed under meet, not under join
 
 
 # ------------------------------------------------------- product and stacking

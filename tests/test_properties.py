@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import biprox.lattice
+from biprox import permgroup as permgroup_module
 from biprox import properties
 from biprox.boxalgebra import (
     BoxContext,
@@ -29,7 +30,7 @@ from biprox.boxalgebra import (
     minimal_projections_under,
     mul_dual,
 )
-from biprox.catalog import catalog_group, catalog_names
+from biprox.catalog import catalog_group, catalog_names, parse_group_spec
 from biprox.cli import enumerate_pairs, equivalence_classes, main
 from biprox.errors import BiprojectionCheckFailed, NotNested
 from biprox.interval import (
@@ -89,7 +90,13 @@ from spectral_oracle import (
     top_context,
 )
 from interval_oracle import is_linearly_primitive_group
-from lattice_oracle import interval_route_length, interval_subgroups
+from lattice_oracle import (
+    bottom_part,
+    closure_route_length,
+    interval_route_length,
+    interval_subgroups,
+    top_part,
+)
 
 
 def trivial_ctx(name: str) -> BoxContext:
@@ -945,6 +952,87 @@ def test_lengths_builds_no_step_lattice(monkeypatch, subgroup):
     assert lengths(ctx, which=tuple(expected)) == expected
     assert calls == []
     assert lat is biprojection_lattice(ctx)
+
+
+ALL_NAMES = ("cl", "wcl", "dl", "tcl", "bcl", "tbl", "bbl", "tb2l", "bb2l", "tb4l", "bb4l")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["perm:(1,2,3);(2,3,4,5,6)", "perm:(1,2);(3,4);(5,6);(7,8);(9,10)"],
+    ids=["A6/1", "E32/1"],
+)
+def test_lengths_match_closure_route_near_the_cap(spec):
+    # All eleven names from boolean step rows against the per-pair closures
+    # they replaced, on A6 (501 nodes, 2,343 distributive steps with an inner
+    # not normal in its outer) and E32 (374 nodes, every subgroup normal).
+    g = parse_group_spec(spec)
+    ctx = BoxContext(g, g.trivial_subgroup())
+    expected = {name: closure_route_length(ctx, name) for name in ALL_NAMES}
+    assert lengths(ctx, which=ALL_NAMES) == expected
+
+
+def test_step_rows_match_per_pair_parts_on_census_classes():
+    # For every a and every b > a at once: the row-wise parts and atom counts
+    # against the per-pair folds, and the normaliser relation against
+    # conjugation, on one representative of each census class.
+    for cls in equivalence_classes(enumerate_pairs()):
+        label, inc = cls[0]
+        ctx = BoxContext(inc.group, inc.sub)
+        lat = biprojection_lattice(ctx)
+        normalisers = properties._normaliser_nodes(ctx)
+        for a in range(lat.n):
+            above = np.flatnonzero(lat.leq[a])
+            lo, hi, k = properties._step_parts(ctx, "t", a, above)
+            assert lo.tolist() == [top_part(lat, a, b) for b in above], label
+            assert hi.tolist() == above.tolist()
+            coatoms = [np.count_nonzero(lat.covers()[:, b] & lat.leq[a]) for b in above]
+            assert k.tolist() == coatoms, label
+            if a != lat.top:  # a popped node is below the top
+                lo, hi, k = properties._step_parts(ctx, "b", a, above)
+                assert lo.tolist() == [a] * len(above), label
+                assert hi.tolist() == [bottom_part(lat, a, b) for b in above], label
+                atoms = [np.count_nonzero(lat.covers()[a] & lat.leq[:, b]) for b in above]
+                assert k.tolist() == atoms, label
+            outer = lat.payload[a]
+            normal = [
+                bool((lat.payload[b].conjugates()[outer.indices] == lat.payload[b].mask).all())
+                for b in above
+            ]
+            assert lat.leq[normalisers[above], a].tolist() == normal, label
+
+
+def _count_double_cosets(monkeypatch) -> list:
+    calls = []
+    original = permgroup_module.double_coset_labels
+
+    def counting(a, b):
+        calls.append((a.order, b.order))
+        return original(a, b)
+
+    monkeypatch.setattr(permgroup_module, "double_coset_labels", counting)
+    return calls
+
+
+def test_cl_puts_no_normal_inner_step_to_double_cosets(monkeypatch):
+    # Every subgroup of E32 is normal, so Ore's theorem decides every cyclic
+    # step by its distributive-interval entry alone.
+    g = parse_group_spec("perm:(1,2);(3,4);(5,6);(7,8);(9,10)")
+    ctx = BoxContext(g, g.trivial_subgroup())
+    calls = _count_double_cosets(monkeypatch)
+    assert lengths(ctx, which=("cl", "tcl", "bcl")) == {"cl": 5, "tcl": 5, "bcl": 5}
+    assert calls == []
+
+
+def test_cl_puts_a_non_normal_inner_step_to_double_cosets(monkeypatch):
+    # S3 over <(1,2)>: the one step [S3, <(1,2)>] is a 2-element chain, so
+    # distributive, and its inner is not normal in S3: it takes the
+    # double-coset test, HgK = KgH for its two members K.
+    g = catalog_group("S3")
+    ctx = BoxContext(g, g.subgroup_from_perms([parse_cycles("(1,2)", g.degree)]))
+    calls = _count_double_cosets(monkeypatch)
+    assert lengths(ctx, which=("cl",)) == {"cl": 1}
+    assert sorted(calls) == [(2, 2), (2, 2), (2, 6), (6, 2)]
 
 
 # -- witnesses and report shape ----------------------------------------------
