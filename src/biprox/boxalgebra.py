@@ -47,8 +47,8 @@ from .permgroup import (
 
 class BoxContext(Inclusion):
     """Immutable context for the 2-box space of H <= G: the inclusion, with
-    its nesting check, ``index`` and interval ``lattice``, plus the caches
-    of the algebra built on it."""
+    its nesting check, ``index`` and ``node`` (H's node in the subgroup
+    lattice), plus the caches of the algebra built on it."""
 
     def __init__(self, group: FiniteGroup, sub: Subgroup):
         super().__init__(group, sub)
@@ -501,11 +501,20 @@ def is_biprojection(p: BoxElement, strict: bool = True) -> Optional[Subgroup]:
 
 
 def biprojection_lattice(ctx: BoxContext) -> FiniteLattice:
-    """Lattice of biprojections: ``ctx.lattice``, the subgroup interval
-    [H, G], order-reversed (b_K <= b_L iff L <= K), with the same Subgroup
-    payload.  The biprojection of a node K is ``element_bK(ctx, K)``."""
+    """[H, G] order-reversed (b_K <= b_L iff L <= K) as a lattice of its own,
+    with the members' labels and Subgroup payload; b_K is ``element_bK(ctx,
+    K)``.  The reverse() view of ``ctx.node``'s lattice when H is its bottom,
+    else built once per context by ``from_order``.  No predicate calls it."""
+    lat, i = ctx.node
+    if i == lat.bottom:
+        return lat.reverse()
     if "biplattice" not in ctx._cache:
-        ctx._cache["biplattice"] = ctx.lattice.reverse()
+        members = np.flatnonzero(lat.leq[i])
+        ctx._cache["biplattice"] = FiniteLattice.from_order(
+            lat.leq[np.ix_(members, members)].T,
+            [lat.labels[m] for m in members],
+            tuple(lat.payload[m] for m in members),
+        )
     return ctx._cache["biplattice"]
 
 

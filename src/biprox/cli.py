@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boxalgebra import BoxContext, BoxElement, biprojection_lattice, coproduct_table
+from .boxalgebra import BoxContext, BoxElement, coproduct_table
 from .catalog import catalog_group, catalog_names, parse_group_spec, parse_subgroup_spec
 from .errors import (
     AxiomViolation,
@@ -359,13 +359,14 @@ def _survey_row(name: str, sub_spec: str) -> dict:
     group = catalog_group(name)
     sub = parse_subgroup_spec(group, sub_spec)
     ctx = BoxContext(group, sub)
+    lat, i = ctx.node
     row = {
         "group": name,
         "subgroup": sub_spec,
         "group_order": group.order,
         "subgroup_order": sub.order,
         "index": group.order // sub.order,
-        "interval_size": biprojection_lattice(ctx).n,
+        "interval_size": int(np.count_nonzero(lat.leq[i])),
     }
     try:
         report = classify(ctx)

@@ -1,9 +1,10 @@
 """Group-side analysis of inclusions H <= G.
 
 Covers: cyclic-over-subgroup witnesses, the distributivity/one-generator
-report, the normality and index-sum conditions on minimal overgroups,
-equivalence of inclusions through core quotients (a core-free pair is its
-own), and linear primitivity (delegated to the box-algebra blocks).
+report and the normality and index-sum conditions on minimal overgroups,
+all read off H's node in ``Inclusion.node``; equivalence of inclusions
+through core quotients (a core-free pair is its own), and linear
+primitivity (delegated to the box-algebra blocks).
 """
 
 from __future__ import annotations
@@ -42,14 +43,8 @@ class Inclusion:
 
     @cached_property
     def node(self) -> tuple[FiniteLattice, int]:
-        """``subgroup_node``: every figure of [H, G] reads this pair."""
+        """``subgroup_node``: every figure and predicate of [H, G] reads it."""
         return subgroup_node(self.group, self.sub)
-
-    @cached_property
-    def lattice(self) -> FiniteLattice:
-        """[H, G] as a lattice of its own, for the predicates that walk it."""
-        lat, i = self.node
-        return lat if i == lat.bottom else lat.interval(i, lat.top)
 
     def __repr__(self) -> str:
         return f"Inclusion(|H|={self.sub.order}, |G|={self.group.order})"
@@ -71,11 +66,11 @@ class DualOreReport:
 
 def is_H_cyclic(inc: Inclusion) -> Optional[int]:
     """First element g (in canonical element order) with <H, g> = G: the
-    least element in no coatom of ``inc.lattice``, since every proper
-    member of [H, G] lies under a maximal one (the identity if H = G)."""
-    lat = inc.lattice
+    least element in no coatom of [H, G] (G's lower covers over H), since
+    every proper member lies under one (the identity if H = G)."""
+    lat, i = inc.node
     covered = np.zeros(inc.group.order, dtype=bool)
-    for c in lat.coatoms():
+    for c in np.flatnonzero(lat.covers()[:, lat.top] & lat.leq[i]):
         covered |= lat.payload[c].mask
     outside = np.flatnonzero(~covered)
     return int(outside[0]) if outside.size else None
@@ -96,10 +91,11 @@ def ore_verify(inc: Inclusion) -> OreReport:
 def dual_ore_conditions(inc: Inclusion) -> DualOreReport:
     """Normality of H-K multiplication for all intermediate K, and the
     index-sum bound over minimal overgroups of H (exact rational)."""
-    group, sub, lat = inc.group, inc.sub, inc.lattice
-    cond_normal = is_dedekind_interval(sub, group.full_subgroup(), lat.payload)
+    group, sub, (lat, i) = inc.group, inc.sub, inc.node
+    members = [lat.payload[k] for k in np.flatnonzero(lat.leq[i])]
+    cond_normal = is_dedekind_interval(sub, group.full_subgroup(), members)
     total = Fraction(0)
-    for a in lat.atoms():  # the minimal overgroups of H
+    for a in np.flatnonzero(lat.covers()[i]):  # H's upper covers: its minimal overgroups
         total += Fraction(sub.order, lat.payload[a].order)  # 1 / [K : H]
     return DualOreReport(cond_normal, total <= 2, total)
 
@@ -143,18 +139,10 @@ def action_quotient(
     return quotient, quotient.subgroup_from_mask(quotient.images[:, home] == home)
 
 
-def core_quotient(inc: Inclusion) -> tuple[FiniteGroup, Subgroup]:
-    """(G/core_G(H), image of H), the invariant pair behind equivalence: the
-    group of ``coset_action(inc)`` (G on the left cosets of H, kernel
-    core_G(H)) and the stabilizer of the coset H, built even if core_G(H) = 1.
-    QuotientOrderCapExceeded is raised before building one past QUOTIENT_CAP."""
-    return action_quotient(inc.group, *coset_action(inc))
-
-
 def core_pair(inc: Inclusion, action: Optional[tuple] = None) -> tuple[FiniteGroup, Subgroup]:
-    """A pair isomorphic to ``core_quotient(inc)``, read off ``action`` (the
-    ``coset_action(inc)`` if not given): (G, H) itself when G acts faithfully,
-    one row per element, so core_G(H) = 1; else the action's quotient."""
+    """A pair isomorphic to (G/core_G(H), image of H), read off ``action``
+    (``coset_action(inc)`` if not given): (G, H) itself when G acts
+    faithfully, so core_G(H) = 1; else the action's quotient."""
     action = coset_action(inc) if action is None else action
     if len(action[3]) == inc.group.order:
         return inc.group, inc.sub

@@ -1,26 +1,25 @@
-"""Finite lattices: distributivity, modularity, Boolean recognition, intervals.
+"""Finite lattices: distributivity, modularity, Boolean recognition.
 
 A lattice is stored as an explicit order matrix plus meet/join index
 tables, built level by level in float32 products.  Modularity and
 distributivity are decided from one cached list of local failures per
-lattice (FiniteLattice._failures), which a reverse() view and an interval()
-read off their parent's: is_modular, is_distributive and boolean_rank
-decide any up-set [a, top] by it, and distributive_intervals every
-interval [a, b] at once.  The triple scans run only in
-forbidden_sublattice: it scans for the first failing triple and builds a
-forbidden sublattice (diamond M3 or pentagon N5) from it, verified to be an
-induced sublattice before it is returned.
+lattice (FiniteLattice._failures), which its reverse() view reads off it:
+is_modular, is_distributive and boolean_rank decide any up-set [a, top] by
+it, and distributive_intervals every interval [a, b] at once.  The triple
+scans run only in forbidden_sublattice: it scans for the first failing
+triple and builds a forbidden sublattice (diamond M3 or pentagon N5) from
+it, verified to be an induced sublattice before it is returned.
 
 The subgroup lattice of a group is built once and cached on the group;
-every interval [H, G] is the up-set of H's node in it (subgroup_node),
-except in a group of more than _SHARED_LATTICE_NODES subgroups, where
-[H, G] for H > {1} is built alone unless the whole lattice is cached
-already.
+every interval [H, G] is the up-set of H's node in it (subgroup_node), and
+is read there by its endpoints, except in a group of more than
+_SHARED_LATTICE_NODES subgroups, where [H, G] for H > {1} is built alone
+unless the whole lattice is cached already.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
@@ -69,8 +68,6 @@ class FiniteLattice:
     # The lattice that a reverse() view reverses: the view's covers are its
     # covers transposed, so the pair computes them once.
     reversed_of: Optional["FiniteLattice"] = field(default=None, compare=False, repr=False)
-    # (lattice, increasing node indices) that an interval() is cut from.
-    interval_of: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     # -- constructors ----------------------------------------------------
 
@@ -126,14 +123,23 @@ class FiniteLattice:
     def _covers(self) -> np.ndarray:
         if self.reversed_of is not None:
             return self.reversed_of.covers().T
-        if self.interval_of is not None:
-            parent, members = self.interval_of
-            cover = parent.covers()[np.ix_(members, members)]
-        else:
-            strict = self.leq & ~np.eye(self.n, dtype=bool)
-            cover = strict & ~_bool_product(strict, strict)
+        strict = self.leq & ~np.eye(self.n, dtype=bool)
+        cover = strict & ~_bool_product(strict, strict)
         cover.setflags(write=False)
         return cover
+
+    @cached_property
+    def lower_covers(self) -> np.ndarray:
+        """Row b: b's lower covers in node order, padded with b itself."""
+        lower = [np.flatnonzero(col) for col in self.covers().T]
+        width = max(1, *map(len, lower))
+        pad = [np.pad(c, (0, width - len(c)), constant_values=b) for b, c in enumerate(lower)]
+        return np.array(pad)
+
+    @cached_property
+    def node_of(self) -> dict:
+        """The node of each payload object, by its key()."""
+        return {k.key(): i for i, k in enumerate(self.payload)}
 
     def atoms(self) -> list[int]:
         return np.flatnonzero(self.covers()[self.bottom]).tolist()
@@ -161,37 +167,16 @@ class FiniteLattice:
             d = nxt
 
     def reverse(self) -> "FiniteLattice":
-        """The order-reversed lattice (a view: no tables are recomputed, and
-        its covers are read off this lattice's when first asked for)."""
-        return FiniteLattice(
+        """The order-reversed lattice: one view per lattice, reading its tables,
+        covers and failure list, so what the view caches (distributive_intervals)
+        is built once.  A view's reverse is its lattice."""
+        return self._reversed
+
+    @cached_property
+    def _reversed(self) -> "FiniteLattice":
+        return self.reversed_of or FiniteLattice(
             self.n, self.leq.T, self.join, self.meet, self.top, self.bottom,
             self.labels, self.payload, self,
-        )
-
-    def interval(self, lo: int, hi: int) -> "FiniteLattice":
-        """The interval [lo, hi] as a lattice on its members, in node order;
-        its covers and failure list are read off this lattice's."""
-        members = np.flatnonzero(self.leq[lo, :] & self.leq[:, hi])
-        return replace(self._restrict(members), interval_of=(self, members))
-
-    def _restrict(self, members: np.ndarray) -> "FiniteLattice":
-        """The sublattice on the increasing node indices ``members``."""
-        tables = []
-        for table, name in ((self.meet, "meet"), (self.join, "join")):
-            sub = table[np.ix_(members, members)]
-            pos = np.searchsorted(members, sub)
-            if not np.array_equal(members[np.minimum(pos, len(members) - 1)], sub):
-                raise ValueError(f"subset is not closed under {name}")
-            tables.append(pos)
-        leq = self.leq[np.ix_(members, members)]
-        bottom = int(np.flatnonzero(leq.sum(axis=1) == len(members))[0])
-        top = int(np.flatnonzero(leq.sum(axis=0) == len(members))[0])
-        payload = None
-        if self.payload is not None:
-            payload = tuple(self.payload[int(m)] for m in members)
-        return FiniteLattice._finish(
-            len(members), leq, tables[0], tables[1], bottom, top,
-            tuple(self.labels[int(m)] for m in members), payload,
         )
 
     @cached_property
@@ -204,16 +189,10 @@ class FiniteLattice:
         *Lattice Theory*, ch. II), and a modular one distributive exactly
         when it has no such diamond (Grätzer, *Lattice Theory: Foundation*).
         Both kinds are self-dual, so a reverse() view reads its parent's
-        pairs swapped; an interval() reads those of its parent inside it."""
+        pairs swapped."""
         if self.reversed_of is not None:
             z, w, semimodular = self.reversed_of._failures
             return w, z, semimodular
-        if self.interval_of is not None:
-            parent, members = self.interval_of
-            z, w, semimodular = parent._failures
-            keep = parent.leq[members[self.bottom], z] & parent.leq[w, members[self.top]]
-            z, w = np.searchsorted(members, z[keep]), np.searchsorted(members, w[keep])
-            return z, w, semimodular[keep]
         cover, n, idx = self.covers(), self.n, np.arange(self.n)
         semi, fine = [], []  # z * n + w of each semimodularity failure, of each fine pair
         step = max(1, _BLOCK_CELLS // n)
@@ -332,7 +311,7 @@ def _check_partial_order(leq: np.ndarray) -> None:
         raise ValueError("no top element")
 
 
-# -- interval lattices of group inclusions ----------------------------------
+# -- subgroup lattices of group inclusions ----------------------------------
 
 
 def subgroup_node(group: FiniteGroup, h: Subgroup) -> tuple[FiniteLattice, int]:
@@ -351,12 +330,9 @@ def subgroup_node(group: FiniteGroup, h: Subgroup) -> tuple[FiniteLattice, int]:
         lat = _lattice_of_subgroups(members)
         return lat, lat.bottom
     if group._subgroup_lattice is None:
-        group._subgroup_lattice = (
-            _lattice_of_subgroups(nodes),
-            {k.key(): i for i, k in enumerate(nodes)},
-        )
-    lat, index = group._subgroup_lattice
-    i = index.get(h.key())
+        group._subgroup_lattice = _lattice_of_subgroups(nodes)
+    lat = group._subgroup_lattice
+    i = lat.node_of.get(h.key())
     if i is None:
         raise ValueError(f"{h!r} is not closed under products")
     return lat, i

@@ -247,7 +247,7 @@ class FiniteGroup:
         self.inverse.setflags(write=False)
         self._full_subgroup: Optional[Subgroup] = None
         self._subgroups: Optional[list[Subgroup]] = None
-        self._subgroup_lattice = None  # (lattice of _subgroups, key -> node index)
+        self._subgroup_lattice = None  # the lattice of _subgroups
         self._element_orders: Optional[np.ndarray] = None
         self._conjugacy_classes: Optional[list[np.ndarray]] = None
         self._character_tables: dict[bytes, np.ndarray] = {}  # by subgroup key
@@ -327,9 +327,6 @@ class FiniteGroup:
         mask[list(indices)] = True
         mask[self.identity_index] = True
         return Subgroup(self, mask)
-
-    def subgroup_from_perms(self, perms: Iterable[Permutation]) -> "Subgroup":
-        return subgroup_generated(self, {self.index_of(p) for p in perms})
 
     def trivial_subgroup(self) -> "Subgroup":
         return self.subgroup_from_indices([self.identity_index])
@@ -457,6 +454,13 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         return bool(np.all(self.conjugates() == self.mask))
+
+    @cached_property
+    def normaliser(self) -> "Subgroup":
+        """N_G(K), the g with g K g^-1 = K, built on first use."""
+        group = self.parent
+        conj = self.mask[group.cayley[group.cayley[:, self.indices], group.inverse[:, None]]]
+        return Subgroup(group, conj.all(axis=1))
 
     def perms(self) -> list[Permutation]:
         return [self.parent.elements[i] for i in self.indices]
@@ -780,14 +784,6 @@ def _least_in_double_cosets(
 def double_coset_labels(a: Subgroup, b: Subgroup) -> np.ndarray:
     """For every element index g, the least element index of AgB."""
     return _least_in_double_cosets(a.parent.cayley, a.indices, b.indices, slice(None))
-
-
-def double_cosets(group: FiniteGroup, a: Subgroup, b: Subgroup) -> list[np.ndarray]:
-    """All A\\G/B double cosets, each sorted, ordered by minimal element index."""
-    labels = double_coset_labels(a, b)
-    members = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[members])) + 1
-    return np.split(members, starts)
 
 
 def core(group: FiniteGroup, sub: Subgroup) -> Subgroup:

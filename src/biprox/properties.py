@@ -9,12 +9,14 @@ biprojections, shortest-chain lengths searched over boolean step rows of
 the biprojection lattice, read off its distributive_intervals, and a table
 of verified implications between all of these.
 
-On [H, G] itself, Dedekind, cyclic, (Z), (Z~) and w+ read the integers
-<chi|_K, 1> of the verified character table: one table per context, and
-for (Z~) one per outer node a, whose columns serve every interval [a, b]
-named by its endpoints in the parent lattice (see _fixed_dims).  Chain
-steps over a non-normal inner subgroup keep the double-coset test HgK = KgH,
-and the range projection runs only for the w+ pairs left undecided.
+Every interval is named by its endpoints in the biprojection lattice, the
+reverse() view of the group's subgroup lattice up to H's node
+(_biprojections).  On [H, G] itself, Dedekind, cyclic, (Z), (Z~) and w+
+read the integers <chi|_K, 1> of the verified character table: one table
+per context, and for (Z~) one per outer node a, whose columns serve every
+interval [a, b] (see _fixed_dims).  Chain steps over a non-normal inner
+subgroup keep the double-coset test HgK = KgH, and the range projection
+runs only for the w+ pairs left undecided.
 
 Conventions used throughout (see boxalgebra): the biprojection lattice
 reverses subgroup inclusion, so b_K <= b_L iff L <= K, the bottom is
@@ -38,7 +40,6 @@ from .boxalgebra import (
     BoxContext,
     BoxElement,
     DualElement,
-    biprojection_lattice,
     block_characters,
     center_basis_elements,
     collapse_dual,
@@ -90,15 +91,21 @@ __all__ = [
 # -- w-cyclicity ------------------------------------------------------------
 
 
-def _fixed_dims(lat: FiniteLattice, a: int) -> np.ndarray:
+def _biprojections(ctx: BoxContext) -> Tuple[FiniteLattice, int]:
+    """(lat, top): ``ctx.node``'s lattice reversed, from e1 = b_G up to id = b_H."""
+    lat, top = ctx.node
+    return lat.reverse(), top
+
+
+def _fixed_dims(lat: FiniteLattice, a: int, top: int) -> np.ndarray:
     """dims[psi, M] = <psi|_M, 1> for the characters psi of K_a, node a's
-    subgroup (rows of its character table), against the nodes M of [a, top]
-    of the biprojection lattice, checked to be integers there; 0 elsewhere.
+    subgroup (rows of its character table), against every node M of the
+    lattice: checked to be integers on [a, top], given by its endpoints; 0 off it.
 
     The 2-box algebra of K_b <= K_a is the sum over psi of matrix blocks
     of size dims[psi, b], and b_M is a projection of rank dims[psi, M] in
     the block of psi: the M-fixed vectors inside the K_b-fixed ones."""
-    cols = np.flatnonzero(lat.leq[a])  # the subgroups of K_a, in node order
+    cols = np.flatnonzero(lat.leq[a] & lat.leq[:, top])  # the subgroups of K_a over H
     masks = np.array([lat.payload[m].mask for m in cols], dtype=float)
     fixed = lat.payload[a].character_table() @ masks.T / masks.sum(axis=1)
     dims = np.zeros((len(fixed), lat.n))
@@ -110,7 +117,7 @@ def _fixed_dims(lat: FiniteLattice, a: int) -> np.ndarray:
 
 def _central_nodes(dims: np.ndarray, b: int) -> np.ndarray:
     """Whether each b_M is central in the 2-box algebra of [a, b], read at
-    its members off dims = _fixed_dims(lat, a): rank 0 or full in each block."""
+    its members off dims = _fixed_dims(lat, a, top): rank 0 or full in each block."""
     return ((dims == 0) | (dims == dims[:, [b]])).all(axis=0)
 
 
@@ -119,7 +126,7 @@ def _interval_blocks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The blocks of an interval [a, b] of the biprojection lattice: the
     characters psi of K_a with <psi|_{K_b}, 1> > 0 (rows of dims =
-    _fixed_dims(lat, a)) and the node M of the b_M that each generates.
+    _fixed_dims(lat, a, top)) and the node M of the b_M that each generates.
 
     b_M.z_psi = z_psi exactly when the M-fixed and the K_b-fixed vectors
     of the psi-isotypic part agree, i.e. when <psi|_M, 1> = <psi|_{K_b}, 1>.
@@ -139,13 +146,13 @@ def _interval_blocks(
 
 def _interval_w_cyclic(lat: FiniteLattice, dims: np.ndarray, a: int, b: int) -> bool:
     """w-cyclicity of the biprojection-lattice interval [a, b]: some block
-    generates its top b, read off dims = _fixed_dims(lat, a)."""
+    generates its top b, read off dims = _fixed_dims(lat, a, top)."""
     return bool(np.any(_interval_blocks(lat, dims, a, b)[1] == b))
 
 
 def _interval_z(lat: FiniteLattice, dims: np.ndarray, a: int, b: int) -> bool:
     """(Z) on the biprojection-lattice interval [a, b]: every block
-    generates a central b_M, read off dims = _fixed_dims(lat, a)."""
+    generates a central b_M, read off dims = _fixed_dims(lat, a, top)."""
     return bool(_central_nodes(dims, b)[_interval_blocks(lat, dims, a, b)[1]].all())
 
 
@@ -153,8 +160,8 @@ def _context_dims(ctx: BoxContext) -> np.ndarray:
     """_fixed_dims of the whole biprojection lattice of ctx, built once: the
     block nodes, (Z), Dedekind and w+ all read this one table."""
     if "fixed_dims" not in ctx._cache:
-        lat = biprojection_lattice(ctx)
-        ctx._cache["fixed_dims"] = _fixed_dims(lat, lat.bottom)
+        lat, top = _biprojections(ctx)
+        ctx._cache["fixed_dims"] = _fixed_dims(lat, lat.bottom, top)
     return ctx._cache["fixed_dims"]
 
 
@@ -163,8 +170,8 @@ def _block_nodes(ctx: BoxContext) -> List[int]:
     central projection z_i, in block order, read off the character table on
     the whole lattice."""
     if "block_nodes" not in ctx._cache:
-        lat = biprojection_lattice(ctx)
-        rows, nodes = _interval_blocks(lat, _context_dims(ctx), lat.bottom, lat.top)
+        lat, top = _biprojections(ctx)
+        rows, nodes = _interval_blocks(lat, _context_dims(ctx), lat.bottom, top)
         node_of = dict(zip(rows.tolist(), nodes.tolist()))
         ctx._cache["block_nodes"] = [node_of[chi] for chi in block_characters(ctx)]
     return ctx._cache["block_nodes"]
@@ -175,7 +182,7 @@ def _block_subgroups(ctx: BoxContext) -> List[Subgroup]:
     block order.  For positive x and y, R(x + y) = R(x) v R(y), so a set of
     blocks generates b_K with K the intersection of their K_i: the block
     predicates are mask operations."""
-    lat = biprojection_lattice(ctx)
+    lat, _ = ctx.node
     return [lat.payload[i] for i in _block_nodes(ctx)]
 
 
@@ -222,15 +229,15 @@ def is_w_cyclic_dual(ctx: BoxContext) -> Optional[int]:
 
 def maximal_biprojections(ctx: BoxContext) -> List[Subgroup]:
     """The K of the coatoms b_K of the biprojection lattice: the minimal
-    overgroups of H, the atoms of ``ctx.lattice``, in node order."""
-    lat = ctx.lattice
-    return [lat.payload[i] for i in lat.atoms()]
+    overgroups of H, H's upper covers in ``ctx.node``, in node order."""
+    lat, i = ctx.node
+    return [lat.payload[j] for j in np.flatnonzero(lat.covers()[i])]
 
 
 def _step_dedekind(lat: FiniteLattice, a: int, b: int) -> bool:
-    """Dedekind on the step [a, b] of a biprojection lattice or one of its
-    intervals: b is b_inner, a is b_outer, and every member b_K must be
-    normal.  Read off the members' subgroups: no step lattice is built."""
+    """Dedekind on the step [a, b] of a biprojection lattice: b is b_inner,
+    a is b_outer, and every member b_K must be normal.  Read off the
+    members' subgroups: no step lattice is built."""
     subs = lat.payload
     members = np.flatnonzero(lat.leq[a] & lat.leq[:, b])
     return is_dedekind_interval(subs[b], subs[a], [subs[m] for m in members])
@@ -241,8 +248,7 @@ def is_dedekind(ctx: BoxContext) -> bool:
     i.e. central, read off the fixed-point table: in the block of chi, b_K
     has rank <chi|_K, 1>, so b_K is central exactly when that rank is 0 or
     <chi|_H, 1> for every chi.  (The same as HgK = KgH for every g.)"""
-    lat = biprojection_lattice(ctx)
-    return bool(_central_nodes(_context_dims(ctx), lat.top).all())
+    return bool(_central_nodes(_context_dims(ctx), ctx.node[1]).all())
 
 
 def is_cyclic(ctx: BoxContext) -> bool:
@@ -260,11 +266,10 @@ def w_plus_cyclic(ctx: BoxContext) -> bool:
     range misses part of it: w+ holds.  If every block has some d_j = m, the
     range fills every block: w+ fails.  Only the pairs left between take
     the range projection."""
-    lat = biprojection_lattice(ctx)
-    dims = _context_dims(ctx)
-    live = dims[:, lat.top] > 0
-    m = dims[live, lat.top]
-    d = dims[live][:, ctx.lattice.atoms()]  # H = G: no K_j, and w+ holds
+    (lat, i), dims = ctx.node, _context_dims(ctx)
+    live = dims[:, i] > 0
+    m = dims[live, i]
+    d = dims[live][:, lat.covers()[i]]  # the K_j; H = G: none, and w+ holds
     if (d.sum(axis=1) < m).any():
         return True
     if (d == m[:, None]).any(axis=1).all():
@@ -296,14 +301,12 @@ def lw_rw_cyclic(ctx: BoxContext, k: Subgroup) -> Dict[str, bool]:
     [H, G] raises ValueError.
     """
     require_nested(ctx.sub, k)
-    lat = biprojection_lattice(ctx)
-    if "node_of_key" not in ctx._cache:
-        ctx._cache["node_of_key"] = {s.key(): i for i, s in enumerate(lat.payload)}
-    node = ctx._cache["node_of_key"].get(k.key())
+    lat, top = _biprojections(ctx)
+    node = lat.node_of.get(k.key())
     if node is None:
         raise ValueError(f"{k!r} is not a subgroup between H and G")
     return {
-        "lw": _interval_w_cyclic(lat, _fixed_dims(lat, node), node, lat.top),
+        "lw": _interval_w_cyclic(lat, _fixed_dims(lat, node, top), node, top),
         "rw": _interval_w_cyclic(lat, _context_dims(ctx), lat.bottom, node),
     }
 
@@ -315,7 +318,7 @@ def _z_violation(ctx: BoxContext) -> Optional[int]:
     """Index of the first minimal central projection generating a
     non-central biprojection, or None, read off the fixed-point table (see
     is_dedekind)."""
-    central = _central_nodes(_context_dims(ctx), biprojection_lattice(ctx).top)
+    central = _central_nodes(_context_dims(ctx), ctx.node[1])
     bad = np.flatnonzero(~central[_block_nodes(ctx)])
     return int(bad[0]) if len(bad) else None
 
@@ -431,29 +434,17 @@ def property_F2(ctx: BoxContext) -> bool:
 
 def property_Z_tilde(ctx: BoxContext) -> bool:
     """(Z) holds on every interval [a, b] of the biprojection lattice with
-    a < b, the full one included: one _fixed_dims(lat, a) serves each a."""
-    lat = biprojection_lattice(ctx)
-    for a in np.flatnonzero(~lat.leq[lat.top]):  # every a below the top
-        dims = _fixed_dims(lat, a)
-        upper = np.flatnonzero(lat.leq[a])[:-1]  # [a, top] but a, its last node
+    a < b, the full one included: one _fixed_dims(lat, a, top) serves each a."""
+    lat, top = _biprojections(ctx)
+    for a in np.flatnonzero(lat.leq[:, top])[1:]:  # [e1, id] but id, H's node, its first
+        dims = _fixed_dims(lat, a, top)
+        upper = np.flatnonzero(lat.leq[a] & lat.leq[:, top])[:-1]  # [a, top] but a, its last node
         if not all(_interval_z(lat, dims, a, b) for b in upper):
             return False
     return True
 
 
 # -- chain lengths ------------------------------------------------------------
-
-
-def _normaliser_nodes(ctx: BoxContext) -> np.ndarray:
-    """The node of N_G(K_b) for every node b of the biprojection lattice: it
-    holds K_b, so it lies in [H, G].  K_b is normal in K_a exactly when
-    K_a <= N_G(K_b), that is when lat.leq[nodes[b], a]."""
-    if "normalisers" not in ctx._cache:
-        lat, g = biprojection_lattice(ctx), ctx.group
-        node = ctx._cache.setdefault("node_of_key", {k.key(): i for i, k in enumerate(lat.payload)})
-        conj = (k.mask[g.cayley[g.cayley[:, k.indices], g.inverse[:, None]]] for k in lat.payload)
-        ctx._cache["normalisers"] = np.array([node[np.packbits(c.all(1)).tobytes()] for c in conj])
-    return ctx._cache["normalisers"]
 
 
 def _fold(table: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -465,7 +456,7 @@ def _fold(table: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return nodes[:, 0]
 
 
-def _step_parts(ctx: BoxContext, side: str, a: int, fresh: np.ndarray):
+def _step_parts(lat: FiniteLattice, side: str, a: int, fresh: np.ndarray):
     """(lo, hi, k) for the steps [a, b], b in fresh: the top part [lo, b]
     (side "t") or, for a below the top, the bottom part [lo = a, hi] ("b")
     of each, and k its atoms, which are the step's atoms (coatoms, for a top
@@ -473,17 +464,11 @@ def _step_parts(ctx: BoxContext, side: str, a: int, fresh: np.ndarray):
     over a, in cover lists padded with b itself.  A part is the join of its
     atoms (or dually), so it is Boolean exactly when distributive (Birkhoff:
     the join-irreducibles below a join of atoms are atoms), of rank k."""
-    lat = biprojection_lattice(ctx)
     if side == "b":
         covers = np.flatnonzero(lat.covers()[a])
         under = lat.leq[covers][:, fresh].T  # row b: the atoms of [a, b]
         return np.full_like(fresh, a), _fold(lat.join, np.where(under, covers, a)), under.sum(1)
-    if "lower_covers" not in ctx._cache:
-        lower = [np.flatnonzero(col) for col in lat.covers().T]
-        width = max(1, *map(len, lower))
-        pad = [np.pad(c, (0, width - len(c)), constant_values=b) for b, c in enumerate(lower)]
-        ctx._cache["lower_covers"] = np.array(pad)
-    lower = ctx._cache["lower_covers"][fresh]
+    lower = lat.lower_covers[fresh]
     over = lat.leq[a, lower] & (lower != fresh[:, None])  # row b: the coatoms of [a, b]
     return _fold(lat.meet, np.where(over, lower, fresh[:, None])), fresh, over.sum(axis=1)
 
@@ -504,11 +489,11 @@ def _shortest_chain(ctx: BoxContext, name: str) -> int:
     if m is None and name not in ("cl", "dl", "wcl"):
         raise ValueError(f"unknown chain-length name: {name!r}")
     side, kind, digits = m.groups() if m else ("", name[0], None)
-    lat = biprojection_lattice(ctx)
-    dist = np.full(lat.n, -1)
+    lat, top = _biprojections(ctx)
+    dist = np.where(lat.leq[:, top], -1, lat.n)  # the nodes off [e1, id] count as reached
     dist[lat.bottom] = 0
     queue = deque([lat.bottom])
-    while dist[lat.top] < 0:
+    while dist[top] < 0:
         if not queue:
             raise BiprojectionCheckFailed("no admissible chain reaches the top")
         a = queue.popleft()
@@ -519,15 +504,16 @@ def _shortest_chain(ctx: BoxContext, name: str) -> int:
             row = row[fresh]
         else:  # a part has fewer than n atoms: no cap is a cap of n
             whole = (np.full_like(fresh, a), fresh, 0)
-            lo, hi, k = _step_parts(ctx, side, a, fresh) if side else whole
+            lo, hi, k = _step_parts(lat, side, a, fresh) if side else whole
             row = lat.distributive_intervals[lo, hi] & (k <= int(digits or lat.n))
         if kind == "c":  # only an inner not normal in its outer takes double cosets
-            for i in np.flatnonzero(row & ~lat.leq[_normaliser_nodes(ctx)[hi], lo]):
-                row[i] = _step_dedekind(lat, lo[i], hi[i])
+            for i in np.flatnonzero(row):  # N_G(K) is built once per subgroup, when asked for
+                if not lat.payload[lo[i]] <= lat.payload[hi[i]].normaliser:
+                    row[i] = _step_dedekind(lat, lo[i], hi[i])
         reached = fresh[row]
         dist[reached] = dist[a] + 1
         queue.extend(reached.tolist())
-    return int(dist[lat.top])
+    return int(dist[top])
 
 
 def wcl_generators(ctx: BoxContext) -> int:
@@ -670,7 +656,7 @@ def verify_theorems(ctx: BoxContext) -> List[ImplicationResult]:
     conclusion false can only arise from an internal error; callers (and
     the test suite) assert `all(r.holds for r in rows)`.
     """
-    lat = biprojection_lattice(ctx)
+    lat, top = _biprojections(ctx)
     distributive = is_distributive(*ctx.node)
     dedekind = is_dedekind(ctx)
     cyclic = distributive and dedekind
@@ -678,9 +664,9 @@ def verify_theorems(ctx: BoxContext) -> List[ImplicationResult]:
     w_plus = w_plus_cyclic(ctx)
     bound = sum_bound(ctx)
     rank = boolean_rank(*ctx.node)
-    n_maximal = len(lat.coatoms())
-    m = int(_step_parts(ctx, "t", lat.bottom, np.array([lat.top]))[0][0])  # top part [m, top]
-    top_w = _interval_w_cyclic(lat, _fixed_dims(lat, m), m, lat.top)
+    n_maximal = len(maximal_biprojections(ctx))
+    m = int(_step_parts(lat, "t", lat.bottom, np.array([top]))[0][0])  # top part [m, top]
+    top_w = _interval_w_cyclic(lat, _fixed_dims(lat, m, top), m, top)
     rows = [
         ImplicationResult("cyclic-implies-w-cyclic", cyclic, w),
         ImplicationResult(

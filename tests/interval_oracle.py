@@ -3,18 +3,29 @@
 ``equivalence_key`` is the invariant bucket of an inclusion read off its core
 quotient, always built, as before equivalence classing took a core-free pair
 (G, H) as its own quotient.  ``is_linearly_primitive_group`` asks whether
-some irreducible block of G over {1} is faithful.
+some irreducible block of G over {1} is faithful.  ``core_quotient`` is
+the pair (G/core_G(H), image of H) always built as a quotient, even when
+core_G(H) = 1, as before ``core_pair`` took a core-free pair as its own.
 """
 
 from __future__ import annotations
 
 from biprox.interval import (
     Inclusion,
-    core_quotient,
+    action_quotient,
+    coset_action,
     is_linearly_primitive_inclusion,
     pair_invariants,
 )
-from biprox.permgroup import FiniteGroup
+from biprox.permgroup import FiniteGroup, Subgroup
+
+
+def core_quotient(inc: Inclusion) -> tuple[FiniteGroup, Subgroup]:
+    """(G/core_G(H), image of H), the invariant pair behind equivalence: the
+    group of ``coset_action(inc)`` (G on the left cosets of H, kernel
+    core_G(H)) and the stabilizer of the coset H, built even if core_G(H) = 1.
+    QuotientOrderCapExceeded is raised before building one past QUOTIENT_CAP."""
+    return action_quotient(inc.group, *coset_action(inc))
 
 
 def equivalence_key(inc: Inclusion) -> tuple:

@@ -18,8 +18,27 @@ from biprox.lattice import FiniteLattice, boolean_rank
 
 
 def induced_sublattice(lat: FiniteLattice, members: Sequence[int]) -> FiniteLattice:
-    """The sublattice on ``members``; raises if not meet/join closed."""
-    return lat._restrict(np.asarray(sorted(members), dtype=np.int64))
+    """The sublattice on ``members``, in node order, with their labels and
+    payload and tables of its own; raises ValueError if not meet/join
+    closed.  (The former ``FiniteLattice._restrict``.)"""
+    members = np.asarray(sorted(members), dtype=np.int64)
+    tables = []
+    for table, name in ((lat.meet, "meet"), (lat.join, "join")):
+        sub = table[np.ix_(members, members)]
+        pos = np.searchsorted(members, sub)
+        if not np.array_equal(members[np.minimum(pos, len(members) - 1)], sub):
+            raise ValueError(f"subset is not closed under {name}")
+        tables.append(pos)
+    leq = lat.leq[np.ix_(members, members)]
+    bottom = int(np.flatnonzero(leq.sum(axis=1) == len(members))[0])
+    top = int(np.flatnonzero(leq.sum(axis=0) == len(members))[0])
+    payload = None
+    if lat.payload is not None:
+        payload = tuple(lat.payload[int(m)] for m in members)
+    return FiniteLattice._finish(
+        len(members), leq, tables[0], tables[1], bottom, top,
+        tuple(lat.labels[int(m)] for m in members), payload,
+    )
 
 
 def complement(lat: FiniteLattice, b: int) -> int:

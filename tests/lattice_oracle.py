@@ -1,5 +1,10 @@
 """Independent lattice routes, kept as test oracles.
 
+``interval_lattice`` is an interval [lo, hi] restricted into a lattice of
+its own, with its own tables, covers and failure list, as ``src/`` built
+[H, G] and every step before it read them by their endpoints in the group's
+lattice; ``subgroup_interval`` is the former ``Inclusion.lattice``, [H, G]
+so restricted unless H is the lattice's bottom.
 ``interval_subgroups`` is the subgroup scan for [H, G] that its lattice
 used before every interval became a restriction of one subgroup lattice per
 group; ``row_infima`` is the row-by-row meet routine the level tables
@@ -28,7 +33,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from biprox.boxalgebra import BoxContext, biprojection_lattice
+from biprox.boxalgebra import BoxContext
 from biprox.interval import Inclusion
 from biprox.lattice import (
     _BLOCK_CELLS,
@@ -50,7 +55,21 @@ from biprox.permgroup import (
     generator_strings,
     require_nested,
 )
-from biprox.properties import _block_nodes, _step_dedekind
+from biprox.properties import _biprojections, _block_nodes, _step_dedekind
+from lattice_fixtures import induced_sublattice
+
+
+def interval_lattice(lat: FiniteLattice, lo: int, hi: int) -> FiniteLattice:
+    """The interval [lo, hi] of ``lat`` as a lattice on its members, in node
+    order, that computes its own covers, depths and failures."""
+    return induced_sublattice(lat, np.flatnonzero(lat.leq[lo] & lat.leq[:, hi]))
+
+
+def subgroup_interval(inc: Inclusion) -> FiniteLattice:
+    """[H, G] as a lattice: the group's lattice itself when H is its bottom,
+    else ``interval_lattice`` at H's node."""
+    lat, i = inc.node
+    return lat if i == lat.bottom else interval_lattice(lat, i, lat.top)
 
 
 def interval_subgroups(h: Subgroup, group: FiniteGroup) -> list[Subgroup]:
@@ -166,8 +185,8 @@ def restricted_figures(inc: Inclusion) -> dict:
     its own (no parent: it computes its own covers and depths), and decided
     by the valuations."""
     lat, i = inc.node
-    part = lat._restrict(np.flatnonzero(lat.leq[i]))
-    assert part.interval_of is None and part.reversed_of is None
+    part = interval_lattice(lat, i, lat.top)
+    assert part.reversed_of is None
     k = len(part.atoms())
     distributive = valuation_is_distributive(part)
     return {
@@ -199,12 +218,12 @@ def bottom_part(lat: FiniteLattice, a: int, b: int) -> int:
 
 def top_interval(lat: FiniteLattice) -> FiniteLattice:
     """The interval [B, 1] with B the meet of all coatoms."""
-    return lat.interval(top_part(lat, lat.bottom, lat.top), lat.top)
+    return interval_lattice(lat, top_part(lat, lat.bottom, lat.top), lat.top)
 
 
 def bottom_interval(lat: FiniteLattice) -> FiniteLattice:
     """The interval [0, b] with b the join of all atoms."""
-    return lat.interval(lat.bottom, bottom_part(lat, lat.bottom, lat.top))
+    return interval_lattice(lat, lat.bottom, bottom_part(lat, lat.bottom, lat.top))
 
 
 def _interval_cyclic(lat: FiniteLattice) -> bool:
@@ -213,21 +232,21 @@ def _interval_cyclic(lat: FiniteLattice) -> bool:
 
 def interval_step_predicate(name: str, lat: FiniteLattice) -> Callable[[int, int], bool]:
     """The step predicate of a chain-length name on the biprojection lattice
-    ``lat``, each step [a, b] built as ``lat.interval(a, b)`` and decided by
+    ``lat``, each step [a, b] built as ``interval_lattice(lat, a, b)`` and decided by
     ``is_distributive`` or ``boolean_rank`` on it, or on its top or bottom
     interval for a "t" or "b" name."""
     if name == "cl":
-        return lambda a, b: _interval_cyclic(lat.interval(a, b))
+        return lambda a, b: _interval_cyclic(interval_lattice(lat, a, b))
     if name == "dl":
-        return lambda a, b: is_distributive(lat.interval(a, b))
+        return lambda a, b: is_distributive(interval_lattice(lat, a, b))
     side, kind, digits = re.fullmatch(r"([tb])(c|b([1-9]\d*)?)l", name).groups()
     part = top_interval if side == "t" else bottom_interval
     if kind == "c":
-        return lambda a, b: _interval_cyclic(part(lat.interval(a, b)))
+        return lambda a, b: _interval_cyclic(part(interval_lattice(lat, a, b)))
     cap = int(digits) if digits else None
 
     def pred(a: int, b: int) -> bool:
-        rank = boolean_rank(part(lat.interval(a, b)))
+        rank = boolean_rank(part(interval_lattice(lat, a, b)))
         return rank is not None and (cap is None or rank <= cap)
 
     return pred
@@ -238,7 +257,9 @@ def interval_route_length(lat: FiniteLattice, name: str) -> int:
     same search as ``closure_route_length``, with ``interval_step_predicate``
     steps."""
     pred = interval_step_predicate(name, lat)
-    return closure_shortest_chain(lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)])
+    return closure_shortest_chain(
+        lat, lat.top, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)]
+    )
 
 
 def closure_step_predicate(name: str, lat: FiniteLattice) -> Callable[[int, int], bool]:
@@ -277,33 +298,36 @@ def closure_step_predicate(name: str, lat: FiniteLattice) -> Callable[[int, int]
 
 
 def closure_shortest_chain(
-    lat: FiniteLattice, step: Callable[[int, np.ndarray], Iterable[int]]
+    lat: FiniteLattice, top: int, step: Callable[[int, np.ndarray], Iterable[int]]
 ) -> int:
     """Length of a shortest chain bottom = b_0 < ... < b_l = top of lat, by
     breadth-first search.  step(a, fresh) returns the nodes of fresh (the
-    unvisited b > a, increasing) that one step from a reaches."""
+    unvisited b in [a, top] but a, increasing) that one step from a reaches."""
     dist = np.full(lat.n, -1)
     dist[lat.bottom] = 0
     queue = deque([lat.bottom])
-    while dist[lat.top] < 0:
+    while dist[top] < 0:
         a = queue.popleft()
-        for b in step(a, np.flatnonzero(lat.leq[a] & (dist < 0))):
+        for b in step(a, np.flatnonzero(lat.leq[a] & lat.leq[:, top] & (dist < 0))):
             dist[b] = dist[a] + 1
             queue.append(b)
-    return int(dist[lat.top])
+    return int(dist[top])
 
 
 def closure_route_length(ctx: BoxContext, name: str) -> int:
     """The chain length ``name`` of ``ctx`` with a per-pair step closure:
-    ``closure_step_predicate``, or for "wcl" the join with one block node."""
-    lat = biprojection_lattice(ctx)
+    ``closure_step_predicate``, or for "wcl" the join with one block node,
+    on the biprojection lattice read by its endpoints as ``lengths`` reads it."""
+    lat, top = _biprojections(ctx)
     if name == "wcl":
         nodes = np.unique(_block_nodes(ctx))
         return closure_shortest_chain(
-            lat, lambda a, fresh: np.intersect1d(fresh, lat.join[a, nodes])
+            lat, top, lambda a, fresh: np.intersect1d(fresh, lat.join[a, nodes])
         )
     pred = closure_step_predicate(name, lat)
-    return closure_shortest_chain(lat, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)])
+    return closure_shortest_chain(
+        lat, top, lambda a, fresh: [b for b in fresh.tolist() if pred(a, b)]
+    )
 
 
 def find_forbidden_bruteforce(lat: FiniteLattice) -> Optional[tuple[str, tuple[int, ...]]]:

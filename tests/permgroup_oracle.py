@@ -11,14 +11,39 @@ its key is the least over all of its conjugates.  ``orbit_conjugacy_classes``
 is the former ``permgroup._conjugacy_classes``: one conjugation orbit per
 Python step.  ``unseeded_generating_sets`` is the former
 ``permgroup.generating_sets``, whose spans took in each pick alone rather
-than its cyclic subgroup before they closed.
+than its cyclic subgroup before they closed.  ``subgroup_from_perms`` (the
+former ``FiniteGroup`` method) and ``double_cosets`` are former public
+names of ``biprox.permgroup`` that only tests called.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from biprox.permgroup import FiniteGroup, Subgroup, _close, all_subgroups
+from biprox.permgroup import (
+    FiniteGroup,
+    Permutation,
+    Subgroup,
+    _close,
+    all_subgroups,
+    double_coset_labels,
+    subgroup_generated,
+)
+
+
+def subgroup_from_perms(group: FiniteGroup, perms: Iterable[Permutation]) -> Subgroup:
+    """The subgroup of ``group`` generated by the permutations ``perms``."""
+    return subgroup_generated(group, {group.index_of(p) for p in perms})
+
+
+def double_cosets(group: FiniteGroup, a: Subgroup, b: Subgroup) -> list[np.ndarray]:
+    """All A\\G/B double cosets, each sorted, ordered by minimal element index."""
+    labels = double_coset_labels(a, b)
+    members = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[members])) + 1
+    return np.split(members, starts)
 
 
 def _close_every_generator(group: FiniteGroup, masks: np.ndarray, gens: np.ndarray) -> None:

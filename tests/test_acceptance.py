@@ -220,7 +220,7 @@ def corpus():
             is_dedekind(ctx),
             is_cyclic(ctx),
             ore[key][0].distributive,
-            boolean_rank(inc.lattice),
+            boolean_rank(*inc.node),
             sum_bound(ctx),
         )
         if inc.sub.order == 1:

@@ -79,6 +79,8 @@ DATA = Path(__file__).resolve().parent / "data"
         # A6/{1}: the one pin where cl (3) exceeds dl (2), so the Dedekind half
         # of each cl step decides the length.
         ("perm:(1,2,3);(2,3,4,5,6)", "trivial", "A6_1"),
+        # A6/<(1,2)(3,4)>: a 38-node [H, G] read off A6's 501-node lattice by its endpoints.
+        ("perm:(1,2,3);(2,3,4,5,6)", "(1,2)(3,4)", "A6_12_34"),
     ],
 )
 def test_analyze_output_is_pinned(capsys, group, subgroup, name) -> None:

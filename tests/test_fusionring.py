@@ -20,6 +20,7 @@ from biprox.fusionring import (
     parse_fusion_text,
     verify_axioms,
 )
+from permgroup_oracle import subgroup_from_perms
 
 
 def trivial_ctx(name: str) -> BoxContext:
@@ -190,7 +191,7 @@ def test_extraction_requires_trivial_subgroup() -> None:
     g = catalog_group("S4")
     from biprox.permgroup import parse_cycles
 
-    k = g.subgroup_from_perms([parse_cycles("(1,2)", g.degree)])
+    k = subgroup_from_perms(g, [parse_cycles("(1,2)", g.degree)])
     with pytest.raises(NotTrivialH):
         fusion_from_context(BoxContext(g, k))
 

@@ -24,7 +24,6 @@ from biprox.interval import (
     Inclusion,
     action_quotient,
     core_pair,
-    core_quotient,
     coset_action,
     dual_ore_conditions,
     inclusions_equivalent,
@@ -34,7 +33,7 @@ from biprox.interval import (
     pair_invariants,
 )
 from biprox.permgroup import FiniteGroup, parse_cycles, subgroup_generated
-from interval_oracle import equivalence_key, is_linearly_primitive_group
+from interval_oracle import core_quotient, equivalence_key, is_linearly_primitive_group
 from lattice_oracle import interval_subgroups
 
 
@@ -59,8 +58,9 @@ def full(group_name: str) -> Inclusion:
 def test_inclusion_basics() -> None:
     inc = make("S4", "(1,2)")
     assert inc.index == 12
-    assert inc.lattice.n == 6
-    assert inc.lattice is inc.lattice  # cached
+    lat, i = inc.node
+    assert np.count_nonzero(lat.leq[i]) == 6  # [H, G] is the up-set of H's node
+    assert inc.node is inc.node  # cached
 
 
 def test_inclusion_rejects_foreign_subgroup() -> None:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import biprox.boxalgebra
 import biprox.lattice
 from biprox.boxalgebra import BoxContext, biprojection_lattice
 from biprox.catalog import catalog_group
@@ -45,7 +46,7 @@ from biprox.permgroup import (
     parse_cycles,
     subgroup_generated,
 )
-from biprox.properties import _step_parts
+from biprox.properties import _biprojections, _step_parts
 from lattice_fixtures import (
     boolean_lattice,
     chain,
@@ -60,11 +61,13 @@ from lattice_fixtures import (
 from lattice_oracle import (
     bottom_part,
     find_forbidden_bruteforce,
+    interval_lattice,
     restricted_figures,
     row_lattice,
     scan_is_distributive,
     scan_is_modular,
     standalone_interval_lattice,
+    subgroup_interval,
     top_part,
     valuation_is_distributive,
     valuation_is_modular,
@@ -78,7 +81,7 @@ def interval(group_name: str, *subgroup_cycles: str) -> FiniteLattice:
         h = subgroup_generated(g, idx)
     else:
         h = g.trivial_subgroup()
-    return Inclusion(g, h).lattice
+    return subgroup_interval(Inclusion(g, h))
 
 
 # ---------------------------------------------------------------- basics
@@ -375,11 +378,12 @@ def _boolean_rank_cases() -> list[FiniteLattice]:
     families under products and stacking."""
     cases = []
     for _name, inc in enumerate_pairs():
-        lat = inc.lattice
+        lat = subgroup_interval(inc)
         top, bottom = top_part(lat, lat.bottom, lat.top), bottom_part(lat, lat.bottom, lat.top)
-        cases += [lat, lat.interval(top, lat.top), lat.interval(lat.bottom, bottom)]
+        cases += [lat, interval_lattice(lat, top, lat.top)]
+        cases += [interval_lattice(lat, lat.bottom, bottom)]
         if lat.n <= 32:
-            cases += [lat.interval(a, b) for a, b in zip(*np.nonzero(lat.leq))]
+            cases += [interval_lattice(lat, a, b) for a, b in zip(*np.nonzero(lat.leq))]
     small = [chain(0), chain(1), chain(2), chain(3), diamond_m3(), pentagon_n5()]
     small += [boolean_lattice(k) for k in range(4)]
     cases += [divisor_lattice(n) for n in range(1, 121)]
@@ -420,9 +424,9 @@ def _whole_step_parts(group_name: str):
     [H, G], so its bottom part is the top part of [H, G] and vice versa."""
     g = catalog_group(group_name)
     ctx = BoxContext(g, g.trivial_subgroup())
-    bip = biprojection_lattice(ctx)
-    step = (bip.bottom, np.array([bip.top]))
-    return ctx.lattice, _step_parts(ctx, "b", *step), _step_parts(ctx, "t", *step)
+    bip, top = _biprojections(ctx)
+    step = (bip.bottom, np.array([top]))
+    return ctx.node[0], _step_parts(bip, "b", *step), _step_parts(bip, "t", *step)
 
 
 def test_top_part_z12() -> None:
@@ -430,7 +434,7 @@ def test_top_part_z12() -> None:
     # order 2, and the top part [C2, Z12] = {2,4,6,12} is a 2-cube.
     lat, (_, (m,), (k,)), _ = _whole_step_parts("Z12")
     assert m == top_part(lat, lat.bottom, lat.top) and k == 2
-    top = lat.interval(m, lat.top)
+    top = interval_lattice(lat, m, lat.top)
     assert top.n == 4
     assert boolean_rank(top) == 2
     assert [k.order for k in top.payload] == [2, 4, 6, 12]
@@ -444,14 +448,14 @@ def test_bottom_part_s3() -> None:
     # Atoms of L(S3) generate everything: join of atoms is S3 itself.
     lat, _, ((j,), _, (k,)) = _whole_step_parts("S3")
     assert j == bottom_part(lat, lat.bottom, lat.top) and k == 4
-    bot = lat.interval(lat.bottom, j)
+    bot = interval_lattice(lat, lat.bottom, j)
     assert bot.n == lat.n
     assert bot.labels == lat.labels and bot.payload == lat.payload
 
 
 def test_interval_of_chain() -> None:
     lat = chain(5)
-    mid = lat.interval(1, 4)
+    mid = interval_lattice(lat, 1, 4)
     assert mid.n == 4 and mid.height() == 3
     assert mid.labels == ("1", "2", "3", "4")
 
@@ -564,8 +568,9 @@ def _pairwise_closure_tables(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray
 )
 def test_interval_tables_match_group_meet_and_join(name: str, sub: tuple) -> None:
     # The tables come from the order alone; in [H, G] they must be the
-    # intersection and the generated subgroup.  (Catalog D4 has order 8,
-    # D8 order 16.)
+    # intersection and the generated subgroup, both in the oracle's
+    # interval_lattice and, swapped, in biprojection_lattice, whichever way
+    # it is built.  (Catalog D4 has order 8, D8 order 16.)
     lat = interval(name, *sub)
     meet, join = _pairwise_closure_tables(lat)
     assert np.array_equal(lat.meet, meet)
@@ -573,6 +578,11 @@ def test_interval_tables_match_group_meet_and_join(name: str, sub: tuple) -> Non
     assert lat.bottom == 0 and lat.top == lat.n - 1
     orders = [k.order for k in lat.payload]
     assert orders == sorted(orders)
+    h = lat.payload[lat.bottom]
+    bip = biprojection_lattice(BoxContext(h.parent, h))
+    assert [k.key() for k in bip.payload] == [k.key() for k in lat.payload]
+    assert np.array_equal(bip.meet, join) and np.array_equal(bip.join, meet)
+    assert (bip.bottom, bip.top) == (lat.top, lat.bottom)
 
 
 # ------------------------------- level tables, failure lists and valuations
@@ -604,7 +614,7 @@ def _combine(a: FiniteLattice, b: FiniteLattice, how: str) -> FiniteLattice:
 def _subgroup_interval(name: str, pick: int) -> FiniteLattice:
     g = catalog_group(name)
     subs = all_subgroups(g)
-    return Inclusion(g, subs[pick % len(subs)]).lattice
+    return subgroup_interval(Inclusion(g, subs[pick % len(subs)]))
 
 
 def _semimodular_s7() -> FiniteLattice:
@@ -748,7 +758,7 @@ def test_distributive_intervals_match_interval_lattices(
     # in one block or one row per block.
     expected = np.zeros((lat.n, lat.n), dtype=bool)
     for a, b in zip(*np.nonzero(lat.leq)):
-        expected[a, b] = valuation_is_distributive(lat.interval(a, b))
+        expected[a, b] = valuation_is_distributive(interval_lattice(lat, a, b))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(biprox.lattice, "_BLOCK_CELLS", block_cells)
         assert np.array_equal(lat.distributive_intervals, expected)
@@ -767,7 +777,7 @@ def test_upper_intervals_match_triple_scans(lat: FiniteLattice, block_cells: int
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(biprox.lattice, "_BLOCK_CELLS", block_cells)
         for a in range(lat.n):
-            part = lat.interval(a, lat.top)
+            part = interval_lattice(lat, a, lat.top)
             modular, distributive = scan_is_modular(part)[0], scan_is_distributive(part)[0]
             assert is_modular(lat, a) == is_modular(fresh, a) == modular, a
             assert is_distributive(lat, a) == is_distributive(fresh, a) == distributive, a
@@ -800,11 +810,16 @@ def test_lattice_figures_match_restricted_lattices_on_the_census(capsys) -> None
 
 
 def test_lattice_command_builds_no_interval_lattice(monkeypatch, capsys) -> None:
-    # [<(1,2)>, S4] is read off S4's lattice by its node, in JSON and DOT.
+    # [<(1,2)>, S4] is read off S4's lattice by its node, in JSON and DOT:
+    # once that lattice is cached, no lattice is built at all.
     def refuse(*_args, **_kwargs):
         raise AssertionError("an interval lattice was built")
 
-    monkeypatch.setattr(FiniteLattice, "_restrict", refuse)
+    s4 = catalog_group("S4")
+    Inclusion(s4, s4.trivial_subgroup()).node
+    monkeypatch.setattr(FiniteLattice, "from_order", refuse)
+    monkeypatch.setattr(FiniteLattice, "_finish", refuse)
+    monkeypatch.setattr(biprox.boxalgebra, "biprojection_lattice", refuse)
     for fmt in ("json", "dot"):
         assert main(["lattice", "--group", "S4", "--subgroup", "(1,2)", "--format", fmt]) == 0
         assert "size" in capsys.readouterr().out
@@ -813,21 +828,26 @@ def test_lattice_command_builds_no_interval_lattice(monkeypatch, capsys) -> None
 def test_valuations_match_triple_scans_on_census_intervals() -> None:
     # Every interval [a, b] with a < b of the 565 census lattices, [H, G]
     # itself included: modularity and distributivity from the failure list
-    # (each interval reads its parent's), the witness and the parent's
-    # distributive-interval table against the triple scans.
+    # of the interval lattice, the witness, and the distributive-interval
+    # table of the group's lattice at the same endpoints, against the
+    # triple scans.
     counts = {"intervals": 0, "not distributive": 0, "not modular": 0}
     for name, inc in enumerate_pairs():
-        lat = inc.lattice
+        group_lat, i = inc.node
+        members = np.flatnonzero(group_lat.leq[i])
+        lat = interval_lattice(group_lat, i, group_lat.top)
         for a, b in zip(*np.nonzero(lat.leq)):
             if a == b:
                 continue
-            part = lat.interval(a, b)
+            part = interval_lattice(lat, a, b)
             modular, pentagon = scan_is_modular(part)
             distributive, witness = scan_is_distributive(part)
             assert is_modular(part) == modular, (name, a, b)
             assert is_distributive(part) == distributive, (name, a, b)
             assert forbidden_sublattice(part) == witness, (name, a, b)
             assert lat.distributive_intervals[a, b] == distributive, (name, a, b)
+            endpoints = (members[a], members[b])
+            assert group_lat.distributive_intervals[endpoints] == distributive, (name, a, b)
             counts["intervals"] += 1
             counts["not distributive"] += not distributive
             counts["not modular"] += not modular
@@ -846,21 +866,27 @@ def test_height_is_the_longest_chain() -> None:
 
 
 def test_intervals_are_restrictions_of_one_lattice_per_group() -> None:
-    # Every catalog inclusion's [H, G] against a build of that interval
-    # alone (its members scanned, its tables row by row).
+    # Every catalog inclusion's [H, G], restricted from the group's lattice
+    # at H's node by interval_lattice and reversed by biprojection_lattice,
+    # against a build of that interval alone (its members scanned, its
+    # tables row by row).
     pairs = enumerate_pairs()
     assert len(pairs) == 565
     for name, inc in pairs:
-        lat, alone = inc.lattice, standalone_interval_lattice(inc.group, inc.sub)
-        assert np.array_equal(lat.leq, alone.leq), name
-        assert np.array_equal(lat.meet, alone.meet), name
-        assert np.array_equal(lat.join, alone.join), name
-        assert (lat.bottom, lat.top) == (alone.bottom, alone.top), name
-        assert lat.labels == alone.labels, name
-        assert [k.key() for k in lat.payload] == [k.key() for k in alone.payload], name
+        group_lat, i = inc.node
+        lat = interval_lattice(group_lat, i, group_lat.top)
+        alone = standalone_interval_lattice(inc.group, inc.sub)
+        bip = biprojection_lattice(BoxContext(inc.group, inc.sub))
+        assert np.array_equal(lat.leq, alone.leq) and np.array_equal(bip.leq, alone.leq.T), name
+        assert np.array_equal(lat.meet, alone.meet) and np.array_equal(bip.join, alone.meet), name
+        assert np.array_equal(lat.join, alone.join) and np.array_equal(bip.meet, alone.join), name
+        assert (lat.bottom, lat.top) == (alone.bottom, alone.top) == (bip.top, bip.bottom), name
+        assert lat.labels == alone.labels == bip.labels, name
+        keys = [k.key() for k in alone.payload]
+        assert [k.key() for k in lat.payload] == keys == [k.key() for k in bip.payload], name
     for group in {id(inc.group): inc.group for _, inc in pairs}.values():
-        whole = Inclusion(group, group.trivial_subgroup()).lattice
-        assert whole is group._subgroup_lattice[0]
+        whole, bottom = Inclusion(group, group.trivial_subgroup()).node
+        assert whole is group._subgroup_lattice and bottom == whole.bottom
         assert list(whole.payload) == all_subgroups(group)
 
 
@@ -869,7 +895,7 @@ def test_lattice_past_the_table_budget_is_a_cap_error(monkeypatch, capsys) -> No
     monkeypatch.setattr(biprox.lattice, "LATTICE_TABLE_BUDGET", 1024)
     s4 = FiniteGroup(catalog_group("S4").images)
     with pytest.raises(SubgroupCapExceeded, match="30 subgroups"):
-        Inclusion(s4, s4.trivial_subgroup()).lattice
+        Inclusion(s4, s4.trivial_subgroup()).node
     assert s4._subgroup_lattice is None
     assert main(["lattice", "--group", "perm:(1,2,3,4);(1,2)", "--format", "json"]) == 2
     assert "cap exceeded" in capsys.readouterr().err
@@ -888,20 +914,20 @@ def test_large_group_builds_each_interval_alone_within_the_budget(monkeypatch, c
     v4 = next(k for k in subs if k.order == 4 and k.is_normal())
     a4 = next(k for k in subs if k.order == 12)
     for h, size in ((v4, 6), (a4, 2)):
-        lat, alone = Inclusion(s4, h).lattice, standalone_interval_lattice(s4, h)
-        assert lat.n == size
+        (lat, i), alone = Inclusion(s4, h).node, standalone_interval_lattice(s4, h)
+        assert lat.n == size and i == lat.bottom
         assert np.array_equal(lat.leq, alone.leq)
         assert np.array_equal(lat.meet, alone.meet) and np.array_equal(lat.join, alone.join)
         assert lat.labels == alone.labels
         assert [k.key() for k in lat.payload] == [k.key() for k in alone.payload]
     assert s4._subgroup_lattice is None
     with pytest.raises(SubgroupCapExceeded, match="30 subgroups"):
-        Inclusion(s4, s4.trivial_subgroup()).lattice
+        Inclusion(s4, s4.trivial_subgroup()).node
     # A 2-element set that is no subgroup is refused on this route too.
     pair = np.zeros(s4.order, dtype=bool)
     pair[[s4.identity_index, s4.index_of(parse_cycles("(1,2,3)", degree=4))]] = True
     with pytest.raises(ValueError, match="not closed under products"):
-        Inclusion(s4, Subgroup(s4, pair)).lattice
+        Inclusion(s4, Subgroup(s4, pair)).node
     spec = ["lattice", "--group", "perm:(1,2,3,4);(1,2)", "--format", "json"]
     assert main(spec + ["--subgroup", "(1,2,3);(2,3,4)"]) == 0
     assert json.loads(capsys.readouterr().out)["size"] == 2
@@ -909,5 +935,5 @@ def test_large_group_builds_each_interval_alone_within_the_budget(monkeypatch, c
     # Once the whole lattice is cached, a large H reads its interval off it.
     monkeypatch.undo()
     monkeypatch.setattr(biprox.lattice, "_SHARED_LATTICE_NODES", 0)
-    whole = Inclusion(s4, s4.trivial_subgroup()).lattice
-    assert Inclusion(s4, v4).lattice.payload[0] is whole.payload[subs.index(v4)]
+    whole, _ = Inclusion(s4, s4.trivial_subgroup()).node
+    assert Inclusion(s4, v4).node == (whole, subs.index(v4))

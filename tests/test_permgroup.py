@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biprox.permgroup
+from biprox.boxalgebra import BoxContext
 from biprox.catalog import catalog_group, catalog_names, parse_group_spec, parse_subgroup_spec
 from biprox.cli import enumerate_pairs, subgroup_class_representatives
 from biprox.errors import DegreeMismatch, NotNested, OrderCapExceeded, SubgroupCapExceeded
@@ -18,7 +19,6 @@ from biprox.permgroup import (
     all_subgroups,
     core,
     double_coset_labels,
-    double_cosets,
     generating_indices,
     generating_sets,
     generator_strings,
@@ -29,8 +29,10 @@ from biprox.permgroup import (
     parse_generators,
     subgroup_generated,
 )
-from lattice_oracle import interval_subgroups
+from biprox.properties import maximal_biprojections
+from lattice_oracle import interval_subgroups, subgroup_interval
 from permgroup_oracle import (
+    double_cosets,
     every_seed_subgroups,
     min_key_class_representatives,
     orbit_conjugacy_classes,
@@ -560,12 +562,15 @@ def test_is_dedekind_interval_requires_every_member_nested():
 
 
 def _atoms(group, h):
-    lat = Inclusion(group, h).lattice
-    return [lat.payload[a] for a in lat.atoms()]
+    inc = Inclusion(group, h)
+    lat = subgroup_interval(inc)
+    atoms = [lat.payload[a] for a in lat.atoms()]
+    assert atoms == maximal_biprojections(BoxContext(group, h))
+    return atoms
 
 
 def _coatoms(group, h):
-    lat = Inclusion(group, h).lattice
+    lat = subgroup_interval(Inclusion(group, h))
     return [lat.payload[c] for c in lat.coatoms()]
 
 

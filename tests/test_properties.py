@@ -13,6 +13,9 @@ import random
 import numpy as np
 import pytest
 
+import biprox.boxalgebra
+import biprox.cli
+import biprox.interval
 import biprox.lattice
 from biprox import permgroup as permgroup_module
 from biprox import properties
@@ -51,6 +54,7 @@ from biprox.permgroup import (
     parse_generators,
 )
 from biprox.properties import (
+    _biprojections,
     _block_subgroups,
     _central_nodes,
     _context_dims,
@@ -90,6 +94,7 @@ from spectral_oracle import (
     top_context,
 )
 from interval_oracle import is_linearly_primitive_group
+from permgroup_oracle import subgroup_from_perms
 from lattice_oracle import (
     bottom_part,
     closure_route_length,
@@ -106,7 +111,7 @@ def trivial_ctx(name: str) -> BoxContext:
 
 def s4_over(cycles: str) -> BoxContext:
     g = catalog_group("S4")
-    return BoxContext(g, g.subgroup_from_perms([parse_cycles(cycles, g.degree)]))
+    return BoxContext(g, subgroup_from_perms(g, [parse_cycles(cycles, g.degree)]))
 
 
 # -- named small inclusions ---------------------------------------------------
@@ -356,9 +361,10 @@ def test_fixed_point_centrality_matches_double_cosets_on_the_census(census_conte
     # the table equals the double-coset test on every node of every [H, G].
     answers = set()
     for ctx in census_contexts:
-        lat = biprojection_lattice(ctx)
-        central = _central_nodes(_context_dims(ctx), lat.top)
-        normal = [is_normal_intermediate(ctx.sub, k, ctx.group) for k in lat.payload]
+        lat, top = _biprojections(ctx)
+        members = np.flatnonzero(lat.leq[:, top])
+        central = _central_nodes(_context_dims(ctx), top)[members]
+        normal = [is_normal_intermediate(ctx.sub, lat.payload[m], ctx.group) for m in members]
         assert central.tolist() == normal, ctx
         assert is_dedekind(ctx) == all(normal)
         first = next(
@@ -375,11 +381,11 @@ def test_fixed_point_centrality_matches_double_cosets_on_the_census(census_conte
 def test_interval_z_matches_double_cosets_on_census_sub_intervals(census_contexts):
     answers = []
     for ctx in census_contexts:
-        lat = biprojection_lattice(ctx)
+        lat, top = _biprojections(ctx)
         subs = lat.payload
-        for a in range(lat.n):
-            dims = _fixed_dims(lat, a)  # one table serves every [a, b]
-            for b in np.flatnonzero(lat.leq[a]):
+        for a in np.flatnonzero(lat.leq[:, top]):
+            dims = _fixed_dims(lat, a, top)  # one table serves every [a, b]
+            for b in np.flatnonzero(lat.leq[a] & lat.leq[:, top]):
                 if a == b:
                     continue
                 blocks = [subs[m] for m in np.unique(_interval_blocks(lat, dims, a, b)[1])]
@@ -438,38 +444,41 @@ def test_classify_makes_no_random_draw(monkeypatch):
 
 def test_classify_enumerates_the_interval_once(monkeypatch):
     # Every interval [H, G] is the up-set of H in one subgroup lattice per
-    # group: classifying any number of inclusions of a group builds that
-    # lattice's tables once.  The biprojection lattice is ctx.lattice
-    # reversed, with the same payload.
-    calls = []
+    # group: classifying any number of inclusions of a group, with all
+    # eleven chain lengths and the theorem battery, builds that lattice's
+    # tables once, and none of it calls biprojection_lattice.
+    calls, names = [], []
     build = FiniteLattice.from_order
 
     def counted(leq, *args, **kwargs):
         calls.append(len(leq))
         return build(leq, *args, **kwargs)
 
+    _watch_lattice_builds(monkeypatch, names.append)
     monkeypatch.setattr(FiniteLattice, "from_order", staticmethod(counted))
     s4 = FiniteGroup(catalog_group("S4").images)  # a fresh group: nothing cached
     subs = all_subgroups(s4)
     for sub in (subs[1], s4.trivial_subgroup(), subs[10], subs[-2], s4.full_subgroup()):
         ctx = BoxContext(s4, sub)
-        classify(ctx)
-        assert biprojection_lattice(ctx).payload is ctx.lattice.payload
+        classify(ctx, lengths_which=ALL_NAMES)
+        assert all(r.holds for r in verify_theorems(ctx))
+        assert ctx.node[0] is s4._subgroup_lattice
     assert calls == [30]
+    assert "biprojection_lattice" not in names
 
 
 @pytest.mark.parametrize("subgroup", [None, "(1,2)"], ids=["S4/1", "S4/(1,2)"])
 def test_classify_builds_the_covers_once(monkeypatch, subgroup):
-    # The biprojection lattice, a reverse() view of ctx.lattice, reads the
-    # transpose of its covers, and ctx.lattice, an interval of the group's
-    # lattice, reads those of the group's: one cover product per classify,
-    # and the view's validate() makes only its own transitivity product.
+    # Every context reads the reverse() view of the group's lattice, which
+    # reads the transpose of its covers: one cover product per group over
+    # classify, all eleven chain lengths and the theorem battery of several
+    # H, and the view's validate() makes only its own transitivity product.
     s4 = FiniteGroup(catalog_group("S4").images)  # a fresh group: nothing cached
-    sub = s4.trivial_subgroup() if subgroup is None else s4.subgroup_from_perms(
-        [parse_cycles(subgroup, s4.degree)]
+    sub = s4.trivial_subgroup() if subgroup is None else subgroup_from_perms(
+        s4, [parse_cycles(subgroup, s4.degree)]
     )
     ctx = BoxContext(s4, sub)
-    bip = biprojection_lattice(ctx)
+    lat, _ = ctx.node
     products = []
     honest = biprox.lattice._bool_product
 
@@ -478,8 +487,12 @@ def test_classify_builds_the_covers_once(monkeypatch, subgroup):
         return honest(a, b)
 
     monkeypatch.setattr(biprox.lattice, "_bool_product", counted)
-    classify(ctx, lengths_which=())
-    assert len(products) == 1
+    subs = all_subgroups(s4)
+    for c in (ctx, BoxContext(s4, subs[1]), BoxContext(s4, subs[10]), BoxContext(s4, subs[-2])):
+        classify(c, lengths_which=ALL_NAMES)
+        assert all(r.holds for r in verify_theorems(c))
+    assert products == [(30, 30)]
+    bip = lat.reverse()
     bip.validate()
     assert len(products) == 2
     monkeypatch.undo()
@@ -498,7 +511,7 @@ def _oracle_zz_holds(ctx):
 
 def test_zz_projection_matches_per_pair_centrality():
     s5 = catalog_group("S5")
-    s5_12 = BoxContext(s5, s5.subgroup_from_perms([parse_cycles("(1,2)", s5.degree)]))
+    s5_12 = BoxContext(s5, subgroup_from_perms(s5, [parse_cycles("(1,2)", s5.degree)]))
     answers = []
     for ctx in (s4_over("(1,4)"), s4_over("(1,4)(2,3)"), s5_12, trivial_ctx("S3"),
                 trivial_ctx("Q8"), trivial_ctx("A4"), s4_over("(1,2)")):
@@ -535,10 +548,11 @@ def _oracle_w(c: BoxContext) -> bool:
 def test_interval_routes_match_compressed_contexts(ctx_factory):
     ctx = ctx_factory()
     assert _block_subgroups(ctx) == _oracle_blocks(ctx)
-    lat = biprojection_lattice(ctx)
-    subs = lat.payload
-    for a, b in zip(*np.nonzero(lat.leq)):
-        dims = _fixed_dims(lat, a)
+    lat, top = _biprojections(ctx)
+    subs, inside = lat.payload, lat.leq[:, top]
+    steps = list(zip(*np.nonzero(lat.leq & inside[:, None] & inside[None, :])))
+    for a, b in steps:
+        dims = _fixed_dims(lat, a, top)
         step = step_context(ctx, subs[a], subs[b])
         outer = subs[a]
         got = {subs[m].key() for m in _interval_blocks(lat, dims, a, b)[1]}
@@ -551,12 +565,12 @@ def test_interval_routes_match_compressed_contexts(ctx_factory):
         assert _interval_z(lat, dims, a, b) == (_oracle_z_violation(step) is None)
     z_tilde = all(
         _oracle_z_violation(step_context(ctx, subs[a], subs[b])) is None
-        for a, b in zip(*np.nonzero(lat.leq)) if a != b
+        for a, b in steps if a != b
     )
     assert property_Z_tilde(ctx) == z_tilde
     rows = {r.name: r for r in verify_theorems(ctx)}
     assert rows["top-w-cyclic-implies-w-cyclic"].hypothesis == _oracle_w(top_context(ctx))
-    for k in subs:
+    for k in (subs[m] for m in np.flatnonzero(inside)):
         assert lw_rw_cyclic(ctx, k) == {
             "lw": _oracle_w(compress_lower(ctx, k).small),
             "rw": _oracle_w(compress_upper(ctx, k).small),
@@ -580,28 +594,49 @@ def test_interval_blocks_check_fixed_point_dimensions(monkeypatch):
     row[np.flatnonzero(orders == 2)[2]] = -4.0
     monkeypatch.setattr(Subgroup, "character_table", lambda self: row[None, :])
     with pytest.raises(BiprojectionCheckFailed):
-        _interval_blocks(lat, _fixed_dims(lat, lat.bottom), lat.bottom, lat.top)
+        _interval_blocks(lat, _fixed_dims(lat, lat.bottom, lat.top), lat.bottom, lat.top)
+
+
+def _watch_lattice_builds(monkeypatch, seen) -> None:
+    """Call seen(name) whenever a lattice is built, by ``from_order`` or
+    ``_finish``, or ``biprojection_lattice`` is called from any module of
+    the package."""
+    for name in ("from_order", "_finish"):
+        honest = getattr(FiniteLattice, name)
+
+        def watched(*args, _name=name, _honest=honest, **kwargs):
+            seen(_name)
+            return _honest(*args, **kwargs)
+
+        monkeypatch.setattr(FiniteLattice, name, staticmethod(watched))
+
+    def refused(*_args, **_kwargs):
+        seen("biprojection_lattice")
+
+    for module in (biprox, biprox.boxalgebra, biprox.cli, biprox.interval, properties):
+        monkeypatch.setattr(module, "biprojection_lattice", refused, raising=False)
 
 
 def test_verify_theorems_builds_no_group_or_context(monkeypatch):
     # Every interval, (Z~)'s and the top part's included, is read by its
-    # endpoints in the parent lattice: no interval lattice is built either.
-    # Q8 is Dedekind, so its battery runs property_Z_tilde.
+    # endpoints in the group's lattice: no lattice is built either, and
+    # biprojection_lattice is not called.  Q8 is Dedekind, so its battery
+    # runs property_Z_tilde.
     contexts = [s4_over("(1,2)"), trivial_ctx("Q8"), trivial_ctx("D8")]
     for ctx in contexts:
-        biprojection_lattice(ctx)
+        ctx.node
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("a group, a context or an interval lattice was built")
+        raise AssertionError("a group, a context or a lattice was built")
 
     monkeypatch.setattr(FiniteGroup, "__init__", refuse)
     monkeypatch.setattr(BoxContext, "__init__", refuse)
-    monkeypatch.setattr(FiniteLattice, "interval", refuse)
-    monkeypatch.setattr(FiniteLattice, "_restrict", refuse)
+    _watch_lattice_builds(monkeypatch, refuse)
     for ctx in contexts:
         assert all(r.holds for r in verify_theorems(ctx))
-        for k in biprojection_lattice(ctx).payload:
-            lw_rw_cyclic(ctx, k)
+        lat, i = ctx.node
+        for k in np.flatnonzero(lat.leq[i]):
+            lw_rw_cyclic(ctx, lat.payload[k])
 
 
 # -- side-cyclicity and the compressed reductions ----------------------------
@@ -635,8 +670,8 @@ def test_lw_rw_trivial_ends():
 def test_lw_at_intermediate_s3_matches_small_context():
     g = catalog_group("S4")
     ctx = BoxContext(g, g.trivial_subgroup())
-    k = g.subgroup_from_perms(
-        [parse_cycles("(1,2)", g.degree), parse_cycles("(2,3)", g.degree)]
+    k = subgroup_from_perms(
+        g, [parse_cycles("(1,2)", g.degree), parse_cycles("(2,3)", g.degree)]
     )
     assert k.order == 6
     got = lw_rw_cyclic(ctx, k)
@@ -646,7 +681,7 @@ def test_lw_at_intermediate_s3_matches_small_context():
 
 def test_lw_rw_requires_nesting():
     ctx = s4_over("(1,2)")
-    stray = ctx.group.subgroup_from_perms([parse_cycles("(3,4)", ctx.group.degree)])
+    stray = subgroup_from_perms(ctx.group, [parse_cycles("(3,4)", ctx.group.degree)])
     with pytest.raises(NotNested):
         lw_rw_cyclic(ctx, stray)
     # H = <(1,2)> and two more transpositions: four members over H, a count
@@ -936,20 +971,17 @@ def test_lengths_match_interval_route_on_census_classes():
 @pytest.mark.parametrize("subgroup", [None, "(1,2)"], ids=["S4/1", "S4/(1,2)"])
 def test_lengths_builds_no_step_lattice(monkeypatch, subgroup):
     # Every step, its top and bottom parts included, reads the table of the
-    # parent lattice: no interval lattice is built.
+    # group's lattice by its endpoints: no lattice is built, and
+    # biprojection_lattice is not called.
     ctx = trivial_ctx("S4") if subgroup is None else s4_over(subgroup)
     lat = biprojection_lattice(ctx)
     names = STEP_NAMES + ("tb4l", "bb4l")
     expected = {name: interval_route_length(lat, name) for name in names}
     expected["wcl"] = wcl_generators(ctx)
     calls = []
-    for method in ("interval", "_restrict"):
-        def recording(self, *args, _original=getattr(FiniteLattice, method)):
-            calls.append(_original.__name__)
-            return _original(self, *args)
-
-        monkeypatch.setattr(FiniteLattice, method, recording)
-    assert lengths(ctx, which=tuple(expected)) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        _watch_lattice_builds(patch, calls.append)
+        assert lengths(ctx, which=tuple(expected)) == expected
     assert calls == []
     assert lat is biprojection_lattice(ctx)
 
@@ -979,17 +1011,16 @@ def test_step_rows_match_per_pair_parts_on_census_classes():
     for cls in equivalence_classes(enumerate_pairs()):
         label, inc = cls[0]
         ctx = BoxContext(inc.group, inc.sub)
-        lat = biprojection_lattice(ctx)
-        normalisers = properties._normaliser_nodes(ctx)
-        for a in range(lat.n):
-            above = np.flatnonzero(lat.leq[a])
-            lo, hi, k = properties._step_parts(ctx, "t", a, above)
+        lat, top = _biprojections(ctx)
+        for a in np.flatnonzero(lat.leq[:, top]):
+            above = np.flatnonzero(lat.leq[a] & lat.leq[:, top])
+            lo, hi, k = properties._step_parts(lat, "t", a, above)
             assert lo.tolist() == [top_part(lat, a, b) for b in above], label
             assert hi.tolist() == above.tolist()
             coatoms = [np.count_nonzero(lat.covers()[:, b] & lat.leq[a]) for b in above]
             assert k.tolist() == coatoms, label
-            if a != lat.top:  # a popped node is below the top
-                lo, hi, k = properties._step_parts(ctx, "b", a, above)
+            if a != top:  # a popped node is below the top
+                lo, hi, k = properties._step_parts(lat, "b", a, above)
                 assert lo.tolist() == [a] * len(above), label
                 assert hi.tolist() == [bottom_part(lat, a, b) for b in above], label
                 atoms = [np.count_nonzero(lat.covers()[a] & lat.leq[:, b]) for b in above]
@@ -999,7 +1030,7 @@ def test_step_rows_match_per_pair_parts_on_census_classes():
                 bool((lat.payload[b].conjugates()[outer.indices] == lat.payload[b].mask).all())
                 for b in above
             ]
-            assert lat.leq[normalisers[above], a].tolist() == normal, label
+            assert [outer <= lat.payload[b].normaliser for b in above] == normal, label
 
 
 def _count_double_cosets(monkeypatch) -> list:
@@ -1029,7 +1060,7 @@ def test_cl_puts_a_non_normal_inner_step_to_double_cosets(monkeypatch):
     # distributive, and its inner is not normal in S3: it takes the
     # double-coset test, HgK = KgH for its two members K.
     g = catalog_group("S3")
-    ctx = BoxContext(g, g.subgroup_from_perms([parse_cycles("(1,2)", g.degree)]))
+    ctx = BoxContext(g, subgroup_from_perms(g, [parse_cycles("(1,2)", g.degree)]))
     calls = _count_double_cosets(monkeypatch)
     assert lengths(ctx, which=("cl",)) == {"cl": 1}
     assert sorted(calls) == [(2, 2), (2, 2), (2, 6), (6, 2)]
