@@ -143,10 +143,7 @@ def _primal_coset_basis(ctx: BoxContext) -> List[BoxElement]:
 
 def _coset_legend(ctx: BoxContext, labels: Sequence[str]) -> Dict[str, str]:
     reps = ctx.coset_reps
-    return {
-        labels[i]: ctx.group.elements[int(reps[i])].cycle_string() or "()"
-        for i in range(ctx.dim)
-    }
+    return {labels[i]: ctx.group.cycle_string(int(reps[i])) for i in range(ctx.dim)}
 
 
 def _check_paper(args, group: FiniteGroup, sub: Subgroup) -> int:

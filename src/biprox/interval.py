@@ -164,10 +164,14 @@ def _group_invariants(g: FiniteGroup) -> tuple:
 
 def pair_invariants(g: FiniteGroup, h: Subgroup) -> tuple:
     """Isomorphism invariants of the pair (g, h), the bucket of equivalence:
-    among them each element of h keyed by its order and the size of its
-    conjugacy class in g, both kept by an isomorphism carrying h along."""
+    g's own (``_group_invariants``, cached on g, so each group pays them
+    once however many pairs it carries), then each element of h keyed by
+    its order and the size of its conjugacy class in g, both kept by an
+    isomorphism carrying h along."""
+    if g._invariants is None:
+        g._invariants = _group_invariants(g)
     keys = zip(g.element_orders()[h.indices].tolist(), g.class_sizes[h.indices].tolist())
-    return _group_invariants(g) + (h.order, h.is_normal(), tuple(sorted(keys)))
+    return g._invariants + (h.order, h.is_normal(), tuple(sorted(keys)))
 
 
 def isomorphism_carrying(

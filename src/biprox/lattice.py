@@ -141,12 +141,6 @@ class FiniteLattice:
         """The node of each payload object, by its key()."""
         return {k.key(): i for i, k in enumerate(self.payload)}
 
-    def atoms(self) -> list[int]:
-        return np.flatnonzero(self.covers()[self.bottom]).tolist()
-
-    def coatoms(self) -> list[int]:
-        return np.flatnonzero(self.covers()[:, self.top]).tolist()
-
     def height(self, a: Optional[int] = None) -> int:
         """Greatest chain length (number of cover steps) from ``a``, the
         bottom by default, to the top: an entry of the cached depth vector."""

@@ -10,18 +10,20 @@ Conventions
   The Cayley table composes rows one block at a time and looks the products
   up by their byte keys, or, for a quotient read off its parent's table,
   checks the given table against them;
-  ``elements``, the rows as ``Permutation`` objects, is built on demand.
-* One pass over the powers of every element (g, g^2, ... up to the
-  largest element order) fills the member mask of every cyclic subgroup
-  <g>; the element orders and the least generator of each cyclic subgroup
-  are read off those masks.
+  ``elements``, the rows as ``Permutation`` objects, is built on demand,
+  and labels never need it: ``cycle_string(i)`` reads element i's row.
+* One power table (g, g^2, ..., doubled per gather up to the largest
+  element order) fills the member mask of every cyclic subgroup <g>; the
+  element orders and the least generator of each cyclic subgroup are read
+  off those masks.
 * Closure runs in batches, from the cyclic subgroups it joins: ``_close``
   closes every row of a mask matrix at once, from rows S | <c> with S
   already closed under all but the last generator c when told so.
   ``all_subgroups`` reads generation 1 off the cyclic masks and closes each
   later generation of joins per batch, one join per double coset, in row
   blocks of a fixed cell budget; ``generating_sets`` takes one greedy step
-  for many subgroups per batch.
+  for many subgroups per batch.  Once the subgroup list is cached,
+  ``subgroup_generated`` reads <seed> off it and closes nothing.
 * The A\\G/B double cosets are one label array: the least element of AgB
   for every g.
 * Per-subgroup results are cached on the parent by member set
@@ -106,31 +108,43 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles on 0-based points, each starting at its minimum."""
-        seen = [False] * self.degree
-        out: list[tuple[int, ...]] = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            point = self.images[start]
-            while point != start:
-                cycle.append(point)
-                seen[point] = True
-                point = self.images[point]
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return out
+        return _cycles(self.images)
 
     def cycle_string(self) -> str:
         """1-based cycle notation; the identity prints as ``()``."""
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + ",".join(str(p + 1) for p in cycle) + ")" for cycle in cycles)
+        return _cycle_string(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
+
+
+def _cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """The nontrivial cycles of the permutation with these images, on 0-based
+    points, each starting at its minimum."""
+    seen = [False] * len(images)
+    out: list[tuple[int, ...]] = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        point = images[start]
+        while point != start:
+            cycle.append(point)
+            seen[point] = True
+            point = images[point]
+        if len(cycle) > 1:
+            out.append(tuple(cycle))
+    return out
+
+
+def _cycle_string(images: Sequence[int]) -> str:
+    """1-based cycle notation of the permutation with these images; the
+    identity prints as ``()``."""
+    cycles = _cycles(images)
+    if not cycles:
+        return "()"
+    return "".join("(" + ",".join(str(p + 1) for p in cycle) + ")" for cycle in cycles)
 
 
 def parse_cycles(text: str, degree: Optional[int] = None) -> Permutation:
@@ -252,6 +266,8 @@ class FiniteGroup:
         self._conjugacy_classes: Optional[list[np.ndarray]] = None
         self._character_tables: dict[bytes, np.ndarray] = {}  # by subgroup key
         self._generator_strings: dict[bytes, str] = {}  # by subgroup key
+        self._cycle_strings: dict[int, str] = {}  # by element index
+        self._invariants: Optional[tuple] = None  # interval._group_invariants
 
     # -- basics ---------------------------------------------------------
 
@@ -271,6 +287,13 @@ class FiniteGroup:
     def elements(self) -> tuple[Permutation, ...]:
         return tuple(Permutation(tuple(row)) for row in self.images.tolist())
 
+    def cycle_string(self, i: int) -> str:
+        """Cycle notation of element ``i``, formatted off its image row once
+        per index (``Permutation.cycle_string``, with no ``elements``)."""
+        if i not in self._cycle_strings:
+            self._cycle_strings[i] = _cycle_string(self.images[i].tolist())
+        return self._cycle_strings[i]
+
     def index_of(self, perm: Permutation) -> int:
         if perm.degree == self.degree:
             found, hit = self._find(np.array([perm.images]))
@@ -280,15 +303,15 @@ class FiniteGroup:
 
     @cached_property
     def _cyclic_masks(self) -> np.ndarray:
-        """Row g is the member mask of <g>, filled off the power table: one
-        gather per power g^k of every g at once, for k up to the largest
-        element order.  The table itself is not kept."""
-        elements = np.arange(self.order)
+        """Row g is the member mask of <g>, filled off the power table g,
+        g^2, ..., g^j of every g at once, which doubles j per gather,
+        g^(j+i) = g^j g^i, until every row holds the identity: log2 of the
+        largest element order gathers.  The table itself is not kept."""
+        powers = np.arange(self.order)[:, None]  # column k holds g^(k+1)
+        while not (powers == self.identity_index).any(axis=1).all():
+            powers = np.hstack([powers, self.cayley[powers[:, -1:], powers]])
         masks = np.zeros((self.order, self.order), dtype=bool)
-        power = elements
-        while not masks[:, self.identity_index].all():
-            masks[elements, power] = True
-            power = self.cayley[power, elements]
+        masks[np.arange(self.order)[:, None], powers] = True
         masks.setflags(write=False)
         return masks
 
@@ -307,6 +330,11 @@ class FiniteGroup:
         orders = self.element_orders()
         least = (self._cyclic_masks & (orders == orders[:, None])).argmax(axis=1)
         return np.flatnonzero(least == np.arange(self.order))
+
+    @cached_property
+    def _subgroup_masks(self) -> np.ndarray:
+        """The member masks of ``all_subgroups``, one row each, in its order."""
+        return np.array([k.mask for k in all_subgroups(self)])
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.cayley, self.cayley.T))
@@ -596,11 +624,23 @@ def mask_keys(masks: np.ndarray) -> list[bytes]:
 def subgroup_generated(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of ``group`` containing the seed element indices.
 
-    Closure by right-multiplication with the seed, from the union of the
-    seed's cyclic subgroups: every word in the seed elements is reached, and
-    in a finite group the word closure is already a subgroup (inverses are
-    positive powers).
+    When the group's subgroup list is cached (``all_subgroups``), it is the
+    first listed subgroup whose mask holds the seed: the list is complete
+    and sorted by order, so <seed>, which lies in every subgroup holding the
+    seed, is the only one of least order; the listed object is returned.
+    Otherwise it is ``generated_by_closure``.
     """
+    if group._subgroups is None:
+        return generated_by_closure(group, seed)
+    gens = np.array(sorted({int(i) for i in seed}), dtype=np.int64)
+    return group._subgroups[int(group._subgroup_masks[:, gens].all(axis=1).argmax())]
+
+
+def generated_by_closure(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
+    """<seed> by closure, with no subgroup list: right-multiplication by the
+    seed, from the union of the seed's cyclic subgroups.  Every word in the
+    seed elements is reached, and in a finite group the word closure is
+    already a subgroup (inverses are positive powers)."""
     gens = np.array(sorted({int(i) for i in seed}), dtype=np.int64)
     mask = group._cyclic_masks[gens].any(axis=0, keepdims=True)
     mask[0, group.identity_index] = True
@@ -648,7 +688,8 @@ def generating_indices(sub: Subgroup) -> list[int]:
 def generator_strings(subs: Sequence[Subgroup]) -> list[str]:
     """``Subgroup.generator_string()`` of each subgroup in ``subs``, which
     share one parent; the member sets not yet labelled on the parent are
-    labelled in one ``generating_sets`` batch."""
+    labelled in one ``generating_sets`` batch, each generator written by
+    ``FiniteGroup.cycle_string`` straight off the image rows."""
     if not subs:
         return []
     group = subs[0].parent
@@ -659,7 +700,7 @@ def generator_strings(subs: Sequence[Subgroup]) -> list[str]:
     todo = {key: sub for key, sub in zip(keys, subs) if key not in labels}
     if todo:
         for key, gens in zip(todo, generating_sets(group, list(todo.values()))):
-            labels[key] = "; ".join(group.elements[i].cycle_string() for i in gens) or "()"
+            labels[key] = "; ".join(map(group.cycle_string, gens)) or "()"
     return [labels[key] for key in keys]
 
 

@@ -413,17 +413,23 @@ def _f2_violation(ctx: BoxContext) -> Optional[Tuple[int, int]]:
     Domination of biprojections reverses subgroup inclusion and
     <z_a, z_b> = b_{K_a & K_b}, so r serves (i, j) when K_i & K_r and
     K_r & K_j both lie in K_i & K_j, which is read off intersection orders.
+    That depends on the blocks' subgroups alone, so it is decided once per
+    pair of distinct subgroups and read back in block order.
     """
-    m = np.array([k.mask for k in _block_subgroups(ctx)], dtype=float)
+    ks = _block_subgroups(ctx)
+    distinct: Dict[bytes, int] = {}  # member key -> row of m, by first block
+    of_block = np.array([distinct.setdefault(k.key(), len(distinct)) for k in ks])
+    m = np.zeros((len(distinct), ctx.group.order))
+    m[of_block] = [k.mask for k in ks]  # a repeated subgroup writes its row again
     pair = m @ m.T  # |K_a & K_b|, exact in floating point
+    unserved = np.empty(pair.shape, dtype=bool)
     for i in range(len(m)):
         triple = (m * m[i]) @ m.T  # [r, j]: |K_i & K_r & K_j|
         # K_i & K_r (resp. K_r & K_j) lies in K_i & K_j iff its order is triple
-        served = (triple == pair[i][:, None]) & (triple == pair)
-        unserved = ~served.any(axis=0)
-        if unserved.any():
-            return i, int(np.argmax(unserved))
-    return None
+        unserved[i] = ~((triple == pair[i][:, None]) & (triple == pair)).any(axis=0)
+    bad = unserved[of_block[:, None], of_block]
+    rows = np.flatnonzero(bad.any(axis=1))
+    return (int(rows[0]), int(np.argmax(bad[rows[0]]))) if rows.size else None
 
 
 def property_F2(ctx: BoxContext) -> bool:
@@ -507,9 +513,13 @@ def _shortest_chain(ctx: BoxContext, name: str) -> int:
             lo, hi, k = _step_parts(lat, side, a, fresh) if side else whole
             row = lat.distributive_intervals[lo, hi] & (k <= int(digits or lat.n))
         if kind == "c":  # only an inner not normal in its outer takes double cosets
+            known = ctx._cache.setdefault("step_dedekind", {})  # by part (lo, hi), for every name
             for i in np.flatnonzero(row):  # N_G(K) is built once per subgroup, when asked for
                 if not lat.payload[lo[i]] <= lat.payload[hi[i]].normaliser:
-                    row[i] = _step_dedekind(lat, lo[i], hi[i])
+                    part = (int(lo[i]), int(hi[i]))
+                    if part not in known:
+                        known[part] = _step_dedekind(lat, *part)
+                    row[i] = known[part]
         reached = fresh[row]
         dist[reached] = dist[a] + 1
         queue.extend(reached.tolist())
@@ -583,7 +593,7 @@ class ClassificationReport:
 
 def _coset_label(ctx: BoxContext, coset: int) -> str:
     rep = int(ctx.coset_reps[coset])
-    return ctx.group.elements[rep].cycle_string()
+    return ctx.group.cycle_string(rep)
 
 
 def classify(

@@ -4,7 +4,8 @@
 ``divisor_lattice`` build the standard examples; ``direct_product`` and
 ``concatenate`` combine two lattices; ``induced_sublattice`` restricts one
 to a meet- and join-closed subset; ``complement`` is the unique complement
-in a Boolean lattice.
+in a Boolean lattice.  ``atoms`` and ``coatoms`` are the former
+``FiniteLattice`` methods, which only tests called.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def induced_sublattice(lat: FiniteLattice, members: Sequence[int]) -> FiniteLatt
         len(members), leq, tables[0], tables[1], bottom, top,
         tuple(lat.labels[int(m)] for m in members), payload,
     )
+
+
+def atoms(lat: FiniteLattice) -> list[int]:
+    """The upper covers of the bottom, in node order."""
+    return np.flatnonzero(lat.covers()[lat.bottom]).tolist()
+
+
+def coatoms(lat: FiniteLattice) -> list[int]:
+    """The lower covers of the top, in node order."""
+    return np.flatnonzero(lat.covers()[:, lat.top]).tolist()
 
 
 def complement(lat: FiniteLattice, b: int) -> int:

@@ -56,7 +56,7 @@ from biprox.permgroup import (
     require_nested,
 )
 from biprox.properties import _biprojections, _block_nodes, _step_dedekind
-from lattice_fixtures import induced_sublattice
+from lattice_fixtures import atoms, induced_sublattice
 
 
 def interval_lattice(lat: FiniteLattice, lo: int, hi: int) -> FiniteLattice:
@@ -187,7 +187,7 @@ def restricted_figures(inc: Inclusion) -> dict:
     lat, i = inc.node
     part = interval_lattice(lat, i, lat.top)
     assert part.reversed_of is None
-    k = len(part.atoms())
+    k = len(atoms(part))
     distributive = valuation_is_distributive(part)
     return {
         "size": part.n,

@@ -29,13 +29,13 @@ from biprox.permgroup import (
     _close,
     all_subgroups,
     double_coset_labels,
-    subgroup_generated,
+    generated_by_closure,
 )
 
 
 def subgroup_from_perms(group: FiniteGroup, perms: Iterable[Permutation]) -> Subgroup:
     """The subgroup of ``group`` generated by the permutations ``perms``."""
-    return subgroup_generated(group, {group.index_of(p) for p in perms})
+    return generated_by_closure(group, {group.index_of(p) for p in perms})
 
 
 def double_cosets(group: FiniteGroup, a: Subgroup, b: Subgroup) -> list[np.ndarray]:

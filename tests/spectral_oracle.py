@@ -54,10 +54,11 @@ from biprox.permgroup import (
     ZERO_TOL,
     FiniteGroup,
     Subgroup,
+    generated_by_closure,
     is_normal_intermediate,
     require_nested,
-    subgroup_generated,
 )
+from lattice_fixtures import coatoms
 
 
 def canonical_key(p: BoxElement) -> tuple:
@@ -274,11 +275,11 @@ def top_context(ctx: BoxContext) -> BoxContext:
     """The top interval [meet of maximal biprojections, id]: the inclusion
     of H in the subgroup generated by the minimal overgroups of H."""
     lat = biprojection_lattice(ctx)
-    overs = [lat.payload[c] for c in lat.coatoms()]  # the minimal overgroups
+    overs = [lat.payload[c] for c in coatoms(lat)]  # the minimal overgroups
     if not overs:
         return ctx
     mask = np.logical_or.reduce([k.mask for k in overs])
-    m = subgroup_generated(ctx.group, np.flatnonzero(mask))
+    m = generated_by_closure(ctx.group, np.flatnonzero(mask))
     return compress_lower(ctx, m).small
 
 

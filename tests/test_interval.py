@@ -17,7 +17,7 @@ import pytest
 
 from biprox.catalog import catalog_group
 import biprox.interval
-from biprox.cli import enumerate_pairs
+from biprox.cli import enumerate_pairs, equivalence_classes
 from biprox.errors import NotNested, QuotientOrderCapExceeded, TheoremViolation
 from biprox.interval import (
     DualOreReport,
@@ -407,3 +407,17 @@ def test_quotient_cap_checked_before_building_the_quotient(monkeypatch) -> None:
         equivalence_key(make("S5"))
     with pytest.raises(QuotientOrderCapExceeded):
         inclusions_equivalent(make("S5"), make("S5"))
+
+
+def test_group_invariants_run_once_per_group_over_the_census(monkeypatch):
+    # 565 pairs, 178 invariant keys, on 113 groups (the catalog's and the
+    # core quotients): each group's share is computed once.
+    for name, inc in enumerate_pairs():
+        monkeypatch.setattr(inc.group, "_invariants", None)
+    groups = []
+    real = biprox.interval._group_invariants
+    monkeypatch.setattr(
+        biprox.interval, "_group_invariants", lambda g: groups.append(g) or real(g)
+    )
+    equivalence_classes(enumerate_pairs())
+    assert len(groups) == len({id(g) for g in groups}) == 113

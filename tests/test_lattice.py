@@ -43,13 +43,16 @@ from biprox.permgroup import (
     FiniteGroup,
     Subgroup,
     all_subgroups,
+    generated_by_closure,
     parse_cycles,
     subgroup_generated,
 )
 from biprox.properties import _biprojections, _step_parts
 from lattice_fixtures import (
+    atoms,
     boolean_lattice,
     chain,
+    coatoms,
     complement,
     concatenate,
     diamond_m3,
@@ -110,7 +113,7 @@ def test_chain_shape() -> None:
     assert lat.n == 5
     assert lat.height() == 4
     assert lat.bottom == 0 and lat.top == 4
-    assert lat.atoms() == [1] and lat.coatoms() == [3]
+    assert atoms(lat) == [1] and coatoms(lat) == [3]
     assert lat.meet[1, 3] == 1 and lat.join[1, 3] == 3
 
 
@@ -118,7 +121,7 @@ def test_boolean_lattice_shape() -> None:
     lat = boolean_lattice(3)
     assert lat.n == 8
     assert lat.height() == 3
-    assert len(lat.atoms()) == 3 and len(lat.coatoms()) == 3
+    assert len(atoms(lat)) == 3 and len(coatoms(lat)) == 3
     # meet/join are bitwise and/or on the subset labels
     assert lat.meet[3, 5] == 1 and lat.join[3, 5] == 7
 
@@ -344,8 +347,8 @@ def _boolean_rank_by_subsets(lat: FiniteLattice) -> int | None:
     """Boolean rank by enumeration (the former ``boolean_rank``, kept as the
     oracle): every element must be the join of the atoms below it,
     bijectively over the 2^k atom subsets, and complemented."""
-    atoms = lat.atoms()
-    k = len(atoms)
+    ups = atoms(lat)
+    k = len(ups)
     if lat.n != 2**k or not is_distributive(lat):
         return None
     seen = {}
@@ -353,9 +356,9 @@ def _boolean_rank_by_subsets(lat: FiniteLattice) -> int | None:
         x = lat.bottom
         for bit in range(k):
             if subset >> bit & 1:
-                x = int(lat.join[x, atoms[bit]])
-        atom_set = frozenset(a for a in atoms if lat.leq[a, x])
-        expect = frozenset(atoms[bit] for bit in range(k) if subset >> bit & 1)
+                x = int(lat.join[x, ups[bit]])
+        atom_set = frozenset(a for a in ups if lat.leq[a, x])
+        expect = frozenset(ups[bit] for bit in range(k) if subset >> bit & 1)
         if atom_set != expect or x in seen:
             return None
         seen[x] = subset
@@ -366,7 +369,7 @@ def _boolean_rank_by_subsets(lat: FiniteLattice) -> int | None:
         y = lat.bottom
         for bit in range(k):
             if comp >> bit & 1:
-                y = int(lat.join[y, atoms[bit]])
+                y = int(lat.join[y, ups[bit]])
         if lat.meet[x, y] != lat.bottom or lat.join[x, y] != lat.top:
             return None
     return k
@@ -555,7 +558,7 @@ def _pairwise_closure_tables(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray
     for i, a in enumerate(nodes):
         for j, b in enumerate(nodes):
             meet[i, j] = key_to_idx[group.subgroup_from_mask(a.mask & b.mask).key()]
-            joined = subgroup_generated(group, np.concatenate([a.indices, b.indices]))
+            joined = generated_by_closure(group, np.concatenate([a.indices, b.indices]))
             join[i, j] = key_to_idx[joined.key()]
     return meet, join
 
@@ -719,7 +722,7 @@ def test_valuations_match_triple_scans(lat: FiniteLattice) -> None:
     assert modular == is_modular(lat) == scan_is_modular(lat)[0]
     assert valuation_is_distributive(lat) == is_distributive(lat) == scan_is_distributive(lat)[0]
     event("modular" if modular else "not modular")
-    lengths = {int(lat._depths[a]) for a in lat.atoms()}
+    lengths = {int(lat._depths[a]) for a in atoms(lat)}
     event("graded" if len(lengths) <= 1 else "not graded")
 
 

@@ -19,6 +19,7 @@ from biprox.permgroup import (
     all_subgroups,
     core,
     double_coset_labels,
+    generated_by_closure,
     generating_indices,
     generating_sets,
     generator_strings,
@@ -30,6 +31,7 @@ from biprox.permgroup import (
     subgroup_generated,
 )
 from biprox.properties import maximal_biprojections
+import lattice_fixtures
 from lattice_oracle import interval_subgroups, subgroup_interval
 from permgroup_oracle import (
     double_cosets,
@@ -462,12 +464,12 @@ def test_all_subgroups_deterministic_under_element_order():
 def _pairwise_join_closure(group: FiniteGroup) -> list[bytes]:
     """Subgroup keys from the cyclic subgroups closed under joining any two
     subgroups found so far (the former enumeration, kept as an oracle)."""
-    found = {s.key(): s for s in (subgroup_generated(group, [i]) for i in range(group.order))}
+    found = {s.key(): s for s in (generated_by_closure(group, [i]) for i in range(group.order))}
     worklist = list(found.values())
     while worklist:
         current = worklist.pop()
         for other in list(found.values()):
-            joined = subgroup_generated(group, np.concatenate([current.indices, other.indices]))
+            joined = generated_by_closure(group, np.concatenate([current.indices, other.indices]))
             if joined.key() not in found:
                 found[joined.key()] = joined
                 worklist.append(joined)
@@ -564,14 +566,14 @@ def test_is_dedekind_interval_requires_every_member_nested():
 def _atoms(group, h):
     inc = Inclusion(group, h)
     lat = subgroup_interval(inc)
-    atoms = [lat.payload[a] for a in lat.atoms()]
+    atoms = [lat.payload[a] for a in lattice_fixtures.atoms(lat)]
     assert atoms == maximal_biprojections(BoxContext(group, h))
     return atoms
 
 
 def _coatoms(group, h):
     lat = subgroup_interval(Inclusion(group, h))
-    return [lat.payload[c] for c in lat.coatoms()]
+    return [lat.payload[c] for c in lattice_fixtures.coatoms(lat)]
 
 
 def test_minimal_overgroups_s2_in_s4():
@@ -750,6 +752,37 @@ def test_generator_strings_round_trip_on_the_catalog():
             assert parse_subgroup_spec(group, label).key() == sub.key(), (name, label)
             count += 1
     assert count == 1333
+
+
+def test_subgroup_list_route_matches_the_closure():
+    # With the subgroup list cached, <seed> is read off it: every singleton
+    # seed and 50 random seeds of up to four elements per group, against the
+    # closure, on the catalog, A6 and E32 (374 subgroups).
+    rng = np.random.default_rng(0)
+    groups = [catalog_group(name) for name in catalog_names()] + [
+        group_closure(parse_generators(LARGE["A6"])),
+        parse_group_spec("perm:(1,2);(3,4);(5,6);(7,8);(9,10)"),
+    ]
+    for group in groups:
+        listed = {id(k) for k in all_subgroups(group)}
+        seeds = [[g] for g in range(group.order)] + [
+            rng.integers(0, group.order, size=rng.integers(0, 5)).tolist() for _ in range(50)
+        ]
+        for seed in seeds:
+            sub = subgroup_generated(group, seed)
+            assert id(sub) in listed, (group, seed)
+            assert sub == generated_by_closure(group, seed), (group, seed)
+
+
+def test_cycle_strings_match_the_permutations():
+    # Labels are written off the image rows: a fresh group builds no
+    # Permutation for them, not even for a generator string.
+    for name, group in _array_layer_groups():
+        fresh = FiniteGroup(group.images)
+        strings = [fresh.cycle_string(i) for i in range(fresh.order)]
+        fresh.full_subgroup().generator_string()
+        assert "elements" not in vars(fresh), name
+        assert strings == [x.cycle_string() for x in group.elements], name
 
 
 def test_element_orders_and_conjugacy_classes():

@@ -335,6 +335,40 @@ def test_f2_rule_on_given_block_subgroups(monkeypatch):
     assert outcomes == {True, False}
 
 
+def _blockwise_f2_violation(ctx):
+    """(F2) with the intersection orders decided block by block, repeated
+    subgroups included (the former ``_f2_violation``, kept as the oracle)."""
+    m = np.array([k.mask for k in properties._block_subgroups(ctx)], dtype=float)
+    pair = m @ m.T
+    for i in range(len(m)):
+        triple = (m * m[i]) @ m.T
+        served = (triple == pair[i][:, None]) & (triple == pair)
+        unserved = ~served.any(axis=0)
+        if unserved.any():
+            return i, int(np.argmax(unserved))
+    return None
+
+
+def test_f2_on_distinct_subgroups_matches_the_blockwise_loop(monkeypatch):
+    # Abelian G/{1} has |G| blocks on few distinct kernels (Z12: 12 on 6);
+    # random lists of S4's subgroups drawn with repeats map witnesses back
+    # to the first block of each subgroup, on both sides of the rule.
+    for name in ("Z12", "E8", "Z6", "D4", "E16"):
+        ctx = trivial_ctx(name)
+        assert _f2_violation(ctx) == _blockwise_f2_violation(ctx) is None, name
+    ctx = trivial_ctx("S4")
+    subs = all_subgroups(ctx.group)
+    rng = random.Random(1)
+    outcomes = set()
+    for _ in range(300):
+        ks = rng.choices(subs, k=rng.randint(1, 8))
+        monkeypatch.setattr(properties, "_block_subgroups", lambda _ctx: ks)
+        expected = _blockwise_f2_violation(ctx)
+        assert _f2_violation(ctx) == expected == _stated_f2_violation(ks), ks
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
 def test_z_by_double_cosets_matches_centrality():
     # b_K.pi(g).b_H is the uniform measure on KgH, so b_K is central exactly
     # when KgH = HgK for every g; the two routes agree on every biprojection.
@@ -1002,6 +1036,23 @@ def test_lengths_match_closure_route_near_the_cap(spec):
     ctx = BoxContext(g, g.trivial_subgroup())
     expected = {name: closure_route_length(ctx, name) for name in ALL_NAMES}
     assert lengths(ctx, which=ALL_NAMES) == expected
+
+
+def test_step_dedekind_runs_once_per_part(monkeypatch):
+    # bcl meets some bottom parts from more than one step, and cl, tcl and
+    # bcl share parts: on A6/{1} each part takes the double-coset test once
+    # per context (bcl alone took 189 tests of 133 parts, the three 796 of 474).
+    g = parse_group_spec("perm:(1,2,3);(2,3,4,5,6)")
+    ctx = BoxContext(g, g.trivial_subgroup())
+    calls = []
+    real = properties._step_dedekind
+    monkeypatch.setattr(
+        properties, "_step_dedekind", lambda lat, lo, hi: calls.append((lo, hi)) or real(lat, lo, hi)
+    )
+    assert lengths(ctx, which=("bcl",)) == {"bcl": 2}
+    assert len(calls) == len(set(calls)) == 133
+    assert lengths(ctx, which=("cl", "tcl", "bcl")) == {"cl": 3, "tcl": 2, "bcl": 2}
+    assert len(calls) == len(set(calls)) == 474
 
 
 def test_step_rows_match_per_pair_parts_on_census_classes():
