@@ -474,16 +474,14 @@ def leq_range(x: BoxElement, y: BoxElement) -> bool:
 # ------------------------------------------------------------- biprojections
 
 
-def is_biprojection(p: BoxElement, strict: bool = True) -> Optional[Subgroup]:
+def is_biprojection(p: BoxElement) -> Optional[Subgroup]:
     """Identify p as b_K by support and coefficient pattern, or None.
 
-    Raises NotABiprojection if p is not even a projection (strict mode).
+    Raises NotABiprojection if p is not even a projection.
     """
     ctx = p.context
     if not is_projection(p):
-        if strict:
-            raise NotABiprojection("input is not a projection")
-        return None
+        raise NotABiprojection("input is not a projection")
     scale = max(p.norm_max(), 1.0 / ctx.group.order)
     support = np.abs(p.coeffs) > ZERO_TOL * max(1.0, scale) * 10
     if not support.any():

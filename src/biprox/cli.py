@@ -350,16 +350,15 @@ def equivalence_classes(
     return classes
 
 
-def _survey_row(name: str, sub_spec: str) -> dict:
-    """Classify one class representative, given by catalog name and subgroup
-    generator string (re-derivable in a worker process)."""
-    group = catalog_group(name)
-    sub = parse_subgroup_spec(group, sub_spec)
+def _survey_row(name: str, inc: Inclusion) -> dict:
+    """Classify one class representative, its catalog name and inclusion;
+    the subgroup is written as its generator string."""
+    group, sub = inc.group, inc.sub
     ctx = BoxContext(group, sub)
     lat, i = ctx.node
     row = {
         "group": name,
-        "subgroup": sub_spec,
+        "subgroup": sub.generator_string(),
         "group_order": group.order,
         "subgroup_order": sub.order,
         "index": group.order // sub.order,
@@ -378,11 +377,10 @@ def survey(
     max_index: int = 12,
     names: Optional[Sequence[str]] = None,
     max_order: Optional[int] = None,
-    jobs: int = 1,
 ) -> Tuple[List[dict], dict]:
-    """Classify one representative per equivalence class; returns (rows,
-    summary).  Deterministic: canonical class order and canonical
-    representatives."""
+    """Classify one representative per equivalence class, the inclusion the
+    class already holds, in this process; returns (rows, summary).
+    Deterministic: canonical class order and canonical representatives."""
     if max_index > SURVEY_INDEX_LIMIT:
         raise OrderCapExceeded(
             f"max index {max_index} exceeds the survey limit {SURVEY_INDEX_LIMIT}"
@@ -390,15 +388,6 @@ def survey(
     classes = equivalence_classes(
         enumerate_pairs(names=names, max_index=max_index, max_order=max_order)
     )
-    tasks = [(cls[0][0], cls[0][1].sub.generator_string()) for cls in classes]
-    if jobs > 1:
-        # Imported here: multiprocessing costs every other command its import time.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_survey_row, *zip(*tasks)))
-    else:
-        results = [_survey_row(*t) for t in tasks]
     rows = []
     counts = {
         "total": len(classes),
@@ -409,8 +398,8 @@ def survey(
         "w_cyclic_dual": 0,
         "errors": 0,
     }
-    for class_id, (cls, row) in enumerate(zip(classes, results)):
-        row = {"class_id": class_id, "class_size": len(cls), **row}
+    for class_id, cls in enumerate(classes):
+        row = {"class_id": class_id, "class_size": len(cls), **_survey_row(*cls[0])}
         rows.append(row)
         report = row["report"]
         if report is None:
@@ -478,7 +467,6 @@ def cmd_survey(args) -> int:
     rows, summary = survey(
         max_index=args.max_index,
         max_order=args.max_order_filter,
-        jobs=args.jobs,
     )
     if args.format == "csv":
         sys.stdout.write(survey_csv(rows))
@@ -556,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_order_filter",
         help="restrict the catalog to groups of at most this order",
     )
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_survey)
 

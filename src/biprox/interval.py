@@ -4,7 +4,7 @@ Covers: cyclic-over-subgroup witnesses, the distributivity/one-generator
 report and the normality and index-sum conditions on minimal overgroups,
 all read off H's node in ``Inclusion.node``; equivalence of inclusions
 through core quotients (a core-free pair is its own), and linear
-primitivity (delegated to the box-algebra blocks).
+primitivity (the first block whose subgroup is H, as for w-cyclicity).
 """
 
 from __future__ import annotations
@@ -266,15 +266,10 @@ def inclusions_equivalent(a: Inclusion, b: Inclusion) -> bool:
 
 def is_linearly_primitive_inclusion(inc: Inclusion) -> Optional[int]:
     """Index of the first central block whose H-fixed vectors have pointwise
-    stabilizer exactly H, or None. Computed on the box algebra."""
-    from .boxalgebra import BoxContext, id_element, left_stabilizer, mul
-    from .boxalgebra import minimal_central_projections
+    stabilizer exactly H, or None.  Block i generates b_K with K that
+    stabilizer, so this is the first block generating id: w-cyclicity's
+    block, read off the blocks' subgroups."""
+    from .boxalgebra import BoxContext  # boxalgebra and properties import this module
+    from .properties import _w_cyclic_block
 
-    ctx = BoxContext(inc.group, inc.sub)
-    blocks = minimal_central_projections(ctx)
-    for i, p in enumerate(blocks):
-        # elements whose left translation fixes b_H * p elementwise
-        stab = left_stabilizer(mul(id_element(ctx), p))
-        if np.array_equal(stab, inc.sub.mask):
-            return i
-    return None
+    return _w_cyclic_block(BoxContext(inc.group, inc.sub))

@@ -106,7 +106,10 @@ def generate_biprojection_spectral(x: bx.BoxElement) -> bx.Biprojection:
         p_vec, rank = bx._range_projection_vec(ctx, acc)
         if rank == last_rank:
             p = bx.BoxElement(ctx, p_vec)
-            k = bx.is_biprojection(p, strict=False)
+            try:
+                k = bx.is_biprojection(p)
+            except NotABiprojection:
+                k = None
             if k is not None and bx.mul(p, x).isclose(x, scale=max(1.0, x.norm_max())):
                 return bx.Biprojection(bx.element_bK(ctx, k), k)
         last_rank = rank

@@ -302,6 +302,10 @@ def test_survey_rejects_index_above_limit(capsys) -> None:
     assert run(capsys, "survey", "--max-index", "31")[0] == 2
 
 
+def test_survey_has_no_jobs_flag(capsys) -> None:
+    assert run(capsys, "survey", "--jobs", "2")[0] == 1
+
+
 def test_survey_classes_independent_of_input_order() -> None:
     pairs = enumerate_pairs(names=["Z4", "Z6", "S3", "D3", "Z12"], max_index=6)
     classes_a = equivalence_classes(pairs)
@@ -418,8 +422,17 @@ def test_equivalence_classes_keep_capped_pairs_apart(monkeypatch) -> None:
     assert [[name for name, _ in cls] for cls in equivalence_classes(pairs)] == [["D3"], ["S3"]]
 
 
-def test_survey_rows_independent_of_jobs() -> None:
-    assert survey(max_index=4, max_order=12, jobs=2) == survey(max_index=4, max_order=12)
+def test_survey_classifies_the_held_inclusions(monkeypatch) -> None:
+    # Rows come from the class representatives themselves, not from their
+    # generator strings parsed back into subgroups.
+    import biprox.cli
+
+    def refuse(*args):
+        raise AssertionError("the survey parsed a subgroup spec")
+
+    monkeypatch.setattr(biprox.cli, "parse_subgroup_spec", refuse)
+    rows, _ = survey(max_index=12)
+    assert survey_csv(rows) == (DATA / "survey_max_index_12.csv").read_text()
 
 
 def test_subgroup_class_representatives_s4() -> None:

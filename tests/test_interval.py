@@ -33,7 +33,12 @@ from biprox.interval import (
     pair_invariants,
 )
 from biprox.permgroup import FiniteGroup, parse_cycles, subgroup_generated
-from interval_oracle import core_quotient, equivalence_key, is_linearly_primitive_group
+from interval_oracle import (
+    core_quotient,
+    equivalence_key,
+    is_linearly_primitive_group,
+    linearly_primitive_block_by_stabilizers,
+)
 from lattice_oracle import interval_subgroups
 
 
@@ -395,6 +400,17 @@ def test_linearly_primitive_inclusions() -> None:
     assert is_linearly_primitive_inclusion(Inclusion(e4, h)) is not None
     # (E4, {1}) has no faithful block
     assert is_linearly_primitive_inclusion(make("E4")) is None
+
+
+def test_linear_primitivity_matches_the_stabilizer_route_on_the_census() -> None:
+    # The block's subgroup against the left stabilizer of its H-fixed part.
+    from biprox.interval import is_linearly_primitive_inclusion
+
+    pairs = enumerate_pairs()
+    assert len(pairs) == 565
+    for name, inc in pairs:
+        got = is_linearly_primitive_inclusion(inc)
+        assert got == linearly_primitive_block_by_stabilizers(inc), (name, inc.sub.order)
 
 
 def test_quotient_cap_checked_before_building_the_quotient(monkeypatch) -> None:

@@ -39,7 +39,6 @@ from biprox.errors import BiprojectionCheckFailed, NotNested
 from biprox.interval import (
     Inclusion,
     inclusions_equivalent,
-    is_linearly_primitive_inclusion,
     ore_verify,
 )
 from biprox.lattice import FiniteLattice, boolean_rank, is_distributive
@@ -93,7 +92,7 @@ from spectral_oracle import (
     step_context,
     top_context,
 )
-from interval_oracle import is_linearly_primitive_group
+from interval_oracle import is_linearly_primitive_group, linearly_primitive_block_by_stabilizers
 from permgroup_oracle import subgroup_from_perms
 from lattice_oracle import (
     bottom_part,
@@ -677,7 +676,7 @@ def test_verify_theorems_builds_no_group_or_context(monkeypatch):
 
 
 def _lin_prim(group, sub) -> bool:
-    return is_linearly_primitive_inclusion(Inclusion(group, sub)) is not None
+    return linearly_primitive_block_by_stabilizers(Inclusion(group, sub)) is not None
 
 
 def test_lw_rw_against_fixed_space_stabilizers():
