@@ -151,7 +151,7 @@ def core_pair(inc: Inclusion, action: Optional[tuple] = None) -> tuple[FiniteGro
 
 def _group_invariants(g: FiniteGroup) -> tuple:
     orders = tuple(int(x) for x in np.sort(g.element_orders()))
-    class_sizes = tuple(sorted(len(c) for c in g.conjugacy_classes()))
+    class_sizes = tuple(sorted(np.unique(g.class_labels, return_counts=True)[1].tolist()))
     return (
         g.order,
         g.is_abelian(),

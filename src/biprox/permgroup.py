@@ -263,7 +263,6 @@ class FiniteGroup:
         self._subgroups: Optional[list[Subgroup]] = None
         self._subgroup_lattice = None  # the lattice of _subgroups
         self._element_orders: Optional[np.ndarray] = None
-        self._conjugacy_classes: Optional[list[np.ndarray]] = None
         self._character_tables: dict[bytes, np.ndarray] = {}  # by subgroup key
         self._generator_strings: dict[bytes, str] = {}  # by subgroup key
         self._cycle_strings: dict[int, str] = {}  # by element index
@@ -365,18 +364,17 @@ class FiniteGroup:
             self._full_subgroup = Subgroup(self, np.ones(self.order, dtype=bool))
         return self._full_subgroup
 
-    def conjugacy_classes(self) -> list[np.ndarray]:
-        """Element indices grouped by conjugacy, each class sorted."""
-        if self._conjugacy_classes is None:
-            self._conjugacy_classes = _conjugacy_classes(self, np.arange(self.order))
-        return self._conjugacy_classes
+    @cached_property
+    def class_labels(self) -> np.ndarray:
+        """The least conjugate of each element, by index, which names its class."""
+        labels = _least_conjugates(self, np.arange(self.order))
+        labels.setflags(write=False)
+        return labels
 
     @cached_property
     def class_sizes(self) -> np.ndarray:
         """The size of each element's conjugacy class, by index."""
-        sizes = np.empty(self.order, dtype=np.int64)
-        for cls in self.conjugacy_classes():
-            sizes[cls] = len(cls)
+        sizes = np.bincount(self.class_labels)[self.class_labels]
         sizes.setflags(write=False)
         return sizes
 
@@ -394,14 +392,18 @@ def _sorted_distinct(rows: np.ndarray) -> bool:
     return bool(np.all(step[np.arange(len(step)), lead] > 0))
 
 
+def _least_conjugates(group: FiniteGroup, members: np.ndarray) -> np.ndarray:
+    """Each member's least conjugate under the subgroup on ``members``, which
+    names its class: one members x members gather of g x g^-1."""
+    conj = group.cayley[group.cayley[np.ix_(members, members)], group.inverse[members, None]]
+    return conj.min(axis=0)
+
+
 def _conjugacy_classes(group: FiniteGroup, members: np.ndarray) -> list[np.ndarray]:
     """The classes of the subgroup on ``members`` (ascending) under its own
-    conjugation, each sorted, in the order of their least elements: one
-    members x members gather of g x g^-1 gives each member its least
-    conjugate, which names its class."""
-    least = group.cayley[
-        group.cayley[np.ix_(members, members)], group.inverse[members, None]
-    ].min(axis=0)
+    conjugation, each sorted, in the order of their least elements, which
+    name them (_least_conjugates)."""
+    least = _least_conjugates(group, members)
     order = np.argsort(least, kind="stable")
     return np.split(members[order], np.flatnonzero(np.diff(least[order])) + 1)
 

@@ -14,9 +14,11 @@ reverse() view of the group's subgroup lattice up to H's node
 (_biprojections).  On [H, G] itself, Dedekind, cyclic, (Z), (Z~) and w+
 read the integers <chi|_K, 1> of the verified character table: one table
 per context, and for (Z~) one per outer node a, whose columns serve every
-interval [a, b] (see _fixed_dims).  Chain steps over a non-normal inner
-subgroup keep the double-coset test HgK = KgH, and the range projection
-runs only for the w+ pairs left undecided.
+interval [a, b] (see _fixed_dims).  (ZZ) counts the members of each
+conjugacy class in each double coset HgH (see property_ZZ); the center basis
+runs only to name a witness where (ZZ) fails.  Chain steps over a
+non-normal inner subgroup keep the double-coset test HgK = KgH, and the
+range projection runs only for the w+ pairs left undecided.
 
 Conventions used throughout (see boxalgebra): the biprojection lattice
 reverses subgroup inclusion, so b_K <= b_L iff L <= K, the bottom is
@@ -329,46 +331,41 @@ def property_Z(ctx: BoxContext) -> bool:
     return _z_violation(ctx) is None
 
 
-def _zz_blocks_central(ctx: BoxContext) -> bool:
-    """Whether every coproduct z_i * z_j of two blocks is central.
+def property_ZZ(ctx: BoxContext) -> bool:
+    """Whether the coproduct of two central elements is central, on integers.
 
-    The blocks are orthogonal, so z_i * z_j is central exactly when it
-    equals its projection onto their span; one row i is tested at a time."""
-    z = np.array([b.coeffs for b in minimal_central_projections(ctx)])
-    norms = (np.abs(z) ** 2).sum(axis=1)
-
-    def row_central(i: int) -> bool:  # z_i * z_j for every j >= i
-        w = ctx.kappa * z[i:] * z[i]
-        resid = w - (w @ z.conj().T / norms) @ z
-        scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None]
-        return bool(np.all(np.abs(resid) <= ZERO_TOL * scale))
-
-    return all(row_central(i) for i in range(len(z)))
+    Z(eAe) = eZ(A)e for an idempotent e, so with e = b_H and A = C[G] the
+    center is spanned by the bi-H averages of the class sums, |C & D|/|D|
+    on each double coset D.  The coproduct is kappa times the pointwise
+    product, and a unital algebra of functions under it is the functions
+    constant on the parts of a partition: the center, of dimension k (the
+    blocks), is closed exactly when the rows (|C & D|/|D|)_C take k distinct
+    values, and never fewer.  One bincount over G of (double coset, class
+    label) gives |C & D|; |D| divides |H|^2, so rows times |H|^2 are integers."""
+    n = ctx.group.order
+    counts = np.bincount(ctx.coset_of * n + ctx.group.class_labels, minlength=ctx.dim * n)
+    counts = counts.reshape(ctx.dim, n)
+    keys = counts * (ctx.sub.order**2 // counts.sum(axis=1))[:, None]
+    rows = len({row.tobytes() for row in keys})
+    k = int((_context_dims(ctx)[:, ctx.node[1]] > 0).sum())
+    if rows < k:
+        raise BiprojectionCheckFailed("fewer distinct class-count rows than blocks")
+    return rows == k
 
 
 def _zz_violation(ctx: BoxContext) -> Optional[Tuple[int, int]]:
     """Pair of center-basis indices whose coproduct is not central, or None.
 
-    The coproduct is bilinear and commutative and the blocks span the
-    center, so the z_i * z_j with i <= j decide (ZZ).  At H = {1} the
-    coproduct is the pointwise product of functions on G, and a pointwise
-    product of class functions is a class function, so (ZZ) holds with no
-    test.  Only a violation computes the orthonormal center basis, whose
-    indices the pair reports.
-    """
-    if ctx.sub.order == 1 or _zz_blocks_central(ctx):
+    Only where property_ZZ says (ZZ) fails is the orthonormal center basis
+    computed, for the pair to index; a clean sweep contradicts the rule."""
+    if property_ZZ(ctx):
         return None
     basis = center_basis_elements(ctx)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             if not is_central(coproduct(a, b)):
                 return i, j
-    raise BiprojectionCheckFailed("(ZZ) fails on the blocks but holds on the center basis")
-
-
-def property_ZZ(ctx: BoxContext) -> bool:
-    """The coproduct of any two central elements is central."""
-    return _zz_violation(ctx) is None
+    raise BiprojectionCheckFailed("(ZZ) fails by the class counts but holds on the center basis")
 
 
 def dual_coproduct_center_basis(ctx: BoxContext) -> List[DualElement]:

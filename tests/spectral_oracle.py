@@ -23,6 +23,10 @@ lexsort over rounded columns replaced; the block order must not change.
 ``is_normal_biprojection``, ``generate_from_set``, ``central_support`` and
 ``center_dimension`` are 2-box routines that no library path calls; the
 tests use them as oracles for the exact predicates.
+
+``zz_blocks_central`` projects each coproduct z_i * z_j of two blocks onto
+their span and compares the float residual with ``ZERO_TOL``, the route
+(ZZ) took before the double-coset class counts decided it.
 """
 
 from __future__ import annotations
@@ -328,3 +332,20 @@ def central_support(p: BoxElement) -> BoxElement:
         dj = BoxElement(ctx, ctx.basis_matrix[j])
         total += mul(mul(dj, p), bx.star(dj)).coeffs
     return bx.range_projection(BoxElement(ctx, total))
+
+
+def zz_blocks_central(ctx: BoxContext) -> bool:
+    """Whether every coproduct z_i * z_j of two blocks is central.
+
+    The blocks are orthogonal, so z_i * z_j is central exactly when it
+    equals its projection onto their span; one row i is tested at a time."""
+    z = np.array([b.coeffs for b in bx.minimal_central_projections(ctx)])
+    norms = (np.abs(z) ** 2).sum(axis=1)
+
+    def row_central(i: int) -> bool:  # z_i * z_j for every j >= i
+        w = ctx.kappa * z[i:] * z[i]
+        resid = w - (w @ z.conj().T / norms) @ z
+        scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None]
+        return bool(np.all(np.abs(resid) <= ZERO_TOL * scale))
+
+    return all(row_central(i) for i in range(len(z)))

@@ -466,7 +466,7 @@ def test_block_count_matches_conjugacy_classes():
         group = catalog_group(name)
         ctx = bx.BoxContext(group, group.trivial_subgroup())
         assert center_dimension(ctx) == classes
-        assert len(group.conjugacy_classes()) == classes
+        assert len(np.unique(group.class_labels)) == classes
 
 
 def test_s3_block_traces(ctx_s3):
@@ -533,7 +533,7 @@ def test_character_tables_verify_on_the_catalog():
     for name in catalog_names():
         group = catalog_group(name)
         table = group.character_table()
-        assert table.shape == (len(group.conjugacy_classes()), group.order)
+        assert table.shape == (len(np.unique(group.class_labels)), group.order)
     s4 = catalog_group("S4")
     assert np.allclose(s4.character_table()[:, s4.identity_index], [1, 1, 2, 3, 3])
 

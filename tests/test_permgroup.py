@@ -790,10 +790,12 @@ def test_element_orders_and_conjugacy_classes():
     orders = s4.element_orders()
     counts = {int(k): int(v) for k, v in zip(*np.unique(orders, return_counts=True))}
     assert counts == {1: 1, 2: 9, 3: 8, 4: 6}
-    classes = s4.conjugacy_classes()
+    classes = biprox.permgroup._conjugacy_classes(s4, np.arange(s4.order))
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
     assert [s4.class_sizes[c].tolist() for c in classes] == [[len(c)] * len(c) for c in classes]
+    assert [s4.class_labels[c].tolist() for c in classes] == [[c[0]] * len(c) for c in classes]
     assert not s4.class_sizes.flags.writeable
+    assert not s4.class_labels.flags.writeable
 
 
 @settings(max_examples=30, deadline=None)

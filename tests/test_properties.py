@@ -6,12 +6,15 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
+import functools
 import itertools
 import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biprox.boxalgebra
 import biprox.cli
@@ -51,6 +54,7 @@ from biprox.permgroup import (
     is_normal_intermediate,
     parse_cycles,
     parse_generators,
+    subgroup_generated,
 )
 from biprox.properties import (
     _biprojections,
@@ -64,7 +68,6 @@ from biprox.properties import (
     _interval_z,
     _w_cyclic_block,
     _z_violation,
-    _zz_blocks_central,
     classify,
     find_zz_violation_dual,
     is_cyclic,
@@ -91,6 +94,7 @@ from spectral_oracle import (
     is_normal_biprojection,
     step_context,
     top_context,
+    zz_blocks_central,
 )
 from interval_oracle import is_linearly_primitive_group, linearly_primitive_block_by_stabilizers
 from permgroup_oracle import subgroup_from_perms
@@ -458,11 +462,76 @@ def test_w_plus_integers_match_range_projection_on_the_census(census_contexts, m
 
 def test_zz_holds_at_the_trivial_subgroup():
     # At H = {1} the coproduct is the pointwise product, which keeps class
-    # functions: (ZZ) needs no test there, and the row test agrees.
+    # functions: every double coset is one element, so the class-count rows
+    # are the class indicators, one distinct row per block.
     for name in catalog_names():
         ctx = trivial_ctx(name)
         assert property_ZZ(ctx)
-        assert _zz_blocks_central(ctx), name
+        assert zz_blocks_central(ctx), name
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("a float route ran")
+
+
+def test_zz_class_counts_match_the_block_projection_on_the_census(census_contexts, monkeypatch):
+    # (ZZ) from double-coset class counts, with the blocks and the center
+    # basis refused, against the float projection of the block coproducts.
+    # Only the pairs that fail (ZZ) take the center basis, for the witness.
+    want = [zz_blocks_central(ctx) for ctx in census_contexts]
+    assert want.count(False) == 10
+    monkeypatch.setattr(properties, "minimal_central_projections", _refuse)
+    monkeypatch.setattr(biprox.boxalgebra, "minimal_central_projections", _refuse)
+    monkeypatch.setattr(biprox.boxalgebra, "_center_basis", _refuse)
+    assert [property_ZZ(ctx) for ctx in census_contexts] == want
+    monkeypatch.undo()
+    reached = []
+    honest = biprox.boxalgebra._center_basis
+    monkeypatch.setattr(
+        biprox.boxalgebra, "_center_basis", lambda ctx: reached.append(ctx) or honest(ctx)
+    )
+    for ctx, holds in zip(census_contexts, want):
+        assert (properties._zz_violation(ctx) is None) == holds, ctx
+    assert reached == [ctx for ctx, holds in zip(census_contexts, want) if not holds]
+
+
+def test_zz_raises_when_the_blocks_outnumber_the_class_count_rows(monkeypatch):
+    # The distinct rows are never fewer than the blocks: one more block than
+    # rows is a failed check, not a (ZZ) answer.
+    ctx = trivial_ctx("S4")
+    dims = properties._context_dims(ctx)
+    one_more = np.vstack([dims, np.ones((1, dims.shape[1]))])  # k + 1 blocks
+    monkeypatch.setattr(properties, "_context_dims", lambda _ctx: one_more)
+    with pytest.raises(BiprojectionCheckFailed, match="class-count rows"):
+        property_ZZ(ctx)
+
+
+def test_zz_fails_on_a6_over_a_double_transposition_with_no_center_basis(monkeypatch):
+    # 92 double cosets: the center basis would build two (92, 92, 360)
+    # complex arrays; the class counts read 92 x 360 integers.
+    g = parse_group_spec("perm:(1,2,3);(2,3,4,5,6)")
+    ctx = BoxContext(g, subgroup_from_perms(g, [parse_cycles("(1,2)(3,4)", g.degree)]))
+    monkeypatch.setattr(biprox.boxalgebra, "_center_basis", _refuse)
+    assert ctx.dim == 92
+    assert not property_ZZ(ctx)
+
+
+_zz_group = functools.lru_cache(maxsize=None)(parse_group_spec)  # each G built once
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["S4", "A5", "S5", "SL23", "Dic6",
+                     "perm:(1,2,3,4);(1,2);(5,6,7)", "perm:(1,2,3);(1,2);(4,5,6);(4,5)"]),
+    st.lists(st.integers(min_value=0), min_size=0, max_size=2),
+)
+def test_zz_class_counts_match_the_block_projection_beyond_the_census(spec, draws):
+    # G from the catalog and two direct products (S4 x Z3, S3 x S3); H is
+    # generated by 0-2 drawn elements of G.
+    g = _zz_group(spec)
+    h = subgroup_generated(g, [d % g.order for d in draws])
+    ctx = BoxContext(g, h)
+    assert property_ZZ(ctx) == zz_blocks_central(ctx)
 
 
 def test_classify_makes_no_random_draw(monkeypatch):
