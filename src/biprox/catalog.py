@@ -1,15 +1,22 @@
 """Built-in group catalog and group/subgroup specification parsing.
 
-Catalog names (case-sensitive):
+A catalog name names a list of generator permutations, which
+``catalog_group`` closes with ``group_closure`` as a ``perm:`` spec is
+closed.  ``catalog_names()`` lists the names in this order
+(case-sensitive):
 
-* ``Z<n>``      cyclic of order n, 1 <= n <= 48 (so ``Z30`` is included)
-* ``D<n>``      dihedral of order 2n, 2 <= n <= 24
-* ``Dic<n>``    dicyclic of order 4n, 2 <= n <= 12 (``Dic2`` = quaternions)
-* ``S<n>``      symmetric of degree n, 1 <= n <= 5
-* ``A<n>``      alternating of degree n, 3 <= n <= 5
-* ``Q8``        the quaternion group (alias of ``Dic2``)
+* ``Z<n>``      cyclic of order n, 1 <= n <= 48: <(1,2,...,n)>
+* ``D<n>``      dihedral of order 2n, 2 <= n <= 24: a rotation and a flip of
+                the n-gon; ``D2`` = <(1,2), (3,4)>
+* ``Dic<n>``    dicyclic of order 4n, 2 <= n <= 12, <a, x> with a^(2n) = 1,
+                x^2 = a^n, x a x^-1 = a^-1, acting on itself by left
+                multiplication, a^i x^e on point 2i + e (``Dic2`` = quaternions)
+* ``S<n>``      symmetric of degree n, 1 <= n <= 5: the transpositions (i,i+1)
+* ``A<n>``      alternating of degree n, 3 <= n <= 5: the 3-cycles (i,i+1,i+2)
+* ``Q8``        the quaternion group (the generators of ``Dic2``)
 * ``SL23``      SL(2,3), acting on the 8 nonzero vectors of F_3^2
-* ``E<2^k>``    elementary abelian (Z/2)^k, 1 <= k <= 4 (``E4`` aka ``V4``)
+* ``E<2^k>``    elementary abelian (Z/2)^k, 1 <= k <= 4: <(1,2), (3,4), ...>
+                (``E4`` aka ``V4``)
 
 Group spec grammar accepted everywhere a group is named:
 ``<catalog name>`` | ``perm:<cycle generators>`` | ``file:<path>`` where the
@@ -20,12 +27,7 @@ them from a generator file.
 
 from __future__ import annotations
 
-import itertools
-import re
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
 
 from .errors import GroupSpecError
 from .permgroup import (
@@ -34,161 +36,69 @@ from .permgroup import (
     Subgroup,
     group_closure,
     parse_generators,
-    regular_representation,
     subgroup_generated,
 )
+
+
+def _cycle(degree: int, cycle: tuple[int, ...]) -> Permutation:
+    images = list(range(degree))
+    for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+        images[src] = dst
+    return Permutation(tuple(images))
+
+
+def _elementary_abelian(k: int) -> list[Permutation]:
+    return [_cycle(2 * k, (2 * i, 2 * i + 1)) for i in range(k)]
+
+
+def _dihedral(n: int) -> list[Permutation]:
+    # The flip of the n-gon fixes both points when n = 2, so D2 acts on 4 points.
+    if n == 2:
+        return _elementary_abelian(2)
+    return [_cycle(n, tuple(range(n))), Permutation(tuple((n - i) % n for i in range(n)))]
+
+
+def _dicyclic(n: int) -> list[Permutation]:
+    # Left multiplication by a and by x, with a^i x^e on point 2i + e.
+    a: list[int] = []
+    x: list[int] = []
+    for i in range(2 * n):
+        a += [2 * ((i + 1) % (2 * n)), 2 * ((i + 1) % (2 * n)) + 1]
+        x += [2 * (-i % (2 * n)) + 1, 2 * ((n - i) % (2 * n))]
+    return [Permutation(tuple(a)), Permutation(tuple(x))]
+
+
+_GENERATORS: dict[str, list[Permutation]] = {
+    **{f"Z{n}": [_cycle(n, tuple(range(n)))] for n in range(1, 49)},
+    **{f"D{n}": _dihedral(n) for n in range(2, 25)},
+    **{f"Dic{n}": _dicyclic(n) for n in range(2, 13)},
+    **{f"S{n}": [_cycle(n, (i, i + 1)) for i in range(n - 1)] for n in range(1, 6)},
+    **{f"A{n}": [_cycle(n, (i, i + 1, i + 2)) for i in range(n - 2)] for n in range(3, 6)},
+    "Q8": _dicyclic(2),
+    # [[0, 2], [1, 0]] and [[1, 1], [0, 1]] on (0,1), (0,2), (1,0), ..., (2,2).
+    "SL23": parse_generators("(1,6,2,3)(4,7,8,5);(1,4,7)(2,8,5)"),
+    "E2": _elementary_abelian(1),
+    "E4": _elementary_abelian(2),
+    "V4": _elementary_abelian(2),
+    "E8": _elementary_abelian(3),
+    "E16": _elementary_abelian(4),
+}
 
 _cache: dict[str, FiniteGroup] = {}
 
 
-def _cycle(degree: int, *cycles: tuple[int, ...]) -> Permutation:
-    images = list(range(degree))
-    for cyc in cycles:
-        for src, dst in zip(cyc, cyc[1:] + cyc[:1]):
-            images[src] = dst
-    return Permutation(tuple(images))
-
-
-def _cyclic(n: int) -> FiniteGroup:
-    if n == 1:
-        return FiniteGroup([Permutation.identity(1)], name="Z1")
-    return group_closure([_cycle(n, tuple(range(n)))], max_order=n, name=f"Z{n}")
-
-
-def _dihedral(n: int) -> FiniteGroup:
-    # Degree-n natural action fails for n = 2 (the flip fixes both points),
-    # so D2 is built as two disjoint transpositions.
-    if n == 2:
-        gens = [_cycle(4, (0, 1)), _cycle(4, (2, 3))]
-    else:
-        rot = _cycle(n, tuple(range(n)))
-        flip = Permutation(tuple((n - i) % n for i in range(n)))
-        gens = [rot, flip]
-    return group_closure(gens, max_order=2 * n, name=f"D{n}")
-
-
-def _dicyclic(n: int) -> FiniteGroup:
-    order = 4 * n
-    two_n = 2 * n
-
-    def enc(i: int, eps: int) -> int:
-        return (i % two_n) * 2 + eps
-
-    table = np.empty((order, order), dtype=np.int64)
-    for i, eps1 in itertools.product(range(two_n), range(2)):
-        for j, eps2 in itertools.product(range(two_n), range(2)):
-            if eps1 == 0:
-                product = enc(i + j, eps2)
-            elif eps2 == 0:
-                product = enc(i - j, 1)
-            else:
-                product = enc(i - j + n, 0)
-            table[enc(i, eps1), enc(j, eps2)] = product
-    return regular_representation(table, name=f"Dic{n}")
-
-
-def _symmetric(n: int) -> FiniteGroup:
-    perms = [Permutation(images) for images in itertools.permutations(range(max(n, 1)))]
-    return FiniteGroup(perms, name=f"S{n}")
-
-
-def _alternating(n: int) -> FiniteGroup:
-    def sign(images: tuple[int, ...]) -> int:
-        swaps = 0
-        seen = [False] * len(images)
-        for start in range(len(images)):
-            if seen[start]:
-                continue
-            length, point = 0, start
-            while not seen[point]:
-                seen[point] = True
-                point = images[point]
-                length += 1
-            swaps += length - 1
-        return -1 if swaps % 2 else 1
-
-    perms = [
-        Permutation(images)
-        for images in itertools.permutations(range(n))
-        if sign(images) == 1
-    ]
-    return FiniteGroup(perms, name=f"A{n}")
-
-
-def _sl23() -> FiniteGroup:
-    vectors = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
-    vid = {v: i for i, v in enumerate(vectors)}
-
-    def mat_perm(m: tuple[tuple[int, int], tuple[int, int]]) -> Permutation:
-        return Permutation(
-            tuple(
-                vid[((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3)]
-                for a, b in vectors
-            )
-        )
-
-    s = mat_perm(((0, 2), (1, 0)))
-    t = mat_perm(((1, 1), (0, 1)))
-    return group_closure([s, t], max_order=24, name="SL23")
-
-
-def _elementary_abelian(k: int) -> FiniteGroup:
-    gens = [_cycle(2 * k, (2 * i, 2 * i + 1)) for i in range(k)]
-    return group_closure(gens, max_order=2**k, name=f"E{2 ** k}")
-
-
 def catalog_names() -> list[str]:
     """All catalog names in a fixed, documented order."""
-    names = [f"Z{n}" for n in range(1, 49)]
-    names += [f"D{n}" for n in range(2, 25)]
-    names += [f"Dic{n}" for n in range(2, 13)]
-    names += [f"S{n}" for n in range(1, 6)]
-    names += [f"A{n}" for n in range(3, 6)]
-    names += ["Q8", "SL23", "E2", "E4", "V4", "E8", "E16"]
-    return names
+    return list(_GENERATORS)
 
 
 def catalog_group(name: str) -> FiniteGroup:
-    """Look up (and cache) a catalog group by name."""
-    if name in _cache:
-        return _cache[name]
-    group: Optional[FiniteGroup] = None
-    if match := re.fullmatch(r"Z(\d+)", name):
-        n = int(match.group(1))
-        if 1 <= n <= 48:
-            group = _cyclic(n)
-    elif match := re.fullmatch(r"D(\d+)", name):
-        n = int(match.group(1))
-        if 2 <= n <= 24:
-            group = _dihedral(n)
-    elif match := re.fullmatch(r"Dic(\d+)", name):
-        n = int(match.group(1))
-        if 2 <= n <= 12:
-            group = _dicyclic(n)
-    elif match := re.fullmatch(r"S(\d)", name):
-        n = int(match.group(1))
-        if 1 <= n <= 5:
-            group = _symmetric(n)
-    elif match := re.fullmatch(r"A(\d)", name):
-        n = int(match.group(1))
-        if 3 <= n <= 5:
-            group = _alternating(n)
-    elif name == "Q8":
-        group = _dicyclic(2)
-        group.name = "Q8"
-    elif name == "SL23":
-        group = _sl23()
-    elif name == "V4":
-        group = _elementary_abelian(2)
-        group.name = "V4"
-    elif match := re.fullmatch(r"E(\d+)", name):
-        size = int(match.group(1))
-        if size in (2, 4, 8, 16):
-            group = _elementary_abelian(size.bit_length() - 1)
-    if group is None:
-        raise GroupSpecError(f"unknown catalog group {name!r}")
-    _cache[name] = group
-    return group
+    """Look up (and cache) a catalog group by its exact name."""
+    if name not in _cache:
+        if name not in _GENERATORS:
+            raise GroupSpecError(f"unknown catalog group {name!r}")
+        _cache[name] = group_closure(_GENERATORS[name], name=name)
+    return _cache[name]
 
 
 def parse_group_spec(spec: str, max_order: int = 400) -> FiniteGroup:
@@ -196,29 +106,25 @@ def parse_group_spec(spec: str, max_order: int = 400) -> FiniteGroup:
     spec = spec.strip()
     if spec.startswith("perm:"):
         text = spec[len("perm:"):]
-        try:
-            gens = parse_generators(text)
-        except ValueError as exc:
-            raise GroupSpecError(str(exc)) from exc
-        return group_closure(gens, max_order=max_order, name=f"perm:{text.strip()}")
-    if spec.startswith("file:"):
+        name = f"perm:{text.strip()}"
+    elif spec.startswith("file:"):
         path = Path(spec[len("file:"):])
         if not path.is_file():
             raise GroupSpecError(f"generator file not found: {path}")
-        text = ";".join(
-            line for line in path.read_text().splitlines() if line.strip()
-        )
+        text = ";".join(path.read_text().splitlines())
+        name = path.name
+    else:
         try:
-            gens = parse_generators(text)
-        except ValueError as exc:
-            raise GroupSpecError(str(exc)) from exc
-        return group_closure(gens, max_order=max_order, name=path.name)
+            return catalog_group(spec)
+        except GroupSpecError:
+            raise GroupSpecError(
+                f"unknown group spec {spec!r}; use a catalog name, 'perm:...', or 'file:...'"
+            ) from None
     try:
-        return catalog_group(spec)
-    except GroupSpecError:
-        raise GroupSpecError(
-            f"unknown group spec {spec!r}; use a catalog name, 'perm:...', or 'file:...'"
-        ) from None
+        gens = parse_generators(text)
+    except ValueError as exc:
+        raise GroupSpecError(str(exc)) from exc
+    return group_closure(gens, max_order=max_order, name=name)
 
 
 def parse_subgroup_spec(group: FiniteGroup, spec: str) -> Subgroup:

@@ -54,7 +54,7 @@ class FiniteLattice:
 
     ``leq[i, j]`` says i <= j; ``meet``/``join`` are index tables; labels
     are display strings. ``payload`` optionally carries the objects the
-    nodes came from (e.g. Subgroup instances for interval lattices).
+    nodes came from (e.g. Subgroup instances for subgroup lattices).
     """
 
     n: int

@@ -201,7 +201,7 @@ class FiniteGroup:
     wrong entry raises ValueError as a list not closed under products does.
     ``elements`` as ``Permutation`` objects is built on first use.
     Instances are immutable after construction and cache derived data
-    (subgroup lists, element orders, conjugacy classes) on first use.
+    (subgroup lists, element orders, class labels) on first use.
     """
 
     def __init__(
@@ -880,18 +880,3 @@ def is_dedekind_interval(
             return False
     return True
 
-
-# -- abstract groups ---------------------------------------------------------
-
-
-def regular_representation(table: np.ndarray, name: Optional[str] = None) -> FiniteGroup:
-    """Build a FiniteGroup from an abstract multiplication table.
-
-    ``table[i][j]`` is the index of the product; the regular action
-    ``k -> table[i][k]`` of each row is taken as a permutation. Faithful
-    for any group, at the price of degree = order.
-    """
-    table = np.asarray(table, dtype=np.int64)
-    n = table.shape[0]
-    perms = [Permutation(tuple(int(x) for x in table[i])) for i in range(n)]
-    return FiniteGroup(perms, name=name)

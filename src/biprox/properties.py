@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -569,19 +569,7 @@ class ClassificationReport:
     lengths: Dict[str, int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "context": self.context,
-            "group_order": self.group_order,
-            "sub_order": self.sub_order,
-            "distributive": self.distributive,
-            "dedekind": self.dedekind,
-            "cyclic": self.cyclic,
-            "w_cyclic": self.w_cyclic,
-            "w_plus_cyclic": self.w_plus_cyclic,
-            "Z": self.Z,
-            "ZZ": self.ZZ,
-            "F2": self.F2,
-            "w_cyclic_dual": self.w_cyclic_dual,
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "sum_bound": str(self.sum_bound),
             "witnesses": {k: self.witnesses[k] for k in sorted(self.witnesses)},
             "lengths": dict(self.lengths),

@@ -14,10 +14,18 @@ Python step.  ``unseeded_generating_sets`` is the former
 than its cyclic subgroup before they closed.  ``subgroup_from_perms`` (the
 former ``FiniteGroup`` method) and ``double_cosets`` are former public
 names of ``biprox.permgroup`` that only tests called.
+
+``symmetric_group``, ``alternating_group``, ``dicyclic_group`` and
+``sl23_group`` are the constructions the catalog ran before each of its
+groups became a generator list: every permutation of the points, those of
+even parity, the regular representation (the former
+``permgroup.regular_representation``) of the dicyclic multiplication table,
+and the matrices of SL(2,3) acting on the nonzero vectors of F_3^2.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 import numpy as np
@@ -30,6 +38,7 @@ from biprox.permgroup import (
     all_subgroups,
     double_coset_labels,
     generated_by_closure,
+    group_closure,
 )
 
 
@@ -125,3 +134,88 @@ def unseeded_generating_sets(group: FiniteGroup, subs: list[Subgroup]) -> list[l
         gens = np.column_stack([gens, added])
         spans[todo] = _close(group, spans[todo], gens[todo], closed=True)
     return [[int(g) for g in row if g >= 0] for row in gens]
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    """S_n as every permutation of max(n, 1) points."""
+    perms = [Permutation(images) for images in itertools.permutations(range(max(n, 1)))]
+    return FiniteGroup(perms, name=f"S{n}")
+
+
+def alternating_group(n: int) -> FiniteGroup:
+    """A_n as the permutations of n points with an even number of swaps."""
+
+    def sign(images: tuple[int, ...]) -> int:
+        swaps = 0
+        seen = [False] * len(images)
+        for start in range(len(images)):
+            if seen[start]:
+                continue
+            length, point = 0, start
+            while not seen[point]:
+                seen[point] = True
+                point = images[point]
+                length += 1
+            swaps += length - 1
+        return -1 if swaps % 2 else 1
+
+    perms = [
+        Permutation(images)
+        for images in itertools.permutations(range(n))
+        if sign(images) == 1
+    ]
+    return FiniteGroup(perms, name=f"A{n}")
+
+
+def regular_representation(table: np.ndarray, name: str | None = None) -> FiniteGroup:
+    """Build a FiniteGroup from an abstract multiplication table.
+
+    ``table[i][j]`` is the index of the product; the regular action
+    ``k -> table[i][k]`` of each row is taken as a permutation. Faithful
+    for any group, at the price of degree = order.
+    """
+    table = np.asarray(table, dtype=np.int64)
+    n = table.shape[0]
+    perms = [Permutation(tuple(int(x) for x in table[i])) for i in range(n)]
+    return FiniteGroup(perms, name=name)
+
+
+def dicyclic_group(n: int) -> FiniteGroup:
+    """Dic_n, order 4n, in the regular representation of its multiplication
+    table on the elements a^i x^e, indexed 2i + e."""
+    order = 4 * n
+    two_n = 2 * n
+
+    def enc(i: int, eps: int) -> int:
+        return (i % two_n) * 2 + eps
+
+    table = np.empty((order, order), dtype=np.int64)
+    for i, eps1 in itertools.product(range(two_n), range(2)):
+        for j, eps2 in itertools.product(range(two_n), range(2)):
+            if eps1 == 0:
+                product = enc(i + j, eps2)
+            elif eps2 == 0:
+                product = enc(i - j, 1)
+            else:
+                product = enc(i - j + n, 0)
+            table[enc(i, eps1), enc(j, eps2)] = product
+    return regular_representation(table, name=f"Dic{n}")
+
+
+def sl23_group() -> FiniteGroup:
+    """SL(2,3) generated by two matrices acting on the 8 nonzero vectors of
+    F_3^2, listed (0,1), (0,2), (1,0), ..., (2,2)."""
+    vectors = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    vid = {v: i for i, v in enumerate(vectors)}
+
+    def mat_perm(m: tuple[tuple[int, int], tuple[int, int]]) -> Permutation:
+        return Permutation(
+            tuple(
+                vid[((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3)]
+                for a, b in vectors
+            )
+        )
+
+    s = mat_perm(((0, 2), (1, 0)))
+    t = mat_perm(((1, 1), (0, 1)))
+    return group_closure([s, t], max_order=24, name="SL23")

@@ -95,6 +95,12 @@ def test_analyze_unknown_group_exits_1(capsys) -> None:
     assert "unknown group spec" in err
 
 
+def test_analyze_zero_padded_catalog_name_exits_1(capsys) -> None:
+    code, out, err = run(capsys, "analyze", "--group", "Z007")
+    assert code == 1 and out == ""
+    assert "unknown group spec 'Z007'" in err
+
+
 def test_analyze_order_cap_exits_2(capsys) -> None:
     code, _, err = run(
         capsys, "analyze", "--group", "perm:(1,2,3,4,5,6)", "--max-order", "4"

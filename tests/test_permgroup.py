@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biprox.catalog
 import biprox.permgroup
 from biprox.boxalgebra import BoxContext
 from biprox.catalog import catalog_group, catalog_names, parse_group_spec, parse_subgroup_spec
 from biprox.cli import enumerate_pairs, subgroup_class_representatives
-from biprox.errors import DegreeMismatch, NotNested, OrderCapExceeded, SubgroupCapExceeded
+from biprox.errors import (
+    DegreeMismatch,
+    GroupSpecError,
+    NotNested,
+    OrderCapExceeded,
+    SubgroupCapExceeded,
+)
 from biprox.interval import Inclusion
 from biprox.permgroup import (
     FiniteGroup,
@@ -30,14 +39,18 @@ from biprox.permgroup import (
     parse_generators,
     subgroup_generated,
 )
-from biprox.properties import maximal_biprojections
+from biprox.properties import _context_dims, maximal_biprojections
 import lattice_fixtures
 from lattice_oracle import interval_subgroups, subgroup_interval
 from permgroup_oracle import (
+    alternating_group,
+    dicyclic_group,
     double_cosets,
     every_seed_subgroups,
     min_key_class_representatives,
     orbit_conjugacy_classes,
+    sl23_group,
+    symmetric_group,
     unseeded_generating_sets,
 )
 
@@ -411,6 +424,43 @@ def test_all_subgroups_match_every_seed_enumeration_on_the_catalog():
 def test_all_subgroups_match_every_seed_enumeration(spec):
     group = parse_group_spec(spec)
     assert [s.key() for s in all_subgroups(group)] == every_seed_subgroups(group)
+
+
+@functools.cache
+def _small_catalog_pairs() -> list[tuple[str, str]]:
+    small = [name for name in catalog_names() if catalog_group(name).order <= 12]
+    return [
+        (a, b) for a in small for b in small
+        if catalog_group(a).order * catalog_group(b).order <= 96
+    ]
+
+
+@functools.cache
+def _direct_product(a: str, b: str) -> FiniteGroup:
+    """A x B, closed from the catalog generators of A and of B, with B's
+    shifted onto the points after A's."""
+    da, db = catalog_group(a).degree, catalog_group(b).degree
+    gens = [Permutation(p.images + tuple(range(da, da + db))) for p in biprox.catalog._GENERATORS[a]]
+    gens += [
+        Permutation(tuple(range(da)) + tuple(da + x for x in p.images))
+        for p in biprox.catalog._GENERATORS[b]
+    ]
+    return group_closure(gens, name=f"{a}x{b}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data(), st.lists(st.integers(min_value=0), min_size=0, max_size=2))
+def test_direct_products_of_small_catalog_groups(data, draws):
+    # G = A x B for catalog groups A and B of order <= 12, |G| <= 96; H is
+    # generated by 0-2 drawn elements of G.
+    a, b = data.draw(st.sampled_from(_small_catalog_pairs()))
+    g = _direct_product(a, b)
+    assert g.order == catalog_group(a).order * catalog_group(b).order
+    assert [s.key() for s in all_subgroups(g)] == every_seed_subgroups(g)
+    h = subgroup_generated(g, [d % g.order for d in draws])
+    ctx = BoxContext(g, h)
+    fixed = _context_dims(ctx)[:, ctx.node[1]]  # <chi|_H, 1> for each chi of G
+    assert int((fixed**2).sum()) == len(double_cosets(g, h, h))
 
 
 def test_all_subgroups_closes_one_seed_per_double_coset(monkeypatch):
@@ -826,6 +876,54 @@ def test_catalog_sanity():
     assert catalog_group("Z30").order == 30
     assert not catalog_group("Q8").is_abelian()
     assert catalog_group("E16").is_abelian()
+
+
+CATALOG_NAMES = """
+    Z1 Z2 Z3 Z4 Z5 Z6 Z7 Z8 Z9 Z10 Z11 Z12 Z13 Z14 Z15 Z16 Z17 Z18 Z19 Z20 Z21 Z22 Z23 Z24
+    Z25 Z26 Z27 Z28 Z29 Z30 Z31 Z32 Z33 Z34 Z35 Z36 Z37 Z38 Z39 Z40 Z41 Z42 Z43 Z44 Z45 Z46
+    Z47 Z48 D2 D3 D4 D5 D6 D7 D8 D9 D10 D11 D12 D13 D14 D15 D16 D17 D18 D19 D20 D21 D22 D23
+    D24 Dic2 Dic3 Dic4 Dic5 Dic6 Dic7 Dic8 Dic9 Dic10 Dic11 Dic12 S1 S2 S3 S4 S5 A3 A4 A5
+    Q8 SL23 E2 E4 V4 E8 E16
+""".split()
+
+
+def test_catalog_names_are_pinned():
+    assert catalog_names() == CATALOG_NAMES
+
+
+def test_catalog_groups_match_their_former_constructions():
+    oracles = {f"S{n}": symmetric_group(n) for n in range(1, 6)}
+    oracles |= {f"A{n}": alternating_group(n) for n in range(3, 6)}
+    oracles |= {f"Dic{n}": dicyclic_group(n) for n in range(2, 13)}
+    oracles |= {"Q8": dicyclic_group(2), "SL23": sl23_group()}
+    for name, oracle in oracles.items():
+        group = catalog_group(name)
+        assert group.name == name
+        assert np.array_equal(group.images, oracle.images), name
+
+
+@pytest.mark.parametrize("name", ["Z007", "E016", "Dic02", "Z0", "Z49", "D1", "S6", "A2", "E32", "z7"])
+def test_only_catalog_names_resolve(name):
+    with pytest.raises(GroupSpecError, match="unknown catalog group"):
+        catalog_group(name)
+    with pytest.raises(GroupSpecError, match="unknown group spec"):
+        parse_group_spec(name)
+    assert name not in biprox.catalog._cache
+
+
+def test_file_spec_closes_like_the_perm_spec(tmp_path):
+    path = tmp_path / "s4.txt"
+    path.write_text("(1,2,3,4)\n\n  (1,2)\n")
+    group = parse_group_spec(f"file:{path}")
+    assert group.name == "s4.txt"
+    assert np.array_equal(group.images, parse_group_spec("perm:(1,2,3,4);(1,2)").images)
+    with pytest.raises(OrderCapExceeded):
+        parse_group_spec(f"file:{path}", max_order=23)
+    path.write_text("(1,2)(0,3)\n")
+    with pytest.raises(GroupSpecError, match="1-based"):
+        parse_group_spec(f"file:{path}")
+    with pytest.raises(GroupSpecError, match="not found"):
+        parse_group_spec(f"file:{tmp_path / 'missing.txt'}")
 
 
 def test_center_subgroup() -> None:
