@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import GroupSpecError
+from .errors import GroupSpecError, OrderCapExceeded
 from .permgroup import (
     FiniteGroup,
     Permutation,
@@ -102,7 +102,8 @@ def catalog_group(name: str) -> FiniteGroup:
 
 
 def parse_group_spec(spec: str, max_order: int = 400) -> FiniteGroup:
-    """Resolve a group spec: catalog name, ``perm:...``, or ``file:path``."""
+    """Resolve a group spec: catalog name, ``perm:...``, or ``file:path``.
+    A group of more than ``max_order`` elements raises OrderCapExceeded."""
     spec = spec.strip()
     if spec.startswith("perm:"):
         text = spec[len("perm:"):]
@@ -115,11 +116,14 @@ def parse_group_spec(spec: str, max_order: int = 400) -> FiniteGroup:
         name = path.name
     else:
         try:
-            return catalog_group(spec)
+            group = catalog_group(spec)
         except GroupSpecError:
             raise GroupSpecError(
                 f"unknown group spec {spec!r}; use a catalog name, 'perm:...', or 'file:...'"
             ) from None
+        if group.order > max_order:
+            raise OrderCapExceeded(f"|{spec}| = {group.order} exceeds max_order={max_order}")
+        return group
     try:
         gens = parse_generators(text)
     except ValueError as exc:

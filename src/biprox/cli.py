@@ -50,7 +50,7 @@ from .fusionring import fusion_report, load_fusion_file
 from .interval import Inclusion, coset_action, core_pair, inclusions_equivalent
 from .interval import isomorphism_carrying, pair_invariants
 from .lattice import FiniteLattice, boolean_rank, is_distributive, is_modular, to_dot
-from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings, mask_keys
+from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings
 from .properties import classify
 from .reference_tables import dual_coset_basis, run_reference_checks, s2_s4_context, s3_context
 
@@ -264,15 +264,11 @@ def cmd_fusion_check(args) -> int:
 def subgroup_class_representatives(group: FiniteGroup) -> List[Subgroup]:
     """One subgroup per conjugacy class: the member with minimal mask key.
     Conjugates have equal order, so in the (order, key) order of
-    ``all_subgroups`` the first member met of each class is that member; it
-    is conjugated once, and every key of its class is marked seen."""
-    seen: set = set()
-    reps = []
-    for sub in all_subgroups(group):
-        if sub.key() not in seen:
-            reps.append(sub)
-            seen.update(mask_keys(sub.conjugates()))
-    return reps
+    ``all_subgroups`` that member is the first listed of its class, which
+    the enumeration records as the class of every member; nothing is
+    conjugated here."""
+    subs = all_subgroups(group)
+    return [sub for i, sub in enumerate(subs) if group._subgroup_classes[i] == i]
 
 
 def enumerate_pairs(

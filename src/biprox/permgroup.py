@@ -24,6 +24,13 @@ Conventions
   blocks of a fixed cell budget; ``generating_sets`` takes one greedy step
   for many subgroups per batch.  Once the subgroup list is cached,
   ``subgroup_generated`` reads <seed> off it and closes nothing.
+* Subgroups are enumerated one conjugacy class at a time.  Conjugation maps
+  joins to joins, g <S, c> g^-1 = <g S g^-1, g c g^-1>, so only one member
+  of each class is extended.  A new class is expanded by one gather of its
+  mask through the conjugation table (entry [g, x] is g^-1 x g), unless it
+  is normal, a union of conjugacy classes as ``class_labels`` shows, and
+  so its own class.  Each listed subgroup's class is recorded with the list.
+  Class labels, conjugates and normalisers read the same table.
 * The A\\G/B double cosets are one label array: the least element of AgB
   for every g.
 * Per-subgroup results are cached on the parent by member set
@@ -36,7 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -201,7 +208,8 @@ class FiniteGroup:
     wrong entry raises ValueError as a list not closed under products does.
     ``elements`` as ``Permutation`` objects is built on first use.
     Instances are immutable after construction and cache derived data
-    (subgroup lists, element orders, class labels) on first use.
+    (subgroup lists and their classes, element orders, the conjugation
+    table, class labels) on first use.
     """
 
     def __init__(
@@ -261,6 +269,8 @@ class FiniteGroup:
         self.inverse.setflags(write=False)
         self._full_subgroup: Optional[Subgroup] = None
         self._subgroups: Optional[list[Subgroup]] = None
+        # By list index of _subgroups: the index of its class's first member.
+        self._subgroup_classes: Optional[np.ndarray] = None
         self._subgroup_lattice = None  # the lattice of _subgroups
         self._element_orders: Optional[np.ndarray] = None
         self._character_tables: dict[bytes, np.ndarray] = {}  # by subgroup key
@@ -365,9 +375,18 @@ class FiniteGroup:
         return self._full_subgroup
 
     @cached_property
+    def _conjugation(self) -> np.ndarray:
+        """Entry [g, x] is the index of g^-1 x g, built once per group.  A
+        member mask gathered through row g is the mask of g K g^-1, and a
+        column's least entry over a subgroup is x's least conjugate in it."""
+        table = self.cayley[self.cayley[self.inverse], np.arange(self.order)[:, None]]
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def class_labels(self) -> np.ndarray:
         """The least conjugate of each element, by index, which names its class."""
-        labels = _least_conjugates(self, np.arange(self.order))
+        labels = self._conjugation.min(axis=0)
         labels.setflags(write=False)
         return labels
 
@@ -392,18 +411,12 @@ def _sorted_distinct(rows: np.ndarray) -> bool:
     return bool(np.all(step[np.arange(len(step)), lead] > 0))
 
 
-def _least_conjugates(group: FiniteGroup, members: np.ndarray) -> np.ndarray:
-    """Each member's least conjugate under the subgroup on ``members``, which
-    names its class: one members x members gather of g x g^-1."""
-    conj = group.cayley[group.cayley[np.ix_(members, members)], group.inverse[members, None]]
-    return conj.min(axis=0)
-
-
 def _conjugacy_classes(group: FiniteGroup, members: np.ndarray) -> list[np.ndarray]:
     """The classes of the subgroup on ``members`` (ascending) under its own
     conjugation, each sorted, in the order of their least elements, which
-    name them (_least_conjugates)."""
-    least = _least_conjugates(group, members)
+    name them: each member's least conjugate is the least entry of its
+    column of the members x members block of the conjugation table."""
+    least = group._conjugation[np.ix_(members, members)].min(axis=0)
     order = np.argsort(least, kind="stable")
     return np.split(members[order], np.flatnonzero(np.diff(least[order])) + 1)
 
@@ -475,22 +488,18 @@ class Subgroup:
         return bool(np.all(self.mask[products]))
 
     def conjugates(self) -> np.ndarray:
-        """The member masks of the conjugates: row g is g K g^-1."""
-        group = self.parent
-        g = np.arange(group.order)[:, None]
-        out = np.zeros((group.order, group.order), dtype=bool)
-        out[g, group.cayley[group.cayley[g, self.indices], group.inverse[g]]] = True
-        return out
+        """The member masks of the conjugates: row g is g K g^-1, the mask
+        gathered through row g of the conjugation table."""
+        return self.mask[self.parent._conjugation]
 
     def is_normal(self) -> bool:
         return bool(np.all(self.conjugates() == self.mask))
 
     @cached_property
     def normaliser(self) -> "Subgroup":
-        """N_G(K), the g with g K g^-1 = K, built on first use."""
-        group = self.parent
-        conj = self.mask[group.cayley[group.cayley[:, self.indices], group.inverse[:, None]]]
-        return Subgroup(group, conj.all(axis=1))
+        """N_G(K), the g with g^-1 K g = K, built on first use."""
+        conj = self.mask[self.parent._conjugation[:, self.indices]]
+        return Subgroup(self.parent, conj.all(axis=1))
 
     def perms(self) -> list[Permutation]:
         return [self.parent.elements[i] for i in self.indices]
@@ -744,26 +753,53 @@ def _double_coset_seeds(
     return np.concatenate(seed_rows), np.concatenate(seed_joins)
 
 
+def _closed_joins(
+    group: FiniteGroup, masks: np.ndarray, gens: np.ndarray, joins: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the closed joins of each subgroup S, a row of ``masks`` closed
+    under its row of ``gens``, one per double coset S c S
+    (``_double_coset_seeds``), in row blocks of ``_CLOSE_CELLS`` cells: each
+    block's masks and generators.  A join closes from S | <c> over S's
+    generators and c, and S is closed under the first ones, so the first
+    closure round multiplies it by c alone."""
+    seed_rows, seed_joins = _double_coset_seeds(group, masks, joins)
+    block = max(1, _CLOSE_CELLS // group.order)
+    for start in range(0, seed_rows.size, block):
+        rows = seed_rows[start : start + block]
+        added = joins[seed_joins[start : start + block]]
+        block_gens = np.column_stack([gens[rows], added])
+        block_masks = masks[rows] | group._cyclic_masks[added]
+        yield _close(group, block_masks, block_gens, closed=True), block_gens
+
+
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of ``group``, sorted by (order, bitset key).
 
     Enumeration by generation, breadth first, after Neubüser's cyclic
-    extension method: generation k holds the subgroups first reached as a
-    join of k cyclic subgroups, and generation k + 1 is read off the joins
-    of each member S of generation k with every cyclic subgroup <c> outside
-    it.  A subgroup first reached at k + 1 is such a join of a member of
-    generation k, so this is exact for any finite group, since every
-    subgroup is the join of its cyclic subgroups.  Generation 1 is read off
-    the group's cyclic masks, with no closure.  Since <S, c> = <S, s c s'>
-    for all s, s' in S, the joins of one S are seeded once per double coset
-    S c S (the first c of each, by least element), and the others are never
-    closed.  Each subgroup carries the generators it was reached from, so a
-    join closes over k + 1 generators rather than all its members, from
-    S | <c>; S is closed under the first k, so the first closure round
-    multiplies it by c alone.  A generation's seeds are found and closed in
-    row blocks of ``_CLOSE_CELLS`` cells.  Computed once per group; past
-    DEFAULT_ORDER_CAP elements or DEFAULT_SUBGROUP_CAP subgroups it raises
-    OrderCapExceeded or SubgroupCapExceeded.
+    extension method, one conjugacy class at a time: generation k holds the
+    classes first reached as a join of k cyclic subgroups, and generation
+    k + 1 is read off the joins of one member S of each class of generation
+    k with every cyclic subgroup <c> outside it.  Conjugation maps joins to
+    joins, g <S, c> g^-1 = <g S g^-1, g c g^-1>, so the joins of S reach
+    the classes of the joins of every conjugate of S; and every subgroup is
+    the join of its cyclic subgroups, so this is exact for any finite group.
+    Generation 1 is read off the group's cyclic masks, with no closure.
+    Since <S, c> = <S, s c s'> for all s, s' in S, the joins of S are
+    seeded once per double coset S c S and closed in row blocks
+    (``_closed_joins``).
+
+    A join not yet found starts a class.  A normal subgroup is its own
+    class: it is a union of conjugacy classes, so each member's mask entry
+    equals that of its class label (``class_labels``), which one gather of
+    the whole block decides, over the elements that are not their own
+    label (none in an abelian group).  Any other class is expanded by one
+    gather of its mask through the conjugation table, and every member is
+    stored, so a later row conjugate to it, in the same block or not, is
+    found already.  The class of each listed subgroup is recorded as the
+    list index of its first member (``FiniteGroup._subgroup_classes``).
+    Computed once per group; past DEFAULT_ORDER_CAP elements or
+    DEFAULT_SUBGROUP_CAP subgroups it raises OrderCapExceeded or
+    SubgroupCapExceeded, before the subgroup past the cap is stored.
     """
     if group.order > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(
@@ -771,38 +807,43 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
         )
     if group._subgroups is not None:
         return list(group._subgroups)
-    cyclic, firsts = group._cyclic_masks, group._cyclic_generators
-    if firsts.size > DEFAULT_SUBGROUP_CAP:
-        raise SubgroupCapExceeded(f"more than {DEFAULT_SUBGROUP_CAP} subgroups")
-    found = {key: Subgroup(group, cyclic[g]) for key, g in zip(mask_keys(cyclic[firsts]), firsts)}
-    joins = firsts[1:]  # the identity's <1> is generation 0
-    masks, gens = cyclic[joins], joins[:, None]
-    block = max(1, _CLOSE_CELLS // group.order)
-    while len(masks):
-        seed_rows, seed_joins = _double_coset_seeds(group, masks, joins)
+    cyclic, labels = group._cyclic_masks, group.class_labels
+    moved = np.flatnonzero(labels != np.arange(group.order))  # none when G is abelian
+    joins = group._cyclic_generators[1:]  # the identity's <1> is generation 0
+    trivial = Subgroup(group, cyclic[group.identity_index])
+    # By key: the subgroup and the key of the first member found of its class.
+    found = {trivial.key(): (trivial, trivial.key())}
+    generation = [(cyclic[joins], joins[:, None])]
+    while True:
         level_masks, level_gens = [], []
-        for start in range(0, seed_rows.size, block):
-            rows = seed_rows[start : start + block]
-            added = joins[seed_joins[start : start + block]]
-            block_masks = masks[rows] | cyclic[added]
-            block_gens = np.column_stack([gens[rows], added])
-            _close(group, block_masks, block_gens, closed=True)
+        for masks, gens in generation:
+            normal = (masks[:, moved] == masks[:, labels[moved]]).all(axis=1).tolist()
             new = []
-            for row, key in enumerate(mask_keys(block_masks)):
+            for row, key in enumerate(mask_keys(masks)):
                 if key in found:
                     continue
-                if len(found) >= DEFAULT_SUBGROUP_CAP:
+                members = [(key, masks[row])]
+                if not normal[row]:
+                    conj = masks[row][group._conjugation]
+                    members = dict(zip(mask_keys(conj), conj)).items()
+                if len(found) + len(members) > DEFAULT_SUBGROUP_CAP:
                     raise SubgroupCapExceeded(f"more than {DEFAULT_SUBGROUP_CAP} subgroups")
-                found[key] = Subgroup(group, block_masks[row])
+                for member, mask in members:
+                    found[member] = (Subgroup(group, mask), key)
                 new.append(row)
-            level_masks.append(block_masks[new])
-            level_gens.append(block_gens[new])
-        if not level_masks:  # only G itself, which has no join outside it
+            level_masks.append(masks[new])
+            level_gens.append(gens[new])
+        if not any(map(len, level_masks)):  # the generation's joins were all found already
             break
         masks, gens = np.concatenate(level_masks), np.concatenate(level_gens)
-    result = sorted(found.values(), key=lambda s: (s.order, s.key()))
-    group._subgroups = result
-    return list(result)
+        generation = _closed_joins(group, masks, gens, joins)
+    listed = sorted(found.items(), key=lambda item: (item[1][0].order, item[0]))
+    first: dict[bytes, int] = {}
+    classes = np.array([first.setdefault(cls, i) for i, (_, (_, cls)) in enumerate(listed)])
+    classes.setflags(write=False)
+    group._subgroups = [sub for _, (sub, _) in listed]
+    group._subgroup_classes = classes
+    return list(group._subgroups)
 
 
 # -- cosets and normality --------------------------------------------------

@@ -109,6 +109,15 @@ def test_analyze_order_cap_exits_2(capsys) -> None:
     assert "cap" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["analyze", "lattice"])
+def test_catalog_group_past_max_order_exits_2(capsys, command) -> None:
+    # S5 by catalog name exits as the same group given as a perm: spec does.
+    for group in ("S5", "perm:(1,2);(1,2,3,4,5)"):
+        code, out, err = run(capsys, command, "--group", group, "--max-order", "4")
+        assert code == 2 and out == "", group
+        assert "cap exceeded" in err, group
+
+
 def test_bad_subcommand_exits_1(capsys) -> None:
     assert run(capsys, "frobnicate")[0] == 1
 

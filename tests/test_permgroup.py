@@ -329,6 +329,9 @@ def test_conjugates_core_and_normality_match_elementwise_conjugation():
         inside = [k for k, cls in zip(sub.indices, conjugates) if cls <= set(sub.indices)]
         assert core(s4, sub).indices.tolist() == inside
         assert sub.is_normal() == (len(inside) == sub.order)
+        assert sub.normaliser.indices.tolist() == [
+            g for g in range(s4.order) if np.array_equal(rows[g], sub.mask)
+        ]
 
 
 def test_subgroup_generated_examples():
@@ -457,6 +460,9 @@ def test_direct_products_of_small_catalog_groups(data, draws):
     g = _direct_product(a, b)
     assert g.order == catalog_group(a).order * catalog_group(b).order
     assert [s.key() for s in all_subgroups(g)] == every_seed_subgroups(g)
+    assert [s.key() for s in subgroup_class_representatives(g)] == [
+        s.key() for s in min_key_class_representatives(g)
+    ]
     h = subgroup_generated(g, [d % g.order for d in draws])
     ctx = BoxContext(g, h)
     fixed = _context_dims(ctx)[:, ctx.node[1]]  # <chi|_H, 1> for each chi of G
@@ -465,10 +471,11 @@ def test_direct_products_of_small_catalog_groups(data, draws):
 
 def test_all_subgroups_closes_one_seed_per_double_coset(monkeypatch):
     # Generation 1, the 800 nontrivial cyclic subgroups of the catalog, is
-    # read off the cyclic masks, and each later member S closes one join per
-    # double coset S c S: 6,242 seeds over the catalog.  Closing generation 1
-    # too gave 7,042, and every element and every cyclic generator outside S
-    # gave 26,143.
+    # read off the cyclic masks.  Only one member S of each class is
+    # extended, and it closes one join per double coset S c S: 1,690 seeds
+    # over the catalog's 1,333 subgroups in 662 classes.  Extending every
+    # member gave 6,242, closing generation 1 too 7,042, and every element
+    # and every cyclic generator outside S 26,143.
     closed = []
     real = biprox.permgroup._close
 
@@ -479,7 +486,7 @@ def test_all_subgroups_closes_one_seed_per_double_coset(monkeypatch):
     monkeypatch.setattr(biprox.permgroup, "_close", counting_close)
     for name in catalog_names():
         all_subgroups(FiniteGroup(catalog_group(name).images))  # nothing cached yet
-    assert sum(closed) == 6242
+    assert sum(closed) == 1690
     assert sum(catalog_group(name)._cyclic_generators.size - 1 for name in catalog_names()) == 800
 
 
@@ -493,6 +500,17 @@ def test_subgroup_class_representatives_match_the_least_key_rule():
         ], name
         count += len(reps)
     assert count == len(enumerate_pairs()) + len(catalog_names())  # H = G is no pair
+    # A6, E32 and S4 x Z3: a simple group near the cap, an abelian group whose
+    # subgroups are all normal, and a product with classes of 1 to 8 members.
+    for spec in (
+        "perm:(1,2,3);(2,3,4,5,6)",
+        "perm:(1,2);(3,4);(5,6);(7,8);(9,10)",
+        "perm:(1,2,3,4);(1,2);(5,6,7)",
+    ):
+        group = parse_group_spec(spec)
+        assert [s.key() for s in subgroup_class_representatives(group)] == [
+            s.key() for s in min_key_class_representatives(group)
+        ], spec
 
 
 def test_all_subgroups_cap(monkeypatch):
