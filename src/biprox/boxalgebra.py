@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -28,12 +29,12 @@ from .errors import (
     BiprojectionCheckFailed,
     ContextMismatch,
     NotABiprojection,
+    NotNested,
     NotPositive,
     NotTrivialH,
     NumericRankAmbiguous,
 )
-from .interval import Inclusion
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, subgroup_node
 from .permgroup import (
     AMBIGUOUS_BAND,
     SPLIT_RETRIES,
@@ -45,16 +46,28 @@ from .permgroup import (
 )
 
 
-class BoxContext(Inclusion):
-    """Immutable context for the 2-box space of H <= G: the inclusion, with
-    its nesting check, ``index`` and ``node`` (H's node in the subgroup
-    lattice), plus the caches of the algebra built on it."""
+class BoxContext:
+    """An inclusion H <= G, the one object that every figure and predicate
+    reads: the nesting check, ``index``, ``node`` (H's node in the subgroup
+    lattice) and the caches of the 2-box algebra built on it."""
 
     def __init__(self, group: FiniteGroup, sub: Subgroup):
-        super().__init__(group, sub)
+        if sub.parent is not group:
+            raise NotNested("subgroup does not live inside the given group")
+        self.group = group
+        self.sub = sub
         self.delta = math.sqrt(group.order / sub.order)
         self.kappa = math.sqrt(group.order * sub.order)
         self._cache: dict = {}
+
+    @property
+    def index(self) -> int:
+        return self.group.order // self.sub.order
+
+    @cached_property
+    def node(self) -> tuple[FiniteLattice, int]:
+        """``subgroup_node``: every figure and predicate of [H, G] reads it."""
+        return subgroup_node(self.group, self.sub)
 
     # -- identity ---------------------------------------------------------
 

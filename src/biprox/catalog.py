@@ -31,6 +31,7 @@ from pathlib import Path
 
 from .errors import GroupSpecError, OrderCapExceeded
 from .permgroup import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     Permutation,
     Subgroup,
@@ -101,7 +102,7 @@ def catalog_group(name: str) -> FiniteGroup:
     return _cache[name]
 
 
-def parse_group_spec(spec: str, max_order: int = 400) -> FiniteGroup:
+def parse_group_spec(spec: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Resolve a group spec: catalog name, ``perm:...``, or ``file:path``.
     A group of more than ``max_order`` elements raises OrderCapExceeded."""
     spec = spec.strip()

@@ -47,10 +47,10 @@ from .errors import (
     TheoremViolation,
 )
 from .fusionring import fusion_report, load_fusion_file
-from .interval import Inclusion, coset_action, core_pair, inclusions_equivalent
+from .interval import coset_action, core_pair, inclusions_equivalent
 from .interval import isomorphism_carrying, pair_invariants
 from .lattice import FiniteLattice, boolean_rank, is_distributive, is_modular, to_dot
-from .permgroup import FiniteGroup, Subgroup, all_subgroups, generator_strings
+from .permgroup import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, all_subgroups, generator_strings
 from .properties import classify
 from .reference_tables import dual_coset_basis, run_reference_checks, s2_s4_context, s3_context
 
@@ -68,6 +68,20 @@ _CSV_REPORT_FIELDS = (
     "F2",
     "w_cyclic_dual",
 )
+# The survey row's own columns, ahead of the report fields in its CSV.
+_SURVEY_ROW_FIELDS = (
+    "class_id",
+    "group",
+    "subgroup",
+    "group_order",
+    "subgroup_order",
+    "index",
+    "interval_size",
+    "class_size",
+    "status",
+)
+# The report fields that the survey counts, between its total and its errors.
+_SURVEY_COUNTED_FIELDS = ("distributive", "dedekind", "cyclic", "w_cyclic", "w_cyclic_dual")
 
 _CAP_ERRORS = (OrderCapExceeded, SubgroupCapExceeded, QuotientOrderCapExceeded)
 _NUMERIC_ERRORS = (NumericRankAmbiguous, BiprojectionCheckFailed, NotPositive)
@@ -81,17 +95,16 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, indent=2))
 
 
-def _context_from_args(args) -> Tuple[FiniteGroup, Subgroup, BoxContext]:
+def _context_from_args(args) -> BoxContext:
     group = parse_group_spec(args.group, max_order=args.max_order)
-    sub = parse_subgroup_spec(group, args.subgroup)
-    return group, sub, BoxContext(group, sub)
+    return BoxContext(group, parse_subgroup_spec(group, args.subgroup))
 
 
 # -- analyze -------------------------------------------------------------
 
 
 def _interval_figures(lat: FiniteLattice, i: int) -> dict:
-    """The figures of [H, G], the up-set of node i of ``lat`` (Inclusion.node)."""
+    """The figures of [H, G], the up-set of node i of ``lat`` (BoxContext.node)."""
     return {
         "size": int(np.count_nonzero(lat.leq[i])),
         "height": lat.height(i),
@@ -102,24 +115,24 @@ def _interval_figures(lat: FiniteLattice, i: int) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    group, sub, ctx = _context_from_args(args)
+    ctx = _context_from_args(args)
     figures = _interval_figures(*ctx.node)
     report = classify(ctx)
     out = {
         "schema": SCHEMA,
         "command": "analyze",
-        "group": group.label(),
-        "subgroup": sub.generator_string(),
-        "group_order": group.order,
-        "subgroup_order": sub.order,
-        "index": group.order // sub.order,
+        "group": ctx.group.label(),
+        "subgroup": ctx.sub.generator_string(),
+        "group_order": ctx.group.order,
+        "subgroup_order": ctx.sub.order,
+        "index": ctx.index,
         "interval": figures,
         "report": report.to_json_dict(),
     }
     if args.format == "text":
         r = out["report"]
         lines = [
-            f"{out['group']} over subgroup of order {sub.order}"
+            f"{out['group']} over subgroup of order {ctx.sub.order}"
             f" (index {out['index']}, interval size {figures['size']})",
             "  "
             + "  ".join(f"{k}={r[k]}" for k in _CSV_REPORT_FIELDS),
@@ -146,13 +159,10 @@ def _coset_legend(ctx: BoxContext, labels: Sequence[str]) -> Dict[str, str]:
     return {labels[i]: ctx.group.cycle_string(int(reps[i])) for i in range(ctx.dim)}
 
 
-def _check_paper(args, group: FiniteGroup, sub: Subgroup) -> int:
-    inc = Inclusion(group, sub)
-    ref3 = s3_context()
-    ref42 = s2_s4_context()
-    if args.side == "primal" and inclusions_equivalent(inc, Inclusion(ref3.group, ref3.sub)):
+def _check_paper(args, ctx: BoxContext) -> int:
+    if args.side == "primal" and inclusions_equivalent(ctx, s3_context()):
         wanted = ("s3-coproduct-table",)
-    elif args.side == "dual" and inclusions_equivalent(inc, Inclusion(ref42.group, ref42.sub)):
+    elif args.side == "dual" and inclusions_equivalent(ctx, s2_s4_context()):
         wanted = ("s2-s4-dual-table", "s2-s4-central-pair")
     else:
         raise GroupSpecError(
@@ -172,9 +182,9 @@ def _check_paper(args, group: FiniteGroup, sub: Subgroup) -> int:
 
 
 def cmd_table(args) -> int:
-    group, sub, ctx = _context_from_args(args)
+    ctx = _context_from_args(args)
     if args.check_paper:
-        return _check_paper(args, group, sub)
+        return _check_paper(args, ctx)
     labels = tuple(f"e{i + 1}" for i in range(ctx.dim))
     if args.side == "dual":
         basis = dual_coset_basis(ctx)
@@ -191,8 +201,8 @@ def cmd_table(args) -> int:
             {
                 "schema": SCHEMA,
                 "command": "table",
-                "group": group.label(),
-                "subgroup": sub.generator_string(),
+                "group": ctx.group.label(),
+                "subgroup": ctx.sub.generator_string(),
                 "side": args.side,
                 "scale": table.scale,
                 "labels": list(table.labels),
@@ -202,8 +212,8 @@ def cmd_table(args) -> int:
         )
     else:
         head = (
-            f"# {args.side} coproduct table of {group.label()} over subgroup "
-            f"of order {sub.order}; entries scaled by delta = {table.scale:.6g}"
+            f"# {args.side} coproduct table of {ctx.group.label()} over subgroup "
+            f"of order {ctx.sub.order}; entries scaled by delta = {table.scale:.6g}"
         )
         legend_lines = [f"#   {k} = class of {v}" for k, v in legend.items()]
         _emit("\n".join([head, *legend_lines, table.as_text()]))
@@ -214,7 +224,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    group, sub, ctx = _context_from_args(args)
+    ctx = _context_from_args(args)
     lat, i = ctx.node  # [H, G] is the up-set of node i: no interval lattice is built
     members = np.flatnonzero(lat.leq[i])
     labels = [lat.labels[k] for k in members]
@@ -225,8 +235,8 @@ def cmd_lattice(args) -> int:
             {
                 "schema": SCHEMA,
                 "command": "lattice",
-                "group": group.label(),
-                "subgroup": sub.generator_string(),
+                "group": ctx.group.label(),
+                "subgroup": ctx.sub.generator_string(),
                 **figures,
                 "labels": labels,
                 "cover_edges": edges.tolist(),
@@ -234,7 +244,7 @@ def cmd_lattice(args) -> int:
         )
     else:
         preamble = "// " + "  ".join(f"{k}: {v}" for k, v in figures.items())
-        title = f"[{sub.generator_string()}, {group.label()}]"
+        title = f"[{ctx.sub.generator_string()}, {ctx.group.label()}]"
         _emit(preamble + "\n" + to_dot(labels, edges, title))
     return 0
 
@@ -275,9 +285,11 @@ def enumerate_pairs(
     names: Optional[Sequence[str]] = None,
     max_index: Optional[int] = None,
     max_order: Optional[int] = None,
-) -> List[Tuple[str, Inclusion]]:
-    """Catalog inclusions (one subgroup per conjugacy class, H < G)."""
-    out: List[Tuple[str, Inclusion]] = []
+) -> List[Tuple[str, BoxContext]]:
+    """Catalog inclusions (one subgroup per conjugacy class, H < G), each
+    with its catalog name and as its context: the one object that
+    equivalence classing and the survey row read."""
+    out: List[Tuple[str, BoxContext]] = []
     for name in names if names is not None else catalog_names():
         group = catalog_group(name)
         if max_order is not None and group.order > max_order:
@@ -287,26 +299,24 @@ def enumerate_pairs(
                 continue
             if max_index is not None and group.order // sub.order > max_index:
                 continue
-            out.append((name, Inclusion(group, sub)))
+            out.append((name, BoxContext(group, sub)))
     return out
 
 
-def corpus_pairs() -> List[Tuple[str, Inclusion]]:
+def corpus_pairs() -> List[Tuple[str, BoxContext]]:
     """The verification corpus: every catalog inclusion with |G| <= 48 plus
     all inclusions of the degree-4 and degree-5 symmetric groups."""
-    pairs = enumerate_pairs(max_order=48)
-    pairs += [(n, i) for n, i in enumerate_pairs(names=["S5"])]
-    return pairs
+    return enumerate_pairs(max_order=48) + enumerate_pairs(names=["S5"])
 
 
-def _pair_sort_key(item: Tuple[str, Inclusion]) -> tuple:
+def _pair_sort_key(item: Tuple[str, BoxContext]) -> tuple:
     name, inc = item
     return (inc.group.order, name, inc.sub.order, inc.sub.generator_string())
 
 
 def equivalence_classes(
-    pairs: Sequence[Tuple[str, Inclusion]]
-) -> List[List[Tuple[str, Inclusion]]]:
+    pairs: Sequence[Tuple[str, BoxContext]]
+) -> List[List[Tuple[str, BoxContext]]]:
     """Partition by inclusion equivalence; classes and members are sorted
     canonically so the result is independent of input order.  Pairs are
     keyed by their coset action (``coset_action``): a pair whose action was
@@ -321,7 +331,7 @@ def equivalence_classes(
     for subs in subs_by_group.values():
         generator_strings(subs)  # label each group's subgroups in one batch for the sort
     # Pairs go in sorted order, so classes are created sorted by first member.
-    classes: List[List[Tuple[str, Inclusion]]] = []
+    classes: List[List[Tuple[str, BoxContext]]] = []
     by_action: Dict[tuple, list] = {}  # (degree, home, row bytes) -> class members
     buckets: Dict[tuple, list] = {}  # pair invariants -> [(pair, members)]
     for item in sorted(pairs, key=_pair_sort_key):
@@ -346,18 +356,17 @@ def equivalence_classes(
     return classes
 
 
-def _survey_row(name: str, inc: Inclusion) -> dict:
-    """Classify one class representative, its catalog name and inclusion;
-    the subgroup is written as its generator string."""
-    group, sub = inc.group, inc.sub
-    ctx = BoxContext(group, sub)
+def _survey_row(name: str, ctx: BoxContext) -> dict:
+    """Classify one class representative, given by its catalog name and the
+    context that enumerate_pairs built for it; the subgroup is written as
+    its generator string."""
     lat, i = ctx.node
     row = {
         "group": name,
-        "subgroup": sub.generator_string(),
-        "group_order": group.order,
-        "subgroup_order": sub.order,
-        "index": group.order // sub.order,
+        "subgroup": ctx.sub.generator_string(),
+        "group_order": ctx.group.order,
+        "subgroup_order": ctx.sub.order,
+        "index": ctx.index,
         "interval_size": int(np.count_nonzero(lat.leq[i])),
     }
     try:
@@ -385,15 +394,7 @@ def survey(
         enumerate_pairs(names=names, max_index=max_index, max_order=max_order)
     )
     rows = []
-    counts = {
-        "total": len(classes),
-        "distributive": 0,
-        "dedekind": 0,
-        "cyclic": 0,
-        "w_cyclic": 0,
-        "w_cyclic_dual": 0,
-        "errors": 0,
-    }
+    counts = {"total": len(classes), **dict.fromkeys(_SURVEY_COUNTED_FIELDS, 0), "errors": 0}
     for class_id, cls in enumerate(classes):
         row = {"class_id": class_id, "class_size": len(cls), **_survey_row(*cls[0])}
         rows.append(row)
@@ -407,7 +408,7 @@ def survey(
             raise TheoremViolation(
                 f"cyclic class {row['group']}/{row['subgroup']} breaks containment"
             )
-        for key in ("distributive", "dedekind", "cyclic", "w_cyclic", "w_cyclic_dual"):
+        for key in _SURVEY_COUNTED_FIELDS:
             counts[key] += bool(report[key])
     summary = {
         "schema": SCHEMA,
@@ -423,33 +424,10 @@ def survey(
 def survey_csv(rows: Sequence[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = [
-        "class_id",
-        "group",
-        "subgroup",
-        "group_order",
-        "subgroup_order",
-        "index",
-        "interval_size",
-        "class_size",
-        "status",
-        *_CSV_REPORT_FIELDS,
-        "sum_bound",
-    ]
-    writer.writerow(header)
+    writer.writerow([*_SURVEY_ROW_FIELDS, *_CSV_REPORT_FIELDS, "sum_bound"])
     for row in rows:
         report = row["report"]
-        cells = [
-            row["class_id"],
-            row["group"],
-            row["subgroup"],
-            row["group_order"],
-            row["subgroup_order"],
-            row["index"],
-            row["interval_size"],
-            row["class_size"],
-            row["status"],
-        ]
+        cells = [row[k] for k in _SURVEY_ROW_FIELDS]
         if report is None:
             cells += [""] * (len(_CSV_REPORT_FIELDS) + 1)
         else:
@@ -471,24 +449,8 @@ def cmd_survey(args) -> int:
     else:
         counts = summary["counts"]
         _emit(
-            "\n".join(
-                [
-                    f"survey: index <= {args.max_index}, "
-                    f"{counts['total']} equivalence classes",
-                    "  "
-                    + "  ".join(
-                        f"{k}={counts[k]}"
-                        for k in (
-                            "distributive",
-                            "dedekind",
-                            "cyclic",
-                            "w_cyclic",
-                            "w_cyclic_dual",
-                            "errors",
-                        )
-                    ),
-                ]
-            )
+            f"survey: index <= {args.max_index}, {counts['total']} equivalence classes\n  "
+            + "  ".join(f"{k}={counts[k]}" for k in (*_SURVEY_COUNTED_FIELDS, "errors"))
         )
     return 0
 
@@ -517,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="trivial",
             help="'trivial', 'full', or cycle-notation generators",
         )
-        p.add_argument("--max-order", type=int, default=400, dest="max_order")
+        p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP, dest="max_order")
 
     p = sub.add_parser("analyze", help="full classification report")
     add_context_flags(p)

@@ -10,7 +10,6 @@ element k inside the product i . j.  Basis element 0 is the unit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -24,6 +23,7 @@ from .errors import (
     NotTrivialH,
     NumericRankAmbiguous,
 )
+from .permgroup import AMBIGUOUS_BAND
 
 __all__ = [
     "FusionRing",
@@ -154,34 +154,13 @@ def verify_axioms(ring: FusionRing) -> Dict[str, bool]:
 
 # -- Frobenius-Perron data ---------------------------------------------------
 
-# Relative convergence tolerance and step limit of the power iteration.
-_PERRON_TOL = 1e-12
-_PERRON_MAX_ITER = 200_000
-
-
-def _perron_value(m: np.ndarray) -> float:
-    """Largest eigenvalue of a nonnegative integer matrix by power iteration
-    on m + I (the shift breaks periodicity without moving the eigenvector)."""
-    shifted = m.astype(np.float64) + np.eye(m.shape[0])
-    v = np.ones(m.shape[0]) / math.sqrt(m.shape[0])
-    prev = math.inf
-    for _ in range(_PERRON_MAX_ITER):
-        w = shifted @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        val = float(v @ shifted @ v)
-        if abs(val - prev) <= _PERRON_TOL * max(1.0, abs(val)):
-            return val - 1.0
-        prev = val
-    raise NumericRankAmbiguous("power iteration did not converge")
-
 
 def fp_dimensions(ring: FusionRing) -> np.ndarray:
-    """Frobenius-Perron dimension of each basis element: the largest
-    eigenvalue of its fusion matrix."""
-    return np.array([_perron_value(ring.matrix(i)) for i in range(ring.rank)])
+    """Frobenius-Perron dimension of each basis element: the spectral radius
+    of its nonnegative fusion matrix.  By Perron-Frobenius that radius is an
+    eigenvalue, and no eigenvalue has a larger real part, so it is the
+    largest real part of the spectrum."""
+    return np.array([np.linalg.eigvals(ring.matrix(i)).real.max() for i in range(ring.rank)])
 
 
 # -- subrings ----------------------------------------------------------------
@@ -287,18 +266,19 @@ def fusion_from_context(ctx: BoxContext) -> FusionRing:
 
     # route (a): coproduct support pattern must match the nonzero pattern
     conj_coeff = np.conj(np.stack([e.coeffs for e in elements]))
+    low, high = AMBIGUOUS_BAND
     for i in range(r):
         for j in range(r):
             y = coproduct(elements[i], elements[j])
             vals = (conj_coeff @ y.coeffs).real
             scale = max(float(vals.max()), 1e-30)
-            in_band = (vals > 1e-9 * scale) & (vals < 1e-6 * scale)
+            in_band = (vals > low * scale) & (vals < high * scale)
             if in_band.any():
                 raise NumericRankAmbiguous(
                     f"coproduct support of ({i},{j}) has weights inside the "
                     "ambiguity band"
                 )
-            pattern = vals >= 1e-6 * scale
+            pattern = vals >= high * scale
             if not np.array_equal(pattern, tensor[i, j] > 0):
                 raise BiprojectionCheckFailed(
                     f"support pattern of p_{i} * p_{j} disagrees with the "

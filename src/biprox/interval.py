@@ -2,22 +2,22 @@
 
 Covers: cyclic-over-subgroup witnesses, the distributivity/one-generator
 report and the normality and index-sum conditions on minimal overgroups,
-all read off H's node in ``Inclusion.node``; equivalence of inclusions
-through core quotients (a core-free pair is its own), and linear
-primitivity (the first block whose subgroup is H, as for w-cyclicity).
+all read off H's node in ``BoxContext.node``, and equivalence of
+inclusions through core quotients (a core-free pair is its own).  An
+inclusion is a ``BoxContext``; ``Inclusion`` is a second name for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import NotNested, QuotientOrderCapExceeded, TheoremViolation
-from .lattice import FiniteLattice, is_distributive, subgroup_node
+from .boxalgebra import BoxContext as Inclusion
+from .errors import QuotientOrderCapExceeded, TheoremViolation
+from .lattice import is_distributive
 from .permgroup import (
     FiniteGroup,
     Subgroup,
@@ -26,28 +26,6 @@ from .permgroup import (
     generating_indices,
     is_dedekind_interval,
 )
-
-
-class Inclusion:
-    """An inclusion of finite groups H <= G."""
-
-    def __init__(self, group: FiniteGroup, sub: Subgroup):
-        if sub.parent is not group:
-            raise NotNested("subgroup does not live inside the given group")
-        self.group = group
-        self.sub = sub
-
-    @property
-    def index(self) -> int:
-        return self.group.order // self.sub.order
-
-    @cached_property
-    def node(self) -> tuple[FiniteLattice, int]:
-        """``subgroup_node``: every figure and predicate of [H, G] reads it."""
-        return subgroup_node(self.group, self.sub)
-
-    def __repr__(self) -> str:
-        return f"Inclusion(|H|={self.sub.order}, |G|={self.group.order})"
 
 
 @dataclass(frozen=True)
@@ -259,17 +237,3 @@ def inclusions_equivalent(a: Inclusion, b: Inclusion) -> bool:
     if pair_invariants(q1, img1) != pair_invariants(q2, img2):
         return False
     return isomorphism_carrying(q1, img1, q2, img2)
-
-
-# ---------------------------------------------------------- linear primitivity
-
-
-def is_linearly_primitive_inclusion(inc: Inclusion) -> Optional[int]:
-    """Index of the first central block whose H-fixed vectors have pointwise
-    stabilizer exactly H, or None.  Block i generates b_K with K that
-    stabilizer, so this is the first block generating id: w-cyclicity's
-    block, read off the blocks' subgroups."""
-    from .boxalgebra import BoxContext  # boxalgebra and properties import this module
-    from .properties import _w_cyclic_block
-
-    return _w_cyclic_block(BoxContext(inc.group, inc.sub))

@@ -3,11 +3,12 @@
 Decision procedures for the lattice-flavoured properties of the 2-box
 algebra of an inclusion H <= G: distributivity and normality of the
 biprojection lattice (cyclic = both at once), w-cyclicity on the primal
-and dual sides, w+-cyclicity, the centrality properties (Z), (ZZ), (Z~)
-and (F2), the exact rational bound sum(1/[id:b]) over maximal
-biprojections, shortest-chain lengths searched over boolean step rows of
-the biprojection lattice, read off its distributive_intervals, and a table
-of verified implications between all of these.
+and dual sides, linear primitivity (w-cyclicity's block), w+-cyclicity,
+the centrality properties (Z), (ZZ), (Z~) and (F2), the exact rational
+bound sum(1/[id:b]) over maximal biprojections, shortest-chain lengths
+searched over boolean step rows of the biprojection lattice, read off its
+distributive_intervals, and a table of verified implications between all
+of these.
 
 Every interval is named by its endpoints in the biprojection lattice, the
 reverse() view of the group's subgroup lattice up to H's node
@@ -74,6 +75,7 @@ __all__ = [
     "find_zz_violation_dual",
     "is_cyclic",
     "is_dedekind",
+    "is_linearly_primitive_inclusion",
     "is_w_cyclic",
     "is_w_cyclic_dual",
     "lengths",
@@ -195,6 +197,14 @@ def _w_cyclic_block(ctx: BoxContext) -> Optional[int]:
         if k == ctx.sub:
             return i
     return None
+
+
+def is_linearly_primitive_inclusion(ctx: BoxContext) -> Optional[int]:
+    """Index of the first central block whose H-fixed vectors have pointwise
+    stabilizer exactly H, or None.  Block i generates b_K with K that
+    stabilizer, so this is the first block generating id: w-cyclicity's
+    block, read off the context's cached block subgroups."""
+    return _w_cyclic_block(ctx)
 
 
 def is_w_cyclic(ctx: BoxContext, seed: int = 0) -> Optional[BoxElement]:
@@ -449,6 +459,9 @@ def property_Z_tilde(ctx: BoxContext) -> bool:
 
 # -- chain lengths ------------------------------------------------------------
 
+# The chain lengths that ``lengths`` and ``classify`` report by default.
+DEFAULT_LENGTHS = ("cl", "wcl", "dl")
+
 
 def _fold(table: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Each row of nodes, of at least one column, folded under table
@@ -533,9 +546,7 @@ def wcl_generators(ctx: BoxContext) -> int:
     return _shortest_chain(ctx, "wcl")
 
 
-def lengths(
-    ctx: BoxContext, which: Tuple[str, ...] = ("cl", "wcl", "dl")
-) -> Dict[str, int]:
+def lengths(ctx: BoxContext, which: Tuple[str, ...] = DEFAULT_LENGTHS) -> Dict[str, int]:
     """Chain lengths by name, each the exact length of a shortest chain
     e1 < ... < id of the biprojection lattice (see _shortest_chain): "wcl"
     (see wcl_generators), "cl", "dl", "tcl", "bcl", "tbl", "bbl", and
@@ -582,7 +593,7 @@ def _coset_label(ctx: BoxContext, coset: int) -> str:
 
 
 def classify(
-    ctx: BoxContext, lengths_which: Tuple[str, ...] = ("cl", "wcl", "dl")
+    ctx: BoxContext, lengths_which: Tuple[str, ...] = DEFAULT_LENGTHS
 ) -> ClassificationReport:
     """Evaluate every classification predicate on one context.
 

@@ -23,10 +23,10 @@ from biprox.interval import (
     Inclusion,
     action_quotient,
     coset_action,
-    is_linearly_primitive_inclusion,
     pair_invariants,
 )
 from biprox.permgroup import FiniteGroup, Subgroup
+from biprox.properties import is_linearly_primitive_inclusion
 
 
 def core_quotient(inc: Inclusion) -> tuple[FiniteGroup, Subgroup]:

@@ -24,7 +24,6 @@ from biprox.interval import (
     dual_ore_conditions,
     inclusions_equivalent,
     is_H_cyclic,
-    is_linearly_primitive_inclusion,
     ore_verify,
 )
 from biprox.lattice import boolean_rank
@@ -32,6 +31,7 @@ from biprox.permgroup import is_normal_intermediate
 from biprox.properties import (
     is_cyclic,
     is_dedekind,
+    is_linearly_primitive_inclusion,
     is_w_cyclic,
     is_w_cyclic_dual,
     lengths,

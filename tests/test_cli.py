@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from biprox.boxalgebra import BoxContext
 from biprox.catalog import catalog_group
 from biprox.cli import (
     corpus_pairs,
@@ -448,6 +449,24 @@ def test_survey_classifies_the_held_inclusions(monkeypatch) -> None:
     monkeypatch.setattr(biprox.cli, "parse_subgroup_spec", refuse)
     rows, _ = survey(max_index=12)
     assert survey_csv(rows) == (DATA / "survey_max_index_12.csv").read_text()
+
+
+def test_survey_builds_one_context_per_enumerated_pair(monkeypatch) -> None:
+    # Enumeration builds each pair's context, and equivalence classing and
+    # the row classify that same object: no context is built twice.
+    built = []
+    init = BoxContext.__init__
+
+    def counting(self, group, sub):
+        built.append((group.label(), sub.key()))
+        init(self, group, sub)
+
+    pairs = enumerate_pairs(max_index=12, max_order=60)
+    expected = [(ctx.group.label(), ctx.sub.key()) for _, ctx in pairs]
+    monkeypatch.setattr(BoxContext, "__init__", counting)
+    survey(max_index=12, max_order=60)
+    assert len(expected) == 428
+    assert sorted(built) == sorted(expected)
 
 
 def test_subgroup_class_representatives_s4() -> None:

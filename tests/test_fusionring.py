@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from biprox.boxalgebra import BoxContext
-from biprox.catalog import catalog_group
+from biprox.catalog import catalog_group, catalog_names
 from biprox.errors import AxiomViolation, NotTrivialH
 from biprox.fusionring import (
     FusionRing,
@@ -208,3 +208,15 @@ def test_extracted_rings_have_integral_reports() -> None:
         assert report["integral"] is True
         g = catalog_group(name)
         assert abs(report["total_dim"] - g.order) < 1e-6
+
+
+def test_extraction_clears_the_ambiguity_band_on_every_catalog_group() -> None:
+    # Over {1} the blocks are the irreducible characters, one per conjugacy
+    # class; every coproduct weight lies off the band (1e-10, 1e-6), and the
+    # support pattern agrees with the character multiplicities.
+    names = catalog_names()
+    assert len(names) == 97
+    for name in names:
+        g = catalog_group(name)
+        ring = fusion_from_context(trivial_ctx(name))
+        assert ring.rank == len(np.unique(g.class_labels)), name

@@ -10,11 +10,15 @@ Oracle values derived independently:
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biprox
+from biprox.boxalgebra import BoxContext
 from biprox.catalog import catalog_group
 import biprox.interval
 from biprox.cli import enumerate_pairs, equivalence_classes
@@ -73,6 +77,37 @@ def test_inclusion_rejects_foreign_subgroup() -> None:
     s4 = catalog_group("S4")
     with pytest.raises(NotNested):
         Inclusion(s4, s3.trivial_subgroup())
+
+
+def test_an_inclusion_is_its_box_context() -> None:
+    # One class: the nesting check, index and node live on BoxContext, and
+    # two inclusions of one group compare equal by member set.
+    assert Inclusion is BoxContext and biprox.Inclusion is BoxContext
+    s3, s4 = catalog_group("S3"), catalog_group("S4")
+    with pytest.raises(NotNested):
+        BoxContext(s4, s3.trivial_subgroup())
+    a, b = make("S4", "(1,2)"), make("S4", "(1,2)")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make("S4", "(1,3)")
+
+
+def test_no_function_body_imports_a_biprox_module() -> None:
+    # Every module of the package imports its siblings at its top.
+    found = []
+    for path in sorted(Path(biprox.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] if node.level == 0 else ["biprox"]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(m.split(".")[0] == "biprox" for m in modules):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # ------------------------------------------------------------- H-cyclicity
@@ -390,7 +425,7 @@ def test_linearly_primitive_groups() -> None:
 
 
 def test_linearly_primitive_inclusions() -> None:
-    from biprox.interval import is_linearly_primitive_inclusion
+    from biprox.properties import is_linearly_primitive_inclusion
 
     # (S3, <(12)>): the standard block's fixed line has stabilizer exactly H
     assert is_linearly_primitive_inclusion(make("S3", "(1,2)")) is not None
@@ -404,7 +439,7 @@ def test_linearly_primitive_inclusions() -> None:
 
 def test_linear_primitivity_matches_the_stabilizer_route_on_the_census() -> None:
     # The block's subgroup against the left stabilizer of its H-fixed part.
-    from biprox.interval import is_linearly_primitive_inclusion
+    from biprox.properties import is_linearly_primitive_inclusion
 
     pairs = enumerate_pairs()
     assert len(pairs) == 565

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biprox.boxalgebra
@@ -47,6 +47,7 @@ from biprox.interval import (
 from biprox.lattice import FiniteLattice, boolean_rank, is_distributive
 from biprox.permgroup import (
     FiniteGroup,
+    Permutation,
     Subgroup,
     all_subgroups,
     group_closure,
@@ -72,6 +73,7 @@ from biprox.properties import (
     find_zz_violation_dual,
     is_cyclic,
     is_dedekind,
+    is_linearly_primitive_inclusion,
     is_w_cyclic,
     is_w_cyclic_dual,
     lengths,
@@ -97,7 +99,7 @@ from spectral_oracle import (
     zz_blocks_central,
 )
 from interval_oracle import is_linearly_primitive_group, linearly_primitive_block_by_stabilizers
-from permgroup_oracle import subgroup_from_perms
+from permgroup_oracle import double_cosets, subgroup_from_perms
 from lattice_oracle import (
     bottom_part,
     closure_route_length,
@@ -532,6 +534,52 @@ def test_zz_class_counts_match_the_block_projection_beyond_the_census(spec, draw
     h = subgroup_generated(g, [d % g.order for d in draws])
     ctx = BoxContext(g, h)
     assert property_ZZ(ctx) == zz_blocks_central(ctx)
+
+
+@functools.cache
+def _nonabelian_catalog_names() -> list[str]:
+    return [name for name in catalog_names() if not catalog_group(name).is_abelian()]
+
+
+@functools.cache
+def _drawn_group(name: str, draws: frozenset) -> FiniteGroup:
+    """The subgroup of catalog group ``name`` generated by the elements
+    ``draws``, closed as a group of its own."""
+    parent = catalog_group(name)
+    return group_closure([Permutation(tuple(parent.images[d].tolist())) for d in sorted(draws)])
+
+
+def _double_coset_sets(g: FiniteGroup, a: Subgroup, b: Subgroup) -> set:
+    return {tuple(c.tolist()) for c in double_cosets(g, a, b)}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0),
+    st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+    st.lists(st.integers(min_value=0), min_size=0, max_size=2),
+)
+@example(34, [1, 6], [])  # <(1,2), (3,4)> < S4 over {1}: no block is faithful
+def test_predicates_match_their_oracles_on_random_subgroups_as_g(pick, g_draws, h_draws):
+    # G is generated by 1-3 drawn elements of a non-abelian catalog group
+    # (order <= 120), H by 0-2 drawn elements of G.  Dedekind against
+    # HgK = KgH on every member K of [H, G], linear primitivity against the
+    # blocks' left stabilizers, and the default chain lengths against the
+    # per-pair closures.  The group is picked modulo the list, as
+    # sampled_from would draw its first entries far more often.
+    names = _nonabelian_catalog_names()
+    name = names[pick % len(names)]
+    order = catalog_group(name).order
+    g = _drawn_group(name, frozenset(d % order for d in g_draws))
+    ctx = BoxContext(g, subgroup_generated(g, [d % g.order for d in h_draws]))
+    lat, i = ctx.node
+    members = [lat.payload[k] for k in np.flatnonzero(lat.leq[i])]
+    normal = [
+        _double_coset_sets(g, ctx.sub, k) == _double_coset_sets(g, k, ctx.sub) for k in members
+    ]
+    assert is_dedekind(ctx) == all(normal)
+    assert is_linearly_primitive_inclusion(ctx) == linearly_primitive_block_by_stabilizers(ctx)
+    assert lengths(ctx) == {n: closure_route_length(ctx, n) for n in properties.DEFAULT_LENGTHS}
 
 
 def test_classify_makes_no_random_draw(monkeypatch):
