@@ -212,7 +212,7 @@ class Biprojection:
 
 
 def _same_context(x, y) -> None:
-    if x.context != y.context:
+    if x.context is not y.context and x.context != y.context:
         raise ContextMismatch("elements live in different box contexts")
 
 
@@ -655,20 +655,19 @@ def _spectral_split(ctx: BoxContext, coeffs: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
-def _canonical_order(projs: list[BoxElement]) -> np.ndarray:
-    """The stable sort of projs by trace rounded to 10 decimals, then by the
-    coefficients in element order, each real part before its imaginary
-    part, rounded to 8: one lexsort over the rounded columns."""
-    coeffs = np.array([p.coeffs for p in projs])
-    cols = np.empty((len(projs), 2 * coeffs.shape[1]))
-    cols[:, 0::2] = np.round(coeffs.real, 8)
-    cols[:, 1::2] = np.round(coeffs.imag, 8)
-    traces = np.round([trace(p).real for p in projs], 10)
+def _canonical_order(ctx: BoxContext, coeffs: np.ndarray) -> np.ndarray:
+    """The stable sort of the coefficient rows ``coeffs`` of projections of
+    ctx by trace |H|.x_e rounded to 10 decimals, then by the coefficients in
+    element order, each real part before its imaginary part, rounded to 8:
+    one lexsort over the rounded columns."""
+    cols = np.round(np.ascontiguousarray(coeffs).view(np.float64), 8)  # real, imag, real, ...
+    traces = np.round(ctx.sub.order * coeffs[:, ctx.group.identity_index].real, 10)
     return np.lexsort(np.vstack([cols[:, ::-1].T, traces]))  # last key leads
 
 
 def _canonical_projection_sort(projs: list[BoxElement]) -> list[BoxElement]:
-    return [projs[i] for i in _canonical_order(projs)]
+    order = _canonical_order(projs[0].context, np.array([p.coeffs for p in projs]))
+    return [projs[i] for i in order]
 
 
 def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
@@ -677,6 +676,8 @@ def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
     The blocks are z_chi = b_H.e_chi for the irreducible characters chi of
     G with <chi|_H, 1> > 0, e_chi = (chi(1)/|G|) sum_g conj(chi(g)) g being
     the central idempotent of chi; b_H.e_chi = 0 when <chi|_H, 1> = 0.
+    They are checked to sum to id and sorted (_canonical_order) on one
+    (blocks x |G|) array, and each becomes a BoxElement once, in that order.
     block_characters(ctx) reads back the character row of each block.
     """
     if "mcp" not in ctx._cache:
@@ -690,11 +691,10 @@ def minimal_central_projections(ctx: BoxContext) -> list[BoxElement]:
         rows = np.flatnonzero(np.rint(fixed.real) > 0)
         sel = table[rows]
         blocks = sel[:, left].conj().mean(axis=1) * sel[:, e].real[:, None] / group.order
-        projs = [BoxElement(ctx, block) for block in blocks]
-        if not sum(projs[1:], projs[0]).isclose(id_element(ctx)):
+        if not (np.abs(blocks.sum(axis=0) - sub.mask / sub.order) <= ZERO_TOL).all():  # id = b_H
             raise BiprojectionCheckFailed("the blocks do not sum to id")
-        order = _canonical_order(projs)
-        ctx._cache["mcp"] = [projs[i] for i in order]
+        order = _canonical_order(ctx, blocks)
+        ctx._cache["mcp"] = [BoxElement(ctx, block) for block in blocks[order]]
         ctx._cache["block_characters"] = rows[order].tolist()
     return ctx._cache["mcp"]
 

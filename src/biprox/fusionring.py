@@ -23,7 +23,7 @@ from .errors import (
     NotTrivialH,
     NumericRankAmbiguous,
 )
-from .permgroup import AMBIGUOUS_BAND
+from .permgroup import AMBIGUOUS_BAND, ZERO_TOL
 
 __all__ = [
     "FusionRing",
@@ -216,7 +216,7 @@ def fusion_report(ring: FusionRing) -> dict:
     axioms = verify_axioms(ring)
     dims = fp_dimensions(ring)
     rounded = np.round(dims)
-    integral = bool(np.abs(dims - rounded).max() < 1e-9)
+    integral = bool(np.abs(dims - rounded).max() < ZERO_TOL)
     total = float((dims**2).sum())
     return {
         "rank": ring.rank,
@@ -253,10 +253,10 @@ def fusion_from_context(ctx: BoxContext) -> FusionRing:
     chars, elements = chars[perm], [projs[p] for p in perm]
 
     raw = np.einsum("ig,jg,kg->ijk", chars, chars, np.conj(chars)) / order
-    if np.abs(raw.imag).max() > 1e-9:
+    if np.abs(raw.imag).max() > ZERO_TOL:
         raise BiprojectionCheckFailed("complex multiplicity residue")
     tensor = np.round(raw.real)
-    if np.abs(raw.real - tensor).max() > 1e-9:
+    if np.abs(raw.real - tensor).max() > ZERO_TOL:
         i, j, k = np.unravel_index(int(np.abs(raw.real - tensor).argmax()), raw.shape)
         raise BiprojectionCheckFailed(
             f"non-integer multiplicity at ({i},{j},{k}): {raw.real[i, j, k]}"

@@ -45,11 +45,10 @@ class DualOreReport:
 def is_H_cyclic(inc: Inclusion) -> Optional[int]:
     """First element g (in canonical element order) with <H, g> = G: the
     least element in no coatom of [H, G] (G's lower covers over H), since
-    every proper member lies under one (the identity if H = G)."""
+    every proper member lies under one (the identity if H = G): one
+    ``any`` over those coatoms' rows of the lattice's mask stack."""
     lat, i = inc.node
-    covered = np.zeros(inc.group.order, dtype=bool)
-    for c in np.flatnonzero(lat.covers()[:, lat.top] & lat.leq[i]):
-        covered |= lat.payload[c].mask
+    covered = lat.masks[lat.covers()[:, lat.top] & lat.leq[i]].any(axis=0)
     outside = np.flatnonzero(~covered)
     return int(outside[0]) if outside.size else None
 

@@ -10,11 +10,13 @@ scans run only in forbidden_sublattice: it scans for the first failing
 triple and builds a forbidden sublattice (diamond M3 or pentagon N5) from
 it, verified to be an induced sublattice before it is returned.
 
-The subgroup lattice of a group is built once and cached on the group;
-every interval [H, G] is the up-set of H's node in it (subgroup_node), and
-is read there by its endpoints, except in a group of more than
-_SHARED_LATTICE_NODES subgroups, where [H, G] for H > {1} is built alone
-unless the whole lattice is cached already.
+A subgroup lattice stacks its nodes' member masks in one array (masks) and
+formats its labels on their first read, each once per lattice and read by
+its reverse() view.  The subgroup lattice of a group is built once and
+cached on the group; every interval [H, G] is the up-set of H's node in it
+(subgroup_node), and is read there by its endpoints, except in a group of
+more than _SHARED_LATTICE_NODES subgroups, where [H, G] for H > {1} is
+built alone unless the whole lattice is cached already.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ class FiniteLattice:
 
     ``leq[i, j]`` says i <= j; ``meet``/``join`` are index tables; labels
     are display strings. ``payload`` optionally carries the objects the
-    nodes came from (e.g. Subgroup instances for subgroup lattices).
+    nodes came from (e.g. Subgroup instances for subgroup lattices), and
+    then ``masks`` stacks their member masks.  Labels not given are
+    formatted on first read (see ``labels``).
     """
 
     n: int
@@ -63,7 +67,7 @@ class FiniteLattice:
     join: np.ndarray
     bottom: int
     top: int
-    labels: tuple[str, ...]
+    given_labels: Optional[tuple[str, ...]]
     payload: Optional[tuple] = field(default=None, compare=False)
     # The lattice that a reverse() view reverses: the view's covers are its
     # covers transposed, so the pair computes them once.
@@ -88,9 +92,8 @@ class FiniteLattice:
         _check_infima(leq.T, join, "join")
         bottom = int(np.flatnonzero(leq.sum(axis=1) == n)[0])
         top = int(np.flatnonzero(leq.sum(axis=0) == n)[0])
-        if labels is None:
-            labels = [str(i) for i in range(n)]
-        return FiniteLattice._finish(n, leq, meet, join, bottom, top, tuple(labels), payload)
+        labels = None if labels is None else tuple(labels)
+        return FiniteLattice._finish(n, leq, meet, join, bottom, top, labels, payload)
 
     @staticmethod
     def _finish(n, leq, meet, join, bottom, top, labels, payload) -> "FiniteLattice":
@@ -113,6 +116,31 @@ class FiniteLattice:
             _check_infima(lat.leq, lat.meet, name)
 
     # -- structure -------------------------------------------------------
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The display string of each node: the labels given, a reverse()
+        view's lattice's, or formatted on first read, each Subgroup of the
+        payload by a small generating set (its order past 28 characters)
+        and, with no payload, each node by its number."""
+        if self.given_labels is not None:
+            return self.given_labels
+        if self.reversed_of is not None:
+            return self.reversed_of.labels
+        if self.payload is None:
+            return tuple(map(str, range(self.n)))
+        gens = generator_strings(self.payload)
+        return tuple(g if len(g) <= 28 else f"order {k.order}" for k, g in zip(self.payload, gens))
+
+    @cached_property
+    def masks(self) -> np.ndarray:
+        """Read-only boolean array, row i the member mask of payload[i]: built
+        once per lattice on first read; a reverse() view reads its lattice's."""
+        if self.reversed_of is not None:
+            return self.reversed_of.masks
+        masks = np.array([k.mask for k in self.payload], dtype=bool)
+        masks.setflags(write=False)
+        return masks
 
     def covers(self) -> np.ndarray:
         """Boolean matrix: covers()[i, j] iff j covers i.  Computed once per
@@ -170,7 +198,7 @@ class FiniteLattice:
     def _reversed(self) -> "FiniteLattice":
         return self.reversed_of or FiniteLattice(
             self.n, self.leq.T, self.join, self.meet, self.top, self.bottom,
-            self.labels, self.payload, self,
+            None, self.payload, self,
         )
 
     @cached_property
@@ -345,11 +373,7 @@ def _lattice_of_subgroups(nodes: list[Subgroup]) -> FiniteLattice:
     masks = np.array([k.mask for k in nodes], dtype=np.float32)
     orders = np.array([k.order for k in nodes])
     leq = masks @ masks.T == orders[:, None]
-    labels = [
-        gens if len(gens) <= 28 else f"order {k.order}"
-        for k, gens in zip(nodes, generator_strings(nodes))
-    ]
-    return FiniteLattice.from_order(leq, labels, tuple(nodes))
+    return FiniteLattice.from_order(leq, None, tuple(nodes))
 
 
 # -- distributivity and modularity ------------------------------------------

@@ -510,7 +510,9 @@ class Subgroup:
         rows by degree), cached on the parent by member set.  Burnside's
         algorithm with no random draw, on L's own classes read off the parent
         Cayley table: the class sums, normal in the basis K_i/sqrt|C_i|, split
-        their common eigenspaces by Hermitian and anti-Hermitian parts.  A
+        their common eigenspaces by Hermitian and anti-Hermitian parts.  The
+        identity's class comes first and is skipped: its sum is the identity
+        matrix, whose parts (the identity and 0) split no space.  A
         failed verification raises BiprojectionCheckFailed; a gap inside the
         ambiguity band raises NumericRankAmbiguous."""
         group = self.parent
@@ -526,7 +528,7 @@ class Subgroup:
         sizes = np.array([len(cls) for cls in classes], dtype=float)
         root = np.sqrt(sizes)
         spaces = [np.eye(k, dtype=np.complex128)]
-        for cls in classes:
+        for cls in classes[1:]:  # the identity's, first, sums to the identity: it splits nothing
             if len(spaces) == k:
                 break
             normal = root[:, None] * _class_matrix(group, cls, index, reps) / root[None, :]

@@ -59,7 +59,7 @@ from .boxalgebra import (
 )
 from .errors import BiprojectionCheckFailed, TheoremViolation
 from .interval import is_H_cyclic
-from .lattice import FiniteLattice, boolean_rank, is_distributive
+from .lattice import _BLOCK_CELLS, FiniteLattice, boolean_rank, is_distributive
 from .permgroup import (
     ZERO_TOL,
     Subgroup,
@@ -108,9 +108,10 @@ def _fixed_dims(lat: FiniteLattice, a: int, top: int) -> np.ndarray:
 
     The 2-box algebra of K_b <= K_a is the sum over psi of matrix blocks
     of size dims[psi, b], and b_M is a projection of rank dims[psi, M] in
-    the block of psi: the M-fixed vectors inside the K_b-fixed ones."""
+    the block of psi: the M-fixed vectors inside the K_b-fixed ones.  The
+    M-averages of the table are one product with rows of the mask stack."""
     cols = np.flatnonzero(lat.leq[a] & lat.leq[:, top])  # the subgroups of K_a over H
-    masks = np.array([lat.payload[m].mask for m in cols], dtype=float)
+    masks = lat.masks[cols].astype(float)
     fixed = lat.payload[a].character_table() @ masks.T / masks.sum(axis=1)
     dims = np.zeros((len(fixed), lat.n))
     dims[:, cols] = np.rint(fixed.real)
@@ -135,17 +136,16 @@ def _interval_blocks(
     b_M.z_psi = z_psi exactly when the M-fixed and the K_b-fixed vectors
     of the psi-isotypic part agree, i.e. when <psi|_M, 1> = <psi|_{K_b}, 1>.
     Those M of [a, b] are closed under joins, so the block generates the
-    largest."""
+    largest: one boolean (characters x members) matrix of the M that keep
+    the dimension, its last true member in each row, since nodes ascend by
+    subgroup order, checked to lie above every other in one test."""
     members = np.flatnonzero(lat.leq[a] & lat.leq[:, b])
     rows = np.flatnonzero(dims[:, b] > 0)
-    nodes = []
-    for psi in rows:
-        same = members[dims[psi, members] == dims[psi, b]]
-        m = int(same[-1])  # nodes ascend by subgroup order, so the largest is last
-        if not lat.leq[m, same].all():  # every such M a subgroup of the largest
-            raise BiprojectionCheckFailed("no largest node keeps the fixed dimension")
-        nodes.append(m)
-    return rows, np.array(nodes, dtype=np.int64)
+    same = dims[rows][:, members] == dims[rows, b, None]
+    nodes = members[len(members) - 1 - same[:, ::-1].argmax(axis=1)]
+    if not (lat.leq[nodes][:, members] | ~same).all():
+        raise BiprojectionCheckFailed("no largest node keeps the fixed dimension")
+    return rows, nodes
 
 
 def _interval_w_cyclic(lat: FiniteLattice, dims: np.ndarray, a: int, b: int) -> bool:
@@ -169,15 +169,14 @@ def _context_dims(ctx: BoxContext) -> np.ndarray:
     return ctx._cache["fixed_dims"]
 
 
-def _block_nodes(ctx: BoxContext) -> List[int]:
+def _block_nodes(ctx: BoxContext) -> np.ndarray:
     """The node b_{K_i} = <z_i> of the biprojection lattice for each minimal
     central projection z_i, in block order, read off the character table on
     the whole lattice."""
     if "block_nodes" not in ctx._cache:
         lat, top = _biprojections(ctx)
         rows, nodes = _interval_blocks(lat, _context_dims(ctx), lat.bottom, top)
-        node_of = dict(zip(rows.tolist(), nodes.tolist()))
-        ctx._cache["block_nodes"] = [node_of[chi] for chi in block_characters(ctx)]
+        ctx._cache["block_nodes"] = nodes[np.searchsorted(rows, block_characters(ctx))]
     return ctx._cache["block_nodes"]
 
 
@@ -191,19 +190,17 @@ def _block_subgroups(ctx: BoxContext) -> List[Subgroup]:
 
 
 def _w_cyclic_block(ctx: BoxContext) -> Optional[int]:
-    """Index of the first block z with <z> = id, or None.  Some minimal
-    projection under z generates <z>, so this decides w-cyclicity."""
-    for i, k in enumerate(_block_subgroups(ctx)):
-        if k == ctx.sub:
-            return i
-    return None
+    """Index of the first block z with <z> = id, H's node, or None.  Some
+    minimal projection under z generates <z>, so this decides w-cyclicity."""
+    hits = np.flatnonzero(_block_nodes(ctx) == ctx.node[1])
+    return int(hits[0]) if hits.size else None
 
 
 def is_linearly_primitive_inclusion(ctx: BoxContext) -> Optional[int]:
     """Index of the first central block whose H-fixed vectors have pointwise
     stabilizer exactly H, or None.  Block i generates b_K with K that
     stabilizer, so this is the first block generating id: w-cyclicity's
-    block, read off the context's cached block subgroups."""
+    block, read off the context's cached block nodes."""
     return _w_cyclic_block(ctx)
 
 
@@ -293,12 +290,13 @@ def w_plus_cyclic(ctx: BoxContext) -> bool:
 def sum_bound(ctx: BoxContext) -> Fraction:
     """Exact sum of 1/[id : b] over maximal biprojections b.
 
-    [id : b_K] is the index [K : H], so each term is |H|/|K|.
+    [id : b_K] is the index [K : H], so each term is |H|/|K|: one fraction
+    |H|.sum_j [G : K_j] / |G| over H's upper covers K_j, exact since each
+    |K_j| divides |G|.
     """
-    total = Fraction(0)
-    for k in maximal_biprojections(ctx):
-        total += Fraction(ctx.sub.order, k.order)
-    return total
+    lat, i = ctx.node
+    index = ctx.group.order // lat.masks[lat.covers()[i]].sum(axis=1)
+    return Fraction(ctx.sub.order * int(index.sum()), ctx.group.order)
 
 
 def lw_rw_cyclic(ctx: BoxContext, k: Subgroup) -> Dict[str, bool]:
@@ -421,19 +419,25 @@ def _f2_violation(ctx: BoxContext) -> Optional[Tuple[int, int]]:
     <z_a, z_b> = b_{K_a & K_b}, so r serves (i, j) when K_i & K_r and
     K_r & K_j both lie in K_i & K_j, which is read off intersection orders.
     That depends on the blocks' subgroups alone, so it is decided once per
-    pair of distinct subgroups and read back in block order.
+    pair of distinct subgroups and read back in block order.  The triple
+    orders of a block of rows i come from one stacked product, in row
+    blocks of at most _BLOCK_CELLS cells.
     """
-    ks = _block_subgroups(ctx)
-    distinct: Dict[bytes, int] = {}  # member key -> row of m, by first block
-    of_block = np.array([distinct.setdefault(k.key(), len(distinct)) for k in ks])
-    m = np.zeros((len(distinct), ctx.group.order))
-    m[of_block] = [k.mask for k in ks]  # a repeated subgroup writes its row again
+    masks = np.array([k.mask for k in _block_subgroups(ctx)])
+    packed = np.packbits(masks, axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()  # each block's Subgroup.key()
+    _, first, of_block = np.unique(keys, return_index=True, return_inverse=True)
+    m = masks[first].astype(float)
+    k, n = m.shape
     pair = m @ m.T  # |K_a & K_b|, exact in floating point
     unserved = np.empty(pair.shape, dtype=bool)
-    for i in range(len(m)):
-        triple = (m * m[i]) @ m.T  # [r, j]: |K_i & K_r & K_j|
+    step = max(1, _BLOCK_CELLS // (k * n))
+    for start in range(0, k, step):
+        rows = slice(start, start + step)
+        triple = ((m[rows, None] * m).reshape(-1, n) @ m.T).reshape(-1, k, k)  # [i, r, j]
         # K_i & K_r (resp. K_r & K_j) lies in K_i & K_j iff its order is triple
-        unserved[i] = ~((triple == pair[i][:, None]) & (triple == pair)).any(axis=0)
+        served = (triple == pair[rows, :, None]) & (triple == pair)
+        unserved[rows] = ~served.any(axis=1)
     bad = unserved[of_block[:, None], of_block]
     rows = np.flatnonzero(bad.any(axis=1))
     return (int(rows[0]), int(np.argmax(bad[rows[0]]))) if rows.size else None

@@ -392,7 +392,7 @@ def test_z_by_double_cosets_matches_centrality():
 
 @pytest.fixture(scope="module")
 def census_contexts():
-    return [BoxContext(inc.group, inc.sub) for _name, inc in enumerate_pairs()]
+    return [ctx for _name, ctx in enumerate_pairs()]
 
 
 def test_fixed_point_centrality_matches_double_cosets_on_the_census(census_contexts):
